@@ -18,7 +18,7 @@ from .nonsingular import (NonSingularityReport, NonSingularizationError,
                           pad_to_width, scaled_det)
 from .training import (Dataset, Init, Loss, Optimizer, TrainConfig, TrainingDiverged,
                        accuracy, gen_ring_dataset, init_weights, load_dataset,
-                       loss_and_grad, save_dataset, train)
+                       loss_and_grad, save_dataset, train, train_stack)
 from .fields import (RegionComponents, ScalarField, eps_A_approximates, field_hash,
                      network_scalar_fn, region_components, sample_grid)
 from .contours import (Classification, LevelComponent, SegmentSoup, TopologyReport,

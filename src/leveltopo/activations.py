@@ -62,33 +62,47 @@ class Activation:
         return Activation(ActivationKind(d["kind"]), d.get("sharpness"))
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function.  exp may overflow to inf for very negative inputs,
-    which still yields the correct limit 0.0, so the overflow warning is
-    suppressed rather than branched around."""
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function, ``1 / (1 + exp(-x))``, written into ``out`` when given.
+
+    exp may overflow to inf for very negative inputs, which still yields the
+    correct limit 0.0, so the overflow warning is suppressed rather than
+    branched around."""
     x = np.asarray(x, dtype=np.float64)
+    out = np.negative(x, out=np.empty_like(x) if out is None else out)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
-def activation_apply(act: Activation, x):
+def activation_apply(act: Activation, x, out: np.ndarray | None = None):
     """Apply ``act`` elementwise.  Accepts scalars or arrays, returns float64.
 
-    All four kinds are total on R.  sigmoid saturates to exactly 0.0 / 1.0
-    in float64 for |x| beyond ~745 / ~37; tanh saturates to +-1.0 near |x|=20;
-    one_to_one_relu saturates toward -pi/(2 n) as x -> -inf.
+    With ``out`` (an array shaped like ``x``) the result is written there,
+    without temporaries for sigmoid, tanh and relu.  All four kinds are
+    total on R.  sigmoid saturates to exactly 0.0 / 1.0 in float64 for |x|
+    beyond ~745 / ~37; tanh saturates to +-1.0 near |x|=20; one_to_one_relu
+    saturates toward -pi/(2 n) as x -> -inf.
     """
     arr = np.asarray(x, dtype=np.float64)
     if act.kind is ActivationKind.SIGMOID:
-        out = sigmoid(arr)
+        out = sigmoid(arr, out)
     elif act.kind is ActivationKind.TANH:
-        out = np.tanh(arr)
+        out = np.tanh(arr, out=out)
     elif act.kind is ActivationKind.RELU:
-        out = np.maximum(arr, 0.0)
+        out = np.maximum(arr, 0.0, out=out)
     else:
-        out = np.where(arr >= 0, arr, np.arctan(arr) / act.sharpness)
+        out = _into(np.where(arr >= 0, arr, np.arctan(arr) / act.sharpness), out)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
+    return out
+
+
+def _into(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    if out is None:
+        return values
+    out[...] = values
     return out
 
 
@@ -113,14 +127,21 @@ def activation_derivative(act: Activation, x):
     return out
 
 
-def activation_derivative_at(act: Activation, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+def activation_derivative_at(act: Activation, pre: np.ndarray, post: np.ndarray,
+                             out: np.ndarray | None = None) -> np.ndarray:
     """Derivative at pre-activation ``pre`` reusing the already computed
-    activation value ``post`` where the algebra allows (training hot path)."""
+    activation value ``post`` where the algebra allows (training hot path).
+
+    ``out`` may be ``pre`` itself: it is written only after ``pre`` is read.
+    """
     if act.kind is ActivationKind.SIGMOID:
-        return post * (1.0 - post)
+        out = np.subtract(1.0, post, out=out)
+        out *= post
+        return out
     if act.kind is ActivationKind.TANH:
-        return 1.0 - post * post
-    return activation_derivative(act, pre)
+        out = np.multiply(post, post, out=out)
+        return np.subtract(1.0, out, out=out)
+    return _into(activation_derivative(act, pre), out)
 
 
 def uniform_deviation(a: Activation, b: Activation, interval: tuple[float, float],

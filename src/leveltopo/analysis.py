@@ -30,11 +30,11 @@ import numpy as np
 from .activations import SIGMOID, Activation
 from .contours import (Classification, TopologyReport, analyze_level,
                        component_encloses, extract_components)
-from .fields import field_hash, network_scalar_fn, sample_grid
+from .fields import ScalarField, field_hash, network_scalar_fn, sample_grid
 from .network import Network, Window, network_hash, network_to_dict
 from .nonsingular import is_nonsingular, make_nonsingular, pad_to_width, NonSingularityReport
 from .training import (TrainConfig, TrainingDiverged, accuracy, gen_ring_dataset,
-                       init_weights, train)
+                       init_weights, train_stack)
 
 THREADS_ENV = "LEVELSET_PROBE_THREADS"
 
@@ -81,20 +81,20 @@ class EscalationResult:
         return len(self.final_classifications) - self.bounded_final
 
 
-def window_escalation(f, level: float, base_window: Window, resolution: int,
-                      max_doublings: int, provenance: dict | None = None) -> EscalationResult:
-    """Classify level components, demoting bounded ones that stop being bounded
-    on doubled windows.
+def window_escalation(f, level: float, base_field: ScalarField, max_doublings: int,
+                      provenance: dict | None = None) -> EscalationResult:
+    """Classify the level components of ``base_field``, a sampling of ``f``,
+    demoting bounded ones that stop being bounded on doubled windows.
 
     Doubling keeps the cell size (the lattice of the larger window contains
     the base lattice), so a genuinely closed loop reappears with vertices in
     the same places and is matched by proximity; a curve that merely left the
     base window shows up attached to the larger frame and demotes its base
-    component to BoundaryTouching.
+    component to BoundaryTouching.  Only the doubled windows sample ``f``, so
+    callers probing several levels sample the base window once.
     """
     if max_doublings < 0:
         raise ValueError("max_doublings must be >= 0")
-    base_field = sample_grid(f, base_window, (resolution, resolution))
     provenance = {**(provenance or {}), "field_sha256": field_hash(base_field)}
     base = analyze_level(base_field, level, provenance=provenance)
     classifications = [c.classification for c in base.components]
@@ -105,9 +105,8 @@ def window_escalation(f, level: float, base_window: Window, resolution: int,
         for k in range(1, max_doublings + 1):
             scales = k
             factor = 2 ** k
-            window_k = base_window.scaled(factor)
-            res_k = (resolution - 1) * factor + 1
-            field_k = sample_grid(f, window_k, (res_k, res_k))
+            field_k = sample_grid(f, base_field.window.scaled(factor),
+                                  tuple((r - 1) * factor + 1 for r in base_field.resolution))
             comps_k = extract_components(field_k, level)
             vertex_sets = [np.concatenate([p for p in c.polylines]) for c in comps_k]
             for idx, comp in enumerate(base.components):
@@ -283,12 +282,11 @@ class SweepResult:
         }
 
 
-def _analyze_levels(f, levels, window: Window, resolution: int, escalations: int,
+def _analyze_levels(f, levels, base_field: ScalarField, escalations: int,
                     provenance: dict) -> list[LevelAnalysis]:
     analyses = []
     for level in levels:
-        esc = window_escalation(f, level, window, resolution, escalations,
-                                provenance=provenance)
+        esc = window_escalation(f, level, base_field, escalations, provenance=provenance)
         enclosing = sum(
             1 for comp, cls in zip(esc.base_report.components, esc.final_classifications)
             if cls is Classification.BOUNDED and component_encloses(comp, (0.0, 0.0)))
@@ -298,37 +296,59 @@ def _analyze_levels(f, levels, window: Window, resolution: int, escalations: int
     return analyses
 
 
-def _experiment_seed(spec: ExperimentSpec, seed: int) -> SeedOutcome:
-    data = gen_ring_dataset(seed, spec.n_inner, spec.n_ring, spec.inner_sigma,
-                            spec.ring_radius, spec.ring_sigma)
-    net = init_weights(list(spec.arch), spec.activation, seed)
-    cfg = dataclasses.replace(spec.train, seed=seed)
-    try:
-        trained, history = train(net, data, cfg)
-    except TrainingDiverged as exc:
-        return SeedOutcome(seed=seed, error=str(exc),
-                           steps_run=len(exc.history),
-                           final_loss=exc.history[-1][1] if exc.history else None)
-    final_loss = history[-1][1]
+def _seed_outcome(spec: ExperimentSpec, seed: int, data, result) -> SeedOutcome:
+    """Analyze one seed's training result: (trained, steps run, final loss),
+    or the TrainingDiverged it raised."""
+    if isinstance(result, TrainingDiverged):
+        return SeedOutcome(seed=seed, error=str(result),
+                           steps_run=len(result.history),
+                           final_loss=result.history[-1][1] if result.history else None)
+    trained, steps_run, final_loss = result
     acc = accuracy(trained, data)
     if spec.window is not None:
         window = spec.window
     else:
         lo, hi = data.bounding_box()
         window = Window(lo, hi).scaled(2.0)
+    f = network_scalar_fn(trained)
+    base_field = sample_grid(f, window, (spec.resolution, spec.resolution))
     provenance = {"network_sha256": network_hash(trained), "seed": seed}
-    levels = _analyze_levels(network_scalar_fn(trained), spec.resolved_levels(),
-                             window, spec.resolution, spec.escalations, provenance)
-    return SeedOutcome(seed=seed, final_loss=final_loss, steps_run=len(history),
+    levels = _analyze_levels(f, spec.resolved_levels(), base_field, spec.escalations,
+                             provenance)
+    return SeedOutcome(seed=seed, final_loss=final_loss, steps_run=steps_run,
                        converged=final_loss <= spec.convergence_loss, accuracy=acc,
                        levels=tuple(levels), network=network_to_dict(trained))
 
 
+def _experiment_chunk(spec: ExperimentSpec, seeds: tuple[int, ...]) -> list[SeedOutcome]:
+    """Train a chunk of seeds as one stack, then analyze each seed."""
+    datasets = [gen_ring_dataset(seed, spec.n_inner, spec.n_ring, spec.inner_sigma,
+                                 spec.ring_radius, spec.ring_sigma) for seed in seeds]
+    nets = [init_weights(list(spec.arch), spec.activation, seed) for seed in seeds]
+    cfgs = [dataclasses.replace(spec.train, seed=seed) for seed in seeds]
+    # an outcome needs only the length and the last loss of a history; the
+    # analysis runs after the whole stack has trained, so holding every
+    # seed's per-step history through it would raise the peak memory
+    results = [r if isinstance(r, TrainingDiverged) else (r[0], len(r[1]), r[1][-1][1])
+               for r in train_stack(nets, datasets, cfgs)]
+    return [_seed_outcome(spec, seed, data, result)
+            for seed, data, result in zip(seeds, datasets, results)]
+
+
 def run_experiment(spec: ExperimentSpec) -> SweepResult:
     """Train/analyze every seed of the sweep; training divergence is recorded
-    per seed without aborting the rest."""
-    outcomes = parallel_map(partial(_experiment_seed, spec), spec.seeds)
-    return SweepResult(tuple(outcomes))
+    per seed without aborting the rest.
+
+    The seeds are split into one contiguous chunk per worker, and each chunk
+    trains as one stack.  A seed's result does not depend on its stack, so
+    the outcomes are the same for any worker count.
+    """
+    seeds = tuple(spec.seeds)
+    workers = _worker_count(len(seeds))
+    bounds = [len(seeds) * k // workers for k in range(workers + 1)]
+    chunks = [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    outcomes = parallel_map(partial(_experiment_chunk, spec), chunks)
+    return SweepResult(tuple(o for chunk in outcomes for o in chunk))
 
 
 def reproduction_spec(fig: str, seeds: tuple[int, ...], **overrides) -> ExperimentSpec:
@@ -421,14 +441,12 @@ def _sweep_net(spec: NonSingularSweepSpec, job: tuple[int, int],
     if not report.verdict:
         raise ConstructionError(
             f"net {index}: construction produced a singular network: {report}")
-    fld = sample_grid(network_scalar_fn(net), spec.window,
-                      (spec.resolution, spec.resolution))
+    f = network_scalar_fn(net)
+    fld = sample_grid(f, spec.window, (spec.resolution, spec.resolution))
     p5, p95 = np.percentile(fld.values, [5.0, 95.0])
     levels = rng.uniform(p5, p95, spec.levels_per_net)
-    provenance = {"network_sha256": network_hash(net), "net_index": index,
-                  "field_sha256": field_hash(fld)}
-    analyses = _analyze_levels(network_scalar_fn(net), levels, spec.window,
-                               spec.resolution, spec.escalations, provenance)
+    provenance = {"network_sha256": network_hash(net), "net_index": index}
+    analyses = _analyze_levels(f, levels, fld, spec.escalations, provenance)
     return SeedOutcome(seed=index, levels=tuple(analyses), nonsingularity=report,
                        network=network_to_dict(net))
 

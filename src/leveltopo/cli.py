@@ -149,8 +149,8 @@ def cmd_analyze(args) -> int:
     if isinstance(levels, str):
         levels = (float(levels.partition(":")[2]),)
     f = network_scalar_fn(net)
-    probe = sample_grid(f, window, (args.resolution, args.resolution))
-    lo_v, hi_v = probe.value_range()
+    base_field = sample_grid(f, window, (args.resolution, args.resolution))
+    lo_v, hi_v = base_field.value_range()
 
     level_dicts = []
     all_components = []
@@ -159,7 +159,7 @@ def cmd_analyze(args) -> int:
             print(f"warning: level {level:g} outside achieved value range "
                   f"[{lo_v:.4g}, {hi_v:.4g}]; expect an empty component list",
                   file=sys.stderr)
-        esc = window_escalation(f, level, window, args.resolution, args.escalate,
+        esc = window_escalation(f, level, base_field, args.escalate,
                                 provenance={"network_sha256": network_hash(net)})
         enclosing = sum(
             1 for comp, cls in zip(esc.base_report.components, esc.final_classifications)

@@ -8,6 +8,7 @@ bitwise from their seeds.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import math
@@ -185,51 +186,92 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def _backprop(weights: list[np.ndarray], biases: list[np.ndarray], activation: Activation,
-              final_activation: bool, x: np.ndarray, y_col: np.ndarray,
-              loss: Loss) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Core reverse-mode pass over raw parameter arrays (hot loop of train).
+def _flatten(net: Network) -> np.ndarray:
+    """All parameters of ``net`` in one row: each layer's weights, then its bias."""
+    return np.concatenate([np.concatenate([layer.weights.ravel(), layer.bias])
+                           for layer in net.layers])
 
-    Overflow is deliberately allowed to reach inf: a non-finite loss is the
-    divergence signal ``train`` raises on.
+
+def _layer_views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer views (weights (S, out, in), bias (S, out, 1)) of a (S, params) array."""
+    seeds = flat.shape[0]
+    views, start = [], 0
+    for n_out, n_in in shapes:
+        w_end = start + n_out * n_in
+        views.append((flat[:, start:w_end].reshape(seeds, n_out, n_in),
+                      flat[:, w_end:w_end + n_out].reshape(seeds, n_out, 1)))
+        start = w_end + n_out
+    return views
+
+
+def _workspace(seeds: int, shapes, points: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (pre-activation, activation) buffers, each (S, out, points).
+
+    The kernel reuses them every step, so a step allocates no array of the
+    stack's size (freeing and re-allocating those made the allocator hand
+    pages back to the system and fault them in again, every step).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _backprop_inner(weights, biases, activation, final_activation,
-                               x, y_col, loss)
+    return [(np.empty((seeds, n_out, points)), np.empty((seeds, n_out, points)))
+            for n_out, _ in shapes]
 
 
-def _backprop_inner(weights, biases, activation, final_activation, x, y_col, loss):
-    last = len(weights) - 1
-    pre: list[np.ndarray] = []
-    post: list[np.ndarray] = [x]
+def _stack_loss_and_grad(params, grads, work, activation: Activation,
+                         final_activation: bool, x: np.ndarray, y: np.ndarray,
+                         loss: Loss) -> np.ndarray:
+    """Forward and reverse-mode pass for a stack of seeds; the training hot loop.
+
+    ``x`` is (S, in, points) and ``y`` is (S, out, points); ``params`` and
+    ``grads`` are per-layer views from ``_layer_views`` and ``work`` comes
+    from ``_workspace``.  Writes every seed's gradient into ``grads`` and
+    returns its mean loss, shape (S,).  Each seed's numbers come from its own
+    matrices and rows, so a seed gives the same bits alone and inside any
+    stack.  The caller decides what to do with overflow: a non-finite loss
+    is the divergence signal.
+    """
+    last = len(params) - 1
     a = x
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = a @ w.T + b
-        pre.append(z)
-        a = activation_apply(activation, z) if (i < last or final_activation) else z
-        post.append(a)
+    for i, ((w, b), (z, post)) in enumerate(zip(params, work)):
+        np.matmul(w, a, out=z)
+        z += b
+        a = activation_apply(activation, z, out=post) if (i < last or final_activation) else z
 
-    m = x.shape[0]
+    seeds = x.shape[0]
+    count = y.shape[1] * y.shape[2]
+    z, delta = work[last]
     if loss is Loss.BCE:
-        z_out = pre[-1]
-        value = float(np.mean(_softplus(z_out) - y_col * z_out))
-        delta = (post[-1] - y_col) / (m * y_col.shape[1])
+        losses = np.mean((_softplus(z) - y * z).reshape(seeds, count), axis=1)
+        np.subtract(a, y, out=delta)
+        delta /= count
     else:
-        diff = post[-1] - y_col
-        value = float(np.mean(diff * diff))
-        d_out = 2.0 * diff / (m * y_col.shape[1])
         if final_activation:
-            delta = d_out * activation_derivative_at(activation, pre[-1], post[-1])
-        else:
-            delta = d_out
+            deriv = activation_derivative_at(activation, z, a, out=z)
+        np.subtract(a, y, out=delta)
+        losses = np.mean((delta * delta).reshape(seeds, count), axis=1)
+        delta *= 2.0
+        delta /= count
+        if final_activation:
+            delta *= deriv
 
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(weights)
+    # the delta of layer i lives in that layer's activation buffer, which the
+    # backward pass no longer needs once it reaches layer i
     for i in range(last, -1, -1):
-        grads[i] = (delta.T @ post[i], delta.sum(axis=0))
+        gw, gb = grads[i]
+        below = work[i - 1][1] if i > 0 else x
+        np.matmul(delta, below.transpose(0, 2, 1), out=gw)
+        np.sum(delta, axis=2, keepdims=True, out=gb)
         if i > 0:
-            delta = (delta @ weights[i]) * activation_derivative_at(
-                activation, pre[i - 1], post[i])
-    return value, grads
+            z_below = work[i - 1][0]
+            deriv = activation_derivative_at(activation, z_below, below, out=z_below)
+            np.matmul(params[i][0].transpose(0, 2, 1), delta, out=below)
+            below *= deriv
+            delta = below
+    return losses
+
+
+def _check_loss_fits(net: Network, loss: Loss) -> None:
+    if loss is Loss.BCE and not (net.final_activation
+                                 and net.activation.kind is ActivationKind.SIGMOID):
+        raise ValueError("BCE requires a network with sigmoid final activation")
 
 
 def loss_and_grad(net: Network, points: np.ndarray, labels: np.ndarray,
@@ -239,6 +281,7 @@ def loss_and_grad(net: Network, points: np.ndarray, labels: np.ndarray,
     Returns per-layer (dW, db) in layer order.  BCE is computed from the
     final pre-activation through softplus, so it stays finite even when the
     sigmoid saturates; it therefore requires a sigmoid final activation.
+    Runs the training kernel on a stack of one.
     """
     x = np.asarray(points, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -246,12 +289,140 @@ def loss_and_grad(net: Network, points: np.ndarray, labels: np.ndarray,
         raise ValueError("batch must be a non-empty (m, n) array")
     if x.shape[1] != net.input_dim:
         raise ValueError(f"batch dim {x.shape[1]} != network input dim {net.input_dim}")
-    if loss is Loss.BCE and not (net.final_activation
-                                 and net.activation.kind is ActivationKind.SIGMOID):
-        raise ValueError("BCE requires a network with sigmoid final activation")
-    return _backprop([l.weights for l in net.layers], [l.bias for l in net.layers],
-                     net.activation, net.final_activation, x, y.reshape(x.shape[0], -1),
-                     loss)
+    _check_loss_fits(net, loss)
+    shapes = [layer.weights.shape for layer in net.layers]
+    params = _flatten(net)[None, :]
+    grads = np.empty_like(params)
+    grad_views = _layer_views(grads, shapes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = _stack_loss_and_grad(
+            _layer_views(params, shapes), grad_views, _workspace(1, shapes, x.shape[0]),
+            net.activation, net.final_activation, np.ascontiguousarray(x.T)[None],
+            np.ascontiguousarray(y.reshape(x.shape[0], -1).T)[None], loss)
+    return float(losses[0]), [(gw[0], gb[0, :, 0]) for gw, gb in grad_views]
+
+
+def _check_stack(nets: list[Network], datasets: list[Dataset],
+                 cfgs: list[TrainConfig]) -> None:
+    if not len(nets) == len(datasets) == len(cfgs):
+        raise ValueError(f"stack needs one dataset and one config per network, got "
+                         f"{len(nets)} networks, {len(datasets)} datasets, {len(cfgs)} configs")
+    first, cfg = nets[0], cfgs[0]
+    for net in nets:
+        if (net.widths != first.widths or net.activation != first.activation
+                or net.final_activation != first.final_activation):
+            raise ValueError("stacked networks must share widths and activations")
+        _check_loss_fits(net, cfg.loss)
+    for data in datasets:
+        if data.dim != first.input_dim:
+            raise ValueError(f"dataset dim {data.dim} != network input dim {first.input_dim}")
+        if len(data) != len(datasets[0]):
+            raise ValueError(f"stacked datasets must have one size, got {len(data)} "
+                             f"and {len(datasets[0])} points")
+    for other in cfgs:
+        if dataclasses.replace(other, seed=cfg.seed) != cfg:
+            raise ValueError("stacked configs may differ only in their seed")
+
+
+def _network_at(template: Network, views, row: int) -> Network:
+    """The network of stack row ``row``, with ``template``'s activation."""
+    return Network(template.input_dim,
+                   tuple(Layer(w[row], b[row, :, 0]) for w, b in views),
+                   template.activation, template.final_activation)
+
+
+def train_stack(nets, datasets, cfgs) -> list:
+    """Train a stack of seeds at once: net i on datasets[i] under cfgs[i].
+
+    The networks share their widths and activations, the datasets their
+    size, and the configs everything but ``seed``, which picks each seed's
+    mini-batches.  Returns, in input order, ``(trained, history)`` per seed,
+    or the ``TrainingDiverged`` that seed raised.  A seed leaves the stack
+    when its loss reaches ``target_loss`` (keeping the weights that loss was
+    computed with) or stops being finite, and the arrays of the others are
+    compacted.  Every seed's result is bitwise what it gets trained alone.
+    """
+    nets, datasets, cfgs = list(nets), list(datasets), list(cfgs)
+    if not nets:
+        return []
+    _check_stack(nets, datasets, cfgs)
+    template, cfg = nets[0], cfgs[0]
+    shapes = [layer.weights.shape for layer in template.layers]
+    n = len(datasets[0])
+    batch = cfg.resolve_batch_size(n)
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+
+    x = np.stack([d.points.T for d in datasets])                      # (S, in, N)
+    y = np.stack([d.labels.astype(np.float64)[None, :] for d in datasets])  # (S, 1, N)
+    params = np.stack([_flatten(net) for net in nets])                # (S, params)
+    grads = np.empty_like(params)
+    if cfg.optimizer is Optimizer.ADAM:
+        m_state = np.zeros_like(params)
+        v_state = np.zeros_like(params)
+    ids = list(range(len(nets)))       # stack row -> input position
+    histories: list[list[tuple[int, float]]] = [[] for _ in ids]
+    results: list = [None] * len(ids)
+
+    views, grad_views = _layer_views(params, shapes), _layer_views(grads, shapes)
+    work = _workspace(len(ids), shapes, batch)
+    orders = None
+    cursor = n  # forces a shuffle before the first mini-batch
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, cfg.steps + 1):
+            if batch == n:
+                bx, by = x, y
+            else:
+                if cursor + batch > n:
+                    orders = np.stack([rng.permutation(n) for rng in rngs])
+                    cursor = 0
+                sel = orders[:, None, cursor:cursor + batch]
+                cursor += batch
+                bx = np.take_along_axis(x, sel, axis=2)
+                by = np.take_along_axis(y, sel, axis=2)
+
+            losses = _stack_loss_and_grad(views, grad_views, work, template.activation,
+                                          template.final_activation, bx, by, cfg.loss)
+            leaving = []
+            for row, value in enumerate(losses.tolist()):
+                seed = ids[row]
+                if not math.isfinite(value):
+                    results[seed] = TrainingDiverged(step, histories[seed])
+                    leaving.append(row)
+                    continue
+                histories[seed].append((step, value))
+                if value <= cfg.target_loss:
+                    results[seed] = (_network_at(template, views, row), histories[seed])
+                    leaving.append(row)
+            if leaving:
+                keep = [row for row in range(len(ids)) if row not in leaving]
+                if not keep:
+                    break
+                ids = [ids[row] for row in keep]
+                rngs = [rngs[row] for row in keep]
+                params, x, y = params[keep], x[keep], y[keep]
+                grads = grads[keep]
+                if orders is not None:
+                    orders = orders[keep]
+                if cfg.optimizer is Optimizer.ADAM:
+                    m_state, v_state = m_state[keep], v_state[keep]
+                views, grad_views = _layer_views(params, shapes), _layer_views(grads, shapes)
+                work = _workspace(len(ids), shapes, batch)
+
+            if cfg.optimizer is Optimizer.SGD:
+                params -= cfg.learning_rate * grads
+            else:
+                c1 = 1.0 - ADAM_BETA1 ** step
+                c2 = 1.0 - ADAM_BETA2 ** step
+                m_state *= ADAM_BETA1
+                m_state += (1.0 - ADAM_BETA1) * grads
+                v_state *= ADAM_BETA2
+                v_state += (1.0 - ADAM_BETA2) * grads * grads
+                params -= cfg.learning_rate * (m_state / c1) / (np.sqrt(v_state / c2)
+                                                                + ADAM_EPS)
+    for row, seed in enumerate(ids):
+        if results[seed] is None:  # trained for all its steps
+            results[seed] = (_network_at(template, views, row), histories[seed])
+    return results
 
 
 def train(net: Network, data: Dataset, cfg: TrainConfig) -> tuple[Network, list[tuple[int, float]]]:
@@ -260,68 +431,14 @@ def train(net: Network, data: Dataset, cfg: TrainConfig) -> tuple[Network, list[
     Deterministic for fixed (net, data, cfg): mini-batch order comes from a
     generator seeded with cfg.seed, and all arithmetic is fixed-order numpy.
     Divergence (NaN/inf loss) raises TrainingDiverged carrying the finite
-    history collected so far.
+    history collected so far.  Trains a stack of one.
     """
     if data.dim != net.input_dim:
         raise ValueError(f"dataset dim {data.dim} != network input dim {net.input_dim}")
-    if cfg.loss is Loss.BCE and not (net.final_activation
-                                     and net.activation.kind is ActivationKind.SIGMOID):
-        raise ValueError("BCE requires a network with sigmoid final activation")
-    n = len(data)
-    batch = cfg.resolve_batch_size(n)
-    rng = np.random.default_rng(cfg.seed)
-    weights = [layer.weights.copy() for layer in net.layers]
-    biases = [layer.bias.copy() for layer in net.layers]
-    labels_col = data.labels.astype(np.float64).reshape(n, -1)
-
-    if cfg.optimizer is Optimizer.ADAM:
-        m_state = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(weights, biases)]
-        v_state = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(weights, biases)]
-
-    history: list[tuple[int, float]] = []
-    order = np.arange(n)
-    cursor = n  # forces a shuffle before the first mini-batch
-    for step in range(1, cfg.steps + 1):
-        if batch == n:
-            bx, by = data.points, labels_col
-        else:
-            if cursor + batch > n:
-                order = rng.permutation(n)
-                cursor = 0
-            sel = order[cursor:cursor + batch]
-            cursor += batch
-            bx, by = data.points[sel], labels_col[sel]
-
-        loss_value, grads = _backprop(weights, biases, net.activation,
-                                      net.final_activation, bx, by, cfg.loss)
-        if not math.isfinite(loss_value):
-            raise TrainingDiverged(step, history)
-        history.append((step, loss_value))
-        if loss_value <= cfg.target_loss:
-            break
-
-        if cfg.optimizer is Optimizer.SGD:
-            for i, (dw, db) in enumerate(grads):
-                weights[i] = weights[i] - cfg.learning_rate * dw
-                biases[i] = biases[i] - cfg.learning_rate * db
-        else:
-            c1 = 1.0 - ADAM_BETA1 ** step
-            c2 = 1.0 - ADAM_BETA2 ** step
-            for i, (dw, db) in enumerate(grads):
-                mw, mb = m_state[i]
-                vw, vb = v_state[i]
-                mw = ADAM_BETA1 * mw + (1.0 - ADAM_BETA1) * dw
-                mb = ADAM_BETA1 * mb + (1.0 - ADAM_BETA1) * db
-                vw = ADAM_BETA2 * vw + (1.0 - ADAM_BETA2) * dw * dw
-                vb = ADAM_BETA2 * vb + (1.0 - ADAM_BETA2) * db * db
-                m_state[i] = (mw, mb)
-                v_state[i] = (vw, vb)
-                weights[i] = weights[i] - cfg.learning_rate * (mw / c1) / (np.sqrt(vw / c2) + ADAM_EPS)
-                biases[i] = biases[i] - cfg.learning_rate * (mb / c1) / (np.sqrt(vb / c2) + ADAM_EPS)
-
-    trained = Network(net.input_dim, tuple(Layer(w, b) for w, b in zip(weights, biases)),
-                      net.activation, net.final_activation)
-    return trained, history
+    (result,) = train_stack([net], [data], [cfg])
+    if isinstance(result, TrainingDiverged):
+        raise result
+    return result
 
 
 def accuracy(net: Network, data: Dataset, threshold: float = 0.5) -> float:

@@ -8,8 +8,10 @@ from leveltopo import (SIGMOID, TANH, Classification, CompositionToleranceError,
                        ConstructionError, ExperimentSpec, FunctionLink, Layer, Network,
                        NonSingularSweepSpec, TrainConfig, Window,
                        composition_tolerance_check, random_nonsingular_sweep,
-                       run_experiment, window_escalation)
+                       run_experiment, sample_grid, window_escalation)
 from leveltopo.analysis import reproduction_spec
+from leveltopo.reports import (KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE, dumps_report,
+                               make_report)
 
 
 def circle_fn(points):
@@ -24,21 +26,25 @@ def window2(half=2.0):
     return Window(np.array([-half, -half]), np.array([half, half]))
 
 
+def escalate(f, level, max_doublings):
+    return window_escalation(f, level, sample_grid(f, window2(), (101, 101)), max_doublings)
+
+
 class TestWindowEscalation:
     def test_circle_stays_bounded_at_all_scales(self):
-        esc = window_escalation(circle_fn, 0.0, window2(), 101, max_doublings=2)
+        esc = escalate(circle_fn, 0.0, 2)
         assert esc.final_classifications == (Classification.BOUNDED,)
         assert esc.bounded_final == 1
         assert esc.scales_checked == 2
         assert esc.anomalies == ()
 
     def test_line_stays_boundary_touching(self):
-        esc = window_escalation(line_fn, 0.0, window2(), 101, max_doublings=2)
+        esc = escalate(line_fn, 0.0, 2)
         assert esc.final_classifications == (Classification.BOUNDARY_TOUCHING,)
         assert esc.scales_checked == 0  # nothing bounded, no doubling needed
 
     def test_zero_doublings_equals_single_window(self):
-        esc = window_escalation(circle_fn, 0.0, window2(), 101, max_doublings=0)
+        esc = escalate(circle_fn, 0.0, 0)
         base = [c.classification for c in esc.base_report.components]
         assert list(esc.final_classifications) == base
         assert esc.scales_checked == 0
@@ -52,7 +58,7 @@ class TestWindowEscalation:
             # only at the doubled window scale; at base it exits the frame
             return (points[:, 0] - 3.0) ** 2 + points[:, 1] ** 2 - 4.0
 
-        esc = window_escalation(dip, 0.0, window2(), 101, max_doublings=1)
+        esc = escalate(dip, 0.0, 1)
         # at the base window the arc touches the frame: nothing bounded
         assert esc.bounded_final == 0
 
@@ -93,6 +99,23 @@ class TestRunExperiment:
         parallel = run_experiment(spec)
         assert [o.to_dict() for o in serial.outcomes] == \
             [o.to_dict() for o in parallel.outcomes]
+
+    @pytest.mark.parametrize("fig,kind", [("3a", KIND_REPRODUCE_NARROW),
+                                          ("3b", KIND_REPRODUCE_WIDE)])
+    def test_report_bytes_independent_of_worker_count(self, monkeypatch, fig, kind):
+        # one worker trains all five seeds as one stack, two workers as 2 + 3
+        spec = reproduction_spec(fig, (4, 0, 3, 1, 2), steps=150, resolution=61)
+
+        def report_bytes():
+            result = run_experiment(spec)
+            return dumps_report(make_report(
+                kind, {"spec": spec.to_dict(), "deterministic": True},
+                [o.to_dict() for o in result.outcomes], True, 0.0))
+
+        monkeypatch.setenv("LEVELSET_PROBE_THREADS", "1")
+        serial = report_bytes()
+        monkeypatch.setenv("LEVELSET_PROBE_THREADS", "2")
+        assert report_bytes() == serial
 
     def test_regime_declaration_enforced(self):
         with pytest.raises(ValueError, match="skinny"):

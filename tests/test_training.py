@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from leveltopo import (RELU, SIGMOID, TANH, Dataset, Layer, Loss, Network, Optimizer,
                        TrainConfig, TrainingDiverged, accuracy, gen_ring_dataset,
                        init_weights, load_dataset, loss_and_grad, one_to_one_relu,
-                       save_dataset, train)
+                       save_dataset, train, train_stack)
 
 
 def fd_loss_gradient(net, points, labels, loss, h=1e-5):
@@ -281,6 +282,103 @@ class TestTrain:
                           target_loss=1e-9)
         _, history = train(net, data, cfg)
         assert history[-1][1] < history[0][1]
+
+
+def assert_same_training(got, want):
+    """Bitwise-equal weights and histories of two (trained, history) results."""
+    (net_a, hist_a), (net_b, hist_b) = got, want
+    assert hist_a == hist_b
+    for la, lb in zip(net_a.layers, net_b.layers):
+        assert la.weights.tobytes() == lb.weights.tobytes()
+        assert la.bias.tobytes() == lb.bias.tobytes()
+
+
+class TestTrainStack:
+    """A seed trained inside a stack gives bitwise what it gets trained alone."""
+
+    def stack_and_solo(self, nets, datasets, cfg, seeds):
+        cfgs = [dataclasses.replace(cfg, seed=s) for s in seeds]
+        stacked = train_stack(nets, datasets, cfgs)
+        solo = []
+        for net, data, c in zip(nets, datasets, cfgs):
+            try:
+                solo.append(train(net, data, c))
+            except TrainingDiverged as exc:
+                solo.append(exc)
+        return stacked, solo
+
+    def test_narrow_3a_architecture(self):
+        seeds = (0, 1, 2, 3)
+        nets = [init_weights([2, 2, 2, 2, 2, 2, 2, 1], SIGMOID, s) for s in seeds]
+        datasets = [gen_ring_dataset(s, 500, 1000) for s in seeds]
+        stacked, solo = self.stack_and_solo(nets, datasets, TrainConfig(steps=300), seeds)
+        for got, want in zip(stacked, solo):
+            assert len(got[1]) == 300
+            assert_same_training(got, want)
+
+    def test_wide_3b_seed_stops_while_others_train(self):
+        seeds = (0, 1, 2)
+        nets = [init_weights([2, 3, 1], SIGMOID, s) for s in seeds]
+        datasets = [gen_ring_dataset(s, 500, 1000) for s in seeds]
+        cfg = TrainConfig(steps=5000, target_loss=0.05)
+        stacked, solo = self.stack_and_solo(nets, datasets, cfg, seeds)
+        lengths = [len(hist) for _, hist in stacked]
+        assert len(set(lengths)) == len(seeds) and max(lengths) < cfg.steps
+        for data, got, want in zip(datasets, stacked, solo):
+            assert_same_training(got, want)
+            # a stopped seed keeps the weights its last loss was computed with
+            trained, history = got
+            final = loss_and_grad(trained, data.points, data.labels, Loss.BCE)[0]
+            assert final == history[-1][1] <= cfg.target_loss
+
+    def test_minibatches_follow_each_seeds_config(self):
+        # same net and data for every seed: only cfg.seed tells them apart
+        seeds = (5, 6, 7)
+        net = init_weights([2, 3, 1], SIGMOID, 0)
+        data = gen_ring_dataset(0, 30, 60)
+        cfg = TrainConfig(steps=400, batch_size=16, target_loss=0.2)
+        stacked, solo = self.stack_and_solo([net] * 3, [data] * 3, cfg, seeds)
+        for got, want in zip(stacked, solo):
+            assert_same_training(got, want)
+        # the seeds stop at different steps, so the stack shrinks mid-epoch
+        assert len({len(hist) for _, hist in stacked}) == len(seeds)
+
+    def test_diverged_seed_leaves_the_stack(self):
+        # plain least squares under SGD: stable on the ring data, divergent on
+        # the same data blown up 100-fold
+        base = [gen_ring_dataset(s, 30, 60) for s in range(4)]
+        datasets = base[:2] + [Dataset(base[2].points * 100.0, base[2].labels)] + base[3:]
+        nets = [init_weights([2, 1], SIGMOID, s, final_activation=False) for s in range(4)]
+        cfg = TrainConfig(optimizer=Optimizer.SGD, learning_rate=0.1, steps=300,
+                          loss=Loss.MSE, target_loss=0.0)
+        stacked, solo = self.stack_and_solo(nets, datasets, cfg, range(4))
+        diverged = stacked[2]
+        assert isinstance(diverged, TrainingDiverged)
+        assert isinstance(solo[2], TrainingDiverged)
+        assert diverged.step == solo[2].step < cfg.steps
+        assert diverged.history == solo[2].history
+        assert len(diverged.history) == diverged.step - 1
+        assert all(math.isfinite(l) for _, l in diverged.history)
+        for k in (0, 1, 3):
+            assert len(stacked[k][1]) == cfg.steps
+            assert_same_training(stacked[k], solo[k])
+
+    def test_dataset_sizes_must_match(self):
+        nets = [init_weights([2, 2, 1], SIGMOID, s) for s in (0, 1)]
+        datasets = [gen_ring_dataset(0, 30, 60), gen_ring_dataset(1, 30, 61)]
+        cfgs = [TrainConfig(steps=5, seed=s) for s in (0, 1)]
+        with pytest.raises(ValueError, match="size"):
+            train_stack(nets, datasets, cfgs)
+
+    def test_configs_may_differ_only_in_seed(self):
+        nets = [init_weights([2, 2, 1], SIGMOID, s) for s in (0, 1)]
+        datasets = [gen_ring_dataset(s, 30, 60) for s in (0, 1)]
+        cfgs = [TrainConfig(steps=5, seed=0), TrainConfig(steps=6, seed=1)]
+        with pytest.raises(ValueError, match="seed"):
+            train_stack(nets, datasets, cfgs)
+
+    def test_empty_stack(self):
+        assert train_stack([], [], []) == []
 
 
 class TestAccuracy:
