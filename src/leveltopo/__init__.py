@@ -25,9 +25,8 @@ from .contours import (Classification, LevelComponent, SegmentSoup, TopologyRepo
                        analyze_level, classify_component, component_encloses,
                        extract_components, link_components, marching_squares)
 from .analysis import (CompositionReport, CompositionToleranceError, ConstructionError,
-                       EscalationResult, ExperimentSpec, FunctionLink, LevelAnalysis,
-                       NonSingularSweepSpec, SeedOutcome, SweepResult,
-                       composition_tolerance_check, random_nonsingular_sweep,
-                       run_experiment, window_escalation)
+                       ExperimentSpec, FunctionLink, LevelAnalysis, NonSingularSweepSpec,
+                       SeedOutcome, SweepResult, composition_tolerance_check,
+                       random_nonsingular_sweep, run_experiment, window_escalation)
 
 __version__ = "0.1.0"

@@ -33,8 +33,8 @@ from .contours import (Classification, TopologyReport, analyze_level,
 from .fields import ScalarField, field_hash, network_scalar_fn, sample_grid
 from .network import Network, Window, network_hash, network_to_dict
 from .nonsingular import is_nonsingular, make_nonsingular, pad_to_width, NonSingularityReport
-from .training import (TrainConfig, TrainingDiverged, accuracy, gen_ring_dataset,
-                       init_weights, train_stack)
+from .training import (Dataset, TrainConfig, TrainingDiverged, accuracy,
+                       gen_ring_dataset, init_weights, train_stack)
 
 THREADS_ENV = "LEVELSET_PROBE_THREADS"
 
@@ -64,13 +64,19 @@ def parallel_map(fn, items):
 
 
 @dataclass(frozen=True)
-class EscalationResult:
-    """Outcome of re-checking bounded candidates on doubled windows."""
+class LevelAnalysis:
+    """One level of a sampled field: its components on the base window and
+    their classifications after re-checking bounded ones on doubled windows."""
 
     base_report: TopologyReport
     final_classifications: tuple[Classification, ...]
     scales_checked: int
     anomalies: tuple[str, ...]
+    bounded_enclosing_origin: int
+
+    @property
+    def level(self) -> float:
+        return self.base_report.level
 
     @property
     def bounded_final(self) -> int:
@@ -80,9 +86,20 @@ class EscalationResult:
     def boundary_final(self) -> int:
         return len(self.final_classifications) - self.bounded_final
 
+    def to_dict(self) -> dict:
+        return {
+            "level": self.level,
+            "escalations": self.scales_checked,
+            "final_classifications": [c.value for c in self.final_classifications],
+            "bounded_final": self.bounded_final,
+            "boundary_final": self.boundary_final,
+            "bounded_enclosing_origin": self.bounded_enclosing_origin,
+            "report": self.base_report.to_dict(),
+        }
+
 
 def window_escalation(f, level: float, base_field: ScalarField, max_doublings: int,
-                      provenance: dict | None = None) -> EscalationResult:
+                      provenance: dict | None = None) -> LevelAnalysis:
     """Classify the level components of ``base_field``, a sampling of ``f``,
     demoting bounded ones that stop being bounded on doubled windows.
 
@@ -91,7 +108,8 @@ def window_escalation(f, level: float, base_field: ScalarField, max_doublings: i
     the same places and is matched by proximity; a curve that merely left the
     base window shows up attached to the larger frame and demotes its base
     component to BoundaryTouching.  Only the doubled windows sample ``f``, so
-    callers probing several levels sample the base window once.
+    callers probing several levels sample the base window once.  The result
+    also counts the bounded components that enclose the origin.
     """
     if max_doublings < 0:
         raise ValueError("max_doublings must be >= 0")
@@ -127,11 +145,30 @@ def window_escalation(f, level: float, base_field: ScalarField, max_doublings: i
                     classifications[idx] = Classification.BOUNDARY_TOUCHING
             if not any(c is Classification.BOUNDED for c in classifications):
                 break
-    return EscalationResult(base, tuple(classifications), scales, tuple(anomalies))
+    enclosing = sum(
+        1 for comp, cls in zip(base.components, classifications)
+        if cls is Classification.BOUNDED and component_encloses(comp, (0.0, 0.0)))
+    return LevelAnalysis(base, tuple(classifications), scales, tuple(anomalies), enclosing)
 
 
 # ---------------------------------------------------------------------------
 # trained-network experiments
+
+
+def resolve_levels(levels: tuple[float, ...] | str) -> tuple[float, ...]:
+    """Levels to probe: the given values, or the cut of a ``decision:<cut>`` spec."""
+    if isinstance(levels, str):
+        tag, _, value = levels.partition(":")
+        if tag != "decision":
+            raise ValueError(f"unknown level spec {levels!r}")
+        return (float(value),)
+    return tuple(float(v) for v in levels)
+
+
+def auto_window(data: Dataset) -> Window:
+    """The bounding box of the data, doubled about its center."""
+    lo, hi = data.bounding_box()
+    return Window(lo, hi).scaled(2.0)
 
 
 @dataclass(frozen=True)
@@ -167,12 +204,7 @@ class ExperimentSpec:
             raise ValueError(f"unknown regime {self.regime!r}")
 
     def resolved_levels(self) -> tuple[float, ...]:
-        if isinstance(self.levels, str):
-            tag, _, value = self.levels.partition(":")
-            if tag != "decision":
-                raise ValueError(f"unknown level spec {self.levels!r}")
-            return (float(value),)
-        return tuple(float(v) for v in self.levels)
+        return resolve_levels(self.levels)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -184,34 +216,6 @@ class ExperimentSpec:
         d["levels"] = (self.levels if isinstance(self.levels, str)
                        else list(self.levels))
         return d
-
-
-@dataclass(frozen=True)
-class LevelAnalysis:
-    level: float
-    report: TopologyReport
-    final_classifications: tuple[Classification, ...]
-    escalations: int
-    bounded_enclosing_origin: int
-
-    @property
-    def bounded_final(self) -> int:
-        return sum(1 for c in self.final_classifications if c is Classification.BOUNDED)
-
-    @property
-    def boundary_final(self) -> int:
-        return len(self.final_classifications) - self.bounded_final
-
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "escalations": self.escalations,
-            "final_classifications": [c.value for c in self.final_classifications],
-            "bounded_final": self.bounded_final,
-            "boundary_final": self.boundary_final,
-            "bounded_enclosing_origin": self.bounded_enclosing_origin,
-            "report": self.report.to_dict(),
-        }
 
 
 @dataclass(frozen=True)
@@ -258,43 +262,6 @@ class SweepResult:
     def bounded_total(self) -> int:
         return sum(o.bounded_final for o in self.outcomes)
 
-    @property
-    def boundary_total(self) -> int:
-        return sum(o.boundary_final for o in self.outcomes)
-
-    @property
-    def violations(self) -> tuple[dict, ...]:
-        """Bounded components that survived escalation, per (seed, level)."""
-        out = []
-        for o in self.outcomes:
-            for lv in o.levels:
-                if lv.bounded_final > 0:
-                    out.append({"seed": o.seed, "level": lv.level,
-                                "bounded": lv.bounded_final})
-        return tuple(out)
-
-    def to_dict(self) -> dict:
-        return {
-            "outcomes": [o.to_dict() for o in self.outcomes],
-            "bounded_total": self.bounded_total,
-            "boundary_total": self.boundary_total,
-            "violations": list(self.violations),
-        }
-
-
-def _analyze_levels(f, levels, base_field: ScalarField, escalations: int,
-                    provenance: dict) -> list[LevelAnalysis]:
-    analyses = []
-    for level in levels:
-        esc = window_escalation(f, level, base_field, escalations, provenance=provenance)
-        enclosing = sum(
-            1 for comp, cls in zip(esc.base_report.components, esc.final_classifications)
-            if cls is Classification.BOUNDED and component_encloses(comp, (0.0, 0.0)))
-        analyses.append(LevelAnalysis(float(level), esc.base_report,
-                                      esc.final_classifications, esc.scales_checked,
-                                      enclosing))
-    return analyses
-
 
 def _seed_outcome(spec: ExperimentSpec, seed: int, data, result) -> SeedOutcome:
     """Analyze one seed's training result: (trained, steps run, final loss),
@@ -305,19 +272,15 @@ def _seed_outcome(spec: ExperimentSpec, seed: int, data, result) -> SeedOutcome:
                            final_loss=result.history[-1][1] if result.history else None)
     trained, steps_run, final_loss = result
     acc = accuracy(trained, data)
-    if spec.window is not None:
-        window = spec.window
-    else:
-        lo, hi = data.bounding_box()
-        window = Window(lo, hi).scaled(2.0)
+    window = spec.window if spec.window is not None else auto_window(data)
     f = network_scalar_fn(trained)
     base_field = sample_grid(f, window, (spec.resolution, spec.resolution))
     provenance = {"network_sha256": network_hash(trained), "seed": seed}
-    levels = _analyze_levels(f, spec.resolved_levels(), base_field, spec.escalations,
-                             provenance)
+    levels = tuple(window_escalation(f, level, base_field, spec.escalations, provenance)
+                   for level in spec.resolved_levels())
     return SeedOutcome(seed=seed, final_loss=final_loss, steps_run=steps_run,
                        converged=final_loss <= spec.convergence_loss, accuracy=acc,
-                       levels=tuple(levels), network=network_to_dict(trained))
+                       levels=levels, network=network_to_dict(trained))
 
 
 def _experiment_chunk(spec: ExperimentSpec, seeds: tuple[int, ...]) -> list[SeedOutcome]:
@@ -430,14 +393,10 @@ def build_random_nonsingular(spec: NonSingularSweepSpec, index: int,
     return nonsingular, report
 
 
-def _sweep_net(spec: NonSingularSweepSpec, job: tuple[int, int],
-               net_transform=None) -> SeedOutcome:
+def _sweep_net(spec: NonSingularSweepSpec, job: tuple[int, int]) -> SeedOutcome:
     index, net_seed = job
     rng = np.random.default_rng(net_seed + 1)
     net, report = build_random_nonsingular(spec, index, net_seed)
-    if net_transform is not None:
-        net = net_transform(net, index)
-        report = is_nonsingular(net)
     if not report.verdict:
         raise ConstructionError(
             f"net {index}: construction produced a singular network: {report}")
@@ -446,25 +405,21 @@ def _sweep_net(spec: NonSingularSweepSpec, job: tuple[int, int],
     p5, p95 = np.percentile(fld.values, [5.0, 95.0])
     levels = rng.uniform(p5, p95, spec.levels_per_net)
     provenance = {"network_sha256": network_hash(net), "net_index": index}
-    analyses = _analyze_levels(f, levels, fld, spec.escalations, provenance)
-    return SeedOutcome(seed=index, levels=tuple(analyses), nonsingularity=report,
+    analyses = tuple(window_escalation(f, level, fld, spec.escalations, provenance)
+                     for level in levels)
+    return SeedOutcome(seed=index, levels=analyses, nonsingularity=report,
                        network=network_to_dict(net))
 
 
-def random_nonsingular_sweep(spec: NonSingularSweepSpec,
-                             net_transform=None) -> SweepResult:
+def random_nonsingular_sweep(spec: NonSingularSweepSpec) -> SweepResult:
     """Probe level sets of ``count`` random non-singular networks.
 
-    ``net_transform`` is a test hook applied to each constructed network
-    before the membership assert; injecting a singular network through it
-    raises ConstructionError rather than contaminating the sweep.
+    A network that fails the membership check after construction raises
+    ConstructionError rather than contaminating the sweep.
     """
     master = np.random.default_rng(spec.seed)
     net_seeds = [int(s) for s in master.integers(0, 2 ** 62, size=spec.count)]
-    jobs = list(enumerate(net_seeds))
-    if net_transform is not None:  # test hook: run serially, hooks may not pickle
-        return SweepResult(tuple(_sweep_net(spec, job, net_transform) for job in jobs))
-    outcomes = parallel_map(partial(_sweep_net, spec), jobs)
+    outcomes = parallel_map(partial(_sweep_net, spec), list(enumerate(net_seeds)))
     return SweepResult(tuple(outcomes))
 
 
@@ -550,10 +505,7 @@ def composition_tolerance_check(chain, window: Window, eps: float, trials: int,
     if window.dim != chain[0].in_dim:
         raise ValueError("window dimension does not match the first link")
 
-    axes = [np.linspace(window.lo[d], window.hi[d], grid_per_axis)
-            for d in range(window.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
+    points = window.lattice((grid_per_axis,) * window.dim)
 
     domains = [Window(window.lo.copy(), window.hi.copy())]
     stage = points

@@ -18,18 +18,17 @@ import numpy as np
 
 from . import __version__
 from .activations import Activation, ActivationKind
-from .analysis import (ConstructionError, NonSingularSweepSpec, reproduction_spec,
-                       run_experiment, random_nonsingular_sweep, window_escalation)
-from .contours import Classification, component_encloses
+from .analysis import (ConstructionError, NonSingularSweepSpec, SeedOutcome, auto_window,
+                       reproduction_spec, resolve_levels, run_experiment,
+                       random_nonsingular_sweep, window_escalation)
 from .fields import network_scalar_fn, sample_grid
-from .network import (Layer, Network, Window, load_network, network_from_dict,
-                      network_hash, save_network)
+from .network import Window, load_network, network_from_dict, network_hash, save_network
 from .nonsingular import NonSingularizationError
 from .reports import (KIND_ANALYZE, KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE,
                       KIND_SWEEP, load_report, make_report, report_passed,
                       validate_report, verdict_lines, write_report)
 from .svgplot import render_topology_svg
-from .training import (Dataset, Loss, Optimizer, TrainConfig, TrainingDiverged,
+from .training import (Loss, Optimizer, TrainConfig, TrainingDiverged,
                        accuracy, gen_ring_dataset, init_weights, load_dataset,
                        save_dataset, train)
 
@@ -69,14 +68,10 @@ def parse_window(text: str) -> Window | None:
 
 
 def parse_levels(text: str):
-    if text.startswith("decision:"):
+    """A ``tag:value`` level spec as given, or comma-separated floats."""
+    if ":" in text:
         return text
     return tuple(float(v) for v in text.split(","))
-
-
-def auto_window(data: Dataset) -> Window:
-    lo, hi = data.bounding_box()
-    return Window(lo, hi).scaled(2.0)
 
 
 def load_config(path: str | None) -> dict:
@@ -95,6 +90,17 @@ def pick(args_value, config: dict, key: str, default):
     if key in config:
         return config[key]
     return default
+
+
+def _finish(report: dict, path: str | None) -> int:
+    """Write the report to ``path`` if given, print its verdict lines, and
+    return the exit code its verdicts call for."""
+    if path:
+        write_report(report, path)
+        print(f"report -> {path}")
+    for line in verdict_lines(report):
+        print(line)
+    return 0 if report_passed(report) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -145,64 +151,34 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"model/window mismatch: model input dim {net.input_dim}, "
                          f"window dim {window.dim}")
 
-    levels = parse_levels(args.levels)
-    if isinstance(levels, str):
-        levels = (float(levels.partition(":")[2]),)
+    levels = resolve_levels(parse_levels(args.levels))
     f = network_scalar_fn(net)
     base_field = sample_grid(f, window, (args.resolution, args.resolution))
     lo_v, hi_v = base_field.value_range()
-
-    level_dicts = []
-    all_components = []
     for level in levels:
         if not lo_v <= level <= hi_v:
             print(f"warning: level {level:g} outside achieved value range "
                   f"[{lo_v:.4g}, {hi_v:.4g}]; expect an empty component list",
                   file=sys.stderr)
-        esc = window_escalation(f, level, base_field, args.escalate,
-                                provenance={"network_sha256": network_hash(net)})
-        enclosing = sum(
-            1 for comp, cls in zip(esc.base_report.components, esc.final_classifications)
-            if cls is Classification.BOUNDED and component_encloses(comp, (0.0, 0.0)))
-        all_components.extend(esc.base_report.components)
-        level_dicts.append({
-            "level": float(level),
-            "escalations": esc.scales_checked,
-            "final_classifications": [c.value for c in esc.final_classifications],
-            "bounded_final": esc.bounded_final,
-            "boundary_final": esc.boundary_final,
-            "bounded_enclosing_origin": enclosing,
-            "report": esc.base_report.to_dict(),
-        })
-
-    outcome = {
-        "seed": 0, "error": None, "final_loss": None, "steps_run": None,
-        "converged": None,
-        "accuracy": accuracy(net, data) if data is not None else None,
-        "bounded_final": sum(d["bounded_final"] for d in level_dicts),
-        "boundary_final": sum(d["boundary_final"] for d in level_dicts),
-        "nonsingularity": None,
-        "levels": level_dicts,
-        "network": None,
-    }
+    provenance = {"network_sha256": network_hash(net)}
+    analyses = tuple(window_escalation(f, level, base_field, args.escalate, provenance)
+                     for level in levels)
+    outcome = SeedOutcome(seed=0, accuracy=accuracy(net, data) if data is not None else None,
+                          levels=analyses).to_dict()
     config = {"model": args.model, "window": window.to_dict(),
               "resolution": args.resolution, "levels": list(levels),
               "escalate": args.escalate, "deterministic": args.deterministic}
     report = make_report(KIND_ANALYZE, config, [outcome], args.deterministic, 0.0)
-    if args.report:
-        write_report(report, args.report)
-        print(f"report -> {args.report}")
     if args.svg:
+        components = [c for lv in analyses for c in lv.base_report.components]
         svg = render_topology_svg(
-            window, all_components, levels[0], field_fn=f,
+            window, components, levels[0], field_fn=f,
             points=data.points if data is not None else None,
             labels=data.labels if data is not None else None,
             deterministic=args.deterministic, title=f"analysis of {Path(args.model).name}")
         Path(args.svg).write_text(svg)
         print(f"svg -> {args.svg}")
-    for line in verdict_lines(report):
-        print(line)
-    return 0
+    return _finish(report, args.report)
 
 
 def cmd_reproduce(args) -> int:
@@ -225,18 +201,12 @@ def cmd_reproduce(args) -> int:
     report = make_report(kind, {"paper_fig": fig, "spec": spec.to_dict(),
                                 "deterministic": args.deterministic},
                          outcomes, args.deterministic, wall)
-    if args.report:
-        write_report(report, args.report)
-        print(f"report -> {args.report}")
     if args.svg_dir:
-        _write_seed_svgs(sweep, Path(args.svg_dir), spec.resolved_levels()[0],
-                         args.deterministic)
-    for line in verdict_lines(report):
-        print(line)
-    return 0 if report_passed(report) else 1
+        _write_seed_svgs(sweep, Path(args.svg_dir), args.deterministic)
+    return _finish(report, args.report)
 
 
-def _write_seed_svgs(sweep, directory: Path, level: float, deterministic: bool) -> None:
+def _write_seed_svgs(sweep, directory: Path, deterministic: bool) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     for outcome in sweep.outcomes:
         if outcome.error is not None or not outcome.levels:
@@ -245,8 +215,8 @@ def _write_seed_svgs(sweep, directory: Path, level: float, deterministic: bool) 
         net = network_from_dict(outcome.network) if outcome.network else None
         field_fn = network_scalar_fn(net) if net is not None else None
         svg = render_topology_svg(
-            analysis.report.window, list(analysis.report.components), level,
-            field_fn=field_fn, deterministic=deterministic,
+            analysis.base_report.window, list(analysis.base_report.components),
+            analysis.level, field_fn=field_fn, deterministic=deterministic,
             title=f"seed {outcome.seed}")
         (directory / f"seed{outcome.seed:03d}.svg").write_text(svg)
     print(f"svg per seed -> {directory}")
@@ -267,29 +237,14 @@ def cmd_sweep_nonsingular(args) -> int:
         delta=float(pick(args.delta, config, "delta", 1e-3)),
         escalations=int(pick(args.escalate, config, "escalations", 1)))
 
-    net_transform = None
-    if args.inject_singular:
-        def net_transform(net: Network, index: int) -> Network:
-            if index != 0:
-                return net
-            first = net.layers[0]
-            squashed = Layer(np.zeros_like(first.weights), first.bias)
-            return Network(net.input_dim, (squashed,) + net.layers[1:],
-                           net.activation, net.final_activation)
-
     t0 = time.perf_counter()
-    sweep = random_nonsingular_sweep(spec, net_transform=net_transform)
+    sweep = random_nonsingular_sweep(spec)
     wall = time.perf_counter() - t0
     outcomes = [o.to_dict() for o in sweep.outcomes]
     report = make_report(KIND_SWEEP, {"spec": spec.to_dict(),
                                       "deterministic": args.deterministic},
                          outcomes, args.deterministic, wall)
-    if args.report:
-        write_report(report, args.report)
-        print(f"report -> {args.report}")
-    for line in verdict_lines(report):
-        print(line)
-    return 0 if report_passed(report) else 1
+    return _finish(report, args.report)
 
 
 def cmd_validate_report(args) -> int:
@@ -377,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--report", default=None)
     p.add_argument("--deterministic", action="store_true")
-    p.add_argument("--inject-singular", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_sweep_nonsingular)
 
     p = sub.add_parser("validate-report", help="recompute a report's verdicts")

@@ -161,13 +161,6 @@ class LevelComponent:
     crosses_window_edge_cells: bool
     cells: np.ndarray  # (k, 2) grid cells that produced the segments
 
-    @property
-    def vertex_count(self) -> int:
-        return sum(len(chain) for chain in self.polylines)
-
-    def min_boundary_distance(self, window: Window) -> float:
-        return min(float(window.boundary_distance(chain).min()) for chain in self.polylines)
-
     def to_dict(self) -> dict:
         return {
             "classification": self.classification.value,

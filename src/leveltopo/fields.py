@@ -75,9 +75,7 @@ def sample_grid(f, window: Window, resolution: tuple[int, ...]) -> ScalarField:
         raise ValueError(f"resolution {resolution} does not match {window.dim}-d window")
     if any(r < 2 for r in resolution):
         raise ValueError(f"resolution must be >= 2 per axis, got {resolution}")
-    axes = [np.linspace(window.lo[d], window.hi[d], resolution[d]) for d in range(window.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
+    points = window.lattice(resolution)
     raw = np.asarray(f(points), dtype=np.float64).reshape(points.shape[0])
     bad = np.flatnonzero(~np.isfinite(raw))
     if bad.size:
@@ -128,9 +126,6 @@ class RegionComponents:
     @property
     def count(self) -> int:
         return len(self.components)
-
-    def component_mask(self, label: int) -> np.ndarray:
-        return self.label_grid == label
 
 
 def _cell_min_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

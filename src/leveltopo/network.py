@@ -202,6 +202,13 @@ class Window:
         c, half = self.center, 0.5 * self.extent * factor
         return Window(c - half, c + half)
 
+    def lattice(self, resolution: tuple[int, ...]) -> np.ndarray:
+        """The (prod(resolution), dim) corner lattice, ``resolution[d]`` evenly
+        spaced points on axis d from lo to hi; axis 0 varies slowest."""
+        axes = [np.linspace(lo, hi, r) for lo, hi, r in zip(self.lo, self.hi, resolution)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
+
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:
         """Distance from each point (m, dim) to the nearest face of the box."""
         p = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -210,10 +217,6 @@ class Window:
 
     def to_dict(self) -> dict:
         return {"lo": self.lo.tolist(), "hi": self.hi.tolist()}
-
-    @staticmethod
-    def from_dict(d: dict) -> "Window":
-        return Window(np.asarray(d["lo"]), np.asarray(d["hi"]))
 
 
 FORMAT_VERSION = 1
@@ -234,15 +237,23 @@ def network_to_dict(net: Network) -> dict:
 
 
 def network_from_dict(d: dict) -> Network:
+    """Inverse of ``network_to_dict``; malformed input raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a network is a JSON object, got {type(d).__name__}")
     if d.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported network format_version: {d.get('format_version')!r}")
-    layers = tuple(
-        Layer(np.asarray(spec["weights"], dtype=np.float64),
-              np.asarray(spec["bias"], dtype=np.float64))
-        for spec in d["layers"]
-    )
-    return Network(d["input_dim"], layers, Activation.from_dict(d["activation"]),
-                   d["final_activation"])
+    try:
+        layers = tuple(
+            Layer(np.asarray(spec["weights"], dtype=np.float64),
+                  np.asarray(spec["bias"], dtype=np.float64))
+            for spec in d["layers"]
+        )
+        return Network(d["input_dim"], layers, Activation.from_dict(d["activation"]),
+                       d["final_activation"])
+    except KeyError as exc:
+        raise ValueError(f"network is missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed network: {exc}") from None
 
 
 def dumps_network(net: Network) -> str:

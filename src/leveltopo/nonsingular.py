@@ -197,9 +197,7 @@ def check_injective_on_grid(trunk: Network, window: Window, resolution: int,
         raise ValueError("resolution must be >= 2")
     if trunk.input_dim != window.dim:
         raise ValueError(f"trunk input dim {trunk.input_dim} != window dim {window.dim}")
-    axes = [np.linspace(window.lo[d], window.hi[d], resolution) for d in range(window.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
+    points = window.lattice((resolution,) * window.dim)
     outputs = forward_batch(trunk, points)
 
     out_extent = outputs.max(axis=0) - outputs.min(axis=0)

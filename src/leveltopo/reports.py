@@ -40,7 +40,9 @@ def versions() -> dict:
 
 
 def dumps_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """One line of JSON: a sweep report's polylines hold hundreds of thousands
+    of coordinates, and indenting puts each on a line of its own."""
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_report(report: dict, path) -> None:
@@ -150,10 +152,20 @@ def compute_verdicts(report: dict) -> dict:
 
 
 def validate_report(report: dict) -> tuple[bool, dict]:
-    """Recompute the verdicts from raw outcome data; True when they match."""
+    """Recompute the verdicts from raw outcome data; True when they match.
+
+    A report that lacks a key or holds a value of the wrong type raises
+    ValueError."""
+    if not isinstance(report, dict):
+        raise ValueError(f"a report is a JSON object, got {type(report).__name__}")
     if report.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {report.get('schema_version')!r}")
-    recomputed = compute_verdicts(report)
+    try:
+        recomputed = compute_verdicts(report)
+    except KeyError as exc:
+        raise ValueError(f"report is missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed report: {exc}") from None
     return recomputed == report.get("verdicts"), recomputed
 
 

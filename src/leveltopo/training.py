@@ -161,12 +161,6 @@ class TrainConfig:
                 "loss": self.loss.value, "init": self.init.value,
                 "target_loss": self.target_loss}
 
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        return TrainConfig(Optimizer(d["optimizer"]), d["learning_rate"], d["steps"],
-                           d["batch_size"], d["seed"], Loss(d["loss"]), Init(d["init"]),
-                           d["target_loss"])
-
 
 def init_weights(arch: list[int], activation: Activation, seed: int,
                  final_activation: bool = True) -> Network:

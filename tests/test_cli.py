@@ -131,6 +131,17 @@ class TestAnalyze:
     def test_window_auto_requires_data(self, model):
         assert main(["analyze", "--model", str(model)]) == 2
 
+    def test_unknown_level_spec_exit_2(self, model, dataset, capsys):
+        assert main(["analyze", "--model", str(model), "--data", str(dataset),
+                     "--levels", "cutoff:0.5"]) == 2
+        assert "unknown level spec 'cutoff:0.5'" in capsys.readouterr().err
+
+    def test_model_missing_layers_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"format_version": 1, "input_dim": 2}))
+        assert main(["analyze", "--model", str(path), "--window=-1,1,-1,1"]) == 2
+        assert "missing key 'layers'" in capsys.readouterr().err
+
     def test_level_outside_range_warns_but_succeeds(self, tmp_path, model, dataset,
                                                     capsys):
         rp = tmp_path / "r.json"
@@ -178,9 +189,9 @@ class TestSweepCommand:
             blobs.append(rp.read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_injected_singular_exit_3(self):
+    def test_injected_singular_exit_3(self, singular_second_net):
         assert main(["sweep-nonsingular", "--count", "2", "--levels-per-net", "1",
-                     "--resolution", "41", "--inject-singular"]) == 3
+                     "--resolution", "41"]) == 3
 
     def test_count_zero_untested(self, capsys):
         assert main(["sweep-nonsingular", "--count", "0"]) == 0
@@ -240,6 +251,27 @@ class TestValidateReportCommand:
         report["verdicts"]["sweep-nonsingular"]["bounded_components"] = 5
         rp.write_text(json.dumps(report))
         assert main(["validate-report", str(rp)]) == 1
+
+    @pytest.mark.parametrize("content,message", [
+        ([1, 2], "a report is a JSON object"),
+        ({"schema_version": 1}, "missing key 'kind'"),
+    ])
+    def test_malformed_report_exit_2(self, tmp_path, capsys, content, message):
+        rp = tmp_path / "r.json"
+        rp.write_text(json.dumps(content))
+        assert main(["validate-report", str(rp)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_outcome_without_bounded_final_exit_2(self, tmp_path, capsys):
+        rp = tmp_path / "r.json"
+        assert main(["sweep-nonsingular", "--count", "1", "--levels-per-net", "1",
+                     "--resolution", "41", "--report", str(rp),
+                     "--deterministic"]) == 0
+        report = load_report(rp)
+        del report["outcomes"][0]["bounded_final"]
+        rp.write_text(json.dumps(report))
+        assert main(["validate-report", str(rp)]) == 2
+        assert "missing key 'bounded_final'" in capsys.readouterr().err
 
     def test_intact_report_validates(self, tmp_path):
         rp = tmp_path / "r.json"
