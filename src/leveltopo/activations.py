@@ -48,12 +48,6 @@ class Activation:
         """True when the function is strictly increasing on all of R."""
         return self.kind is not ActivationKind.RELU
 
-    def __call__(self, x):
-        return activation_apply(self, x)
-
-    def derivative(self, x):
-        return activation_derivative(self, x)
-
     def to_dict(self) -> dict:
         return {"kind": self.kind.value, "sharpness": self.sharpness}
 

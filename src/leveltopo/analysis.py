@@ -367,6 +367,11 @@ class NonSingularSweepSpec:
             raise ValueError("random sweeps are 2-d only (n = 2)")
         if not self.activation.one_to_one:
             raise ValueError("non-singular sweeps need a one-to-one activation")
+        if self.count < 0:
+            raise ValueError(f"count (--count) must be >= 0, got {self.count}")
+        if self.levels_per_net < 1:
+            raise ValueError(f"levels_per_net (--levels-per-net) must be >= 1, "
+                             f"got {self.levels_per_net}")
         if self.window is None:
             object.__setattr__(self, "window", Window(np.array([-4.0, -4.0]),
                                                       np.array([4.0, 4.0])))

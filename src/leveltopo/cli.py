@@ -83,13 +83,22 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def pick(args_value, config: dict, key: str, default):
-    """Flag value if given, else config file value, else the default."""
-    if args_value is not None:
-        return args_value
-    if key in config:
-        return config[key]
-    return default
+def option(flag_value, config: dict, key: str, parse, default):
+    """The flag's value if given, else config file key ``key``, else the default.
+
+    Text goes through ``parse``, the flag's parser.  A config value must have
+    a JSON type the flag takes; a bad one raises ValueError naming ``key``.
+    """
+    if flag_value is None and key in config:
+        value = config[key]
+        if type(value) not in {int: (int,), float: (int, float)}.get(parse, (str,)):
+            raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+    value = default if flag_value is None else flag_value
+    return parse(value) if isinstance(value, str) else value
 
 
 def _finish(report: dict, path: str | None) -> int:
@@ -183,14 +192,17 @@ def cmd_analyze(args) -> int:
 
 def cmd_reproduce(args) -> int:
     config = load_config(args.config)
-    fig = pick(args.paper_fig, config, "paper_fig", None)
+    fig = option(args.paper_fig, config, "paper_fig", str, None)
     if fig is None:
         raise ValueError("--paper-fig (or config key paper_fig) is required")
-    n_seeds = int(pick(args.seeds, config, "seeds", 20))
-    overrides = {k: config[k] for k in
-                 ("learning_rate", "steps", "target_loss", "n_inner", "n_ring",
-                  "inner_sigma", "ring_radius", "ring_sigma", "resolution",
-                  "escalations", "convergence_loss") if k in config}
+    n_seeds = option(args.seeds, config, "seeds", int, 20)
+    if n_seeds < 0:
+        raise ValueError(f"--seeds must be >= 0, got {n_seeds}")
+    # config-only keys, read as the types of the spec fields they set
+    overrides = {key: option(None, config, key, parse, None) for key, parse in (
+        ("learning_rate", float), ("steps", int), ("target_loss", float), ("n_inner", int),
+        ("n_ring", int), ("inner_sigma", float), ("ring_radius", float), ("ring_sigma", float),
+        ("resolution", int), ("escalations", int), ("convergence_loss", float)) if key in config}
     spec = reproduction_spec(fig, tuple(range(n_seeds)), **overrides)
     kind = KIND_REPRODUCE_NARROW if fig == "3a" else KIND_REPRODUCE_WIDE
 
@@ -224,18 +236,17 @@ def _write_seed_svgs(sweep, directory: Path, deterministic: bool) -> None:
 
 def cmd_sweep_nonsingular(args) -> int:
     config = load_config(args.config)
-    window = parse_window(pick(args.window, config, "window", "-4,4,-4,4"))
     spec = NonSingularSweepSpec(
         n=2,
-        depths=tuple(parse_ints(pick(args.depths, config, "depths", "1,2,3,4,5,6"))),
-        activation=parse_activation(pick(args.activation, config, "activation", "sigmoid")),
-        count=int(pick(args.count, config, "count", 100)),
-        levels_per_net=int(pick(args.levels_per_net, config, "levels_per_net", 5)),
-        window=window,
-        resolution=int(pick(args.resolution, config, "resolution", 201)),
-        seed=int(pick(args.seed, config, "seed", 0)),
-        delta=float(pick(args.delta, config, "delta", 1e-3)),
-        escalations=int(pick(args.escalate, config, "escalations", 1)))
+        depths=option(args.depths, config, "depths", parse_ints, "1,2,3,4,5,6"),
+        activation=option(args.activation, config, "activation", parse_activation, "sigmoid"),
+        count=option(args.count, config, "count", int, 100),
+        levels_per_net=option(args.levels_per_net, config, "levels_per_net", int, 5),
+        window=option(args.window, config, "window", parse_window, "-4,4,-4,4"),
+        resolution=option(args.resolution, config, "resolution", int, 201),
+        seed=option(args.seed, config, "seed", int, 0),
+        delta=option(args.delta, config, "delta", float, 1e-3),
+        escalations=option(args.escalate, config, "escalations", int, 1))
 
     t0 = time.perf_counter()
     sweep = random_nonsingular_sweep(spec)

@@ -35,26 +35,17 @@ class Classification(enum.Enum):
 
 @dataclass(frozen=True)
 class SegmentSoup:
-    """Raw marching-squares output for one level.
+    """Raw marching-squares output for one level of ``field``.
 
     ``segments`` holds index pairs into ``vertices``; ``segment_cells`` maps
     each segment to the (i, j) grid cell that produced it.
     """
 
     level: float
-    window: Window
-    resolution: tuple[int, int]
+    field: ScalarField
     vertices: np.ndarray       # (V, 2) float
     segments: np.ndarray       # (S, 2) int
     segment_cells: np.ndarray  # (S, 2) int
-
-    @property
-    def spacing(self) -> np.ndarray:
-        return self.window.extent / (np.array(self.resolution) - 1)
-
-    @property
-    def cell_diagonal(self) -> float:
-        return float(np.linalg.norm(self.spacing))
 
 
 def marching_squares(field: ScalarField, level: float) -> SegmentSoup:
@@ -64,7 +55,6 @@ def marching_squares(field: ScalarField, level: float) -> SegmentSoup:
     if not np.isfinite(level):
         raise ValueError(f"level must be finite, got {level}")
     v = field.values
-    rx, ry = v.shape
     lo_val, hi_val = field.value_range()
     nudged = np.where(v == level, level + LEVEL_NUDGE * (hi_val - lo_val), v)
     inside = nudged > level
@@ -115,33 +105,10 @@ def marching_squares(field: ScalarField, level: float) -> SegmentSoup:
             segments.extend(pairs)
             cells.extend(((i, j), (i, j)))
 
-    verts = (np.asarray(vertices, dtype=np.float64) if vertices
-             else np.empty((0, 2), dtype=np.float64))
-    segs = (np.asarray(segments, dtype=np.int64) if segments
-            else np.empty((0, 2), dtype=np.int64))
-    cell_arr = (np.asarray(cells, dtype=np.int64) if cells
-                else np.empty((0, 2), dtype=np.int64))
-    return SegmentSoup(float(level), field.window, (rx, ry), verts, segs, cell_arr)
-
-
-class UnionFind:
-    """Array union-find with path compression."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while a != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    return SegmentSoup(float(level), field,
+                       np.asarray(vertices, dtype=np.float64).reshape(-1, 2),
+                       np.asarray(segments, dtype=np.int64).reshape(-1, 2),
+                       np.asarray(cells, dtype=np.int64).reshape(-1, 2))
 
 
 @dataclass(frozen=True)
@@ -180,70 +147,61 @@ def classify_component(chains, window: Window, boundary_tol: float) -> Classific
 
 
 def link_components(soup: SegmentSoup, boundary_tol: float | None = None) -> list[LevelComponent]:
-    """Group segments into path components by shared-vertex identity.
+    """Group segments into path components by walking their shared vertices.
 
-    Every interior crossing is referenced by exactly two cells, so vertex
-    degrees are 1 (window frame) or 2 and each component is a single open
-    chain or closed loop.
+    Every interior crossing is referenced by exactly two cells and every
+    crossing on the window frame by one, so vertex degrees are 2 or 1 and
+    each component is a single open chain or closed loop.  A component
+    starts at its lowest unused segment.  A loop is walked from that
+    segment's first vertex along it; an open chain starts at the end with
+    the lower segment index, or at the first vertex of a lone segment.
     """
+    field = soup.field
     if boundary_tol is None:
-        boundary_tol = BOUNDARY_TOL_CELLS * soup.cell_diagonal
-    if len(soup.segments) == 0:
-        return []
+        boundary_tol = BOUNDARY_TOL_CELLS * field.cell_diagonal
+    segments = soup.segments.tolist()
+    incident: list[list[int]] = [[] for _ in range(len(soup.vertices))]
+    for sid, (a, b) in enumerate(segments):
+        incident[a].append(sid)
+        incident[b].append(sid)
+    used = [False] * len(segments)
 
-    uf = UnionFind(len(soup.vertices))
-    for a, b in soup.segments:
-        uf.union(int(a), int(b))
+    def walk(vertex: int, seg_ids: list[int]) -> list[int]:
+        """The vertices from ``vertex`` along unused segments, which it marks
+        used and adds to ``seg_ids``, up to a chain end or back to ``vertex``."""
+        path = [vertex]
+        while (sid := next((s for s in incident[vertex] if not used[s]), None)) is not None:
+            used[sid] = True
+            seg_ids.append(sid)
+            a, b = segments[sid]
+            vertex = b if a == vertex else a
+            path.append(vertex)
+        return path
 
-    groups: dict[int, list[int]] = {}
-    for idx, (a, _b) in enumerate(soup.segments):
-        groups.setdefault(uf.find(int(a)), []).append(idx)
-
-    nx, ny = soup.resolution[0] - 1, soup.resolution[1] - 1
+    nx, ny = field.resolution[0] - 1, field.resolution[1] - 1
     components = []
-    for seg_ids in groups.values():
-        adjacency: dict[int, list[list]] = {}
-        for sid in seg_ids:
-            a, b = map(int, soup.segments[sid])
-            adjacency.setdefault(a, []).append([b, sid, False])
-            adjacency.setdefault(b, []).append([a, sid, False])
+    for first, (start, _) in enumerate(segments):
+        if used[first]:
+            continue
+        seg_ids: list[int] = []
+        ahead = walk(start, seg_ids)  # leaves along ``first``, the lowest unused segment
+        chain = walk(start, seg_ids)[::-1] + ahead[1:]
+        if incident[chain[-1]][0] < incident[chain[0]][0]:
+            chain.reverse()
+        seg_ids.sort()
 
-        def walk(start: int) -> list[int]:
-            path = [start]
-            current = start
-            while True:
-                step = next((e for e in adjacency[current] if not e[2]), None)
-                if step is None:
-                    return path
-                nbr, sid, _ = step
-                step[2] = True
-                for back in adjacency[nbr]:
-                    if back[1] == sid:
-                        back[2] = True
-                path.append(nbr)
-                current = nbr
-
-        chains = []
-        for vid, edges in adjacency.items():
-            if len(edges) == 1 and not edges[0][2]:
-                chains.append(walk(vid))
-        for vid, edges in adjacency.items():  # leftover edges belong to loops
-            if any(not e[2] for e in edges):
-                chains.append(walk(vid))
-
-        polylines = tuple(soup.vertices[chain] for chain in chains)
+        polylines = (soup.vertices[chain],)
         length = float(sum(
-            np.linalg.norm(soup.vertices[int(soup.segments[s][0])]
-                           - soup.vertices[int(soup.segments[s][1])])
+            np.linalg.norm(soup.vertices[segments[s][0]] - soup.vertices[segments[s][1]])
             for s in seg_ids))
         cells = soup.segment_cells[seg_ids]
         on_frame = bool(np.any((cells[:, 0] == 0) | (cells[:, 0] == nx - 1)
                                | (cells[:, 1] == 0) | (cells[:, 1] == ny - 1)))
         components.append(LevelComponent(
             polylines,
-            classify_component(polylines, soup.window, boundary_tol),
+            classify_component(polylines, field.window, boundary_tol),
             soup.level, length, on_frame, cells))
-    # deterministic order: by first vertex id of the group
+    # deterministic order: by the first vertex of the chain
     components.sort(key=lambda c: (round(c.polylines[0][0][0], 12),
                                    round(c.polylines[0][0][1], 12)))
     return components
@@ -268,7 +226,7 @@ def component_encloses(component: LevelComponent, point) -> bool:
 
 
 def band_oracle_compare(field: ScalarField, level: float, band_delta: float) -> dict:
-    """Cross-check marching squares + union-find against the band flood fill.
+    """Cross-check marching squares and vertex linking against the band flood fill.
 
     For a regular level, every contour component sits inside exactly one
     component of the band preimage (level - delta, level + delta), and that
@@ -348,9 +306,8 @@ class TopologyReport:
 
 def analyze_level(field: ScalarField, level: float, boundary_tol: float | None = None,
                   provenance: dict | None = None) -> TopologyReport:
-    soup = marching_squares(field, level)
     if boundary_tol is None:
-        boundary_tol = BOUNDARY_TOL_CELLS * soup.cell_diagonal
-    comps = link_components(soup, boundary_tol)
-    return TopologyReport(float(level), field.window, soup.resolution,
+        boundary_tol = BOUNDARY_TOL_CELLS * field.cell_diagonal
+    comps = link_components(marching_squares(field, level), boundary_tol)
+    return TopologyReport(float(level), field.window, field.resolution,
                           float(boundary_tol), tuple(comps), provenance or {})

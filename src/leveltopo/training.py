@@ -427,8 +427,6 @@ def train(net: Network, data: Dataset, cfg: TrainConfig) -> tuple[Network, list[
     Divergence (NaN/inf loss) raises TrainingDiverged carrying the finite
     history collected so far.  Trains a stack of one.
     """
-    if data.dim != net.input_dim:
-        raise ValueError(f"dataset dim {data.dim} != network input dim {net.input_dim}")
     (result,) = train_stack([net], [data], [cfg])
     if isinstance(result, TrainingDiverged):
         raise result

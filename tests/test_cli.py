@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from leveltopo import cli
 from leveltopo.cli import main, parse_activation, parse_levels, parse_window
 from leveltopo.network import load_network, save_network
 from leveltopo.reports import load_report, validate_report
@@ -239,6 +241,52 @@ class TestReproduceCommand:
                      "--deterministic"]) in (0, 1)
         report = load_report(rp)
         assert report["config"]["spec"]["train"]["steps"] == 200
+
+
+class TestOptionChecks:
+    @pytest.mark.parametrize("command,config,key", [
+        ("sweep-nonsingular", {"depths": [1, 2]}, "'depths'"),
+        ("reproduce", {"paper_fig": "3b", "seeds": 1, "steps": [5]}, "'steps'"),
+        ("reproduce", {"paper_fig": "3b", "seeds": 1, "n_inner": "50"}, "'n_inner'"),
+    ])
+    def test_config_value_of_wrong_type_exit_2(self, tmp_path, capsys, command, config, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["reproduce", "--paper-fig", "3b", "--seeds", "-3"], "--seeds"),
+        (["sweep-nonsingular", "--count", "1", "--resolution", "21",
+          "--levels-per-net", "0"], "--levels-per-net"),
+        (["sweep-nonsingular", "--count", "-2"], "--count"),
+    ])
+    def test_vacuous_or_negative_count_exit_2(self, capsys, argv, flag):
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "configs").glob("*.json")),
+                             ids=lambda path: path.name)
+    def test_checked_in_config_builds_its_spec(self, monkeypatch, path):
+        class Built(Exception):
+            """Carries the spec a command would run."""
+
+        def capture(spec):
+            raise Built(spec)
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        monkeypatch.setattr(cli, "random_nonsingular_sweep", capture)
+        command = "reproduce" if path.name.startswith("reproduce") else "sweep-nonsingular"
+        with pytest.raises(Built) as built:
+            main([command, "--config", str(path)])
+        spec = built.value.args[0]
+        values = spec.to_dict()
+        values.update(values.get("train", {}))
+        for key, value in json.loads(path.read_text()).items():
+            if key == "seeds":
+                assert len(spec.seeds) == value
+            elif not isinstance(value, str):
+                assert values[key] == value, key
 
 
 class TestValidateReportCommand:

@@ -145,6 +145,76 @@ class TestLinkAndClassify:
             np.testing.assert_array_equal(ca.polylines[0], cb.polylines[0])
 
 
+def polynomial_field(f, half, res):
+    return sample_grid(lambda p: f(p[:, 0], p[:, 1]), window2(half), (res, res))
+
+
+# polynomial fields only, so the vertices do not depend on the libm; each of
+# the two x*y fields has a saddle cell, which emits two segments; the
+# quartic has four loops at 0.5, two nested ones at 1.2 and open chains at 9.5
+QUARTIC = polynomial_field(lambda x, y: (x * x - 1) ** 2 + (y * y - 1) ** 2, 2.0, 40)
+WALK_FIELDS = [
+    (polynomial_field(lambda x, y: x * y, 1.0, 4), 0.0),
+    (polynomial_field(lambda x, y: x * y - 0.1 * x, 1.5, 30), 0.0),
+    (QUARTIC, 0.5), (QUARTIC, 1.2), (QUARTIC, 9.5),
+]
+
+
+class TestVertexWalk:
+    def test_saddle_cell_emits_two_segments(self):
+        fld, level = WALK_FIELDS[0]
+        cells = marching_squares(fld, level).segment_cells.tolist()
+        assert cells.count([1, 1]) == 2
+
+    @pytest.mark.parametrize("fld,level", WALK_FIELDS)
+    def test_vertex_degree_is_one_on_the_frame_and_two_inside(self, fld, level):
+        soup = marching_squares(fld, level)
+        degree = np.bincount(soup.segments.ravel(), minlength=len(soup.vertices))
+        on_frame = fld.window.boundary_distance(soup.vertices) == 0.0
+        assert len(soup.segments) > 0
+        np.testing.assert_array_equal(degree, np.where(on_frame, 1, 2))
+
+    @pytest.mark.parametrize("fld,level", WALK_FIELDS)
+    def test_components_are_single_chains_partitioning_the_soup(self, fld, level):
+        soup = marching_squares(fld, level)
+        vertex_id = {tuple(v): k for k, v in enumerate(soup.vertices.tolist())}
+        assert len(vertex_id) == len(soup.vertices)
+        linked = []
+        for comp in link_components(soup):
+            assert len(comp.polylines) == 1
+            chain = [vertex_id[tuple(v)] for v in comp.polylines[0].tolist()]
+            pairs = [frozenset(p) for p in zip(chain[:-1], chain[1:])]
+            assert len(pairs) == len(comp.cells)
+            linked.extend(pairs)
+        assert sorted(map(sorted, linked)) == sorted(map(sorted, soup.segments.tolist()))
+
+    def test_open_chain_starts_at_the_end_its_first_segment_names_first(self):
+        # segments: (5,4) (0,1) (5,1) (6,2) (2,3) (7,6), with vertex 4 at
+        # (-1,0), 5 at (-1/3,0), 1 at (0,-1/3) and 0 at (0,-1): end 4 is
+        # position 1 of segment 0 and end 0 position 0 of segment 1, so the
+        # first chain starts at 4; the second at 3 = (0,1), position 1 of
+        # segment 4, not at 7, position 0 of segment 5
+        fld, level = WALK_FIELDS[0]
+        first, second = link_components(marching_squares(fld, level))
+        third = 1.0 / 3.0
+        np.testing.assert_allclose(first.polylines[0],
+                                   [[-1, 0], [-third, 0], [0, -third], [0, -1]], atol=1e-12)
+        np.testing.assert_allclose(second.polylines[0],
+                                   [[0, 1], [0, third], [third, 0], [1, 0]], atol=1e-12)
+
+    def test_loop_starts_along_its_lowest_segment(self):
+        # x^2 + y^2 = 0.5625 on the 5x5 lattice of [-1,1]^2: the lowest
+        # segment is cell (0,0)'s, from its right edge at (-1/2, -13/24) to
+        # its top edge at (-13/24, -1/2), so the loop runs clockwise
+        fld = polynomial_field(lambda x, y: x * x + y * y - 0.5625, 1.0, 5)
+        (loop,) = extract_components(fld, 0.0)
+        chain = loop.polylines[0]
+        assert len(chain) == 13
+        np.testing.assert_array_equal(chain[0], chain[-1])
+        np.testing.assert_allclose(chain[:3], [[-0.5, -13 / 24], [-13 / 24, -0.5],
+                                               [-17 / 24, 0.0]], atol=1e-12)
+
+
 class TestEnclosure:
     def test_circle_encloses_origin(self):
         comps = extract_components(circle_field(), 0.0)
