@@ -11,7 +11,6 @@ numeric evidence that a trunk really is injective.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from .network import Layer, Network, Window, forward_batch
 TOL_DET = 1e-9
 # retries for the random perturbation before giving up
 MAX_ATTEMPTS = 64
-# output-space cell width used to hash candidate collisions
+# output-space cell width used to find candidate collisions
 INJECTIVITY_QUANT = 1e-12
 # default relative-separation floor: a pair of grid points may contract by
 # at most this factor of (input separation / window diagonal) * image scale.
@@ -176,6 +175,15 @@ def make_nonsingular(net: Network, delta: float, seed: int) -> Network:
     return Network(net.input_dim, tuple(layers), net.activation, net.final_activation)
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``v``.
+
+    Uses the same dot product as ``np.linalg.norm`` of a single row, so a
+    batch of pairs is judged on bitwise the same distances as one at a time.
+    """
+    return np.sqrt((v[:, None, :] @ v[:, :, None]).ravel())
+
+
 def check_injective_on_grid(trunk: Network, window: Window, resolution: int,
                             min_sep: float = DEFAULT_MIN_SEP) -> bool:
     """Grid-scale injectivity witness for a trunk.
@@ -187,11 +195,22 @@ def check_injective_on_grid(trunk: Network, window: Window, resolution: int,
         |trunk(x) - trunk(y)| < min_sep * (|x - y| / window diagonal) * scale
 
     where ``scale`` is the diagonal of the output bounding box (floored at
-    the quantization width so constant maps cannot pass vacuously).  Only
-    pairs whose outputs land in the same or adjacent quantization cells can
-    violate the bound at the default ``min_sep``, so candidates are found by
-    hashing quantized outputs and then verified pairwise.  This is evidence
+    the quantization width so constant maps cannot pass vacuously).
+
+    The pairs checked are exactly those whose quantized outputs
+    ``floor(output / INJECTIVITY_QUANT)`` differ by at most one on every
+    axis.  Every failing pair is among them when
+    ``min_sep * scale <= INJECTIVITY_QUANT`` (at the default ``min_sep``: an
+    output box diagonal of at most 1), because a failing pair is then closer
+    than one cell.  Otherwise the witness only checks near-coincident
+    outputs.  Two quantized outputs are that close exactly when they share
+    a cell of one of the 2^d grids ``(q + s) // 2``, ``s`` in {0, 1}^d; for
+    each grid the keys are sorted, and equal keys are compared at lag 1, 2,
+    ... in sorted order until a lag has no equal pair.  This is evidence
     against construction bugs, not a proof of injectivity.
+
+    Raises ValueError when an output is NaN or infinite, or too large to
+    quantize in int64 cells.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -199,36 +218,35 @@ def check_injective_on_grid(trunk: Network, window: Window, resolution: int,
         raise ValueError(f"trunk input dim {trunk.input_dim} != window dim {window.dim}")
     points = window.lattice((resolution,) * window.dim)
     outputs = forward_batch(trunk, points)
+    if not np.all(np.isfinite(outputs)):
+        raise ValueError("trunk output is NaN or infinite on the grid; cannot quantize it")
+    scaled = outputs / INJECTIVITY_QUANT
+    if np.any(np.abs(scaled) >= 2.0 ** 63):
+        raise ValueError(f"trunk output beyond +-{2.0 ** 63 * INJECTIVITY_QUANT:.3g} on the "
+                         f"grid; cannot quantize it in int64 cells of {INJECTIVITY_QUANT}")
 
     out_extent = outputs.max(axis=0) - outputs.min(axis=0)
     scale = max(float(np.linalg.norm(out_extent)), INJECTIVITY_QUANT)
     diag = window.diagonal
+    cells = np.floor(scaled).astype(np.int64).T  # one row of cell indices per axis
+    n = len(points)
 
-    cells: dict[tuple, list[int]] = {}
-    quantized = np.floor(outputs / INJECTIVITY_QUANT).astype(np.int64)
-    for idx, key in enumerate(map(tuple, quantized)):
-        cells.setdefault(key, []).append(idx)
-
-    offsets = [off for off in itertools.product((-1, 0, 1), repeat=outputs.shape[1])]
-
-    def pair_ok(i: int, j: int) -> bool:
-        d_out = float(np.linalg.norm(outputs[i] - outputs[j]))
-        d_in = float(np.linalg.norm(points[i] - points[j]))
-        return d_out >= min_sep * (d_in / diag) * scale
-
-    for key, members in cells.items():
-        for a_pos, i in enumerate(members):
-            for j in members[a_pos + 1:]:
-                if not pair_ok(i, j):
-                    return False
-        for off in offsets:
-            if off <= (0,) * len(off):
-                continue  # each unordered cell pair visited once
-            neighbor = cells.get(tuple(k + o for k, o in zip(key, off)))
-            if neighbor is None:
-                continue
-            for i in members:
-                for j in neighbor:
-                    if not pair_ok(i, j):
-                        return False
+    for shift in np.ndindex(*(2,) * len(cells)):
+        keys = (cells + np.array(shift)[:, None]) // 2
+        order = np.lexsort(keys)
+        keys = np.take(keys, order, axis=1)
+        run = np.arange(n)  # sorted positions whose key equals the one `lag` on
+        lag = 1
+        while True:
+            run = run[run + lag < n]
+            for axis_keys in keys:
+                run = run[axis_keys[run] == axis_keys[run + lag]]
+            if run.size == 0:
+                break
+            i, j = order[run], order[run + lag]
+            d_out = _row_norms(outputs[i] - outputs[j])
+            d_in = _row_norms(points[i] - points[j])
+            if np.any(d_out < min_sep * (d_in / diag) * scale):
+                return False
+            lag += 1
     return True

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from leveltopo import (SIGMOID, Layer, Network, Window, check_injective_on_grid,
+from leveltopo import (RELU, SIGMOID, Layer, Network, Window, check_injective_on_grid,
                        decompose, forward_batch, init_weights, is_nonsingular,
                        make_nonsingular, one_to_one_relu, pad_to_width, scaled_det)
-from leveltopo.nonsingular import TOL_DET, NonSingularizationError
+from leveltopo.nonsingular import (DEFAULT_MIN_SEP, INJECTIVITY_QUANT, TOL_DET,
+                                   NonSingularizationError)
 
 
 def narrow_net(widths=(2, 1, 2, 1), activation=SIGMOID, seed=11):
@@ -188,3 +189,136 @@ class TestInjectivityOnGrid:
                                1e-3, seed=1)
         trunk, _ = decompose(net)
         assert check_injective_on_grid(trunk, self.window(), 101)
+
+    def test_constant_first_output_trunk_at_201(self):
+        # every output shares its first coordinate: one sorted axis holds a
+        # single run of all 40 401 points, yet no two outputs are close
+        window = Window(np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
+        assert check_injective_on_grid(constant_first_output_trunk(), window, 201)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_identity_trunk_other_dims(self, dim):
+        window = Window(np.full(dim, -3.0), np.full(dim, 3.0))
+        assert check_injective_on_grid(affine_trunk(np.eye(dim)), window, 11)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_collapsed_trunk_fails_other_dims(self, dim):
+        window = Window(np.full(dim, -3.0), np.full(dim, 3.0))
+        assert not check_injective_on_grid(affine_trunk(np.zeros((dim, dim))), window, 11)
+
+    def test_pair_across_odd_cell_boundary_fails(self):
+        # the two outputs of each column sit in cells 1 and 2, which share a
+        # cell only on the grid shifted by one
+        trunk = affine_trunk(np.diag([2.0, 1e-13]), [0.0, 2e-12])
+        window = Window(np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
+        assert not check_injective_on_grid(trunk, window, 2)
+        assert not reference_injective(trunk, window, 2)
+
+    def test_fold_fails_beyond_lag_one(self):
+        # 1e-13 * |x| puts the whole line in one cell; neighbours in sorted
+        # order pass, mirrored points (lag 2 and more) coincide
+        fold = Network(1, (Layer(np.array([[1.0], [-1.0]]), np.zeros(2)),
+                           Layer(np.array([[1e-13, 1e-13]]), np.zeros(1))),
+                       RELU, final_activation=False)
+        window = Window(np.array([-4.0]), np.array([4.0]))
+        assert not check_injective_on_grid(fold, window, 11)
+        assert not reference_injective(fold, window, 11)
+
+    @pytest.mark.parametrize("weights, bias, cause", [
+        (np.eye(2), [np.nan, 0.0], "NaN or infinite"),
+        (np.eye(2), [np.inf, 0.0], "NaN or infinite"),
+        (np.diag([1e7, 1.0]), None, "int64 cells"),
+    ])
+    def test_unquantizable_outputs_are_refused(self, weights, bias, cause):
+        # such outputs would all be cast to one int64 cell and alias
+        with pytest.raises(ValueError, match=cause):
+            check_injective_on_grid(affine_trunk(weights, bias), self.window(), 11)
+
+
+def affine_trunk(weights, bias=None):
+    weights = np.asarray(weights, dtype=float)
+    bias = np.zeros(weights.shape[0]) if bias is None else np.asarray(bias, dtype=float)
+    return Network(weights.shape[1], (Layer(weights, bias),), SIGMOID,
+                   final_activation=False)
+
+
+def constant_first_output_trunk():
+    return affine_trunk([[0.0, 0.0], [1.0, np.sqrt(2.0)]])
+
+
+def construction_trunk(arch, activation, init_seed, perturb_seed):
+    """Criterion-7 construction: init, pad to width 2, perturb, split off the head."""
+    net = init_weights(list(arch), activation, init_seed)
+    trunk, _ = decompose(make_nonsingular(pad_to_width(net, 2), 1e-3, perturb_seed))
+    return trunk
+
+
+def zeroed_first_layer(trunk):
+    first = trunk.layers[0]
+    return Network(trunk.input_dim, (Layer(np.zeros_like(first.weights), first.bias),)
+                   + trunk.layers[1:], trunk.activation, trunk.final_activation)
+
+
+def reference_injective(trunk, window, resolution, min_sep=DEFAULT_MIN_SEP):
+    """Brute force over all pairs of lattice points: every pair whose quantized
+    outputs differ by at most one cell on each axis is checked on its own."""
+    points = window.lattice((resolution,) * window.dim)
+    outputs = forward_batch(trunk, points)
+    extent = outputs.max(axis=0) - outputs.min(axis=0)
+    scale = max(float(np.linalg.norm(extent)), INJECTIVITY_QUANT)
+    quantized = np.floor(outputs / INJECTIVITY_QUANT).astype(np.int64)
+    first, second = np.triu_indices(len(points), 1)
+    near = np.all(np.abs(quantized[first] - quantized[second]) <= 1, axis=1)
+    return all(
+        float(np.linalg.norm(outputs[i] - outputs[j]))
+        >= min_sep * (float(np.linalg.norm(points[i] - points[j])) / window.diagonal) * scale
+        for i, j in zip(first[near], second[near]))
+
+
+def equivalence_trunks():
+    rng = np.random.default_rng(515)
+    trunks = []
+    for k in range(8):
+        activation = SIGMOID if k % 2 == 0 else one_to_one_relu(3 + k % 4)
+        depth = int(rng.integers(1, 7))
+        arch = [2] + [int(rng.integers(1, 3)) for _ in range(depth)] + [1]
+        trunk = construction_trunk(arch, activation, int(rng.integers(2 ** 31)),
+                                   int(rng.integers(2 ** 31)))
+        trunks.append((f"random-{activation.kind.value}-{k}", trunk))
+    trunks.append(("zeroed-first-layer", zeroed_first_layer(trunks[0][1])))
+    trunks.append(("projection", affine_trunk([[1.0, 0.0], [0.0, 0.0]])))
+    trunks.append(("constant-first-output", constant_first_output_trunk()))
+    # injective, but several outputs share each quantization cell
+    trunks.append(("contracted-identity",
+                   affine_trunk(2e-12 * np.eye(2), [0.5e-12, -0.3e-12])))
+    # squashes y so that at 11^2 each failing pair straddles two adjacent cells
+    trunks.append(("cross-cell-squash", affine_trunk(np.diag([2.0, 1.25e-12]),
+                                                     [0.0, 0.5e-12])))
+    # non-singular trunks that the witness rejects at 201^2 on [-4, 4]^2
+    for arch, activation, init_seed, perturb_seed in [
+            ((2, 2, 1, 1, 1, 1, 1, 1), one_to_one_relu(4), 1571591827, 602593144),
+            ((2, 2, 2, 2, 2, 1, 2, 1), one_to_one_relu(6), 539028366, 502887052),
+            ((2, 1, 1, 1, 1, 1, 2, 1), SIGMOID, 669710604, 315022845)]:
+        trunks.append((f"tight-{init_seed}",
+                       construction_trunk(arch, activation, init_seed, perturb_seed)))
+    return trunks
+
+
+@pytest.mark.parametrize("resolution", [11, 20, 31])
+@pytest.mark.parametrize("trunk", [pytest.param(trunk, id=name)
+                                   for name, trunk in equivalence_trunks()])
+def test_witness_matches_brute_force(trunk, resolution):
+    window = Window(np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
+    assert (check_injective_on_grid(trunk, window, resolution)
+            == reference_injective(trunk, window, resolution))
+
+
+@pytest.mark.parametrize("dim, resolution", [(1, 31), (3, 11)])
+@pytest.mark.parametrize("weights", ["rank-one", "contracted"])
+def test_witness_matches_brute_force_other_dims(dim, resolution, weights):
+    # "contracted" puts several outputs in one quantization cell
+    matrix = {"rank-one": np.ones((dim, dim)), "contracted": 2e-12 * np.eye(dim)}[weights]
+    window = Window(np.full(dim, -2.0), np.full(dim, 2.0))
+    trunk = affine_trunk(matrix, np.linspace(-0.3e-12, 0.5e-12, dim))
+    assert (check_injective_on_grid(trunk, window, resolution)
+            == reference_injective(trunk, window, resolution))
