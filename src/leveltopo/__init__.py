@@ -19,7 +19,7 @@ from .nonsingular import (NonSingularityReport, NonSingularizationError,
 from .training import (Dataset, Init, Loss, Optimizer, TrainConfig, TrainingDiverged,
                        accuracy, gen_ring_dataset, init_weights, load_dataset,
                        loss_and_grad, save_dataset, train, train_stack)
-from .fields import (RegionComponents, ScalarField, eps_A_approximates, field_hash,
+from .fields import (RegionComponents, ScalarField, eps_A_approximates,
                      network_scalar_fn, region_components, sample_grid)
 from .contours import (Classification, LevelComponent, SegmentSoup, TopologyReport,
                        analyze_level, classify_component, component_encloses,

@@ -30,7 +30,7 @@ import numpy as np
 from .activations import SIGMOID, Activation
 from .contours import (Classification, TopologyReport, analyze_level,
                        component_encloses, extract_components)
-from .fields import ScalarField, field_hash, network_scalar_fn, sample_grid
+from .fields import ScalarField, network_scalar_fn, sample_grid
 from .network import Network, Window, network_hash, network_to_dict
 from .nonsingular import is_nonsingular, make_nonsingular, pad_to_width, NonSingularityReport
 from .training import (Dataset, TrainConfig, TrainingDiverged, accuracy,
@@ -107,14 +107,15 @@ def window_escalation(f, level: float, base_field: ScalarField, max_doublings: i
     the base lattice), so a genuinely closed loop reappears with vertices in
     the same places and is matched by proximity; a curve that merely left the
     base window shows up attached to the larger frame and demotes its base
-    component to BoundaryTouching.  Only the doubled windows sample ``f``, so
-    callers probing several levels sample the base window once.  The result
-    also counts the bounded components that enclose the origin.
+    component to BoundaryTouching.  Only the doubled windows and the centres
+    of saddle cells sample ``f``, so callers probing several levels sample
+    the base window once.  The result also counts the bounded components
+    that enclose the origin.
     """
     if max_doublings < 0:
         raise ValueError("max_doublings must be >= 0")
-    provenance = {**(provenance or {}), "field_sha256": field_hash(base_field)}
-    base = analyze_level(base_field, level, provenance=provenance)
+    provenance = {**(provenance or {}), "field_sha256": base_field.sha256}
+    base = analyze_level(base_field, level, provenance=provenance, f=f)
     classifications = [c.classification for c in base.components]
     anomalies: list[str] = []
     scales = 0
@@ -125,7 +126,7 @@ def window_escalation(f, level: float, base_field: ScalarField, max_doublings: i
             factor = 2 ** k
             field_k = sample_grid(f, base_field.window.scaled(factor),
                                   tuple((r - 1) * factor + 1 for r in base_field.resolution))
-            comps_k = extract_components(field_k, level)
+            comps_k = extract_components(field_k, level, f=f)
             vertex_sets = [np.concatenate([p for p in c.polylines]) for c in comps_k]
             for idx, comp in enumerate(base.components):
                 if classifications[idx] is not Classification.BOUNDED:

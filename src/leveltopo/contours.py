@@ -1,12 +1,24 @@
 """Isocontour extraction and path-component classification on 2-d fields.
 
-Marching squares with the standard 16-case table: every crossing vertex is
-computed once per grid edge and referenced by both adjacent cells, so
-segment endpoints are shared exactly and components can be linked by vertex
-identity with no coordinate tolerance.  Saddle cells (two opposite corners
-above the level) are disambiguated by the cell-center average.  Each linked
-component is classified Bounded or BoundaryTouching by distance to the
-window frame; "unbounded" is never decidable from a finite window, so
+Marching squares is whole-array work over the 16-case table of Lorensen and
+Cline (1987, marching cubes, in two dimensions).  Every crossing vertex is
+computed once per grid edge (crossed h-edges in row-major order, then
+v-edges) and referenced by both adjacent cells, so segment endpoints are
+shared exactly and components can be linked by vertex identity with no
+coordinate tolerance.  An active cell lists its edge ids in the order
+bottom, right, top, left: a plain cell joins its two crossed edges, a
+saddle cell (two opposite corners above the level) emits two segments.
+Which pair of corners a saddle cell joins follows its centre value: the
+sampled function at the centre when the caller passes it, the average of
+the four corners for a bare field.  The average reads a ridge along the
+cell diagonal as a dip, and so closes false loops around single nodes.
+
+Linking is pointer jumping over half-edges: each vertex has one or two
+segments, so every component is a chain or a loop, its label is the lowest
+segment reachable from either direction, and its walk order is the
+distance to the walk's end once each loop is cut before its start.  Each
+linked component is classified Bounded or BoundaryTouching by distance to
+the window frame; "unbounded" is never decidable from a finite window, so
 BoundaryTouching is evidence, to be strengthened by window escalation.
 """
 
@@ -19,6 +31,7 @@ import numpy as np
 
 from .fields import ScalarField, region_components
 from .network import Window
+from .nonsingular import _row_norms
 
 # corner values exactly at the level are shifted by this fraction of the
 # value range, which removes the degenerate table cases
@@ -48,67 +61,80 @@ class SegmentSoup:
     segment_cells: np.ndarray  # (S, 2) int
 
 
-def marching_squares(field: ScalarField, level: float) -> SegmentSoup:
-    """Extract the level-``level`` isocontour of a 2-d field as line segments."""
+def marching_squares(field: ScalarField, level: float, f=None) -> SegmentSoup:
+    """Extract the level-``level`` isocontour of a 2-d field as line segments.
+
+    ``f``, when given, is the function the field samples: each saddle cell
+    is then split by the value of ``f`` at its centre, evaluated in one call
+    for all saddle cells of the level.  Without it the centre value is the
+    average of the four corners.
+    """
     if field.values.ndim != 2:
         raise ValueError("marching squares requires a 2-d field")
     if not np.isfinite(level):
         raise ValueError(f"level must be finite, got {level}")
-    v = field.values
-    lo_val, hi_val = field.value_range()
-    nudged = np.where(v == level, level + LEVEL_NUDGE * (hi_val - lo_val), v)
-    inside = nudged > level
-
-    xs = field.axis(0)
-    ys = field.axis(1)
+    values = field.values
+    at_level = values == level
+    if at_level.any():
+        lo_val, hi_val = field.value_range()
+        values = np.where(at_level, level + LEVEL_NUDGE * (hi_val - lo_val), values)
+    inside = values > level
 
     cross_h = inside[:-1, :] != inside[1:, :]   # edge (i,j)-(i+1,j)
     cross_v = inside[:, :-1] != inside[:, 1:]   # edge (i,j)-(i,j+1)
+    # flat indices: np.nonzero of a 2-d mask costs ten times as much
+    h_flat = np.flatnonzero(cross_h)
+    v_flat = np.flatnonzero(cross_v)
+    n_h, n_v = len(h_flat), len(v_flat)
 
-    vertices: list[tuple[float, float]] = []
+    # vertex ids: crossed h-edges in row-major order, then crossed v-edges
+    xs = field.axis(0)
+    ys = field.axis(1)
+    vertices = np.empty((n_h + n_v, 2))
+    i, j = np.divmod(h_flat, cross_h.shape[1])
+    t = (level - values[i, j]) / (values[i + 1, j] - values[i, j])
+    vertices[:n_h, 0] = xs[i] + t * (xs[i + 1] - xs[i])
+    vertices[:n_h, 1] = ys[j]
+    i, j = np.divmod(v_flat, cross_v.shape[1])
+    t = (level - values[i, j]) / (values[i, j + 1] - values[i, j])
+    vertices[n_h:, 0] = xs[i]
+    vertices[n_h:, 1] = ys[j] + t * (ys[j + 1] - ys[j])
     h_id = np.full(cross_h.shape, -1, dtype=np.int64)
+    h_id.ravel()[h_flat] = np.arange(n_h)
     v_id = np.full(cross_v.shape, -1, dtype=np.int64)
+    v_id.ravel()[v_flat] = np.arange(n_h, n_h + n_v)
 
-    for i, j in np.argwhere(cross_h):
-        t = (level - nudged[i, j]) / (nudged[i + 1, j] - nudged[i, j])
-        h_id[i, j] = len(vertices)
-        vertices.append((xs[i] + t * (xs[i + 1] - xs[i]), ys[j]))
-    for i, j in np.argwhere(cross_v):
-        t = (level - nudged[i, j]) / (nudged[i, j + 1] - nudged[i, j])
-        v_id[i, j] = len(vertices)
-        vertices.append((xs[i], ys[j] + t * (ys[j + 1] - ys[j])))
+    # case table: the active cells' edge ids in the order bottom, right, top,
+    # left, -1 where the edge is not crossed; a plain cell crosses two edges
+    # and joins them in that order, a saddle cell crosses all four
+    active = cross_h[:, :-1] | cross_h[:, 1:] | cross_v[:-1, :] | cross_v[1:, :]
+    ci, cj = np.divmod(np.flatnonzero(active), active.shape[1])
+    edges = np.stack((h_id[ci, cj], v_id[ci + 1, cj], h_id[ci, cj + 1], v_id[ci, cj]), axis=1)
+    saddle = edges.min(axis=1) >= 0
+    pairs = np.empty((len(ci), 2, 2), dtype=np.int64)
+    plain = edges[~saddle]
+    pairs[~saddle, 0] = plain[plain >= 0].reshape(-1, 2)
+    if saddle.any():
+        si, sj = ci[saddle], cj[saddle]
+        if f is None:
+            centre = (values[si, sj] + values[si + 1, sj]
+                      + values[si + 1, sj + 1] + values[si, sj + 1]) / 4.0
+        else:
+            points = np.column_stack((0.5 * (xs[si] + xs[si + 1]), 0.5 * (ys[sj] + ys[sj + 1])))
+            centre = np.asarray(f(points), dtype=np.float64).reshape(len(si))
+        # the corner (i, j) and the centre on one side: split off the corners
+        # (i+1, j) and (i, j+1); otherwise split off (i, j) and (i+1, j+1)
+        bottom, right, top, left = edges[saddle].T
+        same = (inside[si, sj] == (centre > level))[:, None]
+        pairs[saddle, 0] = np.where(same, np.column_stack((bottom, right)),
+                                    np.column_stack((left, bottom)))
+        pairs[saddle, 1] = np.where(same, np.column_stack((top, left)),
+                                    np.column_stack((right, top)))
 
-    segments: list[tuple[int, int]] = []
-    cells: list[tuple[int, int]] = []
-    active = (cross_h[:, :-1] | cross_h[:, 1:] | cross_v[:-1, :] | cross_v[1:, :])
-    for i, j in np.argwhere(active):
-        crossed = []
-        if cross_h[i, j]:
-            crossed.append(h_id[i, j])        # bottom
-        if cross_v[i + 1, j]:
-            crossed.append(v_id[i + 1, j])    # right
-        if cross_h[i, j + 1]:
-            crossed.append(h_id[i, j + 1])    # top
-        if cross_v[i, j]:
-            crossed.append(v_id[i, j])        # left
-        if len(crossed) == 2:
-            segments.append((crossed[0], crossed[1]))
-            cells.append((i, j))
-        else:  # saddle: both diagonals inside; split by the center average
-            vb, vr, vt, vl = h_id[i, j], v_id[i + 1, j], h_id[i, j + 1], v_id[i, j]
-            center_inside = (nudged[i, j] + nudged[i + 1, j]
-                             + nudged[i + 1, j + 1] + nudged[i, j + 1]) / 4.0 > level
-            if inside[i, j] == center_inside:
-                pairs = ((vb, vr), (vt, vl))
-            else:
-                pairs = ((vl, vb), (vr, vt))
-            segments.extend(pairs)
-            cells.extend(((i, j), (i, j)))
-
-    return SegmentSoup(float(level), field,
-                       np.asarray(vertices, dtype=np.float64).reshape(-1, 2),
-                       np.asarray(segments, dtype=np.int64).reshape(-1, 2),
-                       np.asarray(cells, dtype=np.int64).reshape(-1, 2))
+    # one or two segments per cell, in cell order
+    emit = np.column_stack((np.ones(len(ci), dtype=bool), saddle))
+    return SegmentSoup(float(level), field, vertices, pairs[emit],
+                       np.repeat(np.column_stack((ci, cj)), 1 + saddle, axis=0))
 
 
 @dataclass(frozen=True)
@@ -147,69 +173,97 @@ def classify_component(chains, window: Window, boundary_tol: float) -> Classific
 
 
 def link_components(soup: SegmentSoup, boundary_tol: float | None = None) -> list[LevelComponent]:
-    """Group segments into path components by walking their shared vertices.
+    """Group segments into path components by pointer jumping over half-edges.
 
     Every interior crossing is referenced by exactly two cells and every
     crossing on the window frame by one, so vertex degrees are 2 or 1 and
-    each component is a single open chain or closed loop.  A component
-    starts at its lowest unused segment.  A loop is walked from that
-    segment's first vertex along it; an open chain starts at the end with
-    the lower segment index, or at the first vertex of a lone segment.
+    each component is a single open chain or closed loop.  Half-edge
+    ``2s + d`` runs along segment ``s`` from ``segments[s][d]`` to the other
+    end, and its successor leaves that end along the vertex's other segment.
+    A loop is walked from its lowest segment's first vertex along that
+    segment; an open chain starts at the end whose end segment has the lower
+    index, and a lone segment runs from its first vertex.  ``length`` sums
+    one norm per segment in ascending segment order.
     """
     field = soup.field
     if boundary_tol is None:
         boundary_tol = BOUNDARY_TOL_CELLS * field.cell_diagonal
-    segments = soup.segments.tolist()
-    incident: list[list[int]] = [[] for _ in range(len(soup.vertices))]
-    for sid, (a, b) in enumerate(segments):
-        incident[a].append(sid)
-        incident[b].append(sid)
-    used = [False] * len(segments)
+    n_seg = len(soup.segments)
+    if n_seg == 0:
+        return []
+    half = np.arange(2 * n_seg)
+    tail = soup.segments.ravel()  # half-edge h leaves vertex tail[h], enters tail[h ^ 1]
+    by_vertex = np.argsort(tail, kind="stable")  # incident half-edges, in segment order
+    shared = tail[by_vertex[:-1]] == tail[by_vertex[1:]]
+    partner = np.full(2 * n_seg, -1)  # the other half-edge leaving the same vertex
+    partner[by_vertex[:-1][shared]] = by_vertex[1:][shared]
+    partner[by_vertex[1:][shared]] = by_vertex[:-1][shared]
+    succ = partner[half ^ 1]
+    succ = np.where(succ < 0, half, succ)  # a half-edge into a frame vertex points to itself
 
-    def walk(vertex: int, seg_ids: list[int]) -> list[int]:
-        """The vertices from ``vertex`` along unused segments, which it marks
-        used and adds to ``seg_ids``, up to a chain end or back to ``vertex``."""
-        path = [vertex]
-        while (sid := next((s for s in incident[vertex] if not used[s]), None)) is not None:
-            used[sid] = True
-            seg_ids.append(sid)
-            a, b = segments[sid]
-            vertex = b if a == vertex else a
-            path.append(vertex)
-        return path
+    # round k looks 2^k half-edges ahead.  A walk in one direction meets each
+    # segment at most once, so 2^rounds >= S covers every chain and loop from
+    # any of its half-edges; a loop never reaches a fixed point, so the count
+    # is fixed rather than run until nothing changes
+    rounds = (n_seg - 1).bit_length()
+    label, nxt = half // 2, succ
+    for _ in range(rounds):
+        label, nxt = np.minimum(label, label[nxt]), nxt[nxt]
+    label = np.minimum(label[0::2], label[1::2])  # the lowest segment of each component
+    root = label == np.arange(n_seg)
+    comp = (np.cumsum(root) - 1)[label]  # components in order of their lowest segment
+    sizes = np.bincount(comp)
+    offsets = np.cumsum(sizes) - sizes
 
+    # start half-edges: a loop leaves along its lowest segment; of the two
+    # half-edges leaving a chain's ends, the lower one starts the walk
+    start = 2 * np.flatnonzero(root)
+    free = np.flatnonzero(partner < 0)
+    free = free[np.argsort(comp[free // 2], kind="stable")][0::2]
+    open_comp = comp[free // 2]
+    start[open_comp] = free
+    cut = partner[np.delete(start, open_comp)] ^ 1  # the half-edge entering a loop's start
+    succ[cut] = cut
+
+    rank, nxt = (succ != half).astype(np.int64), succ
+    for _ in range(rounds):
+        rank, nxt = rank + rank[nxt], nxt[nxt]  # steps to the end of the walk
+    # the half-edges that end where the start's walk ends, one per segment
+    fwd = np.flatnonzero(nxt == nxt[start[comp[half // 2]]])
+    last = offsets + sizes
+    walk = np.empty(n_seg, dtype=np.int64)
+    walk[last[comp[fwd // 2]] - 1 - rank[fwd]] = fwd
+
+    # each component's vertex chain: its half-edges' tails, then the last head
+    n_comp = len(sizes)
+    path = np.empty(n_seg + n_comp, dtype=np.int64)
+    path[np.arange(n_seg) + np.repeat(np.arange(n_comp), sizes)] = tail[walk]
+    path[last + np.arange(n_comp)] = tail[walk[last - 1] ^ 1]
+    points = soup.vertices[path]
+
+    by_comp = np.argsort(comp, kind="stable")  # ascending segment ids per component
+    cells = soup.segment_cells[by_comp]
     nx, ny = field.resolution[0] - 1, field.resolution[1] - 1
-    components = []
-    for first, (start, _) in enumerate(segments):
-        if used[first]:
-            continue
-        seg_ids: list[int] = []
-        ahead = walk(start, seg_ids)  # leaves along ``first``, the lowest unused segment
-        chain = walk(start, seg_ids)[::-1] + ahead[1:]
-        if incident[chain[-1]][0] < incident[chain[0]][0]:
-            chain.reverse()
-        seg_ids.sort()
+    on_frame = np.logical_or.reduceat((cells[:, 0] == 0) | (cells[:, 0] == nx - 1)
+                                      | (cells[:, 1] == 0) | (cells[:, 1] == ny - 1), offsets)
+    a, b = soup.segments[by_comp].T
+    norms = _row_norms(soup.vertices[a] - soup.vertices[b])
 
-        polylines = (soup.vertices[chain],)
-        length = float(sum(
-            np.linalg.norm(soup.vertices[segments[s][0]] - soup.vertices[segments[s][1]])
-            for s in seg_ids))
-        cells = soup.segment_cells[seg_ids]
-        on_frame = bool(np.any((cells[:, 0] == 0) | (cells[:, 0] == nx - 1)
-                               | (cells[:, 1] == 0) | (cells[:, 1] == ny - 1)))
+    components = []
+    for k, (s0, s1) in enumerate(zip(offsets.tolist(), last.tolist())):
+        chains = (points[s0 + k:s1 + k + 1],)
         components.append(LevelComponent(
-            polylines,
-            classify_component(polylines, field.window, boundary_tol),
-            soup.level, length, on_frame, cells))
+            chains, classify_component(chains, field.window, boundary_tol),
+            soup.level, float(np.cumsum(norms[s0:s1])[-1]), bool(on_frame[k]), cells[s0:s1]))
     # deterministic order: by the first vertex of the chain
     components.sort(key=lambda c: (round(c.polylines[0][0][0], 12),
                                    round(c.polylines[0][0][1], 12)))
     return components
 
 
-def extract_components(field: ScalarField, level: float,
-                       boundary_tol: float | None = None) -> list[LevelComponent]:
-    return link_components(marching_squares(field, level), boundary_tol)
+def extract_components(field: ScalarField, level: float, boundary_tol: float | None = None,
+                       f=None) -> list[LevelComponent]:
+    return link_components(marching_squares(field, level, f), boundary_tol)
 
 
 def component_encloses(component: LevelComponent, point) -> bool:
@@ -217,11 +271,11 @@ def component_encloses(component: LevelComponent, point) -> bool:
     px, py = float(point[0]), float(point[1])
     crossings = 0
     for chain in component.polylines:
-        for (x0, y0), (x1, y1) in zip(chain[:-1], chain[1:]):
-            if (y0 > py) != (y1 > py):
-                x_at = x0 + (py - y0) * (x1 - x0) / (y1 - y0)
-                if x_at > px:
-                    crossings += 1
+        x0, y0 = chain[:-1].T
+        x1, y1 = chain[1:].T
+        s = (y0 > py) != (y1 > py)  # edges that straddle the ray's line
+        x0, y0, x1, y1 = x0[s], y0[s], x1[s], y1[s]
+        crossings += int(np.count_nonzero(x0 + (py - y0) * (x1 - x0) / (y1 - y0) > px))
     return crossings % 2 == 1
 
 
@@ -305,9 +359,9 @@ class TopologyReport:
 
 
 def analyze_level(field: ScalarField, level: float, boundary_tol: float | None = None,
-                  provenance: dict | None = None) -> TopologyReport:
+                  provenance: dict | None = None, f=None) -> TopologyReport:
     if boundary_tol is None:
         boundary_tol = BOUNDARY_TOL_CELLS * field.cell_diagonal
-    comps = link_components(marching_squares(field, level), boundary_tol)
+    comps = extract_components(field, level, boundary_tol, f)
     return TopologyReport(float(level), field.window, field.resolution,
                           float(boundary_tol), tuple(comps), provenance or {})

@@ -12,8 +12,10 @@ component per band component of (y - delta, y + delta).
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +64,15 @@ class ScalarField:
     def value_range(self) -> tuple[float, float]:
         return float(self.values.min()), float(self.values.max())
 
+    @cached_property
+    def sha256(self) -> str:
+        """Hash of the samples and the window corners, computed once per field."""
+        h = hashlib.sha256()
+        h.update(np.ascontiguousarray(self.values).tobytes())
+        h.update(self.window.lo.tobytes())
+        h.update(self.window.hi.tobytes())
+        return h.hexdigest()
+
 
 def sample_grid(f, window: Window, resolution: tuple[int, ...]) -> ScalarField:
     """Sample ``f`` at the corner lattice of ``window``.
@@ -87,16 +98,6 @@ def sample_grid(f, window: Window, resolution: tuple[int, ...]) -> ScalarField:
 def network_scalar_fn(net: Network):
     """Adapter: scalar-valued network -> field evaluation callable."""
     return lambda points: scalar_output(net, points)
-
-
-def field_hash(fld: ScalarField) -> str:
-    import hashlib
-
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(fld.values).tobytes())
-    h.update(fld.window.lo.tobytes())
-    h.update(fld.window.hi.tobytes())
-    return h.hexdigest()
 
 
 @dataclass(frozen=True)

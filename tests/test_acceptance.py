@@ -189,6 +189,14 @@ def test_criterion_5_wide_reproduction(wide_run):
     assert wide_run.seconds < 180.0
 
 
+def test_wide_reproduction_origin_loop_on_every_seed(wide_run):
+    # saddle cells are split by the trained net's value at their centre;
+    # that must leave every 3b seed its loop around the origin
+    assert all(any(lv.bounded_enclosing_origin >= 1 for lv in o.levels)
+               for o in wide_run.result.outcomes)
+    assert len(wide_run.result.outcomes) == 20
+
+
 def test_criterion_6_contour_region_oracle_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)

@@ -7,8 +7,8 @@ import pytest
 from leveltopo import (SIGMOID, TANH, Classification, CompositionToleranceError,
                        ConstructionError, ExperimentSpec, FunctionLink, NonSingularSweepSpec,
                        TrainConfig, Window, composition_tolerance_check,
-                       random_nonsingular_sweep, run_experiment, sample_grid,
-                       window_escalation)
+                       one_to_one_relu, random_nonsingular_sweep, run_experiment,
+                       sample_grid, window_escalation)
 from leveltopo.analysis import reproduction_spec
 from leveltopo.reports import (KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE, dumps_report,
                                make_report)
@@ -163,6 +163,14 @@ class TestNonSingularSweep:
         assert result.bounded_total == 0
         for o in result.outcomes:
             assert o.nonsingularity is not None and o.nonsingularity.verdict
+
+    def test_saddle_cells_split_by_the_function(self):
+        # nets 15 and 28 each have one saddle cell whose corner average is
+        # on the other side of the level from the net's value at its centre;
+        # the average closed a 4-segment loop there
+        spec = NonSingularSweepSpec(activation=one_to_one_relu(3), count=30,
+                                    escalations=3, seed=5)
+        assert random_nonsingular_sweep(spec).bounded_total == 0
 
     def test_count_zero(self):
         spec = NonSingularSweepSpec(count=0)

@@ -7,7 +7,8 @@ from leveltopo import (SIGMOID, Classification, Window, classify_component,
                        component_encloses, extract_components, init_weights,
                        link_components, marching_squares, network_scalar_fn,
                        region_components, sample_grid)
-from leveltopo.contours import analyze_level, band_oracle_compare
+from leveltopo.analysis import window_escalation
+from leveltopo.contours import LEVEL_NUDGE, analyze_level, band_oracle_compare
 from leveltopo.fields import sample_noncritical_levels
 
 
@@ -265,3 +266,274 @@ class TestOracleEquivalence:
             for level in sample_noncritical_levels(fld, 3, rng):
                 result = band_oracle_compare(fld, float(level), delta)
                 assert result["agree"], result["issues"]
+
+
+# ---------------------------------------------------------------------------
+# the loop implementation the array path replaced, kept as its reference
+
+
+def loop_marching_squares(field, level):
+    """Per-edge and per-cell loops; saddles split by the corner average."""
+    v = field.values
+    lo_val, hi_val = field.value_range()
+    nudged = np.where(v == level, level + LEVEL_NUDGE * (hi_val - lo_val), v)
+    inside = nudged > level
+    xs, ys = field.axis(0), field.axis(1)
+    cross_h = inside[:-1, :] != inside[1:, :]
+    cross_v = inside[:, :-1] != inside[:, 1:]
+    vertices = []
+    h_id = np.full(cross_h.shape, -1, dtype=np.int64)
+    v_id = np.full(cross_v.shape, -1, dtype=np.int64)
+    for i, j in np.argwhere(cross_h):
+        t = (level - nudged[i, j]) / (nudged[i + 1, j] - nudged[i, j])
+        h_id[i, j] = len(vertices)
+        vertices.append((xs[i] + t * (xs[i + 1] - xs[i]), ys[j]))
+    for i, j in np.argwhere(cross_v):
+        t = (level - nudged[i, j]) / (nudged[i, j + 1] - nudged[i, j])
+        v_id[i, j] = len(vertices)
+        vertices.append((xs[i], ys[j] + t * (ys[j + 1] - ys[j])))
+    segments, cells = [], []
+    active = cross_h[:, :-1] | cross_h[:, 1:] | cross_v[:-1, :] | cross_v[1:, :]
+    for i, j in np.argwhere(active):
+        vb, vr, vt, vl = h_id[i, j], v_id[i + 1, j], h_id[i, j + 1], v_id[i, j]
+        crossed = [e for e in (vb, vr, vt, vl) if e >= 0]
+        if len(crossed) == 2:
+            segments.append(tuple(crossed))
+            cells.append((i, j))
+        else:
+            center_inside = (nudged[i, j] + nudged[i + 1, j]
+                             + nudged[i + 1, j + 1] + nudged[i, j + 1]) / 4.0 > level
+            if inside[i, j] == center_inside:
+                segments.extend(((vb, vr), (vt, vl)))
+            else:
+                segments.extend(((vl, vb), (vr, vt)))
+            cells.extend(((i, j), (i, j)))
+    return (np.asarray(vertices, dtype=np.float64).reshape(-1, 2),
+            np.asarray(segments, dtype=np.int64).reshape(-1, 2),
+            np.asarray(cells, dtype=np.int64).reshape(-1, 2))
+
+
+def loop_link_components(field, vertices, segments, segment_cells):
+    """Vertex walk from each lowest unused segment; one norm per segment,
+    summed in ascending segment order.  Returns (chain, classification,
+    length, frame flag, cells) per component, in the sorted order."""
+    boundary_tol = 1.5 * field.cell_diagonal
+    segments = segments.tolist()
+    incident = [[] for _ in range(len(vertices))]
+    for sid, (a, b) in enumerate(segments):
+        incident[a].append(sid)
+        incident[b].append(sid)
+    used = [False] * len(segments)
+
+    def walk(vertex, seg_ids):
+        path = [vertex]
+        while (sid := next((s for s in incident[vertex] if not used[s]), None)) is not None:
+            used[sid] = True
+            seg_ids.append(sid)
+            a, b = segments[sid]
+            vertex = b if a == vertex else a
+            path.append(vertex)
+        return path
+
+    nx, ny = field.resolution[0] - 1, field.resolution[1] - 1
+    components = []
+    for first, (start, _) in enumerate(segments):
+        if used[first]:
+            continue
+        seg_ids = []
+        ahead = walk(start, seg_ids)
+        chain = walk(start, seg_ids)[::-1] + ahead[1:]
+        if incident[chain[-1]][0] < incident[chain[0]][0]:
+            chain.reverse()
+        seg_ids.sort()
+        points = vertices[chain]
+        length = 0.0
+        for s in seg_ids:
+            length = length + np.linalg.norm(vertices[segments[s][0]] - vertices[segments[s][1]])
+        cells = segment_cells[seg_ids]
+        on_frame = bool(np.any((cells[:, 0] == 0) | (cells[:, 0] == nx - 1)
+                               | (cells[:, 1] == 0) | (cells[:, 1] == ny - 1)))
+        touching = float(field.window.boundary_distance(points).min()) <= boundary_tol
+        components.append((points, touching, float(length), on_frame, cells))
+    components.sort(key=lambda c: (round(c[0][0][0], 12), round(c[0][0][1], 12)))
+    return components
+
+
+def loop_encloses(chain, px, py):
+    crossings = 0
+    for (x0, y0), (x1, y1) in zip(chain[:-1], chain[1:]):
+        if (y0 > py) != (y1 > py):
+            if x0 + (py - y0) * (x1 - x0) / (y1 - y0) > px:
+                crossings += 1
+    return crossings % 2 == 1
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def radial(x, y):
+    r2 = x * x + y * y
+    return r2 * (r2 - 2.0) * (r2 - 3.5)
+
+
+# polynomial fields only (no libm): saddle cells; lone segments cutting a
+# corner; frame-to-frame chains; nested loops (the quartic at 1.2 and the
+# radial field's rings); a single circle whose segment count is far above
+# 2^k for the rounds before the last one of the pointer jumping; no segments
+REFERENCE_CASES = [
+    (lambda x, y: x * y - 0.1 * x, 1.5, 0.0),
+    (lambda x, y: x * y * (x - 0.3) * (y + 0.2), 1.0, 0.01),
+    (lambda x, y: (x * x - 1) ** 2 + (y * y - 1) ** 2, 2.0, 0.5),
+    (lambda x, y: (x * x - 1) ** 2 + (y * y - 1) ** 2, 2.0, 1.2),
+    (lambda x, y: (x * x - 1) ** 2 + (y * y - 1) ** 2, 2.0, 9.5),
+    (lambda x, y: x + y, 1.0, -1.999),
+    (lambda x, y: x * x - y * y, 1.0, 0.98),
+    (lambda x, y: x + 0.3 * y * y, 1.0, 0.1),
+    (radial, 2.0, 0.5),
+    (lambda x, y: x * x + y * y, 1.0, 0.6),
+    (lambda x, y: x * x + y * y, 1.0, 5.0),
+]
+
+
+class TestArrayPathMatchesLoopReference:
+    @pytest.mark.parametrize("res", [11, 31, 64, 201])
+    @pytest.mark.parametrize("case", range(len(REFERENCE_CASES)))
+    def test_bitwise_equal(self, case, res):
+        fn, half, level = REFERENCE_CASES[case]
+        fld = polynomial_field(fn, half, res)
+        soup = marching_squares(fld, level)
+        vertices, segments, cells = loop_marching_squares(fld, level)
+        np.testing.assert_array_equal(bits(soup.vertices), bits(vertices))
+        np.testing.assert_array_equal(soup.segments, segments)
+        np.testing.assert_array_equal(soup.segment_cells, cells)
+        expected = loop_link_components(fld, vertices, segments, cells)
+        got = link_components(soup)
+        assert len(got) == len(expected)
+        for comp, (chain, touching, length, on_frame, comp_cells) in zip(got, expected):
+            (polyline,) = comp.polylines
+            np.testing.assert_array_equal(bits(polyline), bits(chain))
+            assert bits(comp.length) == bits(length)
+            assert (comp.classification is Classification.BOUNDARY_TOUCHING) == touching
+            assert comp.crosses_window_edge_cells == on_frame
+            np.testing.assert_array_equal(comp.cells, comp_cells)
+            for px, py in [(0.0, 0.0), (0.55, -0.35), tuple(chain.mean(axis=0))]:
+                assert component_encloses(comp, (px, py)) == loop_encloses(chain, px, py)
+
+    def test_cases_cover_every_kind_of_soup(self):
+        kinds = set()
+        for fn, half, level in REFERENCE_CASES:
+            fld = polynomial_field(fn, half, 64)
+            soup = marching_squares(fld, level)
+            if len(soup.segments) == 0:
+                kinds.add("empty")
+            cells, counts = np.unique(soup.segment_cells, axis=0, return_counts=True)
+            if np.any(counts == 2):
+                kinds.add("saddle")
+            for comp in link_components(soup):
+                chain = comp.polylines[0]
+                closed = np.array_equal(chain[0], chain[-1])
+                if len(chain) == 2:
+                    kinds.add("lone segment")
+                elif not closed:
+                    kinds.add("frame to frame")
+                elif any(component_encloses(other, chain[0])
+                         for other in link_components(soup) if other is not comp):
+                    kinds.add("nested loop")
+        assert kinds == {"empty", "saddle", "lone segment", "frame to frame", "nested loop"}
+
+    def test_long_single_loop(self):
+        # a loop whose walk needs every round: S - 1 segments from its
+        # start, with S - 1 not a power of two
+        fld = polynomial_field(lambda x, y: x * x + y * y, 1.0, 201)
+        soup = marching_squares(fld, 0.6)
+        n_seg = len(soup.segments)
+        assert n_seg > 512 and (n_seg - 1) & (n_seg - 2) != 0
+        (loop,) = link_components(soup)
+        assert len(loop.polylines[0]) == n_seg + 1
+        vertices, segments, cells = loop_marching_squares(fld, 0.6)
+        ((chain, *_),) = loop_link_components(fld, vertices, segments, cells)
+        np.testing.assert_array_equal(bits(loop.polylines[0]), bits(chain))
+
+
+# ---------------------------------------------------------------------------
+# saddle cells decided by the sampled function
+
+
+def ridge(p):
+    # a ridge along y = x rising to the upper right; the diagonal nodes are
+    # joined across each saddle cell by the ridge, which the corner average
+    # of the cell (two ridge nodes, two valley nodes) reads as a dip
+    x, y = p[:, 0], p[:, 1]
+    return -np.abs(x - y) + 0.01 * (x + y)
+
+
+def diagonal_peak(p):
+    # a peak at the centre (0.05, 0.05) of one cell of the 21^2 lattice of
+    # [-1,1]^2, elongated along y = x: at level -0.02 the two diagonal
+    # corners are above it, the two others below, and so is the corner average
+    u = p[:, 0] - p[:, 1]
+    w = p[:, 0] + p[:, 1] - 0.1
+    return -(4.0 * u * u + w * w)
+
+
+class CountingFn:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = []
+
+    def __call__(self, points):
+        self.calls.append(points.shape)
+        return self.fn(points)
+
+
+class TestSaddleRule:
+    LEVEL = 0.01 * 1.2 - 1e-4  # just below the diagonal node (0.6, 0.6)
+
+    def test_average_rule_makes_loops_on_a_ridge(self):
+        fld = sample_grid(ridge, window2(1.5), (31, 31))
+        comps = extract_components(fld, self.LEVEL)
+        assert sum(c.classification is Classification.BOUNDED for c in comps) >= 5
+
+    def test_function_rule_keeps_the_ridge_one_chain(self):
+        fld = sample_grid(ridge, window2(1.5), (31, 31))
+        (comp,) = extract_components(fld, self.LEVEL, f=ridge)
+        assert comp.classification is Classification.BOUNDARY_TOUCHING
+        analysis = window_escalation(ridge, self.LEVEL, fld, 2)
+        assert analysis.bounded_final == 0 and analysis.boundary_final == 1
+
+    def test_small_loop_across_a_saddle_cell_stays_bounded(self):
+        fld = sample_grid(diagonal_peak, window2(1.0), (21, 21))
+        cells = marching_squares(fld, -0.02).segment_cells.tolist()
+        assert cells.count([10, 10]) == 2
+        assert len(extract_components(fld, -0.02)) == 2  # the average splits it
+        analysis = window_escalation(diagonal_peak, -0.02, fld, 2)
+        assert analysis.final_classifications == (Classification.BOUNDED,)
+        assert analysis.scales_checked == 2
+        (loop,) = analysis.base_report.components
+        assert component_encloses(loop, (0.05, 0.05))
+
+    def test_small_loop_around_a_node_stays_bounded(self):
+        peak = lambda p: -(p[:, 0] ** 2 + p[:, 1] ** 2)
+        fld = sample_grid(peak, window2(1.0), (21, 21))
+        analysis = window_escalation(peak, -0.005, fld, 2)
+        assert analysis.final_classifications == (Classification.BOUNDED,)
+        assert len(analysis.base_report.components[0].polylines[0]) == 5
+        assert analysis.bounded_enclosing_origin == 1
+
+    def test_function_evaluated_once_on_saddle_centres_only(self):
+        fld = sample_grid(ridge, window2(1.5), (31, 31))
+        counting = CountingFn(ridge)
+        soup = marching_squares(fld, self.LEVEL, counting)
+        _, counts = np.unique(soup.segment_cells, axis=0, return_counts=True)
+        assert counting.calls == [(int(np.sum(counts == 2)), 2)]
+        circle = circle_field(41)
+        counting = CountingFn(lambda p: p[:, 0] ** 2 + p[:, 1] ** 2 - 1.0)
+        assert len(marching_squares(circle, 0.0, counting).segments) > 0
+        assert counting.calls == []
+
+    def test_bare_field_keeps_the_average(self):
+        fld = sample_grid(ridge, window2(1.5), (31, 31))
+        soup = marching_squares(fld, self.LEVEL)
+        _, segments, _ = loop_marching_squares(fld, self.LEVEL)
+        np.testing.assert_array_equal(soup.segments, segments)

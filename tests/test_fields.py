@@ -5,7 +5,7 @@ from leveltopo import (SIGMOID, Window, eps_A_approximates, init_weights,
                        network_scalar_fn, one_to_one_relu, region_components,
                        sample_grid, uniform_deviation)
 from leveltopo.activations import RELU, activation_apply, one_to_one_relu_bound
-from leveltopo.fields import ScalarField, field_hash, sample_noncritical_levels
+from leveltopo.fields import ScalarField, sample_noncritical_levels
 
 
 def window2(lo=-2.0, hi=2.0):
@@ -58,7 +58,7 @@ class TestSampleGrid:
     def test_hash_stable(self):
         a = sample_grid(paraboloid, window2(), (9, 9))
         b = sample_grid(paraboloid, window2(), (9, 9))
-        assert field_hash(a) == field_hash(b)
+        assert a.sha256 == b.sha256
 
 
 class TestRegionComponents:
