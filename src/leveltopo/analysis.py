@@ -45,7 +45,12 @@ class ConstructionError(RuntimeError):
 
 def _worker_count(n_items: int) -> int:
     env = os.environ.get(THREADS_ENV)
-    limit = int(env) if env else (os.cpu_count() or 1)
+    try:
+        limit = int(env) if env else (os.cpu_count() or 1)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {env!r}")
     return max(1, min(limit, n_items))
 
 

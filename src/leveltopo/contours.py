@@ -280,7 +280,7 @@ def component_encloses(component: LevelComponent, point) -> bool:
 
 
 def band_oracle_compare(field: ScalarField, level: float, band_delta: float) -> dict:
-    """Cross-check marching squares and vertex linking against the band flood fill.
+    """Cross-check marching squares and pointer-jumping linking against the band components.
 
     For a regular level, every contour component sits inside exactly one
     component of the band preimage (level - delta, level + delta), and that
@@ -296,11 +296,11 @@ def band_oracle_compare(field: ScalarField, level: float, band_delta: float) -> 
     issues: list[str] = []
     used: set[int] = set()
     for ci, comp in enumerate(comps):
-        labels = {int(regions.label_grid[i, j]) for i, j in comp.cells}
+        labels = np.unique(regions.label_grid[comp.cells[:, 0], comp.cells[:, 1]]).tolist()
         if len(labels) != 1:
-            issues.append(f"contour component {ci} spans band labels {sorted(labels)}")
+            issues.append(f"contour component {ci} spans band labels {labels}")
             continue
-        label = labels.pop()
+        label = labels[0]
         if label not in straddling:
             issues.append(f"contour component {ci} maps to non-straddling band label {label}")
             continue

@@ -1,19 +1,24 @@
 """Scalar fields on regular grids: sampling, band preimage regions, sup-norm checks.
 
 ``region_components`` labels the connected components of a preimage
-f^-1((lo, hi)) at grid-cell granularity.  It is deliberately brute force:
-a cell belongs to the region when its corner-value span meets the interval
-(for bilinear interpolation the extrema over a cell sit at its corners, so
-this is exactly "the interpolated field attains a value in the interval on
-this cell").  The band components double as the independent oracle for the
-marching-squares path: away from critical values, a level-y contour has one
-component per band component of (y - delta, y + delta).
+f^-1((lo, hi)) at grid-cell granularity.  A cell belongs to the region when
+its corner-value span meets the interval (for bilinear interpolation the
+extrema over a cell sit at its corners, so this is exactly "the interpolated
+field attains a value in the interval on this cell").  Labelling is
+whole-array hooking and pointer jumping over the pairs of band cells that
+share a face (Shiloach and Vishkin, 1982): every root is hooked onto the
+lowest root it shares a pair with, then every cell jumps to its root, until
+no pair joins two roots.  It shares no code with contour linking, and the
+breadth-first fill it replaced is kept in ``tests/test_fields.py`` as the
+reference it must match label for label.  The band components double as the
+independent oracle for the marching-squares path: away from critical values,
+a level-y contour has one component per band component of
+(y - delta, y + delta).
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -147,9 +152,10 @@ def region_components(fld: ScalarField, interval: tuple[float, float]) -> Region
     """Label the components of the cells on which the field meets ``interval``.
 
     A cell qualifies when its corner-value span intersects the open interval
-    (lo, hi).  Per component the result records the cell count, whether the
-    component contains a window-edge cell, and whether it straddles the
-    interval midpoint.
+    (lo, hi).  Components are numbered in the C order of their first cells
+    (the order ``np.argwhere`` lists cells in).  Per component the result
+    records the cell count, whether the component contains a window-edge
+    cell, and whether it straddles the interval midpoint.
     """
     lo, hi = interval
     if not lo < hi:
@@ -159,43 +165,58 @@ def region_components(fld: ScalarField, interval: tuple[float, float]) -> Region
     mid = 0.5 * (lo + hi)
     straddle_mask = (cell_lo < mid) & (cell_hi > mid)
 
-    labels = np.full(mask.shape, -1, dtype=np.int64)
     shape = mask.shape
-    ndim = mask.ndim
-    offsets = []
-    for axis in range(ndim):
-        for sign in (-1, 1):
-            off = [0] * ndim
-            off[axis] = sign
-            offsets.append(tuple(off))
+    cells = np.flatnonzero(mask)
+    n = cells.size
+    index = np.full(shape, -1, dtype=np.int64)
+    index.flat[cells] = np.arange(n)
+    # pairs of band cells adjacent along one axis, as positions in ``cells``
+    us, vs = [], []
+    for axis in range(mask.ndim):
+        along = np.moveaxis(index, axis, 0)
+        a, b = along[:-1], along[1:]
+        both = (a >= 0) & (b >= 0)
+        us.append(a[both])
+        vs.append(b[both])
+    u = np.concatenate(us)
+    v = np.concatenate(vs)
 
-    components = []
-    next_label = 0
-    for start in map(tuple, np.argwhere(mask)):
-        if labels[start] != -1:
-            continue
-        queue = deque([start])
-        labels[start] = next_label
-        cell_count = 0
-        touches = False
-        straddles_mid = False
-        while queue:
-            cur = queue.popleft()
-            cell_count += 1
-            if any(c == 0 or c == shape[d] - 1 for d, c in enumerate(cur)):
-                touches = True
-            if straddle_mask[cur]:
-                straddles_mid = True
-            for off in offsets:
-                nb = tuple(c + o for c, o in zip(cur, off))
-                if any(c < 0 or c >= shape[d] for d, c in enumerate(nb)):
-                    continue
-                if mask[nb] and labels[nb] == -1:
-                    labels[nb] = next_label
-                    queue.append(nb)
-        components.append(RegionComponent(next_label, cell_count, touches, straddles_mid))
-        next_label += 1
-    return RegionComponents((lo, hi), labels, tuple(components))
+    # hook each root onto the lowest root it shares an edge with, then jump
+    # every cell to its root; parents only decrease, so each component ends
+    # as one star whose root is its lowest (first in C order) cell
+    parent = np.arange(n)
+    while True:
+        ru = parent[u]
+        rv = parent[v]
+        apart = ru != rv
+        if not apart.any():
+            break
+        ru = ru[apart]
+        rv = rv[apart]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+    is_root = parent == np.arange(n)
+    number = (np.cumsum(is_root) - 1)[parent]
+    k = int(np.count_nonzero(is_root))
+    labels = np.full(shape, -1, dtype=np.int64)
+    labels.flat[cells] = number
+    coords = np.unravel_index(cells, shape)
+    on_frame = np.zeros(n, dtype=bool)
+    for d, c in enumerate(coords):
+        on_frame |= (c == 0) | (c == shape[d] - 1)
+    cell_count = np.bincount(number, minlength=k)
+    touches = np.bincount(number[on_frame], minlength=k) > 0
+    straddles = np.bincount(number[straddle_mask.ravel()[cells]], minlength=k) > 0
+    components = tuple(
+        RegionComponent(label, count, touch, straddle)
+        for label, (count, touch, straddle)
+        in enumerate(zip(cell_count.tolist(), touches.tolist(), straddles.tolist())))
+    return RegionComponents((lo, hi), labels, components)
 
 
 def sample_noncritical_levels(fld: ScalarField, count: int, rng,

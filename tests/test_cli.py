@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from leveltopo import cli
+from leveltopo import analysis, cli
 from leveltopo.cli import main, parse_activation, parse_levels, parse_window
 from leveltopo.network import load_network, save_network
 from leveltopo.reports import load_report, validate_report
@@ -327,3 +330,25 @@ class TestValidateReportCommand:
                      "--resolution", "41", "--report", str(rp),
                      "--deterministic"]) == 0
         assert main(["validate-report", str(rp)]) == 0
+
+
+class TestEnvironment:
+    @pytest.mark.parametrize("value", ["abc", "0", "-4"])
+    def test_bad_thread_count_exit_2(self, monkeypatch, capsys, value):
+        monkeypatch.setenv(analysis.THREADS_ENV, value)
+        assert main(["sweep-nonsingular", "--count", "2", "--levels-per-net", "1",
+                     "--resolution", "21"]) == 2
+        err = capsys.readouterr().err
+        assert "LEVELSET_PROBE_THREADS must be a positive integer" in err
+        assert repr(value) in err
+
+
+def test_module_entry_point_runs_from_a_checkout(tmp_path):
+    rp = tmp_path / "r.json"
+    rp.write_text("[1, 2]")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "leveltopo", "validate-report", str(rp)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert done.returncode == 2
+    assert "a report is a JSON object" in done.stderr

@@ -9,7 +9,7 @@ from leveltopo import (SIGMOID, Classification, Window, classify_component,
                        region_components, sample_grid)
 from leveltopo.analysis import window_escalation
 from leveltopo.contours import LEVEL_NUDGE, analyze_level, band_oracle_compare
-from leveltopo.fields import sample_noncritical_levels
+from leveltopo.fields import RegionComponent, RegionComponents, sample_noncritical_levels
 
 
 def window2(half=2.0):
@@ -266,6 +266,62 @@ class TestOracleEquivalence:
             for level in sample_noncritical_levels(fld, 3, rng):
                 result = band_oracle_compare(fld, float(level), delta)
                 assert result["agree"], result["issues"]
+
+
+class TestOracleIssues:
+    """The disagreement branches of ``band_oracle_compare``, pinned whole so
+    the text and order of the issues stay fixed."""
+
+    def test_wide_band_merges_the_rings(self):
+        fld = sample_grid(lambda p: np.cos(np.pi * np.linalg.norm(p, axis=1)),
+                          window2(), (121, 121))
+        assert band_oracle_compare(fld, 0.0, 1.5) == {
+            "agree": False, "contour_count": 6, "band_count": 1,
+            "issues": ["band component 0 matched by two contour components"] * 5}
+
+    def test_band_reaching_the_frame_flags_the_circle(self):
+        fld = sample_grid(lambda p: p[:, 0] ** 2 + p[:, 1] ** 2, window2(), (121, 121))
+        assert band_oracle_compare(fld, 1.0, 3.5) == {
+            "agree": False, "contour_count": 1, "band_count": 1,
+            "issues": ["boundary flag mismatch on component 0: contour frame cells "
+                       "False, band frame cells True"]}
+
+    @staticmethod
+    def relabelled(monkeypatch, edit):
+        """Make ``band_oracle_compare`` see band components edited by ``edit``."""
+        from leveltopo import contours
+
+        def region_components_edited(fld, interval):
+            regions = region_components(fld, interval)
+            labels, comps = edit(regions.label_grid.copy(), list(regions.components))
+            return RegionComponents(regions.interval, labels, tuple(comps))
+
+        monkeypatch.setattr(contours, "region_components", region_components_edited)
+
+    def test_contour_spanning_two_band_labels(self, monkeypatch):
+        def split(labels, comps):
+            right = labels[:, 60:]
+            right[right >= 0] = 1
+            return labels, comps + [RegionComponent(1, 10, False, True)]
+
+        self.relabelled(monkeypatch, split)
+        fld = circle_field(res=121)
+        assert band_oracle_compare(fld, 0.0, 0.05) == {
+            "agree": False, "contour_count": 1, "band_count": 2,
+            "issues": ["contour component 0 spans band labels [0, 1]",
+                       "band components without a contour: [0, 1]"]}
+
+    def test_contour_in_a_grazing_band_component(self, monkeypatch):
+        def graze(labels, comps):
+            return labels, [RegionComponent(0, comps[0].cell_count, False, False),
+                            RegionComponent(1, 10, True, True)]
+
+        self.relabelled(monkeypatch, graze)
+        fld = circle_field(res=121)
+        assert band_oracle_compare(fld, 0.0, 0.05) == {
+            "agree": False, "contour_count": 1, "band_count": 1,
+            "issues": ["contour component 0 maps to non-straddling band label 0",
+                       "band components without a contour: [1]"]}
 
 
 # ---------------------------------------------------------------------------
