@@ -270,13 +270,13 @@ class SweepResult:
 
 
 def _seed_outcome(spec: ExperimentSpec, seed: int, data, result) -> SeedOutcome:
-    """Analyze one seed's training result: (trained, steps run, final loss),
-    or the TrainingDiverged it raised."""
+    """Analyze one seed's training result: (trained, loss history), or the
+    TrainingDiverged it raised."""
     if isinstance(result, TrainingDiverged):
-        return SeedOutcome(seed=seed, error=str(result),
-                           steps_run=len(result.history),
-                           final_loss=result.history[-1][1] if result.history else None)
-    trained, steps_run, final_loss = result
+        return SeedOutcome(seed=seed, error=str(result), steps_run=len(result.history),
+                           final_loss=float(result.history[-1]) if len(result.history) else None)
+    trained, history = result
+    steps_run, final_loss = len(history), float(history[-1])
     acc = accuracy(trained, data)
     window = spec.window if spec.window is not None else auto_window(data)
     f = network_scalar_fn(trained)
@@ -295,13 +295,8 @@ def _experiment_chunk(spec: ExperimentSpec, seeds: tuple[int, ...]) -> list[Seed
                                  spec.ring_radius, spec.ring_sigma) for seed in seeds]
     nets = [init_weights(list(spec.arch), spec.activation, seed) for seed in seeds]
     cfgs = [dataclasses.replace(spec.train, seed=seed) for seed in seeds]
-    # an outcome needs only the length and the last loss of a history; the
-    # analysis runs after the whole stack has trained, so holding every
-    # seed's per-step history through it would raise the peak memory
-    results = [r if isinstance(r, TrainingDiverged) else (r[0], len(r[1]), r[1][-1][1])
-               for r in train_stack(nets, datasets, cfgs)]
-    return [_seed_outcome(spec, seed, data, result)
-            for seed, data, result in zip(seeds, datasets, results)]
+    return [_seed_outcome(spec, seed, data, result) for seed, data, result
+            in zip(seeds, datasets, train_stack(nets, datasets, cfgs))]
 
 
 def run_experiment(spec: ExperimentSpec) -> SweepResult:

@@ -25,7 +25,7 @@ from .fields import network_scalar_fn, sample_grid
 from .network import Window, load_network, network_from_dict, network_hash, save_network
 from .nonsingular import NonSingularizationError
 from .reports import (KIND_ANALYZE, KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE,
-                      KIND_SWEEP, load_report, make_report, report_passed,
+                      KIND_SWEEP, count_mismatches, load_report, make_report, report_passed,
                       validate_report, verdict_lines, write_report)
 from .svgplot import render_topology_svg
 from .training import (Loss, Optimizer, TrainConfig, TrainingDiverged,
@@ -33,7 +33,7 @@ from .training import (Loss, Optimizer, TrainConfig, TrainingDiverged,
                        save_dataset, train)
 
 RUNTIME_ERRORS = (TrainingDiverged, ConstructionError, NonSingularizationError,
-                  OSError)
+                  OSError, MemoryError)
 
 
 def parse_activation(text: str) -> Activation:
@@ -135,11 +135,11 @@ def cmd_train(args) -> int:
     if args.history:
         with open(args.history, "w") as fh:
             fh.write("step,loss\n")
-            for step, loss in history:
+            for step, loss in enumerate(history.tolist(), 1):
                 fh.write(f"{step},{loss!r}\n")
     acc = accuracy(trained, data)
     print(f"trained {args.arch} for {len(history)} steps: "
-          f"loss={history[-1][1]:.4f} accuracy={acc:.4f} -> {args.out}")
+          f"loss={history[-1]:.4f} accuracy={acc:.4f} -> {args.out}")
     return 0
 
 
@@ -264,9 +264,12 @@ def cmd_validate_report(args) -> int:
     if ok:
         print(f"verdicts check out: {args.report}")
         return 0
-    print("stored verdicts do not match the report's own data:", file=sys.stderr)
-    print(json.dumps({"stored": report.get("verdicts"), "recomputed": recomputed},
-                     indent=2, sort_keys=True), file=sys.stderr)
+    for line in count_mismatches(report):
+        print(f"stored count does not match the report's own data: {line}", file=sys.stderr)
+    if recomputed != report.get("verdicts"):
+        print("stored verdicts do not match the report's own data:", file=sys.stderr)
+        print(json.dumps({"stored": report.get("verdicts"), "recomputed": recomputed},
+                         indent=2, sort_keys=True), file=sys.stderr)
     return 1
 
 

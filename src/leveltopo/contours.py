@@ -41,6 +41,10 @@ LEVEL_NUDGE = 1e-12
 BOUNDARY_TOL_CELLS = 1.5
 
 
+def _boundary_tol(field: ScalarField) -> float:
+    return BOUNDARY_TOL_CELLS * field.cell_diagonal
+
+
 class Classification(enum.Enum):
     BOUNDED = "bounded"
     BOUNDARY_TOUCHING = "boundary_touching"
@@ -172,7 +176,7 @@ def classify_component(chains, window: Window, boundary_tol: float) -> Classific
     return Classification.BOUNDED
 
 
-def link_components(soup: SegmentSoup, boundary_tol: float | None = None) -> list[LevelComponent]:
+def link_components(soup: SegmentSoup) -> list[LevelComponent]:
     """Group segments into path components by pointer jumping over half-edges.
 
     Every interior crossing is referenced by exactly two cells and every
@@ -186,8 +190,6 @@ def link_components(soup: SegmentSoup, boundary_tol: float | None = None) -> lis
     one norm per segment in ascending segment order.
     """
     field = soup.field
-    if boundary_tol is None:
-        boundary_tol = BOUNDARY_TOL_CELLS * field.cell_diagonal
     n_seg = len(soup.segments)
     if n_seg == 0:
         return []
@@ -249,11 +251,11 @@ def link_components(soup: SegmentSoup, boundary_tol: float | None = None) -> lis
     a, b = soup.segments[by_comp].T
     norms = _row_norms(soup.vertices[a] - soup.vertices[b])
 
-    components = []
+    components, tol = [], _boundary_tol(field)
     for k, (s0, s1) in enumerate(zip(offsets.tolist(), last.tolist())):
         chains = (points[s0 + k:s1 + k + 1],)
         components.append(LevelComponent(
-            chains, classify_component(chains, field.window, boundary_tol),
+            chains, classify_component(chains, field.window, tol),
             soup.level, float(np.cumsum(norms[s0:s1])[-1]), bool(on_frame[k]), cells[s0:s1]))
     # deterministic order: by the first vertex of the chain
     components.sort(key=lambda c: (round(c.polylines[0][0][0], 12),
@@ -261,9 +263,8 @@ def link_components(soup: SegmentSoup, boundary_tol: float | None = None) -> lis
     return components
 
 
-def extract_components(field: ScalarField, level: float, boundary_tol: float | None = None,
-                       f=None) -> list[LevelComponent]:
-    return link_components(marching_squares(field, level, f), boundary_tol)
+def extract_components(field: ScalarField, level: float, f=None) -> list[LevelComponent]:
+    return link_components(marching_squares(field, level, f))
 
 
 def component_encloses(component: LevelComponent, point) -> bool:
@@ -358,10 +359,7 @@ class TopologyReport:
         }
 
 
-def analyze_level(field: ScalarField, level: float, boundary_tol: float | None = None,
-                  provenance: dict | None = None, f=None) -> TopologyReport:
-    if boundary_tol is None:
-        boundary_tol = BOUNDARY_TOL_CELLS * field.cell_diagonal
-    comps = extract_components(field, level, boundary_tol, f)
-    return TopologyReport(float(level), field.window, field.resolution,
-                          float(boundary_tol), tuple(comps), provenance or {})
+def analyze_level(field: ScalarField, level: float, provenance: dict | None = None,
+                  f=None) -> TopologyReport:
+    return TopologyReport(float(level), field.window, field.resolution, _boundary_tol(field),
+                          tuple(extract_components(field, level, f)), provenance or {})

@@ -242,6 +242,10 @@ def network_from_dict(d: dict) -> Network:
         raise ValueError(f"a network is a JSON object, got {type(d).__name__}")
     if d.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported network format_version: {d.get('format_version')!r}")
+    for key, kind, name in (("input_dim", int, "an integer"),
+                            ("final_activation", bool, "a boolean")):
+        if key in d and type(d[key]) is not kind:
+            raise ValueError(f"network key {key!r} must be {name}, got {d[key]!r}")
     try:
         layers = tuple(
             Layer(np.asarray(spec["weights"], dtype=np.float64),

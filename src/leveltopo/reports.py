@@ -151,8 +151,39 @@ def compute_verdicts(report: dict) -> dict:
     return {kind: _VERDICTS[kind](report)}
 
 
+def count_mismatches(report: dict) -> list[str]:
+    """One line per stored count that its own classifications contradict.
+
+    Per level, ``bounded_final`` and ``boundary_final`` count the
+    ``final_classifications``, one per component, and ``report.counts``
+    counts the components' classifications; per outcome, ``bounded_final``
+    and ``boundary_final`` sum those of its levels."""
+    lines = []
+    for o in report["outcomes"]:
+        for lv in o["levels"]:
+            final = list(lv["final_classifications"])
+            found = [c["classification"] for c in lv["report"]["components"]]
+            counts = lv["report"]["counts"]
+            for key, stored, recomputed in (
+                    ("bounded_final", lv["bounded_final"], final.count("bounded")),
+                    ("boundary_final", lv["boundary_final"], final.count("boundary_touching")),
+                    ("counts.bounded", counts["bounded"], found.count("bounded")),
+                    ("counts.boundary_touching", counts["boundary_touching"],
+                     found.count("boundary_touching")),
+                    ("len(final_classifications)", len(final), len(found))):
+                if stored != recomputed:
+                    lines.append(f"seed {o['seed']} level {lv['level']!r}: {key} is "
+                                 f"{stored!r}, recomputed {recomputed}")
+        for key in ("bounded_final", "boundary_final"):
+            total = sum(lv[key] for lv in o["levels"])
+            if o[key] != total:
+                lines.append(f"seed {o['seed']}: {key} is {o[key]!r}, its levels sum to {total}")
+    return lines
+
+
 def validate_report(report: dict) -> tuple[bool, dict]:
-    """Recompute the verdicts from raw outcome data; True when they match.
+    """Recompute the verdicts and the stored counts from raw outcome data;
+    True when they all match (``count_mismatches`` says which counts do not).
 
     A report that lacks a key or holds a value of the wrong type raises
     ValueError."""
@@ -162,11 +193,12 @@ def validate_report(report: dict) -> tuple[bool, dict]:
         raise ValueError(f"unsupported schema_version {report.get('schema_version')!r}")
     try:
         recomputed = compute_verdicts(report)
+        mismatches = count_mismatches(report)
     except KeyError as exc:
         raise ValueError(f"report is missing key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"malformed report: {exc}") from None
-    return recomputed == report.get("verdicts"), recomputed
+    return recomputed == report.get("verdicts") and not mismatches, recomputed
 
 
 def report_passed(report: dict) -> bool:

@@ -1,9 +1,9 @@
 """Desk-scale training: ring dataset, backprop, SGD/Adam, accuracy.
 
 Everything here is deliberately small and deterministic: full-batch updates
-for datasets up to 4096 points, seeded generators everywhere, and loss
-history recorded at every step, so experiment sweeps can be reproduced
-bitwise from their seeds.
+for datasets up to 4096 points, seeded generators everywhere, and the loss of
+every step kept (a float64 array; entry k is step k + 1), so experiment
+sweeps can be reproduced bitwise from their seeds.
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became NaN/inf; carries the finite prefix of the history."""
+    """Loss became NaN/inf at step ``len(history) + 1``; carries the finite
+    losses of the steps before it."""
 
-    def __init__(self, step: int, history: list[tuple[int, float]]):
-        self.step = step
+    def __init__(self, history: np.ndarray):
         self.history = history
-        super().__init__(f"loss diverged at step {step}")
+        self.step = len(history) + 1
+        super().__init__(f"loss diverged at step {self.step}")
 
 
 @dataclass
@@ -45,7 +46,11 @@ class Dataset:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        bad = labels[(labels != 0) & (labels != 1)]
+        if bad.size:
+            raise ValueError(f"dataset labels must be 0 or 1, got {bad[0].item()!r}")
+        self.labels = labels.astype(np.int64)
         if self.points.ndim != 2 or self.labels.shape != (self.points.shape[0],):
             raise ValueError(f"bad dataset shapes: {self.points.shape}, {self.labels.shape}")
         if not np.all(np.isfinite(self.points)):
@@ -334,7 +339,9 @@ def train_stack(nets, datasets, cfgs) -> list:
     or the ``TrainingDiverged`` that seed raised.  A seed leaves the stack
     when its loss reaches ``target_loss`` (keeping the weights that loss was
     computed with) or stops being finite, and the arrays of the others are
-    compacted.  Every seed's result is bitwise what it gets trained alone.
+    compacted; the (seeds, steps) loss buffer is not, and a result gets a
+    copy of its row's prefix.  Every seed's result is bitwise what it gets
+    trained alone.
     """
     nets, datasets, cfgs = list(nets), list(datasets), list(cfgs)
     if not nets:
@@ -353,9 +360,9 @@ def train_stack(nets, datasets, cfgs) -> list:
     if cfg.optimizer is Optimizer.ADAM:
         m_state = np.zeros_like(params)
         v_state = np.zeros_like(params)
-    ids = list(range(len(nets)))       # stack row -> input position
-    histories: list[list[tuple[int, float]]] = [[] for _ in ids]
-    results: list = [None] * len(ids)
+    ids = np.arange(len(nets))         # stack row -> input position
+    history = np.empty((len(nets), cfg.steps))
+    results: list = [None] * len(nets)
 
     views, grad_views = _layer_views(params, shapes), _layer_views(grads, shapes)
     work = _workspace(len(ids), shapes, batch)
@@ -376,23 +383,21 @@ def train_stack(nets, datasets, cfgs) -> list:
 
             losses = _stack_loss_and_grad(views, grad_views, work, template.activation,
                                           template.final_activation, bx, by, cfg.loss)
-            leaving = []
-            for row, value in enumerate(losses.tolist()):
-                seed = ids[row]
-                if not math.isfinite(value):
-                    results[seed] = TrainingDiverged(step, histories[seed])
-                    leaving.append(row)
-                    continue
-                histories[seed].append((step, value))
-                if value <= cfg.target_loss:
-                    results[seed] = (_network_at(template, views, row), histories[seed])
-                    leaving.append(row)
-            if leaving:
-                keep = [row for row in range(len(ids)) if row not in leaving]
-                if not keep:
+            history[ids, step - 1] = losses
+            stay = (losses > cfg.target_loss) & (losses < math.inf)  # NaN fails both
+            if not stay.all():
+                for row in np.flatnonzero(~stay).tolist():
+                    seed = ids[row]
+                    if math.isfinite(losses[row]):
+                        results[seed] = (_network_at(template, views, row),
+                                         history[seed, :step].copy())
+                    else:
+                        results[seed] = TrainingDiverged(history[seed, :step - 1].copy())
+                keep = np.flatnonzero(stay)
+                if not keep.size:
                     break
-                ids = [ids[row] for row in keep]
-                rngs = [rngs[row] for row in keep]
+                ids = ids[keep]
+                rngs = [rngs[row] for row in keep.tolist()]
                 params, x, y = params[keep], x[keep], y[keep]
                 grads = grads[keep]
                 if orders is not None:
@@ -413,19 +418,20 @@ def train_stack(nets, datasets, cfgs) -> list:
                 v_state += (1.0 - ADAM_BETA2) * grads * grads
                 params -= cfg.learning_rate * (m_state / c1) / (np.sqrt(v_state / c2)
                                                                 + ADAM_EPS)
-    for row, seed in enumerate(ids):
+    for row, seed in enumerate(ids.tolist()):
         if results[seed] is None:  # trained for all its steps
-            results[seed] = (_network_at(template, views, row), histories[seed])
+            results[seed] = (_network_at(template, views, row), history[seed].copy())
     return results
 
 
-def train(net: Network, data: Dataset, cfg: TrainConfig) -> tuple[Network, list[tuple[int, float]]]:
+def train(net: Network, data: Dataset, cfg: TrainConfig) -> tuple[Network, np.ndarray]:
     """Run the configured optimizer; stop early once loss <= target_loss.
 
-    Deterministic for fixed (net, data, cfg): mini-batch order comes from a
-    generator seeded with cfg.seed, and all arithmetic is fixed-order numpy.
-    Divergence (NaN/inf loss) raises TrainingDiverged carrying the finite
-    history collected so far.  Trains a stack of one.
+    Returns the trained network and its loss history.  Deterministic for
+    fixed (net, data, cfg): mini-batch order comes from a generator seeded
+    with cfg.seed, and all arithmetic is fixed-order numpy.  Divergence
+    (NaN/inf loss) raises TrainingDiverged carrying the finite history
+    before it.  Trains a stack of one.
     """
     (result,) = train_stack([net], [data], [cfg])
     if isinstance(result, TrainingDiverged):

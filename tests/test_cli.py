@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leveltopo import analysis, cli
+from leveltopo import analysis, cli, training
 from leveltopo.cli import main, parse_activation, parse_levels, parse_window
 from leveltopo.network import load_network, save_network
 from leveltopo.reports import load_report, validate_report
-from leveltopo import SIGMOID, Layer, Network, one_to_one_relu
+from leveltopo import (SIGMOID, Layer, Network, Optimizer, TrainConfig, init_weights,
+                       load_dataset, one_to_one_relu, train)
 
 
 class TestFlagParsing:
@@ -94,6 +95,39 @@ class TestTrain:
         assert lines[0] == "step,loss"
         assert len(lines) == 51
 
+    @pytest.mark.parametrize("flags,cfg", [
+        ([], TrainConfig(steps=50, seed=0)),
+        (["--batch-size", "64", "--optimizer", "sgd"],
+         TrainConfig(optimizer=Optimizer.SGD, steps=50, batch_size=64, seed=0)),
+    ], ids=["full-batch", "mini-batch-sgd"])
+    def test_history_rows_are_the_training_losses(self, tmp_path, dataset, flags, cfg):
+        hist_path = tmp_path / "h.csv"
+        assert main(["train", "--data", str(dataset), "--arch", "2,2,1", "--steps", "50",
+                     "--out", str(tmp_path / "m.json"), "--history", str(hist_path),
+                     *flags]) == 0
+        _, history = train(init_weights([2, 2, 1], SIGMOID, 0), load_dataset(dataset), cfg)
+        assert hist_path.read_text().splitlines() == (
+            ["step,loss"] + [f"{k},{loss!r}" for k, loss in enumerate(history.tolist(), 1)])
+
+    def test_history_too_large_for_memory_exit_3(self, tmp_path, dataset, monkeypatch,
+                                                  capsys):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(training, "train_stack", no_memory)
+        assert main(["train", "--data", str(dataset), "--arch", "2,2,1",
+                     "--out", str(tmp_path / "m.json")]) == 3
+        assert "runtime error: Unable to allocate 74.5 GiB" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["2", "7"])
+    def test_label_outside_0_1_exit_2(self, tmp_path, capsys, label):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0.0,0.0,0\n1.0,1.0,{label}\n2.0,0.5,1\n")
+        assert main(["train", "--data", str(path), "--arch", "2,3,1", "--steps", "5",
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert f"dataset labels must be 0 or 1, got {label}" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_deep_narrow_arch_parses(self, tmp_path, dataset):
         assert main(["train", "--data", str(dataset), "--arch", "2,2,2,2,2,2,2,1",
                      "--steps", "5", "--out", str(tmp_path / "m.json")]) == 0
@@ -146,6 +180,19 @@ class TestAnalyze:
         path.write_text(json.dumps({"format_version": 1, "input_dim": 2}))
         assert main(["analyze", "--model", str(path), "--window=-1,1,-1,1"]) == 2
         assert "missing key 'layers'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("final_activation", "false"), ("final_activation", 0),
+        ("input_dim", 2.0), ("input_dim", True), ("input_dim", "2"),
+    ])
+    def test_model_key_of_wrong_json_type_exit_2(self, tmp_path, model, capsys, key, value):
+        d = json.loads(model.read_text())
+        d[key] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(d))
+        assert main(["analyze", "--model", str(path), "--window=-1,1,-1,1",
+                     "--resolution", "21"]) == 2
+        assert f"network key {key!r} must be" in capsys.readouterr().err
 
     def test_level_outside_range_warns_but_succeeds(self, tmp_path, model, dataset,
                                                     capsys):
@@ -330,6 +377,65 @@ class TestValidateReportCommand:
                      "--resolution", "41", "--report", str(rp),
                      "--deterministic"]) == 0
         assert main(["validate-report", str(rp)]) == 0
+
+
+@pytest.fixture(scope="module")
+def wide_report(tmp_path_factory):
+    """A one-seed 3b report whose decision level holds a bounded loop."""
+    path = tmp_path_factory.mktemp("wide") / "r.json"
+    assert main(["reproduce", "--paper-fig", "3b", "--seeds", "1", "--report", str(path),
+                 "--deterministic"]) == 0
+    level = load_report(path)["outcomes"][0]["levels"][0]
+    assert level["bounded_final"] == 1 and level["final_classifications"].count("bounded") == 1
+    return path
+
+
+def relabel_as_touching(report):
+    """Rewrite the bounded loop as boundary-touching in both classification
+    lists, leaving every stored count as it was."""
+    level = report["outcomes"][0]["levels"][0]
+    level["final_classifications"] = ["boundary_touching"] * len(level["final_classifications"])
+    for comp in level["report"]["components"]:
+        comp["classification"] = "boundary_touching"
+    level["report"]["counts"] = {"bounded": 0, "boundary_touching": 99}
+
+
+def drop_final_classification(report):
+    report["outcomes"][0]["levels"][0]["final_classifications"].pop()
+
+
+def inflate_outcome_count(report):
+    report["outcomes"][0]["boundary_final"] += 1
+
+
+class TestValidateReportCounts:
+    """validate-report recomputes every stored count from the classifications."""
+
+    def test_intact_3b_report_validates(self, wide_report, capsys):
+        assert main(["validate-report", str(wide_report)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("tamper,messages", [
+        (relabel_as_touching, ["seed 0 level 0.5: bounded_final is 1, recomputed 0",
+                               "seed 0 level 0.5: boundary_final is",
+                               "seed 0 level 0.5: counts.boundary_touching is 99, recomputed"]),
+        (drop_final_classification, ["seed 0 level 0.5: bounded_final is 1, recomputed 0",
+                                     "seed 0 level 0.5: len(final_classifications) is 0, "
+                                     "recomputed 1"]),
+        (inflate_outcome_count, ["seed 0: boundary_final is"]),
+    ], ids=["relabelled-loop", "dropped-classification", "outcome-sum"])
+    def test_tampered_counts_exit_1(self, wide_report, tmp_path, capsys, tamper, messages):
+        report = load_report(wide_report)
+        tamper(report)
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(report))
+        assert main(["validate-report", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        # one line per contradicted count, and none about the verdicts, which
+        # still match
+        assert len(err) == len(messages)
+        for line, message in zip(err, messages):
+            assert message in line
 
 
 class TestEnvironment:

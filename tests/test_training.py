@@ -133,6 +133,19 @@ class TestRingDataset:
         np.testing.assert_array_equal(clone.labels, data.labels)
         assert clone.metadata == data.metadata
 
+    @pytest.mark.parametrize("labels,bad", [
+        ([0, 1, 2, 7], "2"), ([0, 0.7, 1, 1], "0.7"), ([0, 1, -1, 1], "-1"),
+        ([0, math.nan, 1, 1], "nan"),
+    ])
+    def test_labels_outside_0_1_rejected(self, labels, bad):
+        with pytest.raises(ValueError, match=f"labels must be 0 or 1, got {bad}$"):
+            Dataset(np.zeros((4, 2)), labels)
+
+    def test_labels_of_any_numeric_type_kept_as_int(self):
+        for labels in ([0, 1], [0.0, 1.0], [False, True]):
+            data = Dataset(np.zeros((2, 2)), labels)
+            assert data.labels.dtype == np.int64 and data.labels.tolist() == [0, 1]
+
     def test_csv_bytes_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         save_dataset(gen_ring_dataset(5, 10, 10), p1)
@@ -235,7 +248,8 @@ class TestTrain:
         cfg = TrainConfig(steps=200, seed=17)
         a, hist_a = train(net, data, cfg)
         b, hist_b = train(net, data, cfg)
-        assert hist_a == hist_b
+        assert hist_a.dtype == hist_b.dtype == np.float64
+        assert hist_a.tobytes() == hist_b.tobytes()
         for la, lb in zip(a.layers, b.layers):
             np.testing.assert_array_equal(la.weights, lb.weights)
             np.testing.assert_array_equal(la.bias, lb.bias)
@@ -244,10 +258,13 @@ class TestTrain:
         data = self.small_data()
         net = init_weights([2, 3, 1], SIGMOID, 0)
         trained, history = train(net, data, TrainConfig(steps=5000, target_loss=0.1))
-        steps = [s for s, _ in history]
-        assert steps == list(range(1, len(history) + 1))
-        assert history[-1][1] <= 0.1
+        assert history.shape == (len(history),) and history.dtype == np.float64
+        assert history[-1] <= 0.1 < history[:-1].min()
         assert len(history) < 5000
+        # one entry per step: a run cut one step short records the same losses
+        # but the last
+        _, cut = train(net, data, TrainConfig(steps=len(history) - 1, target_loss=0.1))
+        assert cut.tobytes() == history[:-1].tobytes()
 
     def test_minibatch_deterministic(self):
         data = self.small_data()
@@ -255,7 +272,8 @@ class TestTrain:
         cfg = TrainConfig(steps=50, batch_size=16, seed=5)
         _, hist_a = train(net, data, cfg)
         _, hist_b = train(net, data, cfg)
-        assert hist_a == hist_b
+        assert len(hist_a) == cfg.steps
+        assert hist_a.tobytes() == hist_b.tobytes()
 
     def test_batch_size_validated(self):
         data = self.small_data()
@@ -273,7 +291,8 @@ class TestTrain:
         with pytest.raises(TrainingDiverged) as err:
             train(net, data, cfg)
         assert len(err.value.history) >= 1
-        assert all(math.isfinite(l) for _, l in err.value.history)
+        assert err.value.step == len(err.value.history) + 1
+        assert np.isfinite(err.value.history).all()
 
     def test_sgd_descends_on_smooth_problem(self):
         data = self.small_data()
@@ -281,13 +300,26 @@ class TestTrain:
         cfg = TrainConfig(optimizer=Optimizer.SGD, learning_rate=0.5, steps=500,
                           target_loss=1e-9)
         _, history = train(net, data, cfg)
-        assert history[-1][1] < history[0][1]
+        assert history[-1] < history[0]
+
+    def test_history_owns_its_data(self):
+        data = self.small_data()
+        net = init_weights([2, 3, 1], SIGMOID, 0)
+        _, stopped = train(net, data, TrainConfig(steps=5000, target_loss=0.1))
+        _, full = train(net, data, TrainConfig(steps=20))
+        diverging = init_weights([2, 2, 1], SIGMOID, 0, final_activation=False)
+        with pytest.raises(TrainingDiverged) as err:
+            train(diverging, data, TrainConfig(optimizer=Optimizer.SGD, learning_rate=1e30,
+                                               steps=100, loss=Loss.MSE))
+        for history in (stopped, full, err.value.history):
+            assert history.base is None and history.flags.owndata
 
 
 def assert_same_training(got, want):
     """Bitwise-equal weights and histories of two (trained, history) results."""
     (net_a, hist_a), (net_b, hist_b) = got, want
-    assert hist_a == hist_b
+    assert hist_a.dtype == hist_b.dtype == np.float64
+    assert hist_a.tobytes() == hist_b.tobytes()
     for la, lb in zip(net_a.layers, net_b.layers):
         assert la.weights.tobytes() == lb.weights.tobytes()
         assert la.bias.tobytes() == lb.bias.tobytes()
@@ -329,7 +361,7 @@ class TestTrainStack:
             # a stopped seed keeps the weights its last loss was computed with
             trained, history = got
             final = loss_and_grad(trained, data.points, data.labels, Loss.BCE)[0]
-            assert final == history[-1][1] <= cfg.target_loss
+            assert final == history[-1] <= cfg.target_loss
 
     def test_minibatches_follow_each_seeds_config(self):
         # same net and data for every seed: only cfg.seed tells them apart
@@ -356,9 +388,9 @@ class TestTrainStack:
         assert isinstance(diverged, TrainingDiverged)
         assert isinstance(solo[2], TrainingDiverged)
         assert diverged.step == solo[2].step < cfg.steps
-        assert diverged.history == solo[2].history
+        assert diverged.history.tobytes() == solo[2].history.tobytes()
         assert len(diverged.history) == diverged.step - 1
-        assert all(math.isfinite(l) for _, l in diverged.history)
+        assert np.isfinite(diverged.history).all()
         for k in (0, 1, 3):
             assert len(stacked[k][1]) == cfg.steps
             assert_same_training(stacked[k], solo[k])
