@@ -21,9 +21,9 @@ from .training import (Dataset, Init, Loss, Optimizer, TrainConfig, TrainingDive
                        loss_and_grad, save_dataset, train, train_stack)
 from .fields import (RegionComponents, ScalarField, eps_A_approximates,
                      network_scalar_fn, region_components, sample_grid)
-from .contours import (Classification, LevelComponent, SegmentSoup, TopologyReport,
-                       analyze_level, classify_component, component_encloses,
-                       extract_components, link_components, marching_squares)
+from .contours import (Classification, LevelComponent, SegmentSoup, classify_component,
+                       component_encloses, extract_components, link_components,
+                       marching_squares)
 from .analysis import (CompositionReport, CompositionToleranceError, ConstructionError,
                        ExperimentSpec, FunctionLink, LevelAnalysis, NonSingularSweepSpec,
                        SeedOutcome, SweepResult, composition_tolerance_check,

@@ -28,8 +28,8 @@ from functools import partial
 import numpy as np
 
 from .activations import SIGMOID, Activation
-from .contours import (Classification, TopologyReport, analyze_level,
-                       component_encloses, extract_components)
+from .contours import (Classification, LevelComponent, boundary_tol, component_encloses,
+                       extract_components)
 from .fields import ScalarField, network_scalar_fn, sample_grid
 from .network import Network, Window, network_hash, network_to_dict
 from .nonsingular import is_nonsingular, make_nonsingular, pad_to_width, NonSingularityReport
@@ -70,18 +70,20 @@ def parallel_map(fn, items):
 
 @dataclass(frozen=True)
 class LevelAnalysis:
-    """One level of a sampled field: its components on the base window and
-    their classifications after re-checking bounded ones on doubled windows."""
+    """One level of a sampled field: its components on the base window, with
+    the provenance to recompute them, and their classifications after
+    re-checking bounded ones on doubled windows."""
 
-    base_report: TopologyReport
+    level: float
+    window: Window
+    resolution: tuple[int, ...]
+    boundary_tol: float
+    components: tuple[LevelComponent, ...]
+    provenance: dict
     final_classifications: tuple[Classification, ...]
     scales_checked: int
     anomalies: tuple[str, ...]
     bounded_enclosing_origin: int
-
-    @property
-    def level(self) -> float:
-        return self.base_report.level
 
     @property
     def bounded_final(self) -> int:
@@ -92,6 +94,7 @@ class LevelAnalysis:
         return len(self.final_classifications) - self.bounded_final
 
     def to_dict(self) -> dict:
+        bounded = sum(1 for c in self.components if c.classification is Classification.BOUNDED)
         return {
             "level": self.level,
             "escalations": self.scales_checked,
@@ -99,7 +102,16 @@ class LevelAnalysis:
             "bounded_final": self.bounded_final,
             "boundary_final": self.boundary_final,
             "bounded_enclosing_origin": self.bounded_enclosing_origin,
-            "report": self.base_report.to_dict(),
+            "report": {
+                "level": self.level,
+                "window": self.window.to_dict(),
+                "resolution": list(self.resolution),
+                "boundary_tol": self.boundary_tol,
+                "counts": {"bounded": bounded,
+                           "boundary_touching": len(self.components) - bounded},
+                "components": [c.to_dict() for c in self.components],
+                "provenance": self.provenance,
+            },
         }
 
 
@@ -108,10 +120,12 @@ def window_escalation(f, level: float, base_field: ScalarField, max_doublings: i
     """Classify the level components of ``base_field``, a sampling of ``f``,
     demoting bounded ones that stop being bounded on doubled windows.
 
-    Doubling keeps the cell size (the lattice of the larger window contains
-    the base lattice), so a genuinely closed loop reappears with vertices in
-    the same places and is matched by proximity; a curve that merely left the
-    base window shows up attached to the larger frame and demotes its base
+    Doubling keeps the cell size, so a genuinely closed loop reappears with
+    vertices in about the same places (the doubled lattice holds the base one
+    at an odd resolution and sits half a cell off at an even one).  Each
+    bounded component goes with the doubled component of the vertex nearest
+    its first vertex, the first on a tie; a curve that merely left the base
+    window shows up attached to the larger frame and demotes its base
     component to BoundaryTouching.  Only the doubled windows and the centres
     of saddle cells sample ``f``, so callers probing several levels sample
     the base window once.  The result also counts the bounded components
@@ -119,12 +133,11 @@ def window_escalation(f, level: float, base_field: ScalarField, max_doublings: i
     """
     if max_doublings < 0:
         raise ValueError("max_doublings must be >= 0")
-    provenance = {**(provenance or {}), "field_sha256": base_field.sha256}
-    base = analyze_level(base_field, level, provenance=provenance, f=f)
-    classifications = [c.classification for c in base.components]
+    components = tuple(extract_components(base_field, level, f=f))
+    classifications = [c.classification for c in components]
     anomalies: list[str] = []
     scales = 0
-    if max_doublings > 0 and any(c is Classification.BOUNDED for c in classifications):
+    if max_doublings > 0 and Classification.BOUNDED in classifications:
         cell_diag = base_field.cell_diagonal
         for k in range(1, max_doublings + 1):
             scales = k
@@ -132,29 +145,30 @@ def window_escalation(f, level: float, base_field: ScalarField, max_doublings: i
             field_k = sample_grid(f, base_field.window.scaled(factor),
                                   tuple((r - 1) * factor + 1 for r in base_field.resolution))
             comps_k = extract_components(field_k, level, f=f)
-            vertex_sets = [np.concatenate([p for p in c.polylines]) for c in comps_k]
-            for idx, comp in enumerate(base.components):
+            vertices = np.concatenate([c.chain for c in comps_k] or [np.empty((0, 2))])
+            owner = np.repeat(np.arange(len(comps_k)), [len(c.chain) for c in comps_k])
+            for idx, comp in enumerate(components):
                 if classifications[idx] is not Classification.BOUNDED:
                     continue
-                probe = comp.polylines[0][0]
-                best, best_dist = None, math.inf
-                for c_k, verts in zip(comps_k, vertex_sets):
-                    d = float(np.min(np.linalg.norm(verts - probe, axis=1)))
-                    if d < best_dist:
-                        best, best_dist = c_k, d
-                if best is None or best_dist > 0.5 * cell_diag:
+                # an infinite sentinel makes an empty doubled level a miss
+                dist = np.append(np.linalg.norm(vertices - comp.chain[0], axis=1), math.inf)
+                nearest = int(np.argmin(dist))
+                if dist[nearest] > 0.5 * cell_diag:
                     anomalies.append(
                         f"bounded component {idx} not found at scale x{factor} "
-                        f"(nearest match {best_dist:.3g})")
+                        f"(nearest match {float(dist[nearest]):.3g})")
                     classifications[idx] = Classification.BOUNDARY_TOUCHING
-                elif best.classification is Classification.BOUNDARY_TOUCHING:
+                elif comps_k[owner[nearest]].classification is Classification.BOUNDARY_TOUCHING:
                     classifications[idx] = Classification.BOUNDARY_TOUCHING
-            if not any(c is Classification.BOUNDED for c in classifications):
+            if Classification.BOUNDED not in classifications:
                 break
     enclosing = sum(
-        1 for comp, cls in zip(base.components, classifications)
+        1 for comp, cls in zip(components, classifications)
         if cls is Classification.BOUNDED and component_encloses(comp, (0.0, 0.0)))
-    return LevelAnalysis(base, tuple(classifications), scales, tuple(anomalies), enclosing)
+    return LevelAnalysis(float(level), base_field.window, base_field.resolution,
+                         boundary_tol(base_field), components,
+                         {**(provenance or {}), "field_sha256": base_field.sha256},
+                         tuple(classifications), scales, tuple(anomalies), enclosing)
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +210,11 @@ class ExperimentSpec:
     levels: tuple[float, ...] | str = "decision:0.5"
     escalations: int = 1
     convergence_loss: float = 0.35
-    regime: str = "skinny"
 
-    def __post_init__(self):
-        hidden = self.arch[1:-1]
-        n = self.arch[0]
-        skinny = all(w <= n for w in hidden)
-        if self.regime == "skinny" and not skinny:
-            raise ValueError(f"arch {self.arch} declared skinny but has a hidden width > {n}")
-        if self.regime == "wide" and skinny:
-            raise ValueError(f"arch {self.arch} declared wide but no hidden width exceeds {n}")
-        if self.regime not in ("skinny", "wide"):
-            raise ValueError(f"unknown regime {self.regime!r}")
+    @property
+    def regime(self) -> str:
+        """``"skinny"`` when no hidden width exceeds the input width, else ``"wide"``."""
+        return "skinny" if all(w <= self.arch[0] for w in self.arch[1:-1]) else "wide"
 
     def resolved_levels(self) -> tuple[float, ...]:
         return resolve_levels(self.levels)
@@ -221,6 +228,7 @@ class ExperimentSpec:
         d["seeds"] = list(self.seeds)
         d["levels"] = (self.levels if isinstance(self.levels, str)
                        else list(self.levels))
+        d["regime"] = self.regime
         return d
 
 
@@ -323,10 +331,9 @@ def reproduction_spec(fig: str, seeds: tuple[int, ...], **overrides) -> Experime
     layer of width three -- closes a loop around the inner class easily.
     """
     if fig == "3a":
-        base = dict(name="deep-narrow-2x6", arch=(2, 2, 2, 2, 2, 2, 2, 1),
-                    regime="skinny", steps=20000)
+        base = dict(name="deep-narrow-2x6", arch=(2, 2, 2, 2, 2, 2, 2, 1), steps=20000)
     elif fig == "3b":
-        base = dict(name="shallow-wide-3", arch=(2, 3, 1), regime="wide", steps=5000)
+        base = dict(name="shallow-wide-3", arch=(2, 3, 1), steps=5000)
     else:
         raise ValueError(f"unknown reproduction target {fig!r} (expected 3a or 3b)")
     steps = int(overrides.pop("steps", base["steps"]))
@@ -336,7 +343,7 @@ def reproduction_spec(fig: str, seeds: tuple[int, ...], **overrides) -> Experime
         target_loss=float(overrides.pop("target_loss", 0.05)))
     spec = dict(
         name=base["name"], arch=base["arch"], activation=SIGMOID, train=train_cfg,
-        seeds=tuple(int(s) for s in seeds), regime=base["regime"])
+        seeds=tuple(int(s) for s in seeds))
     for key in ("n_inner", "n_ring", "inner_sigma", "ring_radius", "ring_sigma",
                 "resolution", "escalations", "convergence_loss", "levels", "window"):
         if key in overrides:

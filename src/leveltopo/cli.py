@@ -179,7 +179,7 @@ def cmd_analyze(args) -> int:
               "escalate": args.escalate, "deterministic": args.deterministic}
     report = make_report(KIND_ANALYZE, config, [outcome], args.deterministic, 0.0)
     if args.svg:
-        components = [c for lv in analyses for c in lv.base_report.components]
+        components = [c for lv in analyses for c in lv.components]
         svg = render_topology_svg(
             window, components, levels[0], field_fn=f,
             points=data.points if data is not None else None,
@@ -227,7 +227,7 @@ def _write_seed_svgs(sweep, directory: Path, deterministic: bool) -> None:
         net = network_from_dict(outcome.network) if outcome.network else None
         field_fn = network_scalar_fn(net) if net is not None else None
         svg = render_topology_svg(
-            analysis.base_report.window, list(analysis.base_report.components),
+            analysis.window, list(analysis.components),
             analysis.level, field_fn=field_fn, deterministic=deterministic,
             title=f"seed {outcome.seed}")
         (directory / f"seed{outcome.seed:03d}.svg").write_text(svg)

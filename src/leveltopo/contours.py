@@ -41,7 +41,8 @@ LEVEL_NUDGE = 1e-12
 BOUNDARY_TOL_CELLS = 1.5
 
 
-def _boundary_tol(field: ScalarField) -> float:
+def boundary_tol(field: ScalarField) -> float:
+    """How close to the frame a component of ``field`` may come and still be bounded."""
     return BOUNDARY_TOL_CELLS * field.cell_diagonal
 
 
@@ -145,13 +146,13 @@ def marching_squares(field: ScalarField, level: float, f=None) -> SegmentSoup:
 class LevelComponent:
     """One path component of an isocontour.
 
-    ``polylines`` holds vertex chains; a closed loop repeats its first vertex
-    at the end.  ``crosses_window_edge_cells`` records whether any producing
+    ``chain`` is its vertex chain; a closed loop repeats its first vertex at
+    the end.  ``crosses_window_edge_cells`` records whether any producing
     cell sits on the window frame (used by the band-region oracle, whose
     boundary flag is cell-based).
     """
 
-    polylines: tuple[np.ndarray, ...]
+    chain: np.ndarray  # (k, 2) vertices
     classification: Classification
     level: float
     length: float
@@ -164,15 +165,14 @@ class LevelComponent:
             "level": self.level,
             "length": self.length,
             "crosses_window_edge_cells": self.crosses_window_edge_cells,
-            "polylines": [chain.tolist() for chain in self.polylines],
+            "polylines": [self.chain.tolist()],
         }
 
 
-def classify_component(chains, window: Window, boundary_tol: float) -> Classification:
-    """BoundaryTouching iff any vertex is within ``boundary_tol`` of the frame."""
-    for chain in chains:
-        if float(window.boundary_distance(np.asarray(chain)).min()) <= boundary_tol:
-            return Classification.BOUNDARY_TOUCHING
+def classify_component(chain, window: Window, boundary_tol: float) -> Classification:
+    """BoundaryTouching iff any vertex of ``chain`` is within ``boundary_tol`` of the frame."""
+    if float(window.boundary_distance(np.asarray(chain)).min()) <= boundary_tol:
+        return Classification.BOUNDARY_TOUCHING
     return Classification.BOUNDED
 
 
@@ -251,15 +251,14 @@ def link_components(soup: SegmentSoup) -> list[LevelComponent]:
     a, b = soup.segments[by_comp].T
     norms = _row_norms(soup.vertices[a] - soup.vertices[b])
 
-    components, tol = [], _boundary_tol(field)
+    components, tol = [], boundary_tol(field)
     for k, (s0, s1) in enumerate(zip(offsets.tolist(), last.tolist())):
-        chains = (points[s0 + k:s1 + k + 1],)
+        chain = points[s0 + k:s1 + k + 1]
         components.append(LevelComponent(
-            chains, classify_component(chains, field.window, tol),
+            chain, classify_component(chain, field.window, tol),
             soup.level, float(np.cumsum(norms[s0:s1])[-1]), bool(on_frame[k]), cells[s0:s1]))
     # deterministic order: by the first vertex of the chain
-    components.sort(key=lambda c: (round(c.polylines[0][0][0], 12),
-                                   round(c.polylines[0][0][1], 12)))
+    components.sort(key=lambda c: (round(c.chain[0][0], 12), round(c.chain[0][1], 12)))
     return components
 
 
@@ -270,14 +269,11 @@ def extract_components(field: ScalarField, level: float, f=None) -> list[LevelCo
 def component_encloses(component: LevelComponent, point) -> bool:
     """Even-odd ray-casting test: does the component wind around ``point``?"""
     px, py = float(point[0]), float(point[1])
-    crossings = 0
-    for chain in component.polylines:
-        x0, y0 = chain[:-1].T
-        x1, y1 = chain[1:].T
-        s = (y0 > py) != (y1 > py)  # edges that straddle the ray's line
-        x0, y0, x1, y1 = x0[s], y0[s], x1[s], y1[s]
-        crossings += int(np.count_nonzero(x0 + (py - y0) * (x1 - x0) / (y1 - y0) > px))
-    return crossings % 2 == 1
+    x0, y0 = component.chain[:-1].T
+    x1, y1 = component.chain[1:].T
+    s = (y0 > py) != (y1 > py)  # edges that straddle the ray's line
+    x0, y0, x1, y1 = x0[s], y0[s], x1[s], y1[s]
+    return int(np.count_nonzero(x0 + (py - y0) * (x1 - x0) / (y1 - y0) > px)) % 2 == 1
 
 
 def band_oracle_compare(field: ScalarField, level: float, band_delta: float) -> dict:
@@ -323,43 +319,3 @@ def band_oracle_compare(field: ScalarField, level: float, band_delta: float) -> 
         "band_count": len(straddling),
         "issues": issues,
     }
-
-
-@dataclass(frozen=True)
-class TopologyReport:
-    """Per-level extraction result plus enough provenance to recompute it."""
-
-    level: float
-    window: Window
-    resolution: tuple[int, int]
-    boundary_tol: float
-    components: tuple[LevelComponent, ...]
-    provenance: dict
-
-    @property
-    def bounded_count(self) -> int:
-        return sum(1 for c in self.components
-                   if c.classification is Classification.BOUNDED)
-
-    @property
-    def boundary_count(self) -> int:
-        return sum(1 for c in self.components
-                   if c.classification is Classification.BOUNDARY_TOUCHING)
-
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "window": self.window.to_dict(),
-            "resolution": list(self.resolution),
-            "boundary_tol": self.boundary_tol,
-            "counts": {"bounded": self.bounded_count,
-                       "boundary_touching": self.boundary_count},
-            "components": [c.to_dict() for c in self.components],
-            "provenance": self.provenance,
-        }
-
-
-def analyze_level(field: ScalarField, level: float, provenance: dict | None = None,
-                  f=None) -> TopologyReport:
-    return TopologyReport(float(level), field.window, field.resolution, _boundary_tol(field),
-                          tuple(extract_components(field, level, f)), provenance or {})

@@ -25,7 +25,7 @@ TOL_DET = 1e-9
 MAX_ATTEMPTS = 64
 # output-space cell width used to find candidate collisions
 INJECTIVITY_QUANT = 1e-12
-# default relative-separation floor: a pair of grid points may contract by
+# relative-separation floor: a pair of grid points may contract by
 # at most this factor of (input separation / window diagonal) * image scale.
 # True collapses (bugs) produce exactly coincident outputs and always fail;
 # honest but badly conditioned trunks (padded width-1 bottlenecks perturbed
@@ -184,15 +184,14 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None]).ravel())
 
 
-def check_injective_on_grid(trunk: Network, window: Window, resolution: int,
-                            min_sep: float = DEFAULT_MIN_SEP) -> bool:
+def check_injective_on_grid(trunk: Network, window: Window, resolution: int) -> bool:
     """Grid-scale injectivity witness for a trunk.
 
     Maps every lattice point of a ``resolution``-per-axis grid through the
     trunk and requires distinct inputs to stay separated in output space:
     a pair (x, y) fails when
 
-        |trunk(x) - trunk(y)| < min_sep * (|x - y| / window diagonal) * scale
+        |trunk(x) - trunk(y)| < DEFAULT_MIN_SEP * (|x - y| / window diagonal) * scale
 
     where ``scale`` is the diagonal of the output bounding box (floored at
     the quantization width so constant maps cannot pass vacuously).
@@ -200,9 +199,9 @@ def check_injective_on_grid(trunk: Network, window: Window, resolution: int,
     The pairs checked are exactly those whose quantized outputs
     ``floor(output / INJECTIVITY_QUANT)`` differ by at most one on every
     axis.  Every failing pair is among them when
-    ``min_sep * scale <= INJECTIVITY_QUANT`` (at the default ``min_sep``: an
-    output box diagonal of at most 1), because a failing pair is then closer
-    than one cell.  Otherwise the witness only checks near-coincident
+    ``DEFAULT_MIN_SEP * scale <= INJECTIVITY_QUANT``, that is when the output
+    box diagonal is at most 1, because a failing pair is then closer than one
+    cell.  Otherwise the witness only checks near-coincident
     outputs.  Two quantized outputs are that close exactly when they share
     a cell of one of the 2^d grids ``(q + s) // 2``, ``s`` in {0, 1}^d; for
     each grid the keys are sorted, and equal keys are compared at lag 1, 2,
@@ -246,7 +245,7 @@ def check_injective_on_grid(trunk: Network, window: Window, resolution: int,
             i, j = order[run], order[run + lag]
             d_out = _row_norms(outputs[i] - outputs[j])
             d_in = _row_norms(points[i] - points[j])
-            if np.any(d_out < min_sep * (d_in / diag) * scale):
+            if np.any(d_out < DEFAULT_MIN_SEP * (d_in / diag) * scale):
                 return False
             lag += 1
     return True

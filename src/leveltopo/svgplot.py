@@ -100,10 +100,9 @@ def render_topology_svg(window: Window, components: list[LevelComponent], level:
     for comp in components:
         color = (COLOR_BOUNDED if comp.classification is Classification.BOUNDED
                  else COLOR_TOUCHING)
-        for chain in comp.polylines:
-            pts = " ".join(f"{_fmt(sx)},{_fmt(sy)}"
-                           for sx, sy in (t(float(p[0]), float(p[1])) for p in chain))
-            parts.append(f'<polyline points="{pts}" stroke="{color}"/>')
+        pts = " ".join(f"{_fmt(sx)},{_fmt(sy)}"
+                       for sx, sy in (t(float(p[0]), float(p[1])) for p in comp.chain))
+        parts.append(f'<polyline points="{pts}" stroke="{color}"/>')
     parts.append("</g>")
 
     x0, y0 = t(window.lo[0], window.hi[1])

@@ -35,6 +35,9 @@ class TrainingDiverged(RuntimeError):
         self.step = len(history) + 1
         super().__init__(f"loss diverged at step {self.step}")
 
+    def __reduce__(self):
+        return TrainingDiverged, (self.history,)
+
 
 @dataclass
 class Dataset:

@@ -7,8 +7,8 @@ import pytest
 from leveltopo import (SIGMOID, TANH, Classification, CompositionToleranceError,
                        ConstructionError, ExperimentSpec, FunctionLink, NonSingularSweepSpec,
                        TrainConfig, Window, composition_tolerance_check,
-                       one_to_one_relu, random_nonsingular_sweep, run_experiment,
-                       sample_grid, window_escalation)
+                       extract_components, one_to_one_relu, random_nonsingular_sweep,
+                       run_experiment, sample_grid, window_escalation)
 from leveltopo.analysis import reproduction_spec
 from leveltopo.reports import (KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE, dumps_report,
                                make_report)
@@ -45,9 +45,23 @@ class TestWindowEscalation:
 
     def test_zero_doublings_equals_single_window(self):
         esc = escalate(circle_fn, 0.0, 0)
-        base = [c.classification for c in esc.base_report.components]
+        base = [c.classification for c in esc.components]
         assert list(esc.final_classifications) == base
         assert esc.scales_checked == 0
+
+    def test_loop_matched_to_its_own_doubled_component(self):
+        # the doubled window adds a frame-to-frame line at x = -1.5, which
+        # sorts before the loop; the loop must still be matched to itself
+        def f(points):
+            loop = 1.0 - ((points[:, 0] - 0.3) ** 2 + points[:, 1] ** 2) / 0.09
+            return np.maximum(loop, -(points[:, 0] + 1.5))
+
+        doubled = extract_components(sample_grid(f, window2(2.0), (41, 41)), 0.0)
+        assert [c.classification for c in doubled] == [Classification.BOUNDARY_TOUCHING,
+                                                       Classification.BOUNDED]
+        esc = window_escalation(f, 0.0, sample_grid(f, window2(1.0), (21, 21)), 1)
+        assert esc.final_classifications == (Classification.BOUNDED,)
+        assert esc.anomalies == ()
 
     def test_fake_loop_demoted_by_escalation(self):
         # hyperbola-like band: f = x*y looks closed near the window corner at
@@ -63,12 +77,43 @@ class TestWindowEscalation:
         assert esc.bounded_final == 0
 
 
+class TestEscalationAnomaly:
+    # at an even resolution the doubled lattice sits half a cell off the base
+    # one, so a spike narrower than a cell on base node (9, 9) vanishes there
+    H = 2.0 / 19.0
+    NODE = np.array([-1.0 + 9 * H, -1.0 + 9 * H])
+
+    def spike(self, points):
+        return np.exp(-np.sum((points - self.NODE) ** 2, axis=1) / (0.1 * self.H) ** 2)
+
+    def hill(self, points):
+        return np.exp(-np.sum((points - np.array([0.6, -0.55])) ** 2, axis=1) / 0.04)
+
+    def escalate(self, f):
+        window = Window(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+        return window_escalation(f, 0.5, sample_grid(f, window, (20, 20)), 1)
+
+    def test_empty_doubled_level_is_a_miss_at_infinity(self):
+        esc = self.escalate(self.spike)
+        assert esc.to_dict()["report"]["counts"] == {"bounded": 1, "boundary_touching": 0}
+        assert esc.anomalies == ("bounded component 0 not found at scale x2 "
+                                 "(nearest match inf)",)
+        assert esc.final_classifications == (Classification.BOUNDARY_TOUCHING,)
+
+    def test_far_doubled_component_is_a_miss(self):
+        esc = self.escalate(lambda p: self.spike(p) + self.hill(p))
+        assert esc.anomalies == ("bounded component 0 not found at scale x2 "
+                                 "(nearest match 0.634)",)
+        assert esc.final_classifications == (Classification.BOUNDARY_TOUCHING,
+                                             Classification.BOUNDED)
+
+
 class TestRunExperiment:
     def tiny_spec(self, seeds=(0, 1), **over):
         cfg = TrainConfig(learning_rate=0.05, steps=300, seed=0, target_loss=0.05)
         base = dict(name="tiny-wide", arch=(2, 3, 1), activation=SIGMOID, train=cfg,
                     seeds=tuple(seeds), n_inner=60, n_ring=120, resolution=81,
-                    escalations=1, regime="wide")
+                    escalations=1)
         base.update(over)
         return ExperimentSpec(**base)
 
@@ -115,14 +160,6 @@ class TestRunExperiment:
         serial = report_bytes()
         monkeypatch.setenv("LEVELSET_PROBE_THREADS", "2")
         assert report_bytes() == serial
-
-    def test_regime_declaration_enforced(self):
-        with pytest.raises(ValueError, match="skinny"):
-            self.tiny_spec(regime="skinny")
-        cfg = TrainConfig(steps=10)
-        with pytest.raises(ValueError, match="wide"):
-            ExperimentSpec(name="x", arch=(2, 2, 1), activation=SIGMOID, train=cfg,
-                           seeds=(), regime="wide")
 
     def test_levels_spec_parsing(self):
         assert self.tiny_spec().resolved_levels() == (0.5,)

@@ -8,7 +8,7 @@ from leveltopo import (SIGMOID, Classification, Window, classify_component,
                        link_components, marching_squares, network_scalar_fn,
                        region_components, sample_grid)
 from leveltopo.analysis import window_escalation
-from leveltopo.contours import LEVEL_NUDGE, analyze_level, band_oracle_compare
+from leveltopo.contours import LEVEL_NUDGE, band_oracle_compare
 from leveltopo.fields import RegionComponent, RegionComponents, sample_noncritical_levels
 
 
@@ -36,8 +36,7 @@ class TestMarchingSquares:
         assert len(comps) == 1
         comp = comps[0]
         assert comp.classification is Classification.BOUNDED
-        assert len(comp.polylines) == 1
-        chain = comp.polylines[0]
+        chain = comp.chain
         np.testing.assert_array_equal(chain[0], chain[-1])  # closed
 
     def test_circle_length_within_two_percent(self):
@@ -49,7 +48,7 @@ class TestMarchingSquares:
         comps = extract_components(fld, 0.0)
         assert len(comps) == 1
         assert comps[0].classification is Classification.BOUNDARY_TOUCHING
-        ys = comps[0].polylines[0][:, 1]
+        ys = comps[0].chain[:, 1]
         assert ys.min() == -2.0 and ys.max() == 2.0
 
     def test_constant_field_empty(self):
@@ -118,32 +117,32 @@ class TestLinkAndClassify:
     def test_classify_circle_bounded(self):
         comps = extract_components(circle_field(), 0.0)
         fld = circle_field()
-        assert classify_component(comps[0].polylines, fld.window,
+        assert classify_component(comps[0].chain, fld.window,
                                   boundary_tol=fld.cell_diagonal) is Classification.BOUNDED
 
     def test_classify_diagonal_touching(self):
-        chain = [np.array([[-2.0, -2.0], [2.0, 2.0]])]
+        chain = np.array([[-2.0, -2.0], [2.0, 2.0]])
         assert classify_component(chain, window2(),
                                   boundary_tol=0.1) is Classification.BOUNDARY_TOUCHING
 
     def test_classify_vertex_exactly_on_boundary(self):
-        chain = [np.array([[2.0, 0.0], [1.0, 0.0]])]
+        chain = np.array([[2.0, 0.0], [1.0, 0.0]])
         assert classify_component(chain, window2(),
                                   boundary_tol=0.0) is Classification.BOUNDARY_TOUCHING
 
     def test_boundary_tol_controls_verdict(self):
         # circle of radius 1 in [-2,2]^2: min distance to the frame is 1
         comps = extract_components(circle_field(), 0.0)
-        assert classify_component(comps[0].polylines, window2(),
+        assert classify_component(comps[0].chain, window2(),
                                   boundary_tol=0.9) is Classification.BOUNDED
-        assert classify_component(comps[0].polylines, window2(),
+        assert classify_component(comps[0].chain, window2(),
                                   boundary_tol=1.1) is Classification.BOUNDARY_TOUCHING
 
     def test_component_order_deterministic(self):
         a = extract_components(two_circle_field(), 0.0)
         b = extract_components(two_circle_field(), 0.0)
         for ca, cb in zip(a, b):
-            np.testing.assert_array_equal(ca.polylines[0], cb.polylines[0])
+            np.testing.assert_array_equal(ca.chain, cb.chain)
 
 
 def polynomial_field(f, half, res):
@@ -182,8 +181,7 @@ class TestVertexWalk:
         assert len(vertex_id) == len(soup.vertices)
         linked = []
         for comp in link_components(soup):
-            assert len(comp.polylines) == 1
-            chain = [vertex_id[tuple(v)] for v in comp.polylines[0].tolist()]
+            chain = [vertex_id[tuple(v)] for v in comp.chain.tolist()]
             pairs = [frozenset(p) for p in zip(chain[:-1], chain[1:])]
             assert len(pairs) == len(comp.cells)
             linked.extend(pairs)
@@ -198,9 +196,9 @@ class TestVertexWalk:
         fld, level = WALK_FIELDS[0]
         first, second = link_components(marching_squares(fld, level))
         third = 1.0 / 3.0
-        np.testing.assert_allclose(first.polylines[0],
+        np.testing.assert_allclose(first.chain,
                                    [[-1, 0], [-third, 0], [0, -third], [0, -1]], atol=1e-12)
-        np.testing.assert_allclose(second.polylines[0],
+        np.testing.assert_allclose(second.chain,
                                    [[0, 1], [0, third], [third, 0], [1, 0]], atol=1e-12)
 
     def test_loop_starts_along_its_lowest_segment(self):
@@ -209,7 +207,7 @@ class TestVertexWalk:
         # its top edge at (-13/24, -1/2), so the loop runs clockwise
         fld = polynomial_field(lambda x, y: x * x + y * y - 0.5625, 1.0, 5)
         (loop,) = extract_components(fld, 0.0)
-        chain = loop.polylines[0]
+        chain = loop.chain
         assert len(chain) == 13
         np.testing.assert_array_equal(chain[0], chain[-1])
         np.testing.assert_allclose(chain[:3], [[-0.5, -13 / 24], [-13 / 24, -0.5],
@@ -245,9 +243,8 @@ class TestRefinementStability:
 class TestTopologyReport:
     def test_counts_and_dict_shape(self):
         fld = two_circle_field()
-        report = analyze_level(fld, 0.0, provenance={"source": "two-circles"})
-        assert report.bounded_count == 2 and report.boundary_count == 0
-        d = report.to_dict()
+        analysis = window_escalation(None, 0.0, fld, 0, provenance={"source": "two-circles"})
+        d = analysis.to_dict()["report"]
         assert d["counts"] == {"bounded": 2, "boundary_touching": 0}
         assert d["provenance"]["source"] == "two-circles"
         assert len(d["components"]) == 2
@@ -467,8 +464,7 @@ class TestArrayPathMatchesLoopReference:
         got = link_components(soup)
         assert len(got) == len(expected)
         for comp, (chain, touching, length, on_frame, comp_cells) in zip(got, expected):
-            (polyline,) = comp.polylines
-            np.testing.assert_array_equal(bits(polyline), bits(chain))
+            np.testing.assert_array_equal(bits(comp.chain), bits(chain))
             assert bits(comp.length) == bits(length)
             assert (comp.classification is Classification.BOUNDARY_TOUCHING) == touching
             assert comp.crosses_window_edge_cells == on_frame
@@ -487,7 +483,7 @@ class TestArrayPathMatchesLoopReference:
             if np.any(counts == 2):
                 kinds.add("saddle")
             for comp in link_components(soup):
-                chain = comp.polylines[0]
+                chain = comp.chain
                 closed = np.array_equal(chain[0], chain[-1])
                 if len(chain) == 2:
                     kinds.add("lone segment")
@@ -506,10 +502,10 @@ class TestArrayPathMatchesLoopReference:
         n_seg = len(soup.segments)
         assert n_seg > 512 and (n_seg - 1) & (n_seg - 2) != 0
         (loop,) = link_components(soup)
-        assert len(loop.polylines[0]) == n_seg + 1
+        assert len(loop.chain) == n_seg + 1
         vertices, segments, cells = loop_marching_squares(fld, 0.6)
         ((chain, *_),) = loop_link_components(fld, vertices, segments, cells)
-        np.testing.assert_array_equal(bits(loop.polylines[0]), bits(chain))
+        np.testing.assert_array_equal(bits(loop.chain), bits(chain))
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +562,7 @@ class TestSaddleRule:
         analysis = window_escalation(diagonal_peak, -0.02, fld, 2)
         assert analysis.final_classifications == (Classification.BOUNDED,)
         assert analysis.scales_checked == 2
-        (loop,) = analysis.base_report.components
+        (loop,) = analysis.components
         assert component_encloses(loop, (0.05, 0.05))
 
     def test_small_loop_around_a_node_stays_bounded(self):
@@ -574,7 +570,7 @@ class TestSaddleRule:
         fld = sample_grid(peak, window2(1.0), (21, 21))
         analysis = window_escalation(peak, -0.005, fld, 2)
         assert analysis.final_classifications == (Classification.BOUNDED,)
-        assert len(analysis.base_report.components[0].polylines[0]) == 5
+        assert len(analysis.components[0].chain) == 5
         assert analysis.bounded_enclosing_origin == 1
 
     def test_function_evaluated_once_on_saddle_centres_only(self):

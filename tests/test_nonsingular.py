@@ -170,9 +170,13 @@ class TestInjectivityOnGrid:
         return Window(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
 
     def test_identity_trunk(self):
+        # an output box diagonal of at most 1: every failing pair would lie
+        # within one quantization cell, so the witness checks all of them
         trunk = Network(2, (Layer(np.eye(2), np.zeros(2)),), SIGMOID,
                         final_activation=False)
-        assert check_injective_on_grid(trunk, self.window(), 41, min_sep=1.0)
+        window = Window(np.array([-0.3, -0.3]), np.array([0.3, 0.3]))
+        assert window.diagonal <= 1.0
+        assert check_injective_on_grid(trunk, window, 41)
 
     def test_constant_trunk_fails(self):
         trunk = Network(2, (Layer(np.zeros((2, 2)), np.zeros(2)),), SIGMOID)

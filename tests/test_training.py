@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -293,6 +294,13 @@ class TestTrain:
         assert len(err.value.history) >= 1
         assert err.value.step == len(err.value.history) + 1
         assert np.isfinite(err.value.history).all()
+
+    def test_divergence_survives_pickling(self):
+        err = TrainingDiverged(np.array([0.5, 0.25]))
+        back = pickle.loads(pickle.dumps(err))
+        assert back.history.tobytes() == err.history.tobytes()
+        assert back.step == err.step == 3
+        assert str(back) == str(err) == "loss diverged at step 3"
 
     def test_sgd_descends_on_smooth_problem(self):
         data = self.small_data()
