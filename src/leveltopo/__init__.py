@@ -26,7 +26,7 @@ from .contours import (Classification, LevelComponent, SegmentSoup, classify_com
                        marching_squares)
 from .analysis import (CompositionReport, CompositionToleranceError, ConstructionError,
                        ExperimentSpec, FunctionLink, LevelAnalysis, NonSingularSweepSpec,
-                       SeedOutcome, SweepResult, composition_tolerance_check,
-                       random_nonsingular_sweep, run_experiment, window_escalation)
+                       SeedOutcome, SweepResult, analyze_level, composition_tolerance_check,
+                       random_nonsingular_sweep, run_experiment)
 
 __version__ = "0.1.0"

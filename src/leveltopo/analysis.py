@@ -11,15 +11,14 @@ Three entry points:
   delta under which perturbing every link of a composition by delta keeps the
   composite within eps on the window.
 
-Window escalation backs the bounded/unbounded calls: a component only counts
-as bounded if it stays clear of the frame when the window is doubled (same
-cell size) up to ``max_doublings`` times.
+A component counts as bounded when it is a closed loop whose every vertex
+clears the window frame by 1.5 cell diagonals; ``analyze_level`` decides this
+on the sampled window alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -65,14 +64,14 @@ def parallel_map(fn, items):
 
 
 # ---------------------------------------------------------------------------
-# window escalation
+# per-level analysis
 
 
 @dataclass(frozen=True)
 class LevelAnalysis:
-    """One level of a sampled field: its components on the base window, with
-    the provenance to recompute them, and their classifications after
-    re-checking bounded ones on doubled windows."""
+    """One level of a sampled field: its components, classified on the
+    window, with the provenance to recompute them.  Every count is derived
+    from the components."""
 
     level: float
     window: Window
@@ -80,24 +79,27 @@ class LevelAnalysis:
     boundary_tol: float
     components: tuple[LevelComponent, ...]
     provenance: dict
-    final_classifications: tuple[Classification, ...]
-    scales_checked: int
-    anomalies: tuple[str, ...]
-    bounded_enclosing_origin: int
+
+    @property
+    def final_classifications(self) -> tuple[Classification, ...]:
+        return tuple(c.classification for c in self.components)
 
     @property
     def bounded_final(self) -> int:
-        return sum(1 for c in self.final_classifications if c is Classification.BOUNDED)
+        return self.final_classifications.count(Classification.BOUNDED)
 
     @property
     def boundary_final(self) -> int:
-        return len(self.final_classifications) - self.bounded_final
+        return len(self.components) - self.bounded_final
+
+    @property
+    def bounded_enclosing_origin(self) -> int:
+        return sum(1 for c in self.components if c.classification is Classification.BOUNDED
+                   and component_encloses(c.chain, (0.0, 0.0)))
 
     def to_dict(self) -> dict:
-        bounded = sum(1 for c in self.components if c.classification is Classification.BOUNDED)
         return {
             "level": self.level,
-            "escalations": self.scales_checked,
             "final_classifications": [c.value for c in self.final_classifications],
             "bounded_final": self.bounded_final,
             "boundary_final": self.boundary_final,
@@ -107,68 +109,25 @@ class LevelAnalysis:
                 "window": self.window.to_dict(),
                 "resolution": list(self.resolution),
                 "boundary_tol": self.boundary_tol,
-                "counts": {"bounded": bounded,
-                           "boundary_touching": len(self.components) - bounded},
+                "counts": {"bounded": self.bounded_final,
+                           "boundary_touching": self.boundary_final},
                 "components": [c.to_dict() for c in self.components],
                 "provenance": self.provenance,
             },
         }
 
 
-def window_escalation(f, level: float, base_field: ScalarField, max_doublings: int,
-                      provenance: dict | None = None) -> LevelAnalysis:
-    """Classify the level components of ``base_field``, a sampling of ``f``,
-    demoting bounded ones that stop being bounded on doubled windows.
+def analyze_level(f, level: float, field: ScalarField,
+                  provenance: dict | None = None) -> LevelAnalysis:
+    """Extract and classify the level components of ``field``, a sampling of ``f``.
 
-    Doubling keeps the cell size, so a genuinely closed loop reappears with
-    vertices in about the same places (the doubled lattice holds the base one
-    at an odd resolution and sits half a cell off at an even one).  Each
-    bounded component goes with the doubled component of the vertex nearest
-    its first vertex, the first on a tie; a curve that merely left the base
-    window shows up attached to the larger frame and demotes its base
-    component to BoundaryTouching.  Only the doubled windows and the centres
-    of saddle cells sample ``f``, so callers probing several levels sample
-    the base window once.  The result also counts the bounded components
-    that enclose the origin.
+    Only the centres of saddle cells sample ``f`` (``None`` splits them by
+    the corner average), so callers probing several levels sample the
+    window once.
     """
-    if max_doublings < 0:
-        raise ValueError("max_doublings must be >= 0")
-    components = tuple(extract_components(base_field, level, f=f))
-    classifications = [c.classification for c in components]
-    anomalies: list[str] = []
-    scales = 0
-    if max_doublings > 0 and Classification.BOUNDED in classifications:
-        cell_diag = base_field.cell_diagonal
-        for k in range(1, max_doublings + 1):
-            scales = k
-            factor = 2 ** k
-            field_k = sample_grid(f, base_field.window.scaled(factor),
-                                  tuple((r - 1) * factor + 1 for r in base_field.resolution))
-            comps_k = extract_components(field_k, level, f=f)
-            vertices = np.concatenate([c.chain for c in comps_k] or [np.empty((0, 2))])
-            owner = np.repeat(np.arange(len(comps_k)), [len(c.chain) for c in comps_k])
-            for idx, comp in enumerate(components):
-                if classifications[idx] is not Classification.BOUNDED:
-                    continue
-                # an infinite sentinel makes an empty doubled level a miss
-                dist = np.append(np.linalg.norm(vertices - comp.chain[0], axis=1), math.inf)
-                nearest = int(np.argmin(dist))
-                if dist[nearest] > 0.5 * cell_diag:
-                    anomalies.append(
-                        f"bounded component {idx} not found at scale x{factor} "
-                        f"(nearest match {float(dist[nearest]):.3g})")
-                    classifications[idx] = Classification.BOUNDARY_TOUCHING
-                elif comps_k[owner[nearest]].classification is Classification.BOUNDARY_TOUCHING:
-                    classifications[idx] = Classification.BOUNDARY_TOUCHING
-            if Classification.BOUNDED not in classifications:
-                break
-    enclosing = sum(
-        1 for comp, cls in zip(components, classifications)
-        if cls is Classification.BOUNDED and component_encloses(comp, (0.0, 0.0)))
-    return LevelAnalysis(float(level), base_field.window, base_field.resolution,
-                         boundary_tol(base_field), components,
-                         {**(provenance or {}), "field_sha256": base_field.sha256},
-                         tuple(classifications), scales, tuple(anomalies), enclosing)
+    return LevelAnalysis(float(level), field.window, field.resolution, boundary_tol(field),
+                         tuple(extract_components(field, level, f=f)),
+                         {**(provenance or {}), "field_sha256": field.sha256})
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +167,6 @@ class ExperimentSpec:
     window: Window | None = None   # None: per-seed data bounding box, doubled
     resolution: int = 201
     levels: tuple[float, ...] | str = "decision:0.5"
-    escalations: int = 1
     convergence_loss: float = 0.35
 
     @property
@@ -290,7 +248,7 @@ def _seed_outcome(spec: ExperimentSpec, seed: int, data, result) -> SeedOutcome:
     f = network_scalar_fn(trained)
     base_field = sample_grid(f, window, (spec.resolution, spec.resolution))
     provenance = {"network_sha256": network_hash(trained), "seed": seed}
-    levels = tuple(window_escalation(f, level, base_field, spec.escalations, provenance)
+    levels = tuple(analyze_level(f, level, base_field, provenance)
                    for level in spec.resolved_levels())
     return SeedOutcome(seed=seed, final_loss=final_loss, steps_run=steps_run,
                        converged=final_loss <= spec.convergence_loss, accuracy=acc,
@@ -345,7 +303,7 @@ def reproduction_spec(fig: str, seeds: tuple[int, ...], **overrides) -> Experime
         name=base["name"], arch=base["arch"], activation=SIGMOID, train=train_cfg,
         seeds=tuple(int(s) for s in seeds))
     for key in ("n_inner", "n_ring", "inner_sigma", "ring_radius", "ring_sigma",
-                "resolution", "escalations", "convergence_loss", "levels", "window"):
+                "resolution", "convergence_loss", "levels", "window"):
         if key in overrides:
             spec[key] = overrides.pop(key)
     if overrides:
@@ -368,7 +326,6 @@ class NonSingularSweepSpec:
     resolution: int = 201
     seed: int = 0
     delta: float = 1e-3
-    escalations: int = 1
 
     def __post_init__(self):
         if self.n != 2:
@@ -388,8 +345,7 @@ class NonSingularSweepSpec:
         return {"n": self.n, "depths": list(self.depths),
                 "activation": self.activation.to_dict(), "count": self.count,
                 "levels_per_net": self.levels_per_net, "window": self.window.to_dict(),
-                "resolution": self.resolution, "seed": self.seed, "delta": self.delta,
-                "escalations": self.escalations}
+                "resolution": self.resolution, "seed": self.seed, "delta": self.delta}
 
 
 def build_random_nonsingular(spec: NonSingularSweepSpec, index: int,
@@ -418,8 +374,7 @@ def _sweep_net(spec: NonSingularSweepSpec, job: tuple[int, int]) -> SeedOutcome:
     p5, p95 = np.percentile(fld.values, [5.0, 95.0])
     levels = rng.uniform(p5, p95, spec.levels_per_net)
     provenance = {"network_sha256": network_hash(net), "net_index": index}
-    analyses = tuple(window_escalation(f, level, fld, spec.escalations, provenance)
-                     for level in levels)
+    analyses = tuple(analyze_level(f, level, fld, provenance) for level in levels)
     return SeedOutcome(seed=index, levels=analyses, nonsingularity=report,
                        network=network_to_dict(net))
 

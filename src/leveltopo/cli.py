@@ -18,14 +18,14 @@ import numpy as np
 
 from . import __version__
 from .activations import Activation, ActivationKind
-from .analysis import (ConstructionError, NonSingularSweepSpec, SeedOutcome, auto_window,
-                       reproduction_spec, resolve_levels, run_experiment,
-                       random_nonsingular_sweep, window_escalation)
+from .analysis import (ConstructionError, NonSingularSweepSpec, SeedOutcome, analyze_level,
+                       auto_window, reproduction_spec, resolve_levels, run_experiment,
+                       random_nonsingular_sweep)
 from .fields import network_scalar_fn, sample_grid
 from .network import Window, load_network, network_from_dict, network_hash, save_network
 from .nonsingular import NonSingularizationError
 from .reports import (KIND_ANALYZE, KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE,
-                      KIND_SWEEP, count_mismatches, load_report, make_report, report_passed,
+                      KIND_SWEEP, data_mismatches, load_report, make_report, report_passed,
                       validate_report, verdict_lines, write_report)
 from .svgplot import render_topology_svg
 from .training import (Loss, Optimizer, TrainConfig, TrainingDiverged,
@@ -74,12 +74,18 @@ def parse_levels(text: str):
     return tuple(float(v) for v in text.split(","))
 
 
-def load_config(path: str | None) -> dict:
+def load_config(path: str | None, keys) -> dict:
+    """The JSON object in ``path`` ({} without one); a key outside ``keys``,
+    the keys the command reads, raises ValueError naming it."""
     if not path:
         return {}
     cfg = json.loads(Path(path).read_text())
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {path} must contain a JSON object")
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ValueError(f"config file {path} has keys the command does not read: "
+                         f"{', '.join(map(repr, unknown))}")
     return cfg
 
 
@@ -170,13 +176,12 @@ def cmd_analyze(args) -> int:
                   f"[{lo_v:.4g}, {hi_v:.4g}]; expect an empty component list",
                   file=sys.stderr)
     provenance = {"network_sha256": network_hash(net)}
-    analyses = tuple(window_escalation(f, level, base_field, args.escalate, provenance)
-                     for level in levels)
+    analyses = tuple(analyze_level(f, level, base_field, provenance) for level in levels)
     outcome = SeedOutcome(seed=0, accuracy=accuracy(net, data) if data is not None else None,
                           levels=analyses).to_dict()
     config = {"model": args.model, "window": window.to_dict(),
               "resolution": args.resolution, "levels": list(levels),
-              "escalate": args.escalate, "deterministic": args.deterministic}
+              "deterministic": args.deterministic}
     report = make_report(KIND_ANALYZE, config, [outcome], args.deterministic, 0.0)
     if args.svg:
         components = [c for lv in analyses for c in lv.components]
@@ -190,19 +195,29 @@ def cmd_analyze(args) -> int:
     return _finish(report, args.report)
 
 
+# config-only keys of reproduce, read as the types of the spec fields they set
+REPRODUCE_OVERRIDES = (
+    ("learning_rate", float), ("steps", int), ("target_loss", float), ("n_inner", int),
+    ("n_ring", int), ("inner_sigma", float), ("ring_radius", float), ("ring_sigma", float),
+    ("resolution", int), ("convergence_loss", float))
+# sweep-nonsingular's options: config key (and flag dest), parser, default
+SWEEP_OPTIONS = (
+    ("depths", parse_ints, "1,2,3,4,5,6"), ("activation", parse_activation, "sigmoid"),
+    ("count", int, 100), ("levels_per_net", int, 5), ("window", parse_window, "-4,4,-4,4"),
+    ("resolution", int, 201), ("seed", int, 0), ("delta", float, 1e-3))
+
+
 def cmd_reproduce(args) -> int:
-    config = load_config(args.config)
+    config = load_config(args.config,
+                         ["paper_fig", "seeds", *(key for key, _ in REPRODUCE_OVERRIDES)])
     fig = option(args.paper_fig, config, "paper_fig", str, None)
     if fig is None:
         raise ValueError("--paper-fig (or config key paper_fig) is required")
     n_seeds = option(args.seeds, config, "seeds", int, 20)
     if n_seeds < 0:
         raise ValueError(f"--seeds must be >= 0, got {n_seeds}")
-    # config-only keys, read as the types of the spec fields they set
-    overrides = {key: option(None, config, key, parse, None) for key, parse in (
-        ("learning_rate", float), ("steps", int), ("target_loss", float), ("n_inner", int),
-        ("n_ring", int), ("inner_sigma", float), ("ring_radius", float), ("ring_sigma", float),
-        ("resolution", int), ("escalations", int), ("convergence_loss", float)) if key in config}
+    overrides = {key: option(None, config, key, parse, None)
+                 for key, parse in REPRODUCE_OVERRIDES if key in config}
     spec = reproduction_spec(fig, tuple(range(n_seeds)), **overrides)
     kind = KIND_REPRODUCE_NARROW if fig == "3a" else KIND_REPRODUCE_WIDE
 
@@ -235,18 +250,10 @@ def _write_seed_svgs(sweep, directory: Path, deterministic: bool) -> None:
 
 
 def cmd_sweep_nonsingular(args) -> int:
-    config = load_config(args.config)
-    spec = NonSingularSweepSpec(
-        n=2,
-        depths=option(args.depths, config, "depths", parse_ints, "1,2,3,4,5,6"),
-        activation=option(args.activation, config, "activation", parse_activation, "sigmoid"),
-        count=option(args.count, config, "count", int, 100),
-        levels_per_net=option(args.levels_per_net, config, "levels_per_net", int, 5),
-        window=option(args.window, config, "window", parse_window, "-4,4,-4,4"),
-        resolution=option(args.resolution, config, "resolution", int, 201),
-        seed=option(args.seed, config, "seed", int, 0),
-        delta=option(args.delta, config, "delta", float, 1e-3),
-        escalations=option(args.escalate, config, "escalations", int, 1))
+    config = load_config(args.config, [key for key, _, _ in SWEEP_OPTIONS])
+    spec = NonSingularSweepSpec(n=2, **{
+        key: option(getattr(args, key), config, key, parse, default)
+        for key, parse, default in SWEEP_OPTIONS})
 
     t0 = time.perf_counter()
     sweep = random_nonsingular_sweep(spec)
@@ -264,8 +271,8 @@ def cmd_validate_report(args) -> int:
     if ok:
         print(f"verdicts check out: {args.report}")
         return 0
-    for line in count_mismatches(report):
-        print(f"stored count does not match the report's own data: {line}", file=sys.stderr)
+    for line in data_mismatches(report):
+        print(f"stored value does not match the report's own data: {line}", file=sys.stderr)
     if recomputed != report.get("verdicts"):
         print("stored verdicts do not match the report's own data:", file=sys.stderr)
         print(json.dumps({"stored": report.get("verdicts"), "recomputed": recomputed},
@@ -315,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=201)
     p.add_argument("--levels", default="decision:0.5",
                    help="comma floats or decision:<cut>")
-    p.add_argument("--escalate", type=int, default=1,
-                   help="window doublings for bounded candidates")
     p.add_argument("--report", default=None)
     p.add_argument("--svg", default=None)
     p.add_argument("--deterministic", action="store_true")
@@ -341,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--escalate", type=int, default=None)
     p.add_argument("--activation", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--report", default=None)

@@ -16,10 +16,13 @@ cell diagonal as a dip, and so closes false loops around single nodes.
 Linking is pointer jumping over half-edges: each vertex has one or two
 segments, so every component is a chain or a loop, its label is the lowest
 segment reachable from either direction, and its walk order is the
-distance to the walk's end once each loop is cut before its start.  Each
-linked component is classified Bounded or BoundaryTouching by distance to
-the window frame; "unbounded" is never decidable from a finite window, so
-BoundaryTouching is evidence, to be strengthened by window escalation.
+distance to the walk's end once each loop is cut before its start.
+
+A component is Bounded when every vertex clears the window frame by 1.5 cell
+diagonals, and BoundaryTouching otherwise.  Degree-1 vertices lie only on
+the frame, so an open chain always touches it and a Bounded component is a
+closed loop of the sampled field.  "Unbounded" is never decidable from a
+finite window, so BoundaryTouching is evidence, not proof.
 """
 
 from __future__ import annotations
@@ -266,11 +269,12 @@ def extract_components(field: ScalarField, level: float, f=None) -> list[LevelCo
     return link_components(marching_squares(field, level, f))
 
 
-def component_encloses(component: LevelComponent, point) -> bool:
-    """Even-odd ray-casting test: does the component wind around ``point``?"""
+def component_encloses(chain, point) -> bool:
+    """Even-odd ray-casting test: does the vertex chain of a component wind
+    around ``point``?"""
     px, py = float(point[0]), float(point[1])
-    x0, y0 = component.chain[:-1].T
-    x1, y1 = component.chain[1:].T
+    x0, y0 = chain[:-1].T
+    x1, y1 = chain[1:].T
     s = (y0 > py) != (y1 > py)  # edges that straddle the ray's line
     x0, y0, x1, y1 = x0[s], y0[s], x1[s], y1[s]
     return int(np.count_nonzero(x0 + (py - y0) * (x1 - x0) / (y1 - y0) > px)) % 2 == 1

@@ -15,6 +15,9 @@ import platform
 
 import numpy as np
 
+from .contours import classify_component, component_encloses
+from .network import Window
+
 SCHEMA_VERSION = 1
 
 KIND_REPRODUCE_NARROW = "reproduce-3a"
@@ -73,7 +76,7 @@ def make_report(kind: str, config: dict, outcomes: list[dict], deterministic: bo
 
 def _verdict_narrow(report: dict) -> dict:
     """Narrow regime: among seeds that converged, every decision-boundary
-    component must be boundary-touching after escalation."""
+    component must be boundary-touching."""
     outcomes = report["outcomes"]
     trained = [o for o in outcomes if o["error"] is None]
     converged = [o for o in trained if o["converged"]]
@@ -114,7 +117,7 @@ def _verdict_wide(report: dict) -> dict:
 
 
 def _verdict_sweep(report: dict) -> dict:
-    """Non-singular sweep: zero bounded components may survive escalation."""
+    """Non-singular sweep: no level may have a bounded component."""
     outcomes = report["outcomes"]
     if not outcomes:
         return {"status": "UNTESTED", "detail": "no networks"}
@@ -151,29 +154,43 @@ def compute_verdicts(report: dict) -> dict:
     return {kind: _VERDICTS[kind](report)}
 
 
-def count_mismatches(report: dict) -> list[str]:
-    """One line per stored count that its own classifications contradict.
+def data_mismatches(report: dict) -> list[str]:
+    """One line per stored value that the report's own data contradicts.
 
-    Per level, ``bounded_final`` and ``boundary_final`` count the
-    ``final_classifications``, one per component, and ``report.counts``
-    counts the components' classifications; per outcome, ``bounded_final``
-    and ``boundary_final`` sum those of its levels."""
+    Per level, each component's classification follows from its chain, the
+    stored ``window`` and ``boundary_tol`` (``classify_component``; the
+    floats round-trip exactly), ``final_classifications`` are the
+    components' classifications, ``bounded_final``, ``boundary_final`` and
+    ``report.counts`` count them, and ``bounded_enclosing_origin`` counts the
+    recomputed bounded chains around the origin (even-odd test); per
+    outcome, ``bounded_final`` and ``boundary_final`` sum those of its
+    levels."""
     lines = []
     for o in report["outcomes"]:
         for lv in o["levels"]:
+            rep = lv["report"]
+            window = Window(rep["window"]["lo"], rep["window"]["hi"])
+            chains = [np.asarray(c["polylines"][0], dtype=np.float64) for c in rep["components"]]
+            derived = [classify_component(chain, window, rep["boundary_tol"]).value
+                       for chain in chains]
+            found = [c["classification"] for c in rep["components"]]
             final = list(lv["final_classifications"])
-            found = [c["classification"] for c in lv["report"]["components"]]
-            counts = lv["report"]["counts"]
-            for key, stored, recomputed in (
-                    ("bounded_final", lv["bounded_final"], final.count("bounded")),
-                    ("boundary_final", lv["boundary_final"], final.count("boundary_touching")),
-                    ("counts.bounded", counts["bounded"], found.count("bounded")),
-                    ("counts.boundary_touching", counts["boundary_touching"],
-                     found.count("boundary_touching")),
-                    ("len(final_classifications)", len(final), len(found))):
+            enclosing = sum(1 for chain, cls in zip(chains, derived)
+                            if cls == "bounded" and component_encloses(chain, (0.0, 0.0)))
+            checks = [(f"component {k} classification", stored, recomputed)
+                      for k, (stored, recomputed) in enumerate(zip(found, derived))]
+            checks += [
+                ("final_classifications", final, found),
+                ("bounded_final", lv["bounded_final"], final.count("bounded")),
+                ("boundary_final", lv["boundary_final"], final.count("boundary_touching")),
+                ("counts.bounded", rep["counts"]["bounded"], found.count("bounded")),
+                ("counts.boundary_touching", rep["counts"]["boundary_touching"],
+                 found.count("boundary_touching")),
+                ("bounded_enclosing_origin", lv["bounded_enclosing_origin"], enclosing)]
+            for key, stored, recomputed in checks:
                 if stored != recomputed:
                     lines.append(f"seed {o['seed']} level {lv['level']!r}: {key} is "
-                                 f"{stored!r}, recomputed {recomputed}")
+                                 f"{stored!r}, recomputed {recomputed!r}")
         for key in ("bounded_final", "boundary_final"):
             total = sum(lv[key] for lv in o["levels"])
             if o[key] != total:
@@ -182,8 +199,9 @@ def count_mismatches(report: dict) -> list[str]:
 
 
 def validate_report(report: dict) -> tuple[bool, dict]:
-    """Recompute the verdicts and the stored counts from raw outcome data;
-    True when they all match (``count_mismatches`` says which counts do not).
+    """Recompute the verdicts and every stored classification and count from
+    raw outcome data; True when they all match (``data_mismatches`` says
+    which values do not).
 
     A report that lacks a key or holds a value of the wrong type raises
     ValueError."""
@@ -193,10 +211,10 @@ def validate_report(report: dict) -> tuple[bool, dict]:
         raise ValueError(f"unsupported schema_version {report.get('schema_version')!r}")
     try:
         recomputed = compute_verdicts(report)
-        mismatches = count_mismatches(report)
+        mismatches = data_mismatches(report)
     except KeyError as exc:
         raise ValueError(f"report is missing key {exc}") from None
-    except TypeError as exc:
+    except (TypeError, IndexError) as exc:
         raise ValueError(f"malformed report: {exc}") from None
     return recomputed == report.get("verdicts") and not mismatches, recomputed
 

@@ -44,7 +44,7 @@ def build_sweep_report() -> SimpleNamespace:
                                 count=100, levels_per_net=5,
                                 window=Window(np.array([-4.0, -4.0]),
                                               np.array([4.0, 4.0])),
-                                resolution=201, seed=0, escalations=1)
+                                resolution=201, seed=0)
     result = random_nonsingular_sweep(spec)
     seconds = time.perf_counter() - t0
     report = make_report(KIND_SWEEP, {"spec": spec.to_dict(), "deterministic": True},

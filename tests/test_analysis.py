@@ -6,9 +6,9 @@ import pytest
 
 from leveltopo import (SIGMOID, TANH, Classification, CompositionToleranceError,
                        ConstructionError, ExperimentSpec, FunctionLink, NonSingularSweepSpec,
-                       TrainConfig, Window, composition_tolerance_check,
-                       extract_components, one_to_one_relu, random_nonsingular_sweep,
-                       run_experiment, sample_grid, window_escalation)
+                       TrainConfig, Window, analyze_level, composition_tolerance_check,
+                       one_to_one_relu, random_nonsingular_sweep, run_experiment,
+                       sample_grid)
 from leveltopo.analysis import reproduction_spec
 from leveltopo.reports import (KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE, dumps_report,
                                make_report)
@@ -26,60 +26,28 @@ def window2(half=2.0):
     return Window(np.array([-half, -half]), np.array([half, half]))
 
 
-def escalate(f, level, max_doublings):
-    return window_escalation(f, level, sample_grid(f, window2(), (101, 101)), max_doublings)
+def arc_fn(points):
+    # a circle centred outside the window: its arc inside leaves the frame
+    return (points[:, 0] - 3.0) ** 2 + points[:, 1] ** 2 - 4.0
 
 
-class TestWindowEscalation:
-    def test_circle_stays_bounded_at_all_scales(self):
-        esc = escalate(circle_fn, 0.0, 2)
-        assert esc.final_classifications == (Classification.BOUNDED,)
-        assert esc.bounded_final == 1
-        assert esc.scales_checked == 2
-        assert esc.anomalies == ()
-
-    def test_line_stays_boundary_touching(self):
-        esc = escalate(line_fn, 0.0, 2)
-        assert esc.final_classifications == (Classification.BOUNDARY_TOUCHING,)
-        assert esc.scales_checked == 0  # nothing bounded, no doubling needed
-
-    def test_zero_doublings_equals_single_window(self):
-        esc = escalate(circle_fn, 0.0, 0)
-        base = [c.classification for c in esc.components]
-        assert list(esc.final_classifications) == base
-        assert esc.scales_checked == 0
-
-    def test_loop_matched_to_its_own_doubled_component(self):
-        # the doubled window adds a frame-to-frame line at x = -1.5, which
-        # sorts before the loop; the loop must still be matched to itself
-        def f(points):
-            loop = 1.0 - ((points[:, 0] - 0.3) ** 2 + points[:, 1] ** 2) / 0.09
-            return np.maximum(loop, -(points[:, 0] + 1.5))
-
-        doubled = extract_components(sample_grid(f, window2(2.0), (41, 41)), 0.0)
-        assert [c.classification for c in doubled] == [Classification.BOUNDARY_TOUCHING,
-                                                       Classification.BOUNDED]
-        esc = window_escalation(f, 0.0, sample_grid(f, window2(1.0), (21, 21)), 1)
-        assert esc.final_classifications == (Classification.BOUNDED,)
-        assert esc.anomalies == ()
-
-    def test_fake_loop_demoted_by_escalation(self):
-        # hyperbola-like band: f = x*y looks closed near the window corner at
-        # a skewed level but opens up on the doubled window... use a function
-        # whose level set leaves the base window: f = x (shifted) with a dip
-        def dip(points):
-            # bowl centered outside the base window: bounded circle appears
-            # only at the doubled window scale; at base it exits the frame
-            return (points[:, 0] - 3.0) ** 2 + points[:, 1] ** 2 - 4.0
-
-        esc = escalate(dip, 0.0, 1)
-        # at the base window the arc touches the frame: nothing bounded
-        assert esc.bounded_final == 0
+class TestAnalyzeLevel:
+    @pytest.mark.parametrize("f,expected", [
+        (circle_fn, (Classification.BOUNDED,)),
+        (line_fn, (Classification.BOUNDARY_TOUCHING,)),
+        (arc_fn, (Classification.BOUNDARY_TOUCHING,)),
+    ], ids=["circle", "line", "arc-leaving-the-frame"])
+    def test_classified_on_the_window(self, f, expected):
+        analysis = analyze_level(f, 0.0, sample_grid(f, window2(), (101, 101)))
+        assert analysis.final_classifications == expected
+        assert analysis.final_classifications == tuple(
+            c.classification for c in analysis.components)
+        assert analysis.bounded_final == expected.count(Classification.BOUNDED)
 
 
-class TestEscalationAnomaly:
-    # at an even resolution the doubled lattice sits half a cell off the base
-    # one, so a spike narrower than a cell on base node (9, 9) vanishes there
+class TestSubCellLoop:
+    # a spike narrower than a cell on node (9, 9) of a 20^2 grid on [-1,1]^2:
+    # a closed loop clear of the frame, bounded at an even resolution too
     H = 2.0 / 19.0
     NODE = np.array([-1.0 + 9 * H, -1.0 + 9 * H])
 
@@ -89,31 +57,26 @@ class TestEscalationAnomaly:
     def hill(self, points):
         return np.exp(-np.sum((points - np.array([0.6, -0.55])) ** 2, axis=1) / 0.04)
 
-    def escalate(self, f):
+    def analyze(self, f):
         window = Window(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-        return window_escalation(f, 0.5, sample_grid(f, window, (20, 20)), 1)
+        return analyze_level(f, 0.5, sample_grid(f, window, (20, 20)))
 
-    def test_empty_doubled_level_is_a_miss_at_infinity(self):
-        esc = self.escalate(self.spike)
-        assert esc.to_dict()["report"]["counts"] == {"bounded": 1, "boundary_touching": 0}
-        assert esc.anomalies == ("bounded component 0 not found at scale x2 "
-                                 "(nearest match inf)",)
-        assert esc.final_classifications == (Classification.BOUNDARY_TOUCHING,)
+    def test_spike_at_an_even_resolution_stays_bounded(self):
+        analysis = self.analyze(self.spike)
+        assert analysis.final_classifications == (Classification.BOUNDED,)
+        assert analysis.bounded_final == 1
 
-    def test_far_doubled_component_is_a_miss(self):
-        esc = self.escalate(lambda p: self.spike(p) + self.hill(p))
-        assert esc.anomalies == ("bounded component 0 not found at scale x2 "
-                                 "(nearest match 0.634)",)
-        assert esc.final_classifications == (Classification.BOUNDARY_TOUCHING,
-                                             Classification.BOUNDED)
+    def test_spike_next_to_a_hill_stays_bounded(self):
+        analysis = self.analyze(lambda p: self.spike(p) + self.hill(p))
+        assert analysis.final_classifications == (Classification.BOUNDED,
+                                                  Classification.BOUNDED)
 
 
 class TestRunExperiment:
     def tiny_spec(self, seeds=(0, 1), **over):
         cfg = TrainConfig(learning_rate=0.05, steps=300, seed=0, target_loss=0.05)
         base = dict(name="tiny-wide", arch=(2, 3, 1), activation=SIGMOID, train=cfg,
-                    seeds=tuple(seeds), n_inner=60, n_ring=120, resolution=81,
-                    escalations=1)
+                    seeds=tuple(seeds), n_inner=60, n_ring=120, resolution=81)
         base.update(over)
         return ExperimentSpec(**base)
 
@@ -205,8 +168,7 @@ class TestNonSingularSweep:
         # nets 15 and 28 each have one saddle cell whose corner average is
         # on the other side of the level from the net's value at its centre;
         # the average closed a 4-segment loop there
-        spec = NonSingularSweepSpec(activation=one_to_one_relu(3), count=30,
-                                    escalations=3, seed=5)
+        spec = NonSingularSweepSpec(activation=one_to_one_relu(3), count=30, seed=5)
         assert random_nonsingular_sweep(spec).bounded_total == 0
 
     def test_count_zero(self):

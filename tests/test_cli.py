@@ -10,7 +10,7 @@ import pytest
 from leveltopo import analysis, cli, training
 from leveltopo.cli import main, parse_activation, parse_levels, parse_window
 from leveltopo.network import load_network, save_network
-from leveltopo.reports import load_report, validate_report
+from leveltopo.reports import compute_verdicts, load_report, validate_report
 from leveltopo import (SIGMOID, Layer, Network, Optimizer, TrainConfig, init_weights,
                        load_dataset, one_to_one_relu, train)
 
@@ -305,6 +305,26 @@ class TestOptionChecks:
         assert main([command, "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,config,key", [
+        ("reproduce", {"paper_fig": "3b", "seeds": 1, "stesp": 200}, "'stesp'"),
+        ("sweep-nonsingular", {"count": 1, "escalations": 1}, "'escalations'"),
+    ])
+    def test_config_key_not_read_exit_2(self, tmp_path, capsys, command, config, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--model", "m.json", "--escalate", "1"],
+        ["sweep-nonsingular", "--count", "1", "--escalate", "1"],
+    ], ids=["analyze", "sweep-nonsingular"])
+    def test_escalate_flag_is_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert "--escalate" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv,flag", [
         (["reproduce", "--paper-fig", "3b", "--seeds", "-3"], "--seeds"),
         (["sweep-nonsingular", "--count", "1", "--resolution", "21",
@@ -353,6 +373,13 @@ class TestValidateReportCommand:
     @pytest.mark.parametrize("content,message", [
         ([1, 2], "a report is a JSON object"),
         ({"schema_version": 1}, "missing key 'kind'"),
+        ({"schema_version": 1, "kind": "analyze", "outcomes": [
+            {"seed": 0, "bounded_final": 1, "boundary_final": 0, "levels": [
+                {"level": 0.5, "report": {"window": {"lo": [-1, -1], "hi": [1, 1]},
+                                          "boundary_tol": 0.1, "components": [
+                                              {"classification": "bounded",
+                                               "polylines": []}]}}]}]},
+         "malformed report: list index out of range"),
     ])
     def test_malformed_report_exit_2(self, tmp_path, capsys, content, message):
         rp = tmp_path / "r.json"
@@ -408,20 +435,38 @@ def inflate_outcome_count(report):
     report["outcomes"][0]["boundary_final"] += 1
 
 
+def zero_origin_loop(report):
+    report["outcomes"][0]["levels"][0]["bounded_enclosing_origin"] = 0
+
+
+def flip_loop_with_its_counts(report):
+    """Relabel the bounded loop as boundary-touching with every count to match."""
+    relabel_as_touching(report)
+    outcome = report["outcomes"][0]
+    level = outcome["levels"][0]
+    n = len(level["final_classifications"])
+    level["report"]["counts"] = {"bounded": 0, "boundary_touching": n}
+    level["bounded_final"] = outcome["bounded_final"] = 0
+    level["boundary_final"] = outcome["boundary_final"] = n
+
+
 class TestValidateReportCounts:
-    """validate-report recomputes every stored count from the classifications."""
+    """validate-report recomputes every stored classification and count from
+    the stored chains."""
 
     def test_intact_3b_report_validates(self, wide_report, capsys):
         assert main(["validate-report", str(wide_report)]) == 0
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("tamper,messages", [
-        (relabel_as_touching, ["seed 0 level 0.5: bounded_final is 1, recomputed 0",
+        (relabel_as_touching, ["seed 0 level 0.5: component 0 classification is "
+                               "'boundary_touching', recomputed 'bounded'",
+                               "seed 0 level 0.5: bounded_final is 1, recomputed 0",
                                "seed 0 level 0.5: boundary_final is",
                                "seed 0 level 0.5: counts.boundary_touching is 99, recomputed"]),
-        (drop_final_classification, ["seed 0 level 0.5: bounded_final is 1, recomputed 0",
-                                     "seed 0 level 0.5: len(final_classifications) is 0, "
-                                     "recomputed 1"]),
+        (drop_final_classification, ["seed 0 level 0.5: final_classifications is [], "
+                                     "recomputed ['bounded']",
+                                     "seed 0 level 0.5: bounded_final is 1, recomputed 0"]),
         (inflate_outcome_count, ["seed 0: boundary_final is"]),
     ], ids=["relabelled-loop", "dropped-classification", "outcome-sum"])
     def test_tampered_counts_exit_1(self, wide_report, tmp_path, capsys, tamper, messages):
@@ -436,6 +481,22 @@ class TestValidateReportCounts:
         assert len(err) == len(messages)
         for line, message in zip(err, messages):
             assert message in line
+
+    @pytest.mark.parametrize("tamper,message", [
+        (zero_origin_loop, "bounded_enclosing_origin is 0, recomputed 1"),
+        (flip_loop_with_its_counts,
+         "component 0 classification is 'boundary_touching', recomputed 'bounded'"),
+    ], ids=["zeroed-origin-loop", "flipped-loop-and-counts"])
+    def test_tampered_data_under_matching_verdicts_exit_1(self, wide_report, tmp_path, capsys,
+                                                          tamper, message):
+        report = load_report(wide_report)
+        tamper(report)
+        report["verdicts"] = compute_verdicts(report)
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(report))
+        assert main(["validate-report", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"stored value does not match the report's own data: seed 0 level 0.5: {message}"]
 
 
 class TestEnvironment:

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from leveltopo import (SIGMOID, Classification, Window, classify_component,
+from leveltopo import (SIGMOID, Classification, Window, analyze_level, classify_component,
                        component_encloses, extract_components, init_weights,
                        link_components, marching_squares, network_scalar_fn,
                        region_components, sample_grid)
-from leveltopo.analysis import window_escalation
 from leveltopo.contours import LEVEL_NUDGE, band_oracle_compare
 from leveltopo.fields import RegionComponent, RegionComponents, sample_noncritical_levels
 
@@ -217,13 +216,13 @@ class TestVertexWalk:
 class TestEnclosure:
     def test_circle_encloses_origin(self):
         comps = extract_components(circle_field(), 0.0)
-        assert component_encloses(comps[0], (0.0, 0.0))
-        assert not component_encloses(comps[0], (1.5, 1.5))
+        assert component_encloses(comps[0].chain, (0.0, 0.0))
+        assert not component_encloses(comps[0].chain, (1.5, 1.5))
 
     def test_line_encloses_nothing(self):
         fld = sample_grid(lambda p: p[:, 0], window2(), (41, 41))
         comps = extract_components(fld, 0.0)
-        assert not component_encloses(comps[0], (0.5, 0.5))
+        assert not component_encloses(comps[0].chain, (0.5, 0.5))
 
 
 class TestRefinementStability:
@@ -243,7 +242,7 @@ class TestRefinementStability:
 class TestTopologyReport:
     def test_counts_and_dict_shape(self):
         fld = two_circle_field()
-        analysis = window_escalation(None, 0.0, fld, 0, provenance={"source": "two-circles"})
+        analysis = analyze_level(None, 0.0, fld, provenance={"source": "two-circles"})
         d = analysis.to_dict()["report"]
         assert d["counts"] == {"bounded": 2, "boundary_touching": 0}
         assert d["provenance"]["source"] == "two-circles"
@@ -470,7 +469,7 @@ class TestArrayPathMatchesLoopReference:
             assert comp.crosses_window_edge_cells == on_frame
             np.testing.assert_array_equal(comp.cells, comp_cells)
             for px, py in [(0.0, 0.0), (0.55, -0.35), tuple(chain.mean(axis=0))]:
-                assert component_encloses(comp, (px, py)) == loop_encloses(chain, px, py)
+                assert component_encloses(comp.chain, (px, py)) == loop_encloses(chain, px, py)
 
     def test_cases_cover_every_kind_of_soup(self):
         kinds = set()
@@ -489,7 +488,7 @@ class TestArrayPathMatchesLoopReference:
                     kinds.add("lone segment")
                 elif not closed:
                     kinds.add("frame to frame")
-                elif any(component_encloses(other, chain[0])
+                elif any(component_encloses(other.chain, chain[0])
                          for other in link_components(soup) if other is not comp):
                     kinds.add("nested loop")
         assert kinds == {"empty", "saddle", "lone segment", "frame to frame", "nested loop"}
@@ -551,7 +550,7 @@ class TestSaddleRule:
         fld = sample_grid(ridge, window2(1.5), (31, 31))
         (comp,) = extract_components(fld, self.LEVEL, f=ridge)
         assert comp.classification is Classification.BOUNDARY_TOUCHING
-        analysis = window_escalation(ridge, self.LEVEL, fld, 2)
+        analysis = analyze_level(ridge, self.LEVEL, fld)
         assert analysis.bounded_final == 0 and analysis.boundary_final == 1
 
     def test_small_loop_across_a_saddle_cell_stays_bounded(self):
@@ -559,16 +558,15 @@ class TestSaddleRule:
         cells = marching_squares(fld, -0.02).segment_cells.tolist()
         assert cells.count([10, 10]) == 2
         assert len(extract_components(fld, -0.02)) == 2  # the average splits it
-        analysis = window_escalation(diagonal_peak, -0.02, fld, 2)
+        analysis = analyze_level(diagonal_peak, -0.02, fld)
         assert analysis.final_classifications == (Classification.BOUNDED,)
-        assert analysis.scales_checked == 2
         (loop,) = analysis.components
-        assert component_encloses(loop, (0.05, 0.05))
+        assert component_encloses(loop.chain, (0.05, 0.05))
 
     def test_small_loop_around_a_node_stays_bounded(self):
         peak = lambda p: -(p[:, 0] ** 2 + p[:, 1] ** 2)
         fld = sample_grid(peak, window2(1.0), (21, 21))
-        analysis = window_escalation(peak, -0.005, fld, 2)
+        analysis = analyze_level(peak, -0.005, fld)
         assert analysis.final_classifications == (Classification.BOUNDED,)
         assert len(analysis.components[0].chain) == 5
         assert analysis.bounded_enclosing_origin == 1
