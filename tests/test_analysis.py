@@ -40,9 +40,13 @@ class TestAnalyzeLevel:
     def test_classified_on_the_window(self, f, expected):
         analysis = analyze_level(f, 0.0, sample_grid(f, window2(), (101, 101)))
         assert analysis.final_classifications == expected
-        assert analysis.final_classifications == tuple(
-            c.classification for c in analysis.components)
         assert analysis.bounded_final == expected.count(Classification.BOUNDED)
+
+    def test_final_classifications_are_the_components_own(self):
+        for f in (circle_fn, line_fn, arc_fn):
+            analysis = analyze_level(f, 0.0, sample_grid(f, window2(), (101, 101)))
+            assert analysis.final_classifications == tuple(
+                c.classification for c in analysis.components)
 
 
 class TestSubCellLoop:
