@@ -57,7 +57,7 @@ def parallel_map(fn, items):
     """Map a pure function over items, in order, using worker processes when allowed."""
     items = list(items)
     workers = _worker_count(len(items))
-    if workers == 1 or len(items) <= 1:
+    if workers == 1:
         return [fn(x) for x in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
@@ -281,7 +281,7 @@ def run_experiment(spec: ExperimentSpec) -> SweepResult:
     return SweepResult(tuple(o for chunk in outcomes for o in chunk))
 
 
-def reproduction_spec(fig: str, seeds: tuple[int, ...], **overrides) -> ExperimentSpec:
+def reproduction_spec(fig: str, seeds: tuple[int, ...]) -> ExperimentSpec:
     """Presets for the two reference experiments.
 
     ``3a``: six hidden layers of width two (input-width bound) -- trains to a
@@ -289,26 +289,13 @@ def reproduction_spec(fig: str, seeds: tuple[int, ...], **overrides) -> Experime
     layer of width three -- closes a loop around the inner class easily.
     """
     if fig == "3a":
-        base = dict(name="deep-narrow-2x6", arch=(2, 2, 2, 2, 2, 2, 2, 1), steps=20000)
+        name, arch, steps = "deep-narrow-2x6", (2, 2, 2, 2, 2, 2, 2, 1), 20000
     elif fig == "3b":
-        base = dict(name="shallow-wide-3", arch=(2, 3, 1), steps=5000)
+        name, arch, steps = "shallow-wide-3", (2, 3, 1), 5000
     else:
         raise ValueError(f"unknown reproduction target {fig!r} (expected 3a or 3b)")
-    steps = int(overrides.pop("steps", base["steps"]))
-    train_cfg = TrainConfig(
-        learning_rate=float(overrides.pop("learning_rate", 0.05)),
-        steps=steps, seed=0,
-        target_loss=float(overrides.pop("target_loss", 0.05)))
-    spec = dict(
-        name=base["name"], arch=base["arch"], activation=SIGMOID, train=train_cfg,
-        seeds=tuple(int(s) for s in seeds))
-    for key in ("n_inner", "n_ring", "inner_sigma", "ring_radius", "ring_sigma",
-                "resolution", "convergence_loss", "levels", "window"):
-        if key in overrides:
-            spec[key] = overrides.pop(key)
-    if overrides:
-        raise ValueError(f"unknown reproduction overrides: {sorted(overrides)}")
-    return ExperimentSpec(**spec)
+    return ExperimentSpec(name=name, arch=arch, activation=SIGMOID,
+                          train=TrainConfig(steps=steps), seeds=tuple(int(s) for s in seeds))
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +321,9 @@ class NonSingularSweepSpec:
             raise ValueError("non-singular sweeps need a one-to-one activation")
         if self.count < 0:
             raise ValueError(f"count (--count) must be >= 0, got {self.count}")
+        if not self.depths or min(self.depths) < 0:
+            raise ValueError(f"depths (--depths) must be one or more depths >= 0, "
+                             f"got {list(self.depths)}")
         if self.levels_per_net < 1:
             raise ValueError(f"levels_per_net (--levels-per-net) must be >= 1, "
                              f"got {self.levels_per_net}")
@@ -440,12 +430,6 @@ class CompositionReport:
     untested: bool
     domains: tuple[Window, ...]
     attempts: tuple[dict, ...]
-
-    def to_dict(self) -> dict:
-        return {"eps": self.eps, "delta": self.delta, "max_deviation": self.max_deviation,
-                "trials": self.trials, "untested": self.untested,
-                "domains": [w.to_dict() for w in self.domains],
-                "attempts": list(self.attempts)}
 
 
 DELTA_FLOOR = 1e-12

@@ -9,6 +9,7 @@ LEVELSET_PROBE_THREADS environment variable caps seed-level parallelism.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -18,9 +19,9 @@ import numpy as np
 
 from . import __version__
 from .activations import Activation, ActivationKind
-from .analysis import (ConstructionError, NonSingularSweepSpec, SeedOutcome, analyze_level,
-                       auto_window, reproduction_spec, resolve_levels, run_experiment,
-                       random_nonsingular_sweep)
+from .analysis import (ConstructionError, ExperimentSpec, NonSingularSweepSpec, SeedOutcome,
+                       analyze_level, auto_window, reproduction_spec, resolve_levels,
+                       run_experiment, random_nonsingular_sweep)
 from .fields import network_scalar_fn, sample_grid
 from .network import Window, load_network, network_from_dict, network_hash, save_network
 from .nonsingular import NonSingularizationError
@@ -72,39 +73,6 @@ def parse_levels(text: str):
     if ":" in text:
         return text
     return tuple(float(v) for v in text.split(","))
-
-
-def load_config(path: str | None, keys) -> dict:
-    """The JSON object in ``path`` ({} without one); a key outside ``keys``,
-    the keys the command reads, raises ValueError naming it."""
-    if not path:
-        return {}
-    cfg = json.loads(Path(path).read_text())
-    if not isinstance(cfg, dict):
-        raise ValueError(f"config file {path} must contain a JSON object")
-    unknown = sorted(set(cfg) - set(keys))
-    if unknown:
-        raise ValueError(f"config file {path} has keys the command does not read: "
-                         f"{', '.join(map(repr, unknown))}")
-    return cfg
-
-
-def option(flag_value, config: dict, key: str, parse, default):
-    """The flag's value if given, else config file key ``key``, else the default.
-
-    Text goes through ``parse``, the flag's parser.  A config value must have
-    a JSON type the flag takes; a bad one raises ValueError naming ``key``.
-    """
-    if flag_value is None and key in config:
-        value = config[key]
-        if type(value) not in {int: (int,), float: (int, float)}.get(parse, (str,)):
-            raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
-        try:
-            return parse(value)
-        except ValueError as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from None
-    value = default if flag_value is None else flag_value
-    return parse(value) if isinstance(value, str) else value
 
 
 def _finish(report: dict, path: str | None) -> int:
@@ -195,30 +163,13 @@ def cmd_analyze(args) -> int:
     return _finish(report, args.report)
 
 
-# config-only keys of reproduce, read as the types of the spec fields they set
-REPRODUCE_OVERRIDES = (
-    ("learning_rate", float), ("steps", int), ("target_loss", float), ("n_inner", int),
-    ("n_ring", int), ("inner_sigma", float), ("ring_radius", float), ("ring_sigma", float),
-    ("resolution", int), ("convergence_loss", float))
-# sweep-nonsingular's options: config key (and flag dest), parser, default
-SWEEP_OPTIONS = (
-    ("depths", parse_ints, "1,2,3,4,5,6"), ("activation", parse_activation, "sigmoid"),
-    ("count", int, 100), ("levels_per_net", int, 5), ("window", parse_window, "-4,4,-4,4"),
-    ("resolution", int, 201), ("seed", int, 0), ("delta", float, 1e-3))
-
-
 def cmd_reproduce(args) -> int:
-    config = load_config(args.config,
-                         ["paper_fig", "seeds", *(key for key, _ in REPRODUCE_OVERRIDES)])
-    fig = option(args.paper_fig, config, "paper_fig", str, None)
+    fig = args.paper_fig
     if fig is None:
-        raise ValueError("--paper-fig (or config key paper_fig) is required")
-    n_seeds = option(args.seeds, config, "seeds", int, 20)
-    if n_seeds < 0:
-        raise ValueError(f"--seeds must be >= 0, got {n_seeds}")
-    overrides = {key: option(None, config, key, parse, None)
-                 for key, parse in REPRODUCE_OVERRIDES if key in config}
-    spec = reproduction_spec(fig, tuple(range(n_seeds)), **overrides)
+        raise ValueError("--paper-fig is required")
+    if args.seeds < 0:
+        raise ValueError(f"--seeds must be >= 0, got {args.seeds}")
+    spec = reproduction_spec(fig, tuple(range(args.seeds)))
     kind = KIND_REPRODUCE_NARROW if fig == "3a" else KIND_REPRODUCE_WIDE
 
     t0 = time.perf_counter()
@@ -250,10 +201,15 @@ def _write_seed_svgs(sweep, directory: Path, deterministic: bool) -> None:
 
 
 def cmd_sweep_nonsingular(args) -> int:
-    config = load_config(args.config, [key for key, _, _ in SWEEP_OPTIONS])
-    spec = NonSingularSweepSpec(n=2, **{
-        key: option(getattr(args, key), config, key, parse, default)
-        for key, parse, default in SWEEP_OPTIONS})
+    """Run the sweep with the spec fields the user gave as flags; every other
+    field keeps its ``NonSingularSweepSpec`` default."""
+    parsers = {"depths": parse_ints, "window": parse_window, "activation": parse_activation}
+    given = {}
+    for field in dataclasses.fields(NonSingularSweepSpec):
+        value = getattr(args, field.name, None)
+        if value is not None:
+            given[field.name] = parsers[field.name](value) if field.name in parsers else value
+    spec = NonSingularSweepSpec(**given)
 
     t0 = time.perf_counter()
     sweep = random_nonsingular_sweep(spec)
@@ -292,11 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate the two-class ring dataset")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inner", type=int, default=500, help="points in the origin blob")
-    p.add_argument("--ring", type=int, default=1000, help="points in the ring")
-    p.add_argument("--inner-sigma", type=float, default=0.5)
-    p.add_argument("--ring-radius", type=float, default=3.0)
-    p.add_argument("--ring-sigma", type=float, default=0.3)
+    p.add_argument("--inner", type=int, default=ExperimentSpec.n_inner,
+                   help="points in the origin blob")
+    p.add_argument("--ring", type=int, default=ExperimentSpec.n_ring,
+                   help="points in the ring")
+    p.add_argument("--inner-sigma", type=float, default=ExperimentSpec.inner_sigma)
+    p.add_argument("--ring-radius", type=float, default=ExperimentSpec.ring_radius)
+    p.add_argument("--ring-sigma", type=float, default=ExperimentSpec.ring_sigma)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
 
@@ -305,11 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", required=True, help="comma widths, e.g. 2,3,1")
     p.add_argument("--activation", default="sigmoid")
     p.add_argument("--optimizer", choices=[o.value for o in Optimizer], default="adam")
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--steps", type=int, default=5000)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--steps", type=int, default=TrainConfig.steps)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--loss", choices=[l.value for l in Loss], default="bce")
-    p.add_argument("--target-loss", type=float, default=0.05)
+    p.add_argument("--target-loss", type=float, default=TrainConfig.target_loss)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--history", default=None, help="optional loss history CSV")
@@ -319,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", default=None)
     p.add_argument("--window", default="auto", help="x_lo,x_hi,y_lo,y_hi or auto")
-    p.add_argument("--resolution", type=int, default=201)
+    p.add_argument("--resolution", type=int, default=ExperimentSpec.resolution)
     p.add_argument("--levels", default="decision:0.5",
                    help="comma floats or decision:<cut>")
     p.add_argument("--report", default=None)
@@ -330,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run a reference experiment end to end")
     p.add_argument("--paper-fig", choices=["3a", "3b"], default=None,
                    help="3a: six width-2 hidden layers; 3b: one width-3 hidden layer")
-    p.add_argument("--seeds", type=int, default=None)
-    p.add_argument("--config", default=None, help="JSON config; flags override")
+    p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--report", default=None)
     p.add_argument("--svg-dir", default=None)
     p.add_argument("--deterministic", action="store_true")
@@ -347,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--activation", default=None)
-    p.add_argument("--config", default=None)
     p.add_argument("--report", default=None)
     p.add_argument("--deterministic", action="store_true")
     p.set_defaults(func=cmd_sweep_nonsingular)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from leveltopo import analysis, cli, training
 from leveltopo.cli import main, parse_activation, parse_levels, parse_window
-from leveltopo.network import load_network, save_network
+from leveltopo.network import Window, load_network, save_network
 from leveltopo.reports import compute_verdicts, load_report, validate_report
 from leveltopo import (SIGMOID, Layer, Network, Optimizer, TrainConfig, init_weights,
                        load_dataset, one_to_one_relu, train)
@@ -249,17 +250,6 @@ class TestSweepCommand:
         assert main(["sweep-nonsingular", "--count", "0"]) == 0
         assert "UNTESTED" in capsys.readouterr().out
 
-    def test_config_file_with_flag_override(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"count": 2, "levels_per_net": 1,
-                                   "resolution": 41, "seed": 9}))
-        rp = tmp_path / "r.json"
-        assert main(["sweep-nonsingular", "--config", str(cfg), "--count", "1",
-                     "--report", str(rp), "--deterministic"]) == 0
-        report = load_report(rp)
-        assert report["config"]["spec"]["count"] == 1      # flag wins
-        assert report["config"]["spec"]["seed"] == 9       # config used
-
 
 class TestReproduceCommand:
     def test_wide_small_run(self, tmp_path, capsys):
@@ -282,39 +272,8 @@ class TestReproduceCommand:
     def test_missing_fig_is_usage_error(self):
         assert main(["reproduce", "--seeds", "1"]) == 2
 
-    def test_config_file_drives_run(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"paper_fig": "3b", "seeds": 1, "steps": 200,
-                                   "resolution": 41, "n_inner": 30, "n_ring": 60}))
-        rp = tmp_path / "r.json"
-        assert main(["reproduce", "--config", str(cfg), "--report", str(rp),
-                     "--deterministic"]) in (0, 1)
-        report = load_report(rp)
-        assert report["config"]["spec"]["train"]["steps"] == 200
-
 
 class TestOptionChecks:
-    @pytest.mark.parametrize("command,config,key", [
-        ("sweep-nonsingular", {"depths": [1, 2]}, "'depths'"),
-        ("reproduce", {"paper_fig": "3b", "seeds": 1, "steps": [5]}, "'steps'"),
-        ("reproduce", {"paper_fig": "3b", "seeds": 1, "n_inner": "50"}, "'n_inner'"),
-    ])
-    def test_config_value_of_wrong_type_exit_2(self, tmp_path, capsys, command, config, key):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(config))
-        assert main([command, "--config", str(cfg)]) == 2
-        assert key in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command,config,key", [
-        ("reproduce", {"paper_fig": "3b", "seeds": 1, "stesp": 200}, "'stesp'"),
-        ("sweep-nonsingular", {"count": 1, "escalations": 1}, "'escalations'"),
-    ])
-    def test_config_key_not_read_exit_2(self, tmp_path, capsys, command, config, key):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(config))
-        assert main([command, "--config", str(cfg)]) == 2
-        assert key in capsys.readouterr().err
-
     @pytest.mark.parametrize("argv", [
         ["analyze", "--model", "m.json", "--escalate", "1"],
         ["sweep-nonsingular", "--count", "1", "--escalate", "1"],
@@ -325,38 +284,71 @@ class TestOptionChecks:
         assert exited.value.code == 2
         assert "--escalate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["reproduce", "sweep-nonsingular"])
+    def test_config_flag_is_gone(self, capsys, command):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--config", "c.json"])
+        assert exited.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv,flag", [
         (["reproduce", "--paper-fig", "3b", "--seeds", "-3"], "--seeds"),
         (["sweep-nonsingular", "--count", "1", "--resolution", "21",
           "--levels-per-net", "0"], "--levels-per-net"),
         (["sweep-nonsingular", "--count", "-2"], "--count"),
+        (["sweep-nonsingular", "--depths=-1"], "--depths"),
     ])
     def test_vacuous_or_negative_count_exit_2(self, capsys, argv, flag):
         assert main(argv) == 2
         assert flag in capsys.readouterr().err
 
-    @pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "configs").glob("*.json")),
-                             ids=lambda path: path.name)
-    def test_checked_in_config_builds_its_spec(self, monkeypatch, path):
-        class Built(Exception):
-            """Carries the spec a command would run."""
 
-        def capture(spec):
-            raise Built(spec)
+class Built(Exception):
+    """Carries the spec a command would run."""
 
-        monkeypatch.setattr(cli, "run_experiment", capture)
-        monkeypatch.setattr(cli, "random_nonsingular_sweep", capture)
-        command = "reproduce" if path.name.startswith("reproduce") else "sweep-nonsingular"
+
+@pytest.fixture
+def built_spec(monkeypatch):
+    """Runs ``main(argv)`` up to the library call and returns the spec it
+    would run."""
+    def capture(spec):
+        raise Built(spec)
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    monkeypatch.setattr(cli, "random_nonsingular_sweep", capture)
+
+    def build(argv):
         with pytest.raises(Built) as built:
-            main([command, "--config", str(path)])
-        spec = built.value.args[0]
-        values = spec.to_dict()
-        values.update(values.get("train", {}))
-        for key, value in json.loads(path.read_text()).items():
-            if key == "seeds":
-                assert len(spec.seeds) == value
-            elif not isinstance(value, str):
-                assert values[key] == value, key
+            main(argv)
+        return built.value.args[0]
+    return build
+
+
+class TestSpecsFromFlags:
+    @pytest.mark.parametrize("fig", ["3a", "3b"])
+    def test_reproduce_runs_the_preset(self, built_spec, fig):
+        spec = built_spec(["reproduce", "--paper-fig", fig, "--seeds", "3"])
+        assert spec.to_dict() == analysis.reproduction_spec(fig, (0, 1, 2)).to_dict()
+
+    def test_bare_sweep_runs_the_default_spec(self, built_spec):
+        spec = built_spec(["sweep-nonsingular"])
+        assert spec.to_dict() == analysis.NonSingularSweepSpec().to_dict()
+
+    @pytest.mark.parametrize("flag,field,value", [
+        ("--count=4", "count", 4),
+        ("--depths=1,2", "depths", (1, 2)),
+        ("--levels-per-net=2", "levels_per_net", 2),
+        ("--window=-3,3,-2,2", "window", Window(np.array([-3.0, -2.0]),
+                                                np.array([3.0, 2.0]))),
+        ("--resolution=61", "resolution", 61),
+        ("--seed=5", "seed", 5),
+        ("--delta=0.01", "delta", 0.01),
+        ("--activation=one_to_one_relu:3", "activation", one_to_one_relu(3)),
+    ])
+    def test_each_sweep_flag_sets_its_own_field(self, built_spec, flag, field, value):
+        spec = built_spec(["sweep-nonsingular", flag])
+        expected = dataclasses.replace(analysis.NonSingularSweepSpec(), **{field: value})
+        assert spec.to_dict() == expected.to_dict()
 
 
 class TestValidateReportCommand:
