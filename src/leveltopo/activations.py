@@ -100,42 +100,29 @@ def _into(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def activation_derivative(act: Activation, x):
+def activation_derivative(act: Activation, x, post=None, out: np.ndarray | None = None):
     """Elementwise derivative at pre-activation ``x``.
 
-    relu and one_to_one_relu use the right derivative (1.0) at x = 0.
+    sigmoid and tanh reuse the activation value ``post`` when it is given
+    (the training hot path).  With ``out`` the result is written there;
+    ``out`` may be ``x`` itself, which is read before it is written.  relu
+    and one_to_one_relu use the right derivative (1.0) at x = 0.
     """
     arr = np.asarray(x, dtype=np.float64)
     if act.kind is ActivationKind.SIGMOID:
-        s = sigmoid(arr)
-        out = s * (1.0 - s)
+        s = sigmoid(arr) if post is None else post
+        result = np.subtract(1.0, s, out=out)
+        result *= s
     elif act.kind is ActivationKind.TANH:
-        t = np.tanh(arr)
-        out = 1.0 - t * t
+        t = np.tanh(arr) if post is None else post
+        result = np.subtract(1.0, np.multiply(t, t, out=out), out=out)
     elif act.kind is ActivationKind.RELU:
-        out = np.where(arr >= 0, 1.0, 0.0)
+        result = _into(np.where(arr >= 0, 1.0, 0.0), out)
     else:
-        out = np.where(arr >= 0, 1.0, 1.0 / (act.sharpness * (1.0 + arr * arr)))
+        result = _into(np.where(arr >= 0, 1.0, 1.0 / (act.sharpness * (1.0 + arr * arr))), out)
     if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def activation_derivative_at(act: Activation, pre: np.ndarray, post: np.ndarray,
-                             out: np.ndarray | None = None) -> np.ndarray:
-    """Derivative at pre-activation ``pre`` reusing the already computed
-    activation value ``post`` where the algebra allows (training hot path).
-
-    ``out`` may be ``pre`` itself: it is written only after ``pre`` is read.
-    """
-    if act.kind is ActivationKind.SIGMOID:
-        out = np.subtract(1.0, post, out=out)
-        out *= post
-        return out
-    if act.kind is ActivationKind.TANH:
-        out = np.multiply(post, post, out=out)
-        return np.subtract(1.0, out, out=out)
-    return _into(activation_derivative(act, pre), out)
+        return float(result)
+    return result
 
 
 def uniform_deviation(a: Activation, b: Activation, interval: tuple[float, float],

@@ -75,6 +75,17 @@ def parse_levels(text: str):
     return tuple(float(v) for v in text.split(","))
 
 
+def _flag_type(parse):
+    """``parse`` as an argparse type: argparse prints the ValueError it raises
+    after the flag's name, and exits with code 2."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
 def _finish(report: dict, path: str | None) -> int:
     """Write the report to ``path`` if given, print its verdict lines, and
     return the exit code its verdicts call for."""
@@ -99,11 +110,10 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     data = load_dataset(args.data)
-    activation = parse_activation(args.activation)
     cfg = TrainConfig(optimizer=Optimizer(args.optimizer), learning_rate=args.lr,
                       steps=args.steps, batch_size=args.batch_size, seed=args.seed,
                       loss=Loss(args.loss), target_loss=args.target_loss)
-    net = init_weights(list(parse_ints(args.arch)), activation, args.seed)
+    net = init_weights(list(args.arch), args.activation, args.seed)
     trained, history = train(net, data, cfg)
     save_network(trained, args.out)
     if args.history:
@@ -112,7 +122,7 @@ def cmd_train(args) -> int:
             for step, loss in enumerate(history.tolist(), 1):
                 fh.write(f"{step},{loss!r}\n")
     acc = accuracy(trained, data)
-    print(f"trained {args.arch} for {len(history)} steps: "
+    print(f"trained {','.join(map(str, args.arch))} for {len(history)} steps: "
           f"loss={history[-1]:.4f} accuracy={acc:.4f} -> {args.out}")
     return 0
 
@@ -125,7 +135,7 @@ def cmd_analyze(args) -> int:
     if data is not None and data.dim != net.input_dim:
         raise ValueError(f"model/data mismatch: model input dim {net.input_dim}, "
                          f"data dim {data.dim}")
-    window = parse_window(args.window)
+    window = args.window
     if window is None:
         if data is None:
             raise ValueError("--window auto requires --data")
@@ -134,7 +144,7 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"model/window mismatch: model input dim {net.input_dim}, "
                          f"window dim {window.dim}")
 
-    levels = resolve_levels(parse_levels(args.levels))
+    levels = resolve_levels(args.levels)
     f = network_scalar_fn(net)
     base_field = sample_grid(f, window, (args.resolution, args.resolution))
     lo_v, hi_v = base_field.value_range()
@@ -171,6 +181,12 @@ def cmd_reproduce(args) -> int:
         raise ValueError(f"--seeds must be >= 0, got {args.seeds}")
     spec = reproduction_spec(fig, tuple(range(args.seeds)))
     kind = KIND_REPRODUCE_NARROW if fig == "3a" else KIND_REPRODUCE_WIDE
+    # made before the run and filled after the report is written, so a bad
+    # directory costs no finished run
+    svg_dir = Path(args.svg_dir) if args.svg_dir else None
+    if svg_dir:
+        svg_dir.mkdir(parents=True, exist_ok=True)
+        print(f"svg per seed -> {svg_dir}")
 
     t0 = time.perf_counter()
     sweep = run_experiment(spec)
@@ -179,13 +195,13 @@ def cmd_reproduce(args) -> int:
     report = make_report(kind, {"paper_fig": fig, "spec": spec.to_dict(),
                                 "deterministic": args.deterministic},
                          outcomes, args.deterministic, wall)
-    if args.svg_dir:
-        _write_seed_svgs(sweep, Path(args.svg_dir), args.deterministic)
-    return _finish(report, args.report)
+    code = _finish(report, args.report)
+    if svg_dir:
+        _write_seed_svgs(sweep, svg_dir, args.deterministic)
+    return code
 
 
 def _write_seed_svgs(sweep, directory: Path, deterministic: bool) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
     for outcome in sweep.outcomes:
         if outcome.error is not None or not outcome.levels:
             continue
@@ -197,18 +213,14 @@ def _write_seed_svgs(sweep, directory: Path, deterministic: bool) -> None:
             analysis.level, field_fn=field_fn, deterministic=deterministic,
             title=f"seed {outcome.seed}")
         (directory / f"seed{outcome.seed:03d}.svg").write_text(svg)
-    print(f"svg per seed -> {directory}")
 
 
 def cmd_sweep_nonsingular(args) -> int:
     """Run the sweep with the spec fields the user gave as flags; every other
     field keeps its ``NonSingularSweepSpec`` default."""
-    parsers = {"depths": parse_ints, "window": parse_window, "activation": parse_activation}
-    given = {}
-    for field in dataclasses.fields(NonSingularSweepSpec):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            given[field.name] = parsers[field.name](value) if field.name in parsers else value
+    given = {field.name: getattr(args, field.name)
+             for field in dataclasses.fields(NonSingularSweepSpec)
+             if getattr(args, field.name, None) is not None}
     spec = NonSingularSweepSpec(**given)
 
     t0 = time.perf_counter()
@@ -260,8 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a classifier on a dataset file")
     p.add_argument("--data", required=True)
-    p.add_argument("--arch", required=True, help="comma widths, e.g. 2,3,1")
-    p.add_argument("--activation", default="sigmoid")
+    p.add_argument("--arch", required=True, type=_flag_type(parse_ints),
+                   help="comma widths, e.g. 2,3,1")
+    p.add_argument("--activation", type=_flag_type(parse_activation), default="sigmoid")
     p.add_argument("--optimizer", choices=[o.value for o in Optimizer], default="adam")
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--steps", type=int, default=TrainConfig.steps)
@@ -276,9 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="extract and classify level components of a model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", default=None)
-    p.add_argument("--window", default="auto", help="x_lo,x_hi,y_lo,y_hi or auto")
+    p.add_argument("--window", type=_flag_type(parse_window), default="auto",
+                   help="x_lo,x_hi,y_lo,y_hi or auto")
     p.add_argument("--resolution", type=int, default=ExperimentSpec.resolution)
-    p.add_argument("--levels", default="decision:0.5",
+    p.add_argument("--levels", type=_flag_type(parse_levels), default="decision:0.5",
                    help="comma floats or decision:<cut>")
     p.add_argument("--report", default=None)
     p.add_argument("--svg", default=None)
@@ -297,13 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-nonsingular",
                        help="probe level sets of random non-singular networks")
     p.add_argument("--count", type=int, default=None)
-    p.add_argument("--depths", default=None)
+    p.add_argument("--depths", type=_flag_type(parse_ints), default=None)
     p.add_argument("--levels-per-net", type=int, default=None)
-    p.add_argument("--window", default=None)
+    p.add_argument("--window", type=_flag_type(parse_window), default=None)
     p.add_argument("--resolution", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--activation", default=None)
+    p.add_argument("--activation", type=_flag_type(parse_activation), default=None)
     p.add_argument("--report", default=None)
     p.add_argument("--deterministic", action="store_true")
     p.set_defaults(func=cmd_sweep_nonsingular)

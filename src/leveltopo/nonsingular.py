@@ -117,23 +117,15 @@ def pad_to_width(net: Network, n: int) -> Network:
     return Network(net.input_dim, tuple(layers), net.activation, net.final_activation)
 
 
-def _square_layer_matrices(net: Network) -> list[np.ndarray]:
-    """Weight matrices subject to the determinant requirement.
-
-    Every layer except the head: the head maps the last hidden layer to a
-    1-dimensional output and cannot be square.
-    """
-    return [layer.weights for layer in net.layers[:-1]]
-
-
 def is_nonsingular(net: Network, tol: float = TOL_DET) -> NonSingularityReport:
     """Check membership in the non-singular family at determinant tolerance ``tol``."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     widths_uniform = all(w == net.input_dim for w in net.hidden_widths)
-    dets = []
-    for w in _square_layer_matrices(net):
-        dets.append(scaled_det(w) if w.shape[0] == w.shape[1] else 0.0)
+    # every layer but the head, which maps the last hidden layer to a
+    # 1-dimensional output and cannot be square
+    dets = [scaled_det(w) if w.shape[0] == w.shape[1] else 0.0
+            for w in (layer.weights for layer in net.layers[:-1])]
     if not np.any(net.layers[-1].weights):
         warnings.warn("head weights are all zero: the network is constant and every "
                       "level set is empty or everything", stacklevel=2)

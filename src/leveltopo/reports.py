@@ -74,84 +74,89 @@ def make_report(kind: str, config: dict, outcomes: list[dict], deterministic: bo
     return report
 
 
-def _verdict_narrow(report: dict) -> dict:
+def _check(ok: bool, name: str, detail: str) -> str:
+    return f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
+
+
+def _verdict_narrow(outcomes: list[dict]) -> tuple[dict, list[str]]:
     """Narrow regime: among seeds that converged, every decision-boundary
     component must be boundary-touching."""
-    outcomes = report["outcomes"]
-    trained = [o for o in outcomes if o["error"] is None]
-    converged = [o for o in trained if o["converged"]]
-    required = math.ceil(MIN_CONVERGED_FRACTION * len(outcomes)) if outcomes else 0
+    converged = [o for o in outcomes if o["error"] is None and o["converged"]]
+    required = math.ceil(MIN_CONVERGED_FRACTION * len(outcomes))
     bounded = sum(o["bounded_final"] for o in converged)
-    if not outcomes:
-        return {"status": "UNTESTED", "detail": "no seeds"}
-    passed = len(converged) >= required and bounded == 0
-    return {
-        "status": "PASS" if passed else "FAIL",
-        "converged": len(converged),
-        "required_converged": required,
-        "bounded_components_among_converged": bounded,
-    }
+    enough, clean = len(converged) >= required, bounded == 0
+    verdict = {"status": "PASS" if enough and clean else "FAIL", "converged": len(converged),
+               "required_converged": required, "bounded_components_among_converged": bounded}
+    return verdict, [
+        _check(enough, "converged-seeds",
+               f"{len(converged)}/{len(outcomes)} (required {required})"),
+        _check(clean, "bounded-components-among-converged", f"{bounded} (required 0)")]
 
 
-def _verdict_wide(report: dict) -> dict:
+def _verdict_wide(outcomes: list[dict]) -> tuple[dict, list[str]]:
     """Wide regime: most seeds reach high accuracy, and most of those show a
     bounded decision-boundary component that encloses the origin."""
-    outcomes = report["outcomes"]
-    if not outcomes:
-        return {"status": "UNTESTED", "detail": "no seeds"}
     accurate = [o for o in outcomes
                 if o["error"] is None and o["accuracy"] is not None
                 and o["accuracy"] >= MIN_ACCURACY]
     required_accurate = math.ceil(MIN_ACCURATE_FRACTION * len(outcomes))
     with_loop = [o for o in accurate
                  if any(lv["bounded_enclosing_origin"] >= 1 for lv in o["levels"])]
-    required_loops = math.ceil(MIN_LOOP_FRACTION * len(accurate)) if accurate else 0
-    passed = len(accurate) >= required_accurate and len(with_loop) >= required_loops
-    return {
-        "status": "PASS" if passed else "FAIL",
-        "accurate": len(accurate),
-        "required_accurate": required_accurate,
-        "with_origin_loop": len(with_loop),
-        "required_with_loop": required_loops,
-    }
+    required_loops = math.ceil(MIN_LOOP_FRACTION * len(accurate))
+    enough, loops = len(accurate) >= required_accurate, len(with_loop) >= required_loops
+    verdict = {"status": "PASS" if enough and loops else "FAIL", "accurate": len(accurate),
+               "required_accurate": required_accurate, "with_origin_loop": len(with_loop),
+               "required_with_loop": required_loops}
+    return verdict, [
+        _check(enough, "accurate-seeds",
+               f"{len(accurate)}/{len(outcomes)} (required {required_accurate})"),
+        _check(loops, "origin-loop-seeds",
+               f"{len(with_loop)}/{len(accurate)} (required {required_loops})")]
 
 
-def _verdict_sweep(report: dict) -> dict:
+def _verdict_sweep(outcomes: list[dict]) -> tuple[dict, list[str]]:
     """Non-singular sweep: no level may have a bounded component."""
-    outcomes = report["outcomes"]
-    if not outcomes:
-        return {"status": "UNTESTED", "detail": "no networks"}
     bounded = sum(o["bounded_final"] for o in outcomes)
     violations = [{"seed": o["seed"], "level": lv["level"], "bounded": lv["bounded_final"]}
                   for o in outcomes for lv in o["levels"] if lv["bounded_final"] > 0]
-    return {
-        "status": "PASS" if bounded == 0 else "FAIL",
-        "bounded_components": bounded,
-        "violations": violations,
-    }
+    clean = bounded == 0
+    verdict = {"status": "PASS" if clean else "FAIL", "bounded_components": bounded,
+               "violations": violations}
+    return verdict, [_check(clean, "bounded-components",
+                            f"{bounded} (required 0; violations: {len(violations)})")]
 
 
-def _verdict_analyze(report: dict) -> dict:
-    outcomes = report["outcomes"]
+def _verdict_analyze(outcomes: list[dict]) -> tuple[dict, list[str]]:
     bounded = sum(o["bounded_final"] for o in outcomes)
     boundary = sum(o["boundary_final"] for o in outcomes)
-    return {"status": "DONE", "bounded_components": bounded,
-            "boundary_touching_components": boundary}
+    verdict = {"status": "DONE", "bounded_components": bounded,
+               "boundary_touching_components": boundary}
+    return verdict, [f"DONE {KIND_ANALYZE}: bounded={bounded} touching={boundary}"]
 
 
+# kind -> (its rule, the detail of its UNTESTED verdict on a run with no outcomes)
 _VERDICTS = {
-    KIND_REPRODUCE_NARROW: _verdict_narrow,
-    KIND_REPRODUCE_WIDE: _verdict_wide,
-    KIND_SWEEP: _verdict_sweep,
-    KIND_ANALYZE: _verdict_analyze,
+    KIND_REPRODUCE_NARROW: (_verdict_narrow, "no seeds"),
+    KIND_REPRODUCE_WIDE: (_verdict_wide, "no seeds"),
+    KIND_SWEEP: (_verdict_sweep, "no networks"),
+    KIND_ANALYZE: (_verdict_analyze, None),
 }
 
 
-def compute_verdicts(report: dict) -> dict:
+def _judge(report: dict) -> tuple[dict, list[str]]:
+    """The verdict of the report's kind on its outcomes, and one printed
+    PASS/FAIL line per sub-criterion, both from the same booleans."""
     kind = report["kind"]
     if kind not in _VERDICTS:
         raise ValueError(f"unknown report kind {kind!r}")
-    return {kind: _VERDICTS[kind](report)}
+    rule, empty_run = _VERDICTS[kind]
+    if not report["outcomes"] and empty_run is not None:
+        return {"status": "UNTESTED", "detail": empty_run}, [f"UNTESTED {kind}: {empty_run}"]
+    return rule(report["outcomes"])
+
+
+def compute_verdicts(report: dict) -> dict:
+    return {report["kind"]: _judge(report)[0]}
 
 
 def data_mismatches(report: dict) -> list[str]:
@@ -225,33 +230,8 @@ def report_passed(report: dict) -> bool:
 
 
 def verdict_lines(report: dict) -> list[str]:
-    """One human-readable PASS/FAIL line per sub-criterion of each verdict."""
-    lines = []
-    n = len(report["outcomes"])
-    for kind, v in report["verdicts"].items():
-        status = v["status"]
-        if status == "UNTESTED":
-            lines.append(f"UNTESTED {kind}: {v.get('detail', '')}")
-            continue
-        if kind == KIND_REPRODUCE_NARROW:
-            ok1 = v["converged"] >= v["required_converged"]
-            ok2 = v["bounded_components_among_converged"] == 0
-            lines.append(f"{'PASS' if ok1 else 'FAIL'} converged-seeds: "
-                         f"{v['converged']}/{n} (required {v['required_converged']})")
-            lines.append(f"{'PASS' if ok2 else 'FAIL'} bounded-components-among-converged: "
-                         f"{v['bounded_components_among_converged']} (required 0)")
-        elif kind == KIND_REPRODUCE_WIDE:
-            ok1 = v["accurate"] >= v["required_accurate"]
-            ok2 = v["with_origin_loop"] >= v["required_with_loop"]
-            lines.append(f"{'PASS' if ok1 else 'FAIL'} accurate-seeds: "
-                         f"{v['accurate']}/{n} (required {v['required_accurate']})")
-            lines.append(f"{'PASS' if ok2 else 'FAIL'} origin-loop-seeds: "
-                         f"{v['with_origin_loop']}/{v['accurate']} "
-                         f"(required {v['required_with_loop']})")
-        elif kind == KIND_SWEEP:
-            lines.append(f"{status} bounded-components: {v['bounded_components']} "
-                         f"(required 0; violations: {len(v['violations'])})")
-        else:
-            lines.append(f"{status} {kind}: bounded={v.get('bounded_components')} "
-                         f"touching={v.get('boundary_touching_components')}")
-    return lines
+    """One human-readable PASS/FAIL line per sub-criterion of the report's
+    verdict.  The lines follow from the outcomes, not from the stored
+    verdicts; the CLI prints them for the report ``make_report`` has just
+    built, so they state its stored verdict."""
+    return _judge(report)[1]

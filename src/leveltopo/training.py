@@ -17,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .activations import (Activation, ActivationKind, activation_apply,
-                          activation_derivative_at)
+from .activations import Activation, ActivationKind, activation_apply, activation_derivative
 from .network import Layer, Network, scalar_output
 
 FULL_BATCH_LIMIT = 4096
@@ -246,7 +245,7 @@ def _stack_loss_and_grad(params, grads, work, activation: Activation,
         delta /= count
     else:
         if final_activation:
-            deriv = activation_derivative_at(activation, z, a, out=z)
+            deriv = activation_derivative(activation, z, a, out=z)
         np.subtract(a, y, out=delta)
         losses = np.mean((delta * delta).reshape(seeds, count), axis=1)
         delta *= 2.0
@@ -263,7 +262,7 @@ def _stack_loss_and_grad(params, grads, work, activation: Activation,
         np.sum(delta, axis=2, keepdims=True, out=gb)
         if i > 0:
             z_below = work[i - 1][0]
-            deriv = activation_derivative_at(activation, z_below, below, out=z_below)
+            deriv = activation_derivative(activation, z_below, below, out=z_below)
             np.matmul(params[i][0].transpose(0, 2, 1), delta, out=below)
             below *= deriv
             delta = below

@@ -80,6 +80,16 @@ class TestClassicActivations:
         s = activation_apply(SIGMOID, x)
         assert activation_derivative(SIGMOID, x) == pytest.approx(s * (1 - s), rel=1e-12)
 
+    @pytest.mark.parametrize("act", [SIGMOID, TANH, RELU, one_to_one_relu(3)],
+                             ids=["sigmoid", "tanh", "relu", "one_to_one_relu"])
+    def test_derivative_from_post_into_x_is_bitwise_the_plain_one(self, act):
+        # the training kernel passes the activation value and writes over x
+        x = np.linspace(-6.0, 6.0, 41)
+        expected = activation_derivative(act, x)
+        got = activation_derivative(act, x, activation_apply(act, x), out=x)
+        assert got is x
+        np.testing.assert_array_equal(got, expected)
+
 
 class TestUniformDeviation:
     def test_identical_functions(self):

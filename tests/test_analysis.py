@@ -1,10 +1,9 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
-from leveltopo import (SIGMOID, TANH, Classification, CompositionToleranceError,
+from leveltopo import (SIGMOID, Classification, CompositionToleranceError,
                        ConstructionError, ExperimentSpec, FunctionLink, NonSingularSweepSpec,
                        TrainConfig, Window, analyze_level, composition_tolerance_check,
                        one_to_one_relu, random_nonsingular_sweep, run_experiment,

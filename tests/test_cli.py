@@ -272,6 +272,17 @@ class TestReproduceCommand:
     def test_missing_fig_is_usage_error(self):
         assert main(["reproduce", "--seeds", "1"]) == 2
 
+    def test_svg_dir_that_is_a_file_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+        def never(spec):
+            raise AssertionError("run_experiment was called")
+
+        monkeypatch.setattr(cli, "run_experiment", never)
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        assert main(["reproduce", "--paper-fig", "3b", "--seeds", "1",
+                     "--svg-dir", str(blocker)]) == 3
+        assert "File exists" in capsys.readouterr().err
+
 
 class TestOptionChecks:
     @pytest.mark.parametrize("argv", [
@@ -301,6 +312,29 @@ class TestOptionChecks:
     def test_vacuous_or_negative_count_exit_2(self, capsys, argv, flag):
         assert main(argv) == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep-nonsingular", "--depths", "1,a"],
+         "argument --depths: invalid literal for int() with base 10: 'a'"),
+        (["sweep-nonsingular", "--window=1,2,a,b"],
+         "argument --window: could not convert string to float: 'a'"),
+        (["sweep-nonsingular", "--window=1,2,3"],
+         "argument --window: window must be x_lo,x_hi,y_lo,y_hi[,...], got '1,2,3'"),
+        (["sweep-nonsingular", "--activation", "one_to_one_relu:x"],
+         "argument --activation: invalid literal for int() with base 10: 'x'"),
+        (["analyze", "--model", "m.json", "--levels", "0.3,x"],
+         "argument --levels: could not convert string to float: 'x'"),
+        (["train", "--data", "d.csv", "--arch", "2,x,1", "--out", "m.json"],
+         "argument --arch: invalid literal for int() with base 10: 'x'"),
+        (["train", "--data", "d.csv", "--arch", "2,3,1", "--activation", "swish",
+          "--out", "m.json"], "argument --activation: unknown activation 'swish'"),
+    ], ids=["depths", "window-float", "window-arity", "sharpness", "levels", "arch",
+            "activation"])
+    def test_unparsable_flag_value_is_named_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class Built(Exception):

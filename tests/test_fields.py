@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from leveltopo import (SIGMOID, Window, eps_A_approximates, init_weights,
                        network_scalar_fn, one_to_one_relu, region_components,
-                       sample_grid, uniform_deviation)
+                       sample_grid)
 from leveltopo.activations import RELU, activation_apply, one_to_one_relu_bound
 from leveltopo.fields import (RegionComponent, RegionComponents, ScalarField, _cell_min_max,
                               sample_noncritical_levels)

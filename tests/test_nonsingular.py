@@ -4,7 +4,7 @@ import pytest
 from leveltopo import (RELU, SIGMOID, Layer, Network, Window, check_injective_on_grid,
                        decompose, forward_batch, init_weights, is_nonsingular,
                        make_nonsingular, one_to_one_relu, pad_to_width, scaled_det)
-from leveltopo.nonsingular import (DEFAULT_MIN_SEP, INJECTIVITY_QUANT, TOL_DET,
+from leveltopo.nonsingular import (DEFAULT_MIN_SEP, INJECTIVITY_QUANT,
                                    NonSingularizationError)
 
 
