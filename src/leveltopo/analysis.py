@@ -32,6 +32,7 @@ from .contours import (Classification, LevelComponent, boundary_tol, component_e
 from .fields import ScalarField, network_scalar_fn, sample_grid
 from .network import Network, Window, network_hash, network_to_dict
 from .nonsingular import is_nonsingular, make_nonsingular, pad_to_width, NonSingularityReport
+from .reports import EncodedOutcome, encode_outcome
 from .training import (Dataset, TrainConfig, TrainingDiverged, accuracy,
                        gen_ring_dataset, init_weights, train_stack)
 
@@ -228,7 +229,12 @@ class SeedOutcome:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """The outcomes of a run; ``encoded`` holds each outcome's report entry,
+    encoded by the worker that computed it, when the run encodes them (the
+    non-singular sweep does, since its polylines dominate its report)."""
+
     outcomes: tuple[SeedOutcome, ...]
+    encoded: tuple[EncodedOutcome, ...] = ()
 
     @property
     def bounded_total(self) -> int:
@@ -352,7 +358,8 @@ def build_random_nonsingular(spec: NonSingularSweepSpec, index: int,
     return nonsingular, report
 
 
-def _sweep_net(spec: NonSingularSweepSpec, job: tuple[int, int]) -> SeedOutcome:
+def _sweep_net(spec: NonSingularSweepSpec,
+               job: tuple[int, int]) -> tuple[SeedOutcome, EncodedOutcome]:
     index, net_seed = job
     rng = np.random.default_rng(net_seed + 1)
     net, report = build_random_nonsingular(spec, index, net_seed)
@@ -365,20 +372,23 @@ def _sweep_net(spec: NonSingularSweepSpec, job: tuple[int, int]) -> SeedOutcome:
     levels = rng.uniform(p5, p95, spec.levels_per_net)
     provenance = {"network_sha256": network_hash(net), "net_index": index}
     analyses = tuple(analyze_level(f, level, fld, provenance) for level in levels)
-    return SeedOutcome(seed=index, levels=analyses, nonsingularity=report,
-                       network=network_to_dict(net))
+    outcome = SeedOutcome(seed=index, levels=analyses, nonsingularity=report,
+                          network=network_to_dict(net))
+    return outcome, encode_outcome(outcome.to_dict())
 
 
 def random_nonsingular_sweep(spec: NonSingularSweepSpec) -> SweepResult:
     """Probe level sets of ``count`` random non-singular networks.
 
     A network that fails the membership check after construction raises
-    ConstructionError rather than contaminating the sweep.
+    ConstructionError rather than contaminating the sweep.  Each worker also
+    encodes the outcomes it computed (``SweepResult.encoded``), so the
+    report's text is written on every core.
     """
     master = np.random.default_rng(spec.seed)
     net_seeds = [int(s) for s in master.integers(0, 2 ** 62, size=spec.count)]
-    outcomes = parallel_map(partial(_sweep_net, spec), list(enumerate(net_seeds)))
-    return SweepResult(tuple(outcomes))
+    nets = parallel_map(partial(_sweep_net, spec), list(enumerate(net_seeds)))
+    return SweepResult(tuple(o for o, _ in nets), tuple(e for _, e in nets))
 
 
 # ---------------------------------------------------------------------------

@@ -226,10 +226,9 @@ def cmd_sweep_nonsingular(args) -> int:
     t0 = time.perf_counter()
     sweep = random_nonsingular_sweep(spec)
     wall = time.perf_counter() - t0
-    outcomes = [o.to_dict() for o in sweep.outcomes]
     report = make_report(KIND_SWEEP, {"spec": spec.to_dict(),
                                       "deterministic": args.deterministic},
-                         outcomes, args.deterministic, wall)
+                         list(sweep.encoded), args.deterministic, wall)
     return _finish(report, args.report)
 
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 import json
 import math
 import platform
+from dataclasses import dataclass
 
 import numpy as np
 
 from .contours import classify_component, component_encloses
-from .network import Window
+from .network import Window, network_from_dict
+from .nonsingular import is_nonsingular
 
 SCHEMA_VERSION = 1
 
@@ -42,10 +44,50 @@ def versions() -> dict:
     }
 
 
+def _json(value) -> str:
+    # a report is a tree, so the per-list cycle check only costs time
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
+def _scalars(d: dict) -> dict:
+    return {k: v for k, v in d.items() if not isinstance(v, (dict, list))}
+
+
+@dataclass(frozen=True)
+class EncodedOutcome:
+    """An outcome dict as the text ``dumps_report`` writes for it, with its
+    scalar values and those of its levels: all that the verdict rules read,
+    which they read by subscripting this object."""
+
+    summary: dict
+    text: str
+
+    def __getitem__(self, key):
+        return self.summary[key]
+
+
+def encode_outcome(outcome: dict) -> EncodedOutcome:
+    """Encode ``outcome`` where it was computed: a worker process that sends
+    its parent this object spares the parent encoding every outcome on one
+    core."""
+    summary = {**_scalars(outcome), "levels": [_scalars(lv) for lv in outcome["levels"]]}
+    return EncodedOutcome(summary, _json(outcome))
+
+
 def dumps_report(report: dict) -> str:
-    """One line of JSON: a sweep report's polylines hold hundreds of thousands
-    of coordinates, and indenting puts each on a line of its own."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    """One line of compact, sorted-key JSON: a sweep report's polylines hold
+    hundreds of thousands of coordinates, and indenting puts each on a line
+    of its own.
+
+    Each outcome is encoded on its own and spliced into the ``outcomes``
+    array; an ``EncodedOutcome`` brings the text its worker encoded.  The
+    bytes are those of encoding the plain-dict report in one call."""
+    def member(key, value) -> str:
+        if key != "outcomes":
+            return f"{_json(key)}:{_json(value)}"
+        texts = (o.text if isinstance(o, EncodedOutcome) else _json(o) for o in value)
+        return f"{_json(key)}:[{','.join(texts)}]"
+    return "{" + ",".join(member(k, v) for k, v in sorted(report.items())) + "}\n"
 
 
 def write_report(report: dict, path) -> None:
@@ -58,8 +100,9 @@ def load_report(path) -> dict:
         return json.load(fh)
 
 
-def make_report(kind: str, config: dict, outcomes: list[dict], deterministic: bool,
+def make_report(kind: str, config: dict, outcomes: list, deterministic: bool,
                 wall_seconds: float) -> dict:
+    """The report of a run whose outcomes are dicts or ``EncodedOutcome``s."""
     report = {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
@@ -167,9 +210,13 @@ def data_mismatches(report: dict) -> list[str]:
     floats round-trip exactly), ``final_classifications`` are the
     components' classifications, ``bounded_final``, ``boundary_final`` and
     ``report.counts`` count them, and ``bounded_enclosing_origin`` counts the
-    recomputed bounded chains around the origin (even-odd test); per
+    recomputed bounded chains around the origin (even-odd test).  Per
     outcome, ``bounded_final`` and ``boundary_final`` sum those of its
-    levels."""
+    levels; in a reproduction, ``converged`` is ``final_loss <=
+    convergence_loss`` of the stored spec for every seed without an error;
+    in a sweep, ``nonsingularity`` is the membership check of the stored
+    network (its weights round-trip exactly)."""
+    kind = report["kind"]
     lines = []
     for o in report["outcomes"]:
         for lv in o["levels"]:
@@ -196,10 +243,17 @@ def data_mismatches(report: dict) -> list[str]:
                 if stored != recomputed:
                     lines.append(f"seed {o['seed']} level {lv['level']!r}: {key} is "
                                  f"{stored!r}, recomputed {recomputed!r}")
-        for key in ("bounded_final", "boundary_final"):
-            total = sum(lv[key] for lv in o["levels"])
-            if o[key] != total:
-                lines.append(f"seed {o['seed']}: {key} is {o[key]!r}, its levels sum to {total}")
+        checks = [(key, o[key], sum(lv[key] for lv in o["levels"]))
+                  for key in ("bounded_final", "boundary_final")]
+        if kind in (KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE) and o["error"] is None:
+            checks.append(("converged", o["converged"],
+                           o["final_loss"] <= report["config"]["spec"]["convergence_loss"]))
+        if kind == KIND_SWEEP:
+            checks.append(("nonsingularity", o["nonsingularity"],
+                           is_nonsingular(network_from_dict(o["network"])).to_dict()))
+        for key, stored, recomputed in checks:
+            if stored != recomputed:
+                lines.append(f"seed {o['seed']}: {key} is {stored!r}, recomputed {recomputed!r}")
     return lines
 
 

@@ -525,6 +525,67 @@ class TestValidateReportCounts:
             f"stored value does not match the report's own data: seed 0 level 0.5: {message}"]
 
 
+@pytest.fixture(scope="module")
+def two_seed_wide_report(tmp_path_factory):
+    path = tmp_path_factory.mktemp("wide2") / "r.json"
+    assert main(["reproduce", "--paper-fig", "3b", "--seeds", "2", "--report", str(path),
+                 "--deterministic"]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def sweep_report(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sweep") / "r.json"
+    assert main(["sweep-nonsingular", "--count", "1", "--levels-per-net", "1",
+                 "--resolution", "41", "--report", str(path), "--deterministic"]) == 0
+    return path
+
+
+def unconverged_at_low_loss(report):
+    report["outcomes"][0]["final_loss"] = 0.01
+    report["outcomes"][0]["converged"] = False
+
+
+def as_narrow_kind(report):
+    """The same seeds filed as a 3a run, whose verdict reads ``converged``."""
+    unconverged_at_low_loss(report)
+    report["kind"] = "reproduce-3a"
+
+
+def flip_nonsingular_verdict(report):
+    report["outcomes"][0]["nonsingularity"]["verdict"] = False
+
+
+def negate_determinant(report):
+    dets = report["outcomes"][0]["nonsingularity"]["determinants"]
+    dets[0] = -dets[0]
+
+
+class TestValidateReportDerivations:
+    """validate-report re-derives ``converged`` from the stored loss and spec,
+    and a sweep's ``nonsingularity`` from the stored network."""
+
+    @pytest.mark.parametrize("report_fixture,tamper,message", [
+        ("two_seed_wide_report", unconverged_at_low_loss,
+         "seed 0: converged is False, recomputed True"),
+        ("two_seed_wide_report", as_narrow_kind, "seed 0: converged is False, recomputed True"),
+        ("sweep_report", flip_nonsingular_verdict, "seed 0: nonsingularity is {"),
+        ("sweep_report", negate_determinant, "seed 0: nonsingularity is {"),
+    ], ids=["converged", "converged-narrow", "nonsingular-verdict", "determinant-sign"])
+    def test_tampered_derivation_exit_1(self, request, tmp_path, capsys, report_fixture,
+                                        tamper, message):
+        report = load_report(request.getfixturevalue(report_fixture))
+        tamper(report)
+        report["verdicts"] = compute_verdicts(report)
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(report))
+        assert main(["validate-report", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            f"stored value does not match the report's own data: {message}")
+
+
 class TestEnvironment:
     @pytest.mark.parametrize("value", ["abc", "0", "-4"])
     def test_bad_thread_count_exit_2(self, monkeypatch, capsys, value):
@@ -545,3 +606,15 @@ def test_module_entry_point_runs_from_a_checkout(tmp_path):
                           capture_output=True, text=True, env=env, cwd=tmp_path)
     assert done.returncode == 2
     assert "a report is a JSON object" in done.stderr
+
+
+def test_two_worker_sweep_report_validates(tmp_path):
+    """The report of a sweep whose outcomes were encoded in worker processes."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), analysis.THREADS_ENV: "2"}
+    for argv in (["sweep-nonsingular", "--count", "3", "--report", "r.json"],
+                 ["validate-report", "r.json"]):
+        done = subprocess.run([sys.executable, "-m", "leveltopo", *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+    assert done.stdout == "verdicts check out: r.json\n"

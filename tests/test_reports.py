@@ -1,7 +1,19 @@
+import json
+
 import pytest
 
+from leveltopo import SIGMOID, NonSingularSweepSpec, init_weights, save_network
+from leveltopo.analysis import THREADS_ENV, random_nonsingular_sweep
+from leveltopo.cli import main
 from leveltopo.reports import (KIND_ANALYZE, KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE,
-                               KIND_SWEEP, make_report, report_passed, verdict_lines)
+                               KIND_SWEEP, dumps_report, encode_outcome, make_report,
+                               report_passed, verdict_lines)
+
+
+def plain_json(report: dict) -> str:
+    """The report encoded in one call, as the writer encoded it before it
+    encoded each outcome on its own."""
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def outcome(seed, *, error=None, converged=True, accuracy=1.0, bounded=0, loops=0,
@@ -64,3 +76,37 @@ def test_verdict_lines(kind, outcomes, lines, passed):
     report = make_report(kind, {}, outcomes, True, 0.0)
     assert verdict_lines(report) == lines
     assert report_passed(report) is passed
+    # an encoded outcome's summary holds everything each kind's rule reads
+    encoded = make_report(kind, {}, [encode_outcome(o) for o in outcomes], True, 0.0)
+    assert encoded["verdicts"] == report["verdicts"]
+    assert verdict_lines(encoded) == lines
+    assert dumps_report(encoded) == dumps_report(report) == plain_json(report)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("count", [0, 1, 6])
+def test_worker_encoded_sweep_report_is_the_plain_encoding(monkeypatch, count, threads):
+    monkeypatch.setenv(THREADS_ENV, threads)
+    spec = NonSingularSweepSpec(count=count)
+    sweep = random_nonsingular_sweep(spec)
+    dicts = [o.to_dict() for o in sweep.outcomes]
+    assert [json.loads(e.text) for e in sweep.encoded] == dicts
+    config = {"spec": spec.to_dict(), "deterministic": True}
+    spliced = dumps_report(make_report(KIND_SWEEP, config, list(sweep.encoded), True, 0.0))
+    assert spliced == plain_json(make_report(KIND_SWEEP, config, dicts, True, 0.0))
+    assert ('"outcomes":[]' in spliced) is (count == 0)
+
+
+def test_only_the_top_level_outcomes_are_spliced(tmp_path):
+    model = tmp_path / 'a"outcomes":[]],"outcomes":[' / "model.json"
+    model.parent.mkdir()
+    save_network(init_weights([2, 3, 1], SIGMOID, 0), model)
+    rp = tmp_path / "r.json"
+    assert main(["analyze", "--model", str(model), "--window=-2,2,-2,2",
+                 "--resolution", "21", "--levels", "0.5", "--report", str(rp),
+                 "--deterministic"]) == 0
+    text = rp.read_text()
+    report = json.loads(text)
+    assert report["config"]["model"] == str(model)
+    assert len(report["outcomes"]) == 1
+    assert text == plain_json(report)
