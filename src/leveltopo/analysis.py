@@ -33,7 +33,7 @@ from .fields import ScalarField, network_scalar_fn, sample_grid
 from .network import Network, Window, network_hash, network_to_dict
 from .nonsingular import is_nonsingular, make_nonsingular, pad_to_width, NonSingularityReport
 from .reports import EncodedOutcome, encode_outcome
-from .training import (Dataset, TrainConfig, TrainingDiverged, accuracy,
+from .training import (DECISION_CUT, Dataset, TrainConfig, TrainingDiverged, accuracy,
                        gen_ring_dataset, init_weights, train_stack)
 
 THREADS_ENV = "LEVELSET_PROBE_THREADS"
@@ -135,20 +135,11 @@ def analyze_level(f, level: float, field: ScalarField,
 # trained-network experiments
 
 
-def resolve_levels(levels: tuple[float, ...] | str) -> tuple[float, ...]:
-    """Levels to probe: the given values, or the cut of a ``decision:<cut>`` spec."""
-    if isinstance(levels, str):
-        tag, _, value = levels.partition(":")
-        if tag != "decision":
-            raise ValueError(f"unknown level spec {levels!r}")
-        return (float(value),)
-    return tuple(float(v) for v in levels)
-
-
 def auto_window(data: Dataset) -> Window:
     """The bounding box of the data, doubled about its center."""
     lo, hi = data.bounding_box()
-    return Window(lo, hi).scaled(2.0)
+    center, extent = 0.5 * (lo + hi), hi - lo
+    return Window(center - extent, center + extent)
 
 
 @dataclass(frozen=True)
@@ -167,16 +158,13 @@ class ExperimentSpec:
     ring_sigma: float = 0.3
     window: Window | None = None   # None: per-seed data bounding box, doubled
     resolution: int = 201
-    levels: tuple[float, ...] | str = "decision:0.5"
+    levels: tuple[float, ...] = (DECISION_CUT,)
     convergence_loss: float = 0.35
 
     @property
     def regime(self) -> str:
         """``"skinny"`` when no hidden width exceeds the input width, else ``"wide"``."""
         return "skinny" if all(w <= self.arch[0] for w in self.arch[1:-1]) else "wide"
-
-    def resolved_levels(self) -> tuple[float, ...]:
-        return resolve_levels(self.levels)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -185,8 +173,7 @@ class ExperimentSpec:
         d["window"] = self.window.to_dict() if self.window else None
         d["arch"] = list(self.arch)
         d["seeds"] = list(self.seeds)
-        d["levels"] = (self.levels if isinstance(self.levels, str)
-                       else list(self.levels))
+        d["levels"] = list(self.levels)
         d["regime"] = self.regime
         return d
 
@@ -255,7 +242,7 @@ def _seed_outcome(spec: ExperimentSpec, seed: int, data, result) -> SeedOutcome:
     base_field = sample_grid(f, window, (spec.resolution, spec.resolution))
     provenance = {"network_sha256": network_hash(trained), "seed": seed}
     levels = tuple(analyze_level(f, level, base_field, provenance)
-                   for level in spec.resolved_levels())
+                   for level in spec.levels)
     return SeedOutcome(seed=seed, final_loss=final_loss, steps_run=steps_run,
                        converged=final_loss <= spec.convergence_loss, accuracy=acc,
                        levels=levels, network=network_to_dict(trained))
@@ -315,7 +302,8 @@ class NonSingularSweepSpec:
     activation: Activation = SIGMOID
     count: int = 100
     levels_per_net: int = 5
-    window: Window = None
+    window: Window = dataclasses.field(
+        default_factory=lambda: Window(np.array([-4.0, -4.0]), np.array([4.0, 4.0])))
     resolution: int = 201
     seed: int = 0
     delta: float = 1e-3
@@ -333,9 +321,6 @@ class NonSingularSweepSpec:
         if self.levels_per_net < 1:
             raise ValueError(f"levels_per_net (--levels-per-net) must be >= 1, "
                              f"got {self.levels_per_net}")
-        if self.window is None:
-            object.__setattr__(self, "window", Window(np.array([-4.0, -4.0]),
-                                                      np.array([4.0, 4.0])))
 
     def to_dict(self) -> dict:
         return {"n": self.n, "depths": list(self.depths),
@@ -443,10 +428,11 @@ class CompositionReport:
 
 
 DELTA_FLOOR = 1e-12
+COMPOSITION_GRID_PER_AXIS = 21  # lattice points per window axis
 
 
 def composition_tolerance_check(chain, window: Window, eps: float, trials: int,
-                                seed: int, grid_per_axis: int = 21) -> CompositionReport:
+                                seed: int) -> CompositionReport:
     """Search the largest delta = eps/2^k such that perturbing every link by at
     most delta (sup norm on its domain) keeps the composite within eps of the
     original on ``window``.
@@ -459,6 +445,8 @@ def composition_tolerance_check(chain, window: Window, eps: float, trials: int,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     if not chain:
         raise ValueError("chain must contain at least one link")
     for a, b in zip(chain[:-1], chain[1:]):
@@ -467,7 +455,7 @@ def composition_tolerance_check(chain, window: Window, eps: float, trials: int,
     if window.dim != chain[0].in_dim:
         raise ValueError("window dimension does not match the first link")
 
-    points = window.lattice((grid_per_axis,) * window.dim)
+    points = window.lattice((COMPOSITION_GRID_PER_AXIS,) * window.dim)
 
     domains = [Window(window.lo.copy(), window.hi.copy())]
     stage = points

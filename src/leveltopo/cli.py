@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from .activations import Activation, ActivationKind
 from .analysis import (ConstructionError, ExperimentSpec, NonSingularSweepSpec, SeedOutcome,
-                       analyze_level, auto_window, reproduction_spec, resolve_levels,
-                       run_experiment, random_nonsingular_sweep)
+                       analyze_level, auto_window, reproduction_spec, run_experiment,
+                       random_nonsingular_sweep)
 from .fields import network_scalar_fn, sample_grid
 from .network import Window, load_network, network_from_dict, network_hash, save_network
 from .nonsingular import NonSingularizationError
@@ -29,7 +29,7 @@ from .reports import (KIND_ANALYZE, KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE,
                       KIND_SWEEP, data_mismatches, load_report, make_report, report_passed,
                       validate_report, verdict_lines, write_report)
 from .svgplot import render_topology_svg
-from .training import (Loss, Optimizer, TrainConfig, TrainingDiverged,
+from .training import (DECISION_CUT, Loss, Optimizer, TrainConfig, TrainingDiverged,
                        accuracy, gen_ring_dataset, init_weights, load_dataset,
                        save_dataset, train)
 
@@ -68,10 +68,7 @@ def parse_window(text: str) -> Window | None:
     return Window(lo, hi)
 
 
-def parse_levels(text: str):
-    """A ``tag:value`` level spec as given, or comma-separated floats."""
-    if ":" in text:
-        return text
+def parse_levels(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
@@ -144,7 +141,7 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"model/window mismatch: model input dim {net.input_dim}, "
                          f"window dim {window.dim}")
 
-    levels = resolve_levels(args.levels)
+    levels = args.levels
     f = network_scalar_fn(net)
     base_field = sample_grid(f, window, (args.resolution, args.resolution))
     lo_v, hi_v = base_field.value_range()
@@ -175,8 +172,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_reproduce(args) -> int:
     fig = args.paper_fig
-    if fig is None:
-        raise ValueError("--paper-fig is required")
     if args.seeds < 0:
         raise ValueError(f"--seeds must be >= 0, got {args.seeds}")
     spec = reproduction_spec(fig, tuple(range(args.seeds)))
@@ -291,15 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_flag_type(parse_window), default="auto",
                    help="x_lo,x_hi,y_lo,y_hi or auto")
     p.add_argument("--resolution", type=int, default=ExperimentSpec.resolution)
-    p.add_argument("--levels", type=_flag_type(parse_levels), default="decision:0.5",
-                   help="comma floats or decision:<cut>")
+    p.add_argument("--levels", type=_flag_type(parse_levels), default=(DECISION_CUT,),
+                   help="comma floats (default: the decision cut)")
     p.add_argument("--report", default=None)
     p.add_argument("--svg", default=None)
     p.add_argument("--deterministic", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("reproduce", help="run a reference experiment end to end")
-    p.add_argument("--paper-fig", choices=["3a", "3b"], default=None,
+    p.add_argument("--paper-fig", choices=["3a", "3b"], required=True,
                    help="3a: six width-2 hidden layers; 3b: one width-3 hidden layer")
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--report", default=None)

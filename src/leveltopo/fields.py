@@ -219,29 +219,26 @@ def region_components(fld: ScalarField, interval: tuple[float, float]) -> Region
     return RegionComponents((lo, hi), labels, components)
 
 
-def sample_noncritical_levels(fld: ScalarField, count: int, rng,
-                              exclusion: float | None = None,
-                              lo_pct: float = 10.0, hi_pct: float = 90.0) -> np.ndarray:
-    """Draw probe levels away from (proxies of) critical values.
+def sample_noncritical_levels(fld: ScalarField, count: int, rng) -> np.ndarray:
+    """Draw ``count`` probe levels away from (proxies of) critical values.
 
     Candidate critical values are the field values at grid nodes whose
     discrete gradient magnitude falls in the lowest 2 percent, plus the
     global extrema; near those, grid connectivity is unreliable at any
-    finite resolution.  Levels are drawn uniformly from the given percentile
-    range and rejected within ``exclusion`` of any candidate (default: five
-    times the band width used by the contour oracle).
+    finite resolution.  Levels are drawn uniformly between the 10th and 90th
+    percentiles of the sampled values and rejected within 5e-3 of the value
+    span of any candidate (five times the band width used by the contour
+    oracle).
     """
     values = fld.values
     spacing = fld.spacing
     lo_v, hi_v = fld.value_range()
-    span = hi_v - lo_v
-    if exclusion is None:
-        exclusion = 5e-3 * span
+    exclusion = 5e-3 * (hi_v - lo_v)
     grads = np.gradient(values, *spacing)
     gmag = np.sqrt(sum(g * g for g in grads))
     flat = values[gmag <= np.percentile(gmag, 2.0)]
     critical = np.concatenate([flat.ravel(), [lo_v, hi_v]])
-    p_lo, p_hi = np.percentile(values, [lo_pct, hi_pct])
+    p_lo, p_hi = np.percentile(values, [10.0, 90.0])
     levels = []
     attempts = 0
     while len(levels) < count and attempts < 1000 * max(count, 1):

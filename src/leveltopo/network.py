@@ -193,15 +193,6 @@ class Window:
     def diagonal(self) -> float:
         return float(np.linalg.norm(self.extent))
 
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
-    def scaled(self, factor: float) -> "Window":
-        """Box with the same center and ``factor`` times the extent."""
-        c, half = self.center, 0.5 * self.extent * factor
-        return Window(c - half, c + half)
-
     def lattice(self, resolution: tuple[int, ...]) -> np.ndarray:
         """The (prod(resolution), dim) corner lattice, ``resolution[d]`` evenly
         spaced points on axis d from lo to hi; axis 0 varies slowest."""

@@ -117,10 +117,8 @@ def pad_to_width(net: Network, n: int) -> Network:
     return Network(net.input_dim, tuple(layers), net.activation, net.final_activation)
 
 
-def is_nonsingular(net: Network, tol: float = TOL_DET) -> NonSingularityReport:
-    """Check membership in the non-singular family at determinant tolerance ``tol``."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def is_nonsingular(net: Network) -> NonSingularityReport:
+    """Check membership in the non-singular family at determinant tolerance TOL_DET."""
     widths_uniform = all(w == net.input_dim for w in net.hidden_widths)
     # every layer but the head, which maps the last hidden layer to a
     # 1-dimensional output and cannot be square
@@ -130,9 +128,9 @@ def is_nonsingular(net: Network, tol: float = TOL_DET) -> NonSingularityReport:
         warnings.warn("head weights are all zero: the network is constant and every "
                       "level set is empty or everything", stacklevel=2)
     verdict = (widths_uniform and net.activation.one_to_one
-               and all(d >= tol for d in dets))
+               and all(d >= TOL_DET for d in dets))
     return NonSingularityReport(tuple(dets), net.activation.one_to_one,
-                                widths_uniform, verdict, tol)
+                                widths_uniform, verdict, TOL_DET)
 
 
 def make_nonsingular(net: Network, delta: float, seed: int) -> Network:

@@ -19,6 +19,7 @@ import numpy as np
 from .contours import classify_component, component_encloses
 from .network import Window, network_from_dict
 from .nonsingular import is_nonsingular
+from .training import accuracy, gen_ring_dataset
 
 SCHEMA_VERSION = 1
 
@@ -212,10 +213,12 @@ def data_mismatches(report: dict) -> list[str]:
     ``report.counts`` count them, and ``bounded_enclosing_origin`` counts the
     recomputed bounded chains around the origin (even-odd test).  Per
     outcome, ``bounded_final`` and ``boundary_final`` sum those of its
-    levels; in a reproduction, ``converged`` is ``final_loss <=
-    convergence_loss`` of the stored spec for every seed without an error;
-    in a sweep, ``nonsingularity`` is the membership check of the stored
-    network (its weights round-trip exactly)."""
+    levels; in a reproduction, for every seed without an error,
+    ``converged`` is ``final_loss <= convergence_loss`` of the stored spec
+    and ``accuracy`` is that of the stored network on the seed's ring data,
+    regenerated from the spec; in a sweep, ``nonsingularity`` is the
+    membership check of the stored network (its weights round-trip
+    exactly)."""
     kind = report["kind"]
     lines = []
     for o in report["outcomes"]:
@@ -246,8 +249,12 @@ def data_mismatches(report: dict) -> list[str]:
         checks = [(key, o[key], sum(lv[key] for lv in o["levels"]))
                   for key in ("bounded_final", "boundary_final")]
         if kind in (KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE) and o["error"] is None:
-            checks.append(("converged", o["converged"],
-                           o["final_loss"] <= report["config"]["spec"]["convergence_loss"]))
+            spec = report["config"]["spec"]
+            data = gen_ring_dataset(o["seed"], **{k: spec[k] for k in (
+                "n_inner", "n_ring", "inner_sigma", "ring_radius", "ring_sigma")})
+            checks += [("converged", o["converged"], o["final_loss"] <= spec["convergence_loss"]),
+                       ("accuracy", o["accuracy"],
+                        accuracy(network_from_dict(o["network"]), data))]
         if kind == KIND_SWEEP:
             checks.append(("nonsingularity", o["nonsingularity"],
                            is_nonsingular(network_from_dict(o["network"])).to_dict()))

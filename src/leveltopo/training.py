@@ -441,8 +441,12 @@ def train(net: Network, data: Dataset, cfg: TrainConfig) -> tuple[Network, np.nd
     return result
 
 
-def accuracy(net: Network, data: Dataset, threshold: float = 0.5) -> float:
-    """Fraction of points whose thresholded output matches the label."""
+# the classifier's cut: a point is predicted class 1 when the output reaches it
+DECISION_CUT = 0.5
+
+
+def accuracy(net: Network, data: Dataset) -> float:
+    """Fraction of points whose output, cut at DECISION_CUT, matches the label."""
     outputs = scalar_output(net, data.points)
-    predicted = outputs >= threshold
+    predicted = outputs >= DECISION_CUT
     return float(np.mean(predicted == (data.labels == 1)))

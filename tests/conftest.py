@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,3 +23,12 @@ def singular_second_net(monkeypatch):
 
     monkeypatch.setattr(analysis, "build_random_nonsingular", build_with_singular_second)
     monkeypatch.setenv(analysis.THREADS_ENV, "1")
+
+
+@pytest.fixture
+def diverging_spec():
+    """The 3b preset on seeds 0 and 1 at a learning rate of 1e307: the first
+    update overflows the weights, so both losses stop being finite at step 2."""
+    preset = analysis.reproduction_spec("3b", (0, 1))
+    return dataclasses.replace(preset, resolution=41, train=dataclasses.replace(
+        preset.train, learning_rate=1e307, steps=50))

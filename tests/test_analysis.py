@@ -8,9 +8,10 @@ from leveltopo import (SIGMOID, Classification, CompositionToleranceError,
                        TrainConfig, Window, analyze_level, composition_tolerance_check,
                        one_to_one_relu, random_nonsingular_sweep, run_experiment,
                        sample_grid)
-from leveltopo.analysis import reproduction_spec
+from leveltopo.analysis import auto_window, reproduction_spec
 from leveltopo.reports import (KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE, dumps_report,
-                               make_report)
+                               make_report, validate_report)
+from leveltopo.training import DECISION_CUT, Dataset
 
 
 def circle_fn(points):
@@ -129,11 +130,29 @@ class TestRunExperiment:
         monkeypatch.setenv("LEVELSET_PROBE_THREADS", "2")
         assert report_bytes() == serial
 
-    def test_levels_spec_parsing(self):
-        assert self.tiny_spec().resolved_levels() == (0.5,)
-        assert self.tiny_spec(levels=(0.25, 0.75)).resolved_levels() == (0.25, 0.75)
-        with pytest.raises(ValueError):
-            self.tiny_spec(levels="cutoff:0.5").resolved_levels()
+    def test_levels_default_to_decision_cut(self):
+        assert self.tiny_spec().levels == (DECISION_CUT,) == (0.5,)
+        assert self.tiny_spec().to_dict()["levels"] == [0.5]
+        assert self.tiny_spec(levels=(0.25, 0.75)).to_dict()["levels"] == [0.25, 0.75]
+
+    def test_auto_window_doubles_the_data_box(self):
+        points = np.array([[-2.0, -1.0], [2.0, 3.0], [0.0, 0.0]])
+        window = auto_window(Dataset(points, np.array([0, 1, 0])))
+        np.testing.assert_array_equal(window.lo, [-4.0, -3.0])
+        np.testing.assert_array_equal(window.hi, [4.0, 5.0])
+
+    def test_diverged_seeds_are_recorded(self, diverging_spec):
+        result = run_experiment(diverging_spec)
+        assert [o.seed for o in result.outcomes] == [0, 1]
+        for o in result.outcomes:
+            assert o.error == "loss diverged at step 2"
+            assert o.steps_run == 1 and np.isfinite(o.final_loss)
+            assert (o.converged, o.accuracy, o.network) == (None, None, None)
+            assert o.levels == ()
+        report = make_report(KIND_REPRODUCE_WIDE, {"spec": diverging_spec.to_dict()},
+                             [o.to_dict() for o in result.outcomes], True, 0.0)
+        assert report["verdicts"][KIND_REPRODUCE_WIDE]["status"] == "FAIL"
+        assert validate_report(report)[0]
 
 
 class TestReproductionSpecs:
@@ -222,6 +241,12 @@ class TestCompositionTolerance:
         report = composition_tolerance_check([link, link], win, eps=0.1, trials=0,
                                              seed=0)
         assert report.delta == 0.05 and report.untested
+
+    def test_negative_trials_rejected(self):
+        win = Window(np.array([0.0]), np.array([1.0]))
+        link = FunctionLink(lambda x: 2.0 * x, 1, 1)
+        with pytest.raises(ValueError, match="trials must be >= 0, got -3"):
+            composition_tolerance_check([link, link], win, eps=0.1, trials=-3, seed=0)
 
     def test_networks_are_valid_links(self):
         from leveltopo import init_weights

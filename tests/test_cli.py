@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -36,8 +38,10 @@ class TestFlagParsing:
             parse_window("1,2,3")
 
     def test_levels_forms(self):
-        assert parse_levels("decision:0.5") == "decision:0.5"
         assert parse_levels("0.25,0.75") == (0.25, 0.75)
+        assert parse_levels("0.5") == (0.5,)
+        with pytest.raises(ValueError):
+            parse_levels("decision:0.5")
 
 
 class TestGenData:
@@ -172,9 +176,14 @@ class TestAnalyze:
         assert main(["analyze", "--model", str(model)]) == 2
 
     def test_unknown_level_spec_exit_2(self, model, dataset, capsys):
-        assert main(["analyze", "--model", str(model), "--data", str(dataset),
-                     "--levels", "cutoff:0.5"]) == 2
-        assert "unknown level spec 'cutoff:0.5'" in capsys.readouterr().err
+        # levels are numbers: a tagged spec, the old ``decision:<cut>`` too, is a usage error
+        for text in ("cutoff:0.5", "decision:0.5"):
+            with pytest.raises(SystemExit) as exited:
+                main(["analyze", "--model", str(model), "--data", str(dataset),
+                      "--levels", text])
+            assert exited.value.code == 2
+            assert (f"argument --levels: could not convert string to float: {text!r}"
+                    in capsys.readouterr().err)
 
     def test_model_missing_layers_exit_2(self, tmp_path, capsys):
         path = tmp_path / "m.json"
@@ -269,8 +278,22 @@ class TestReproduceCommand:
         assert main(["reproduce", "--paper-fig", "3b", "--seeds", "0"]) == 0
         assert "UNTESTED" in capsys.readouterr().out
 
-    def test_missing_fig_is_usage_error(self):
-        assert main(["reproduce", "--seeds", "1"]) == 2
+    def test_missing_fig_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["reproduce", "--seeds", "1"])
+        assert exited.value.code == 2
+        assert "--paper-fig" in capsys.readouterr().err
+
+    def test_diverged_seeds_write_no_svg(self, tmp_path, monkeypatch, capsys, diverging_spec):
+        monkeypatch.setattr(cli, "reproduction_spec", lambda fig, seeds: diverging_spec)
+        rp, svg_dir = tmp_path / "r.json", tmp_path / "svgs"
+        assert main(["reproduce", "--paper-fig", "3b", "--seeds", "2", "--svg-dir",
+                     str(svg_dir), "--report", str(rp), "--deterministic"]) == 1
+        assert "FAIL accurate-seeds: 0/2" in capsys.readouterr().out
+        assert list(svg_dir.iterdir()) == []
+        assert [o["error"] for o in load_report(rp)["outcomes"]] == \
+            ["loss diverged at step 2"] * 2
+        assert main(["validate-report", str(rp)]) == 0
 
     def test_svg_dir_that_is_a_file_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
         def never(spec):
@@ -297,8 +320,9 @@ class TestOptionChecks:
 
     @pytest.mark.parametrize("command", ["reproduce", "sweep-nonsingular"])
     def test_config_flag_is_gone(self, capsys, command):
+        required = ["--paper-fig", "3b"] if command == "reproduce" else []
         with pytest.raises(SystemExit) as exited:
-            main([command, "--config", "c.json"])
+            main([command, *required, "--config", "c.json"])
         assert exited.value.code == 2
         assert "--config" in capsys.readouterr().err
 
@@ -541,6 +565,10 @@ def sweep_report(tmp_path_factory):
     return path
 
 
+def halve_accuracy(report):
+    report["outcomes"][0]["accuracy"] = 0.5
+
+
 def unconverged_at_low_loss(report):
     report["outcomes"][0]["final_loss"] = 0.01
     report["outcomes"][0]["converged"] = False
@@ -563,15 +591,18 @@ def negate_determinant(report):
 
 class TestValidateReportDerivations:
     """validate-report re-derives ``converged`` from the stored loss and spec,
+    ``accuracy`` from the stored network on the seed's regenerated ring data,
     and a sweep's ``nonsingularity`` from the stored network."""
 
     @pytest.mark.parametrize("report_fixture,tamper,message", [
         ("two_seed_wide_report", unconverged_at_low_loss,
          "seed 0: converged is False, recomputed True"),
         ("two_seed_wide_report", as_narrow_kind, "seed 0: converged is False, recomputed True"),
+        ("two_seed_wide_report", halve_accuracy, "seed 0: accuracy is 0.5, recomputed "),
         ("sweep_report", flip_nonsingular_verdict, "seed 0: nonsingularity is {"),
         ("sweep_report", negate_determinant, "seed 0: nonsingularity is {"),
-    ], ids=["converged", "converged-narrow", "nonsingular-verdict", "determinant-sign"])
+    ], ids=["converged", "converged-narrow", "accuracy", "nonsingular-verdict",
+            "determinant-sign"])
     def test_tampered_derivation_exit_1(self, request, tmp_path, capsys, report_fixture,
                                         tamper, message):
         report = load_report(request.getfixturevalue(report_fixture))
@@ -618,3 +649,21 @@ def test_two_worker_sweep_report_validates(tmp_path):
                               capture_output=True, text=True, env=env, cwd=tmp_path)
         assert done.returncode == 0, done.stderr
     assert done.stdout == "verdicts check out: r.json\n"
+
+
+def test_readme_commands_parse():
+    """Every ``leveltopo`` command in README's code blocks, with ``\\``
+    continuations joined, parses; none is run."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["leveltopo"]:
+                commands.append(argv[1:])
+    assert commands
+    for argv in commands:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: leveltopo {shlex.join(argv)}")
