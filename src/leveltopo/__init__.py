@@ -11,7 +11,7 @@ and classifies their path components as bounded or boundary-touching.
 from .activations import (Activation, ActivationKind, RELU, SIGMOID, TANH,
                           activation_apply, activation_derivative, one_to_one_relu,
                           one_to_one_relu_bound, uniform_deviation)
-from .network import (Layer, Network, Window, decompose, forward, forward_batch,
+from .network import (Layer, Network, Window, decompose, forward_batch,
                       load_network, network_hash, save_network, scalar_output)
 from .nonsingular import (NonSingularityReport, NonSingularizationError,
                           check_injective_on_grid, is_nonsingular, make_nonsingular,

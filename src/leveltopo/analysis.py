@@ -216,16 +216,9 @@ class SeedOutcome:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """The outcomes of a run; ``encoded`` holds each outcome's report entry,
-    encoded by the worker that computed it, when the run encodes them (the
-    non-singular sweep does, since its polylines dominate its report)."""
+    """The outcomes of ``run_experiment``, one per seed in seed order."""
 
     outcomes: tuple[SeedOutcome, ...]
-    encoded: tuple[EncodedOutcome, ...] = ()
-
-    @property
-    def bounded_total(self) -> int:
-        return sum(o.bounded_final for o in self.outcomes)
 
 
 def _seed_outcome(spec: ExperimentSpec, seed: int, data, result) -> SeedOutcome:
@@ -295,9 +288,11 @@ def reproduction_spec(fig: str, seeds: tuple[int, ...]) -> ExperimentSpec:
 # random non-singular sweeps
 
 
+SWEEP_DIM = 2  # the input width of every sweep net, and the width it is padded to
+
+
 @dataclass(frozen=True)
 class NonSingularSweepSpec:
-    n: int = 2
     depths: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
     activation: Activation = SIGMOID
     count: int = 100
@@ -309,8 +304,6 @@ class NonSingularSweepSpec:
     delta: float = 1e-3
 
     def __post_init__(self):
-        if self.n != 2:
-            raise ValueError("random sweeps are 2-d only (n = 2)")
         if not self.activation.one_to_one:
             raise ValueError("non-singular sweeps need a one-to-one activation")
         if self.count < 0:
@@ -323,7 +316,7 @@ class NonSingularSweepSpec:
                              f"got {self.levels_per_net}")
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "depths": list(self.depths),
+        return {"n": SWEEP_DIM, "depths": list(self.depths),
                 "activation": self.activation.to_dict(), "count": self.count,
                 "levels_per_net": self.levels_per_net, "window": self.window.to_dict(),
                 "resolution": self.resolution, "seed": self.seed, "delta": self.delta}
@@ -334,17 +327,18 @@ def build_random_nonsingular(spec: NonSingularSweepSpec, index: int,
     """One random network taken through pad -> perturb -> verify."""
     rng = np.random.default_rng(net_seed)
     depth = spec.depths[index % len(spec.depths)]
-    hidden = [int(rng.integers(1, spec.n + 1)) for _ in range(depth)]
-    arch = [spec.n, *hidden, 1]
+    hidden = [int(rng.integers(1, SWEEP_DIM + 1)) for _ in range(depth)]
+    arch = [SWEEP_DIM, *hidden, 1]
     net = init_weights(arch, spec.activation, int(rng.integers(2 ** 31)))
-    padded = pad_to_width(net, spec.n)
+    padded = pad_to_width(net, SWEEP_DIM)
     nonsingular = make_nonsingular(padded, spec.delta, int(rng.integers(2 ** 31)))
     report = is_nonsingular(nonsingular)
     return nonsingular, report
 
 
-def _sweep_net(spec: NonSingularSweepSpec,
-               job: tuple[int, int]) -> tuple[SeedOutcome, EncodedOutcome]:
+def _sweep_net(spec: NonSingularSweepSpec, job: tuple[int, int]) -> EncodedOutcome:
+    """One net's report entry, encoded here so the parent receives text, not
+    the arrays of its chains."""
     index, net_seed = job
     rng = np.random.default_rng(net_seed + 1)
     net, report = build_random_nonsingular(spec, index, net_seed)
@@ -357,23 +351,22 @@ def _sweep_net(spec: NonSingularSweepSpec,
     levels = rng.uniform(p5, p95, spec.levels_per_net)
     provenance = {"network_sha256": network_hash(net), "net_index": index}
     analyses = tuple(analyze_level(f, level, fld, provenance) for level in levels)
-    outcome = SeedOutcome(seed=index, levels=analyses, nonsingularity=report,
-                          network=network_to_dict(net))
-    return outcome, encode_outcome(outcome.to_dict())
+    return encode_outcome(SeedOutcome(seed=index, levels=analyses, nonsingularity=report,
+                                      network=network_to_dict(net)).to_dict())
 
 
-def random_nonsingular_sweep(spec: NonSingularSweepSpec) -> SweepResult:
-    """Probe level sets of ``count`` random non-singular networks.
+def random_nonsingular_sweep(spec: NonSingularSweepSpec) -> tuple[EncodedOutcome, ...]:
+    """Probe level sets of ``count`` random non-singular networks and return
+    each net's report entry, in net order.
 
     A network that fails the membership check after construction raises
-    ConstructionError rather than contaminating the sweep.  Each worker also
-    encodes the outcomes it computed (``SweepResult.encoded``), so the
-    report's text is written on every core.
+    ConstructionError rather than contaminating the sweep.  Each worker
+    encodes the entries it computed, so the report's text is written on
+    every core.
     """
     master = np.random.default_rng(spec.seed)
     net_seeds = [int(s) for s in master.integers(0, 2 ** 62, size=spec.count)]
-    nets = parallel_map(partial(_sweep_net, spec), list(enumerate(net_seeds)))
-    return SweepResult(tuple(o for o, _ in nets), tuple(e for _, e in nets))
+    return tuple(parallel_map(partial(_sweep_net, spec), list(enumerate(net_seeds))))
 
 
 # ---------------------------------------------------------------------------

@@ -57,15 +57,20 @@ def parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
-def parse_window(text: str) -> Window | None:
+def parse_box(text: str) -> Window:
     if text == "auto":
-        return None
+        raise ValueError("auto (the doubled data box) needs data; give x_lo,x_hi,y_lo,y_hi")
     vals = [float(v) for v in text.split(",")]
     if len(vals) % 2 != 0 or len(vals) < 4:
         raise ValueError(f"window must be x_lo,x_hi,y_lo,y_hi[,...], got {text!r}")
     lo = np.array(vals[0::2])
     hi = np.array(vals[1::2])
     return Window(lo, hi)
+
+
+def parse_window(text: str) -> Window | None:
+    """A box, or None for ``auto`` (``analyze``'s doubled data box)."""
+    return None if text == "auto" else parse_box(text)
 
 
 def parse_levels(text: str) -> tuple[float, ...]:
@@ -219,11 +224,11 @@ def cmd_sweep_nonsingular(args) -> int:
     spec = NonSingularSweepSpec(**given)
 
     t0 = time.perf_counter()
-    sweep = random_nonsingular_sweep(spec)
+    entries = random_nonsingular_sweep(spec)
     wall = time.perf_counter() - t0
     report = make_report(KIND_SWEEP, {"spec": spec.to_dict(),
                                       "deterministic": args.deterministic},
-                         list(sweep.encoded), args.deterministic, wall)
+                         list(entries), args.deterministic, wall)
     return _finish(report, args.report)
 
 
@@ -307,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--depths", type=_flag_type(parse_ints), default=None)
     p.add_argument("--levels-per-net", type=int, default=None)
-    p.add_argument("--window", type=_flag_type(parse_window), default=None)
+    p.add_argument("--window", type=_flag_type(parse_box), default=None,
+                   help="x_lo,x_hi,y_lo,y_hi")
     p.add_argument("--resolution", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--delta", type=float, default=None)

@@ -127,18 +127,6 @@ def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def forward(net: Network, x) -> np.ndarray:
-    """Evaluate ``net`` on a single point, shape (input_dim,) -> (output_dim,).
-
-    Implemented through the batch path so single and batched evaluation run
-    bitwise-identical arithmetic.
-    """
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != net.input_dim:
-        raise ValueError(f"expected point of shape ({net.input_dim},), got {v.shape}")
-    return forward_batch(net, v[None, :])[0]
-
-
 def scalar_output(net: Network, x: np.ndarray) -> np.ndarray:
     """Batch evaluation of a scalar-valued network, (m, n) -> (m,)."""
     if net.output_dim != 1:
@@ -151,8 +139,9 @@ def decompose(net: Network) -> tuple[Network, Network]:
 
     The trunk keeps the activation after every one of its layers (they are
     hidden layers of the original network), so
-    ``forward(head, forward(trunk, x)) == forward(net, x)`` bitwise: the two
-    paths perform the identical sequence of floating-point operations.
+    ``forward_batch(head, forward_batch(trunk, x)) == forward_batch(net, x)``
+    bitwise: the two paths perform the identical sequence of floating-point
+    operations.
     """
     if len(net.layers) < 2:
         raise ValueError("decompose needs at least 2 layers; a single-layer network has no trunk")

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The heavyweight report-producing runs (criteria 3, 4, 5) are built once in
-module fixtures through the same deterministic report path the CLI uses;
-criterion 9 rebuilds them from scratch and compares bytes.
+module fixtures through the same deterministic report path the CLI uses (a
+sweep's worker-encoded entries, a reproduction's outcome dicts, spliced by
+``dumps_report``); criterion 9 rebuilds them from scratch and compares bytes.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines live.
 """
@@ -38,60 +39,52 @@ def _line(num: int, name: str, ok: bool, detail: str) -> None:
 # shared heavyweight runs (criteria 3-5, reused by criterion 9)
 
 
-def build_sweep_report() -> SimpleNamespace:
+# kind -> (the spec it runs, its config beyond the spec): the runs of
+# `sweep-nonsingular --count 100 --seed 0` and `reproduce --paper-fig 3a|3b`
+RUNS = {
+    KIND_SWEEP: (NonSingularSweepSpec(depths=(1, 2, 3, 4, 5, 6), activation=SIGMOID,
+                                      count=100, levels_per_net=5,
+                                      window=Window(np.array([-4.0, -4.0]),
+                                                    np.array([4.0, 4.0])),
+                                      resolution=201, seed=0), {}),
+    KIND_REPRODUCE_NARROW: (reproduction_spec("3a", tuple(range(20))), {"paper_fig": "3a"}),
+    KIND_REPRODUCE_WIDE: (reproduction_spec("3b", tuple(range(20))), {"paper_fig": "3b"}),
+}
+
+
+def build_report(kind: str) -> SimpleNamespace:
+    """Run ``kind``'s spec and build its deterministic report as the CLI does:
+    a sweep hands ``make_report`` the entries it returns, a reproduction its
+    outcomes' dicts.  ``result`` is the sweep's entries or the reproduction's
+    ``SweepResult``."""
+    spec, config = RUNS[kind]
     t0 = time.perf_counter()
-    spec = NonSingularSweepSpec(n=2, depths=(1, 2, 3, 4, 5, 6), activation=SIGMOID,
-                                count=100, levels_per_net=5,
-                                window=Window(np.array([-4.0, -4.0]),
-                                              np.array([4.0, 4.0])),
-                                resolution=201, seed=0)
-    result = random_nonsingular_sweep(spec)
+    if kind == KIND_SWEEP:
+        result = random_nonsingular_sweep(spec)
+        outcomes = list(result)
+    else:
+        result = run_experiment(spec)
+        outcomes = [o.to_dict() for o in result.outcomes]
     seconds = time.perf_counter() - t0
-    report = make_report(KIND_SWEEP, {"spec": spec.to_dict(), "deterministic": True},
-                         [o.to_dict() for o in result.outcomes], True, seconds)
-    return SimpleNamespace(result=result, report=report, data=dumps_report(report),
-                           seconds=seconds)
-
-
-def build_narrow_report() -> SimpleNamespace:
-    t0 = time.perf_counter()
-    spec = reproduction_spec("3a", tuple(range(20)))
-    result = run_experiment(spec)
-    seconds = time.perf_counter() - t0
-    report = make_report(KIND_REPRODUCE_NARROW,
-                         {"paper_fig": "3a", "spec": spec.to_dict(),
-                          "deterministic": True},
-                         [o.to_dict() for o in result.outcomes], True, seconds)
-    return SimpleNamespace(result=result, report=report, data=dumps_report(report),
-                           seconds=seconds)
-
-
-def build_wide_report() -> SimpleNamespace:
-    t0 = time.perf_counter()
-    spec = reproduction_spec("3b", tuple(range(20)))
-    result = run_experiment(spec)
-    seconds = time.perf_counter() - t0
-    report = make_report(KIND_REPRODUCE_WIDE,
-                         {"paper_fig": "3b", "spec": spec.to_dict(),
-                          "deterministic": True},
-                         [o.to_dict() for o in result.outcomes], True, seconds)
+    report = make_report(kind, {**config, "spec": spec.to_dict(), "deterministic": True},
+                         outcomes, True, seconds)
     return SimpleNamespace(result=result, report=report, data=dumps_report(report),
                            seconds=seconds)
 
 
 @pytest.fixture(scope="module")
 def sweep_run():
-    return build_sweep_report()
+    return build_report(KIND_SWEEP)
 
 
 @pytest.fixture(scope="module")
 def narrow_run():
-    return build_narrow_report()
+    return build_report(KIND_REPRODUCE_NARROW)
 
 
 @pytest.fixture(scope="module")
 def wide_run():
-    return build_wide_report()
+    return build_report(KIND_REPRODUCE_WIDE)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +138,9 @@ def test_criterion_2_uniform_approximation():
 
 
 def test_criterion_3_nonsingular_level_sets(sweep_run):
-    bounded = sweep_run.result.bounded_total
-    nets = len(sweep_run.result.outcomes)
-    levels = sum(len(o.levels) for o in sweep_run.result.outcomes)
+    bounded = sum(e["bounded_final"] for e in sweep_run.result)
+    nets = len(sweep_run.result)
+    levels = sum(len(e["levels"]) for e in sweep_run.result)
     ok = bounded == 0 and nets == 100 and levels == 500 and sweep_run.seconds < 60.0
     _line(3, "nonsingular-level-sets-unbounded", ok,
           f"{nets} nets, {levels} levels, bounded={bounded} (==0), "
@@ -295,9 +288,9 @@ def test_criterion_8_composition_tolerance():
 
 def test_criterion_9_determinism(sweep_run, narrow_run, wide_run):
     t0 = time.perf_counter()
-    rebuilt_sweep = build_sweep_report()
-    rebuilt_narrow = build_narrow_report()
-    rebuilt_wide = build_wide_report()
+    rebuilt_sweep = build_report(KIND_SWEEP)
+    rebuilt_narrow = build_report(KIND_REPRODUCE_NARROW)
+    rebuilt_wide = build_report(KIND_REPRODUCE_WIDE)
     seconds = time.perf_counter() - t0
     same = (rebuilt_sweep.data == sweep_run.data,
             rebuilt_narrow.data == narrow_run.data,

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from leveltopo import (SIGMOID, Classification, CompositionToleranceError,
                        TrainConfig, Window, analyze_level, composition_tolerance_check,
                        one_to_one_relu, random_nonsingular_sweep, run_experiment,
                        sample_grid)
-from leveltopo.analysis import auto_window, reproduction_spec
+from leveltopo.analysis import THREADS_ENV, auto_window, reproduction_spec
 from leveltopo.reports import (KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE, dumps_report,
                                make_report, validate_report)
 from leveltopo.training import DECISION_CUT, Dataset
@@ -87,11 +88,12 @@ class TestRunExperiment:
     def test_empty_seed_list(self):
         result = run_experiment(self.tiny_spec(seeds=()))
         assert result.outcomes == ()
-        assert result.bounded_total == 0
 
     def test_aggregates_equal_sums(self):
         result = run_experiment(self.tiny_spec())
-        assert result.bounded_total == sum(o.bounded_final for o in result.outcomes)
+        for o in result.outcomes:
+            assert o.bounded_final == sum(lv.bounded_final for lv in o.levels)
+            assert o.boundary_final == sum(lv.boundary_final for lv in o.levels)
 
     def test_outcomes_in_seed_order_with_metrics(self):
         result = run_experiment(self.tiny_spec(seeds=(3, 1)))
@@ -176,22 +178,31 @@ class TestReproductionSpecs:
 class TestNonSingularSweep:
     def test_small_sweep_finds_nothing_bounded(self):
         spec = NonSingularSweepSpec(count=4, levels_per_net=2, resolution=81, seed=3)
-        result = random_nonsingular_sweep(spec)
-        assert len(result.outcomes) == 4
-        assert result.bounded_total == 0
-        for o in result.outcomes:
-            assert o.nonsingularity is not None and o.nonsingularity.verdict
+        entries = random_nonsingular_sweep(spec)
+        assert [e["seed"] for e in entries] == [0, 1, 2, 3]
+        assert all(e["bounded_final"] == 0 for e in entries)
+        for e in entries:
+            assert json.loads(e.text)["nonsingularity"]["verdict"] is True
 
     def test_saddle_cells_split_by_the_function(self):
         # nets 15 and 28 each have one saddle cell whose corner average is
         # on the other side of the level from the net's value at its centre;
         # the average closed a 4-segment loop there
         spec = NonSingularSweepSpec(activation=one_to_one_relu(3), count=30, seed=5)
-        assert random_nonsingular_sweep(spec).bounded_total == 0
+        assert sum(e["bounded_final"] for e in random_nonsingular_sweep(spec)) == 0
+
+    def test_entries_do_not_depend_on_the_worker_count(self, monkeypatch):
+        spec = NonSingularSweepSpec(count=6, levels_per_net=2, resolution=81, seed=4)
+        texts = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv(THREADS_ENV, threads)
+            texts[threads] = [e.text for e in random_nonsingular_sweep(spec)]
+        assert texts["1"] == texts["2"]
+        assert len(texts["1"]) == 6
 
     def test_count_zero(self):
         spec = NonSingularSweepSpec(count=0)
-        assert random_nonsingular_sweep(spec).outcomes == ()
+        assert random_nonsingular_sweep(spec) == ()
 
     def test_injected_singular_net_flagged(self, singular_second_net):
         spec = NonSingularSweepSpec(count=2, levels_per_net=1, resolution=41, seed=0)
@@ -201,8 +212,8 @@ class TestNonSingularSweep:
     def test_depths_cycle(self):
         spec = NonSingularSweepSpec(count=4, depths=(1, 3), levels_per_net=1,
                                     resolution=41, seed=1)
-        result = random_nonsingular_sweep(spec)
-        depths = [len(o.nonsingularity.determinants) for o in result.outcomes]
+        depths = [len(json.loads(e.text)["nonsingularity"]["determinants"])
+                  for e in random_nonsingular_sweep(spec)]
         # one square matrix per layer except the head: with d hidden layers
         # that is d (input map included, head excluded)
         assert depths == [1, 3, 1, 3]

@@ -344,6 +344,9 @@ class TestOptionChecks:
          "argument --window: could not convert string to float: 'a'"),
         (["sweep-nonsingular", "--window=1,2,3"],
          "argument --window: window must be x_lo,x_hi,y_lo,y_hi[,...], got '1,2,3'"),
+        # auto is analyze's doubled data box; a sweep has no data
+        (["sweep-nonsingular", "--count", "0", "--window", "auto"],
+         "argument --window: auto (the doubled data box) needs data"),
         (["sweep-nonsingular", "--activation", "one_to_one_relu:x"],
          "argument --activation: invalid literal for int() with base 10: 'x'"),
         (["analyze", "--model", "m.json", "--levels", "0.3,x"],
@@ -352,8 +355,8 @@ class TestOptionChecks:
          "argument --arch: invalid literal for int() with base 10: 'x'"),
         (["train", "--data", "d.csv", "--arch", "2,3,1", "--activation", "swish",
           "--out", "m.json"], "argument --activation: unknown activation 'swish'"),
-    ], ids=["depths", "window-float", "window-arity", "sharpness", "levels", "arch",
-            "activation"])
+    ], ids=["depths", "window-float", "window-arity", "sweep-window-auto", "sharpness",
+            "levels", "arch", "activation"])
     def test_unparsable_flag_value_is_named_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exited:
             main(argv)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leveltopo import (SIGMOID, TANH, Layer, Network, Window, decompose, forward,
-                       forward_batch, one_to_one_relu)
+from leveltopo import (SIGMOID, TANH, Layer, Network, Window, decompose, forward_batch,
+                       one_to_one_relu)
 from leveltopo.network import (dumps_network, load_network, loads_network,
                                network_hash, save_network)
 
@@ -22,11 +22,11 @@ def small_net(activation=SIGMOID, final=True):
 class TestForward:
     def test_identity_layer_no_activation(self):
         net = Network(2, (Layer(np.eye(2), np.zeros(2)),), SIGMOID, final_activation=False)
-        np.testing.assert_array_equal(forward(net, np.array([1.0, 2.0])), [1.0, 2.0])
+        np.testing.assert_array_equal(forward_batch(net, np.array([[1.0, 2.0]])), [[1.0, 2.0]])
 
     def test_sigmoid_head_at_zero(self):
         net = Network(2, (Layer(np.array([[1.0, 1.0]]), np.array([0.0])),), SIGMOID)
-        assert forward(net, np.array([0.0, 0.0]))[0] == 0.5
+        assert forward_batch(net, np.array([[0.0, 0.0]]))[0, 0] == 0.5
 
     def test_two_layer_affine_composition(self):
         # [[2,0],[0,2]] then [[1,1]] on x = (1,3): the intermediate (2,6) is
@@ -37,12 +37,12 @@ class TestForward:
         net = Network(2, (Layer(np.array([[2.0, 0.0], [0.0, 2.0]]), np.zeros(2)),
                           Layer(np.array([[1.0, 1.0]]), np.zeros(1))),
                       RELU, final_activation=False)
-        assert forward(net, np.array([1.0, 3.0]))[0] == 8.0
+        assert forward_batch(net, np.array([[1.0, 3.0]]))[0, 0] == 8.0
 
     def test_dimension_mismatch(self):
         net = small_net()
         with pytest.raises(ValueError):
-            forward(net, np.array([1.0, 2.0, 3.0]))
+            forward_batch(net, np.array([[1.0, 2.0, 3.0]]))
         with pytest.raises(ValueError):
             forward_batch(net, np.ones((4, 3)))
 
@@ -53,17 +53,17 @@ class TestForward:
 
     def test_forward_is_pure(self):
         net = small_net(TANH)
-        x = np.array([0.37, -1.2])
-        first = forward(net, x)
+        x = np.array([[0.37, -1.2]])
+        first = forward_batch(net, x)
         for _ in range(5):
-            np.testing.assert_array_equal(forward(net, x), first)
+            np.testing.assert_array_equal(forward_batch(net, x), first)
 
     def test_single_point_matches_batch_row(self):
         net = small_net()
         xs = np.random.default_rng(0).normal(size=(10, 2))
         batch = forward_batch(net, xs)
-        for i, x in enumerate(xs):
-            np.testing.assert_array_equal(forward(net, x), batch[i])
+        for i in range(len(xs)):
+            np.testing.assert_array_equal(forward_batch(net, xs[i:i + 1])[0], batch[i])
 
     def test_weights_immutable(self):
         net = small_net()

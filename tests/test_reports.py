@@ -88,11 +88,11 @@ def test_verdict_lines(kind, outcomes, lines, passed):
 def test_worker_encoded_sweep_report_is_the_plain_encoding(monkeypatch, count, threads):
     monkeypatch.setenv(THREADS_ENV, threads)
     spec = NonSingularSweepSpec(count=count)
-    sweep = random_nonsingular_sweep(spec)
-    dicts = [o.to_dict() for o in sweep.outcomes]
-    assert [json.loads(e.text) for e in sweep.encoded] == dicts
+    entries = random_nonsingular_sweep(spec)
+    dicts = [json.loads(e.text) for e in entries]
+    assert [e.summary for e in entries] == [encode_outcome(d).summary for d in dicts]
     config = {"spec": spec.to_dict(), "deterministic": True}
-    spliced = dumps_report(make_report(KIND_SWEEP, config, list(sweep.encoded), True, 0.0))
+    spliced = dumps_report(make_report(KIND_SWEEP, config, list(entries), True, 0.0))
     assert spliced == plain_json(make_report(KIND_SWEEP, config, dicts, True, 0.0))
     assert ('"outcomes":[]' in spliced) is (count == 0)
 
