@@ -19,14 +19,14 @@ from .nonsingular import (NonSingularityReport, NonSingularizationError,
 from .training import (Dataset, Init, Loss, Optimizer, TrainConfig, TrainingDiverged,
                        accuracy, gen_ring_dataset, init_weights, load_dataset,
                        loss_and_grad, save_dataset, train, train_stack)
-from .fields import (RegionComponents, ScalarField, eps_A_approximates,
-                     network_scalar_fn, region_components, sample_grid)
+from .fields import (RegionComponents, ScalarField, network_scalar_fn, region_components,
+                     sample_grid)
 from .contours import (Classification, LevelComponent, SegmentSoup, classify_component,
                        component_encloses, extract_components, link_components,
                        marching_squares)
 from .analysis import (CompositionReport, CompositionToleranceError, ConstructionError,
-                       ExperimentSpec, FunctionLink, LevelAnalysis, NonSingularSweepSpec,
-                       SeedOutcome, SweepResult, analyze_level, composition_tolerance_check,
+                       ExperimentSpec, FunctionLink, NonSingularSweepSpec, SeedOutcome,
+                       SweepResult, analyze_level, composition_tolerance_check,
                        random_nonsingular_sweep, run_experiment)
 
 __version__ = "0.1.0"

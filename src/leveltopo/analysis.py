@@ -27,12 +27,11 @@ from functools import partial
 import numpy as np
 
 from .activations import SIGMOID, Activation
-from .contours import (Classification, LevelComponent, boundary_tol, component_encloses,
-                       extract_components)
+from .contours import boundary_tol, extract_components
 from .fields import ScalarField, network_scalar_fn, sample_grid
 from .network import Network, Window, network_hash, network_to_dict
 from .nonsingular import is_nonsingular, make_nonsingular, pad_to_width, NonSingularityReport
-from .reports import EncodedOutcome, encode_outcome
+from .reports import EncodedOutcome, encode_outcome, level_entry, level_sums
 from .training import (DECISION_CUT, Dataset, TrainConfig, TrainingDiverged, accuracy,
                        gen_ring_dataset, init_weights, train_stack)
 
@@ -68,67 +67,17 @@ def parallel_map(fn, items):
 # per-level analysis
 
 
-@dataclass(frozen=True)
-class LevelAnalysis:
-    """One level of a sampled field: its components, classified on the
-    window, with the provenance to recompute them.  Every count is derived
-    from the components."""
-
-    level: float
-    window: Window
-    resolution: tuple[int, ...]
-    boundary_tol: float
-    components: tuple[LevelComponent, ...]
-    provenance: dict
-
-    @property
-    def final_classifications(self) -> tuple[Classification, ...]:
-        return tuple(c.classification for c in self.components)
-
-    @property
-    def bounded_final(self) -> int:
-        return self.final_classifications.count(Classification.BOUNDED)
-
-    @property
-    def boundary_final(self) -> int:
-        return len(self.components) - self.bounded_final
-
-    @property
-    def bounded_enclosing_origin(self) -> int:
-        return sum(1 for c in self.components if c.classification is Classification.BOUNDED
-                   and component_encloses(c.chain, (0.0, 0.0)))
-
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "final_classifications": [c.value for c in self.final_classifications],
-            "bounded_final": self.bounded_final,
-            "boundary_final": self.boundary_final,
-            "bounded_enclosing_origin": self.bounded_enclosing_origin,
-            "report": {
-                "level": self.level,
-                "window": self.window.to_dict(),
-                "resolution": list(self.resolution),
-                "boundary_tol": self.boundary_tol,
-                "counts": {"bounded": self.bounded_final,
-                           "boundary_touching": self.boundary_final},
-                "components": [c.to_dict() for c in self.components],
-                "provenance": self.provenance,
-            },
-        }
-
-
-def analyze_level(f, level: float, field: ScalarField,
-                  provenance: dict | None = None) -> LevelAnalysis:
-    """Extract and classify the level components of ``field``, a sampling of ``f``.
+def analyze_level(f, level: float, field: ScalarField, provenance: dict | None = None) -> dict:
+    """The report entry (``level_entry``) of the level components of
+    ``field``, a sampling of ``f``, classified on the window.
 
     Only the centres of saddle cells sample ``f`` (``None`` splits them by
     the corner average), so callers probing several levels sample the
     window once.
     """
-    return LevelAnalysis(float(level), field.window, field.resolution, boundary_tol(field),
-                         tuple(extract_components(field, level, f=f)),
-                         {**(provenance or {}), "field_sha256": field.sha256})
+    return level_entry(float(level), field.window, field.resolution, boundary_tol(field),
+                       [c.to_dict() for c in extract_components(field, level, f=f)],
+                       {**(provenance or {}), "field_sha256": field.sha256})
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +135,9 @@ class SeedOutcome:
     steps_run: int | None = None
     converged: bool | None = None
     accuracy: float | None = None
-    levels: tuple[LevelAnalysis, ...] = ()
+    levels: tuple[dict, ...] = ()  # report entries (``analyze_level``)
     nonsingularity: NonSingularityReport | None = None
     network: dict | None = None  # serialized network, for provenance and re-plotting
-
-    @property
-    def bounded_final(self) -> int:
-        return sum(lv.bounded_final for lv in self.levels)
-
-    @property
-    def boundary_final(self) -> int:
-        return sum(lv.boundary_final for lv in self.levels)
 
     def to_dict(self) -> dict:
         return {
@@ -206,10 +147,9 @@ class SeedOutcome:
             "steps_run": self.steps_run,
             "converged": self.converged,
             "accuracy": self.accuracy,
-            "bounded_final": self.bounded_final,
-            "boundary_final": self.boundary_final,
+            **level_sums(self.levels),
             "nonsingularity": self.nonsingularity.to_dict() if self.nonsingularity else None,
-            "levels": [lv.to_dict() for lv in self.levels],
+            "levels": list(self.levels),
             "network": self.network,
         }
 
@@ -314,6 +254,8 @@ class NonSingularSweepSpec:
         if self.levels_per_net < 1:
             raise ValueError(f"levels_per_net (--levels-per-net) must be >= 1, "
                              f"got {self.levels_per_net}")
+        if not 0 < self.delta < np.inf:
+            raise ValueError(f"delta (--delta) must be finite and positive, got {self.delta}")
 
     def to_dict(self) -> dict:
         return {"n": SWEEP_DIM, "depths": list(self.depths),
@@ -350,8 +292,8 @@ def _sweep_net(spec: NonSingularSweepSpec, job: tuple[int, int]) -> EncodedOutco
     p5, p95 = np.percentile(fld.values, [5.0, 95.0])
     levels = rng.uniform(p5, p95, spec.levels_per_net)
     provenance = {"network_sha256": network_hash(net), "net_index": index}
-    analyses = tuple(analyze_level(f, level, fld, provenance) for level in levels)
-    return encode_outcome(SeedOutcome(seed=index, levels=analyses, nonsingularity=report,
+    entries = tuple(analyze_level(f, level, fld, provenance) for level in levels)
+    return encode_outcome(SeedOutcome(seed=index, levels=entries, nonsingularity=report,
                                       network=network_to_dict(net)).to_dict())
 
 

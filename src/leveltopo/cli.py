@@ -23,12 +23,12 @@ from .analysis import (ConstructionError, ExperimentSpec, NonSingularSweepSpec, 
                        analyze_level, auto_window, reproduction_spec, run_experiment,
                        random_nonsingular_sweep)
 from .fields import network_scalar_fn, sample_grid
-from .network import Window, load_network, network_from_dict, network_hash, save_network
+from .network import Window, load_network, network_hash, save_network
 from .nonsingular import NonSingularizationError
 from .reports import (KIND_ANALYZE, KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE,
                       KIND_SWEEP, data_mismatches, load_report, make_report, report_passed,
                       validate_report, verdict_lines, write_report)
-from .svgplot import render_topology_svg
+from .svgplot import outcome_svg, render_topology_svg
 from .training import (DECISION_CUT, Loss, Optimizer, TrainConfig, TrainingDiverged,
                        accuracy, gen_ring_dataset, init_weights, load_dataset,
                        save_dataset, train)
@@ -156,15 +156,15 @@ def cmd_analyze(args) -> int:
                   f"[{lo_v:.4g}, {hi_v:.4g}]; expect an empty component list",
                   file=sys.stderr)
     provenance = {"network_sha256": network_hash(net)}
-    analyses = tuple(analyze_level(f, level, base_field, provenance) for level in levels)
+    entries = tuple(analyze_level(f, level, base_field, provenance) for level in levels)
     outcome = SeedOutcome(seed=0, accuracy=accuracy(net, data) if data is not None else None,
-                          levels=analyses).to_dict()
+                          levels=entries).to_dict()
     config = {"model": args.model, "window": window.to_dict(),
               "resolution": args.resolution, "levels": list(levels),
               "deterministic": args.deterministic}
     report = make_report(KIND_ANALYZE, config, [outcome], args.deterministic, 0.0)
     if args.svg:
-        components = [c for lv in analyses for c in lv.components]
+        components = [c for lv in entries for c in lv["report"]["components"]]
         svg = render_topology_svg(
             window, components, levels[0], field_fn=f,
             points=data.points if data is not None else None,
@@ -197,22 +197,11 @@ def cmd_reproduce(args) -> int:
                          outcomes, args.deterministic, wall)
     code = _finish(report, args.report)
     if svg_dir:
-        _write_seed_svgs(sweep, svg_dir, args.deterministic)
+        for o in outcomes:
+            if o["error"] is None and o["levels"]:
+                (svg_dir / f"seed{o['seed']:03d}.svg").write_text(
+                    outcome_svg(o, args.deterministic))
     return code
-
-
-def _write_seed_svgs(sweep, directory: Path, deterministic: bool) -> None:
-    for outcome in sweep.outcomes:
-        if outcome.error is not None or not outcome.levels:
-            continue
-        analysis = outcome.levels[0]
-        net = network_from_dict(outcome.network) if outcome.network else None
-        field_fn = network_scalar_fn(net) if net is not None else None
-        svg = render_topology_svg(
-            analysis.window, list(analysis.components),
-            analysis.level, field_fn=field_fn, deterministic=deterministic,
-            title=f"seed {outcome.seed}")
-        (directory / f"seed{outcome.seed:03d}.svg").write_text(svg)
 
 
 def cmd_sweep_nonsingular(args) -> int:

@@ -1,4 +1,4 @@
-"""Scalar fields on regular grids: sampling, band preimage regions, sup-norm checks.
+"""Scalar fields on regular grids: sampling and band preimage regions.
 
 ``region_components`` labels the connected components of a preimage
 f^-1((lo, hi)) at grid-cell granularity.  A cell belongs to the region when
@@ -250,11 +250,3 @@ def sample_noncritical_levels(fld: ScalarField, count: int, rng) -> np.ndarray:
         raise ValueError("could not find enough probe levels away from critical values")
     return np.asarray(levels)
 
-
-def eps_A_approximates(f, g, window: Window, resolution: tuple[int, ...], eps: float) -> bool:
-    """Grid surrogate for sup-norm closeness: max deviation strictly below eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    fa = sample_grid(f, window, resolution)
-    ga = sample_grid(g, window, resolution)
-    return float(np.max(np.abs(fa.values - ga.values))) < eps

@@ -142,8 +142,8 @@ def make_nonsingular(net: Network, delta: float, seed: int) -> Network:
     in [-1, 1], retried with fresh draws up to MAX_ATTEMPTS; failure raises
     NonSingularizationError with the offending layer index.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta}")
     if not all(w == net.input_dim for w in net.hidden_widths):
         raise ValueError("make_nonsingular expects uniform hidden widths; run pad_to_width first")
     rng = np.random.default_rng(seed)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contours import classify_component, component_encloses
+from .contours import Classification, classify_component, component_encloses
 from .network import Window, network_from_dict
 from .nonsingular import is_nonsingular
 from .training import accuracy, gen_ring_dataset
@@ -203,17 +203,63 @@ def compute_verdicts(report: dict) -> dict:
     return {report["kind"]: _judge(report)[0]}
 
 
+def level_entry(level: float, window: Window, resolution: tuple[int, ...] | list[int],
+                boundary_tol: float, components: list[dict], provenance: dict) -> dict:
+    """A level's report entry, from its components in ``LevelComponent.to_dict``
+    form.  The one derivation of a level's classifications and counts:
+    ``analyze_level`` builds each entry with it, and ``data_mismatches``
+    rebuilds each stored entry with it.  ``bounded_enclosing_origin`` counts
+    the bounded chains around the origin (even-odd test)."""
+    classes = [c["classification"] for c in components]
+    loops = [np.asarray(c["polylines"][0], dtype=np.float64) for c in components
+             if c["classification"] == Classification.BOUNDED.value]
+    bounded = len(loops)
+    enclosing = sum(component_encloses(loop, (0.0, 0.0)) for loop in loops)
+    return {
+        "level": level,
+        "final_classifications": classes,
+        "bounded_final": bounded,
+        "boundary_final": len(classes) - bounded,
+        "bounded_enclosing_origin": enclosing,
+        "report": {
+            "level": level,
+            "window": window.to_dict(),
+            "resolution": list(resolution),
+            "boundary_tol": boundary_tol,
+            "counts": {"bounded": bounded, "boundary_touching": len(classes) - bounded},
+            "components": components,
+            "provenance": provenance,
+        },
+    }
+
+
+def level_sums(levels: list[dict]) -> dict:
+    """An outcome's ``bounded_final`` and ``boundary_final``: the sums over its level entries."""
+    return {key: sum(lv[key] for lv in levels) for key in ("bounded_final", "boundary_final")}
+
+
+def _differences(stored, rebuilt, member: str = "") -> list[tuple]:
+    """(member, stored value, rebuilt value) for each member of ``rebuilt``
+    that ``stored`` contradicts.  Dicts, and lists of dicts, are compared
+    member by member."""
+    if isinstance(rebuilt, dict):
+        return [d for key, value in rebuilt.items()
+                for d in _differences(stored[key], value, f"{member}.{key}" if member else key)]
+    if isinstance(rebuilt, list) and rebuilt and isinstance(rebuilt[0], dict):
+        return [d for k, (s, r) in enumerate(zip(stored, rebuilt))
+                for d in _differences(s, r, f"{member}[{k}]")]
+    return [] if stored == rebuilt else [(member, stored, rebuilt)]
+
+
 def data_mismatches(report: dict) -> list[str]:
     """One line per stored value that the report's own data contradicts.
 
-    Per level, each component's classification follows from its chain, the
-    stored ``window`` and ``boundary_tol`` (``classify_component``; the
-    floats round-trip exactly), ``final_classifications`` are the
-    components' classifications, ``bounded_final``, ``boundary_final`` and
-    ``report.counts`` count them, and ``bounded_enclosing_origin`` counts the
-    recomputed bounded chains around the origin (even-odd test).  Per
-    outcome, ``bounded_final`` and ``boundary_final`` sum those of its
-    levels; in a reproduction, for every seed without an error,
+    Each level entry must equal the entry ``level_entry`` rebuilds from its
+    chains: each component is reclassified from its chain, the stored
+    ``window`` and ``boundary_tol`` (``classify_component``; the floats
+    round-trip exactly) and takes ``report.level``.  Per outcome,
+    ``bounded_final`` and ``boundary_final`` are the sums over the rebuilt
+    entries; in a reproduction, for every seed without an error,
     ``converged`` is ``final_loss <= convergence_loss`` of the stored spec
     and ``accuracy`` is that of the stored network on the seed's ring data,
     regenerated from the spec; in a sweep, ``nonsingularity`` is the
@@ -222,32 +268,20 @@ def data_mismatches(report: dict) -> list[str]:
     kind = report["kind"]
     lines = []
     for o in report["outcomes"]:
+        rebuilt_levels = []
         for lv in o["levels"]:
             rep = lv["report"]
             window = Window(rep["window"]["lo"], rep["window"]["hi"])
-            chains = [np.asarray(c["polylines"][0], dtype=np.float64) for c in rep["components"]]
-            derived = [classify_component(chain, window, rep["boundary_tol"]).value
-                       for chain in chains]
-            found = [c["classification"] for c in rep["components"]]
-            final = list(lv["final_classifications"])
-            enclosing = sum(1 for chain, cls in zip(chains, derived)
-                            if cls == "bounded" and component_encloses(chain, (0.0, 0.0)))
-            checks = [(f"component {k} classification", stored, recomputed)
-                      for k, (stored, recomputed) in enumerate(zip(found, derived))]
-            checks += [
-                ("final_classifications", final, found),
-                ("bounded_final", lv["bounded_final"], final.count("bounded")),
-                ("boundary_final", lv["boundary_final"], final.count("boundary_touching")),
-                ("counts.bounded", rep["counts"]["bounded"], found.count("bounded")),
-                ("counts.boundary_touching", rep["counts"]["boundary_touching"],
-                 found.count("boundary_touching")),
-                ("bounded_enclosing_origin", lv["bounded_enclosing_origin"], enclosing)]
-            for key, stored, recomputed in checks:
-                if stored != recomputed:
-                    lines.append(f"seed {o['seed']} level {lv['level']!r}: {key} is "
-                                 f"{stored!r}, recomputed {recomputed!r}")
-        checks = [(key, o[key], sum(lv[key] for lv in o["levels"]))
-                  for key in ("bounded_final", "boundary_final")]
+            components = [{**c, "classification": classify_component(
+                              c["polylines"][0], window, rep["boundary_tol"]).value,
+                           "level": rep["level"]} for c in rep["components"]]
+            rebuilt = level_entry(rep["level"], window, rep["resolution"], rep["boundary_tol"],
+                                  components, rep["provenance"])
+            rebuilt_levels.append(rebuilt)
+            lines += [f"seed {o['seed']} level {lv['level']!r}: {member} is {stored!r}, "
+                      f"recomputed {recomputed!r}"
+                      for member, stored, recomputed in _differences(lv, rebuilt)]
+        checks = [(key, o[key], value) for key, value in level_sums(rebuilt_levels).items()]
         if kind in (KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE) and o["error"] is None:
             spec = report["config"]["spec"]
             data = gen_ring_dataset(o["seed"], **{k: spec[k] for k in (

@@ -12,9 +12,9 @@ import datetime
 
 import numpy as np
 
-from .contours import Classification, LevelComponent
-from .fields import sample_grid
-from .network import Window
+from .contours import Classification
+from .fields import network_scalar_fn, sample_grid
+from .network import Window, network_from_dict
 
 CANVAS = 640
 MARGIN = 40
@@ -46,12 +46,13 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_topology_svg(window: Window, components: list[LevelComponent], level: float,
+def render_topology_svg(window: Window, components: list[dict], level: float,
                         field_fn=None, points: np.ndarray | None = None,
                         labels: np.ndarray | None = None,
                         deterministic: bool = False, title: str = "") -> str:
-    """Compose the SVG document.  ``field_fn`` (points -> values) drives the
-    sign-region fill; omit it to skip the fill layer."""
+    """Compose the SVG document.  ``components`` are report component entries
+    (``LevelComponent.to_dict`` form).  ``field_fn`` (points -> values)
+    drives the sign-region fill; omit it to skip the fill layer."""
     t = _Transform(window)
     stamp = "1970-01-01T00:00:00Z" if deterministic else (
         datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"))
@@ -98,11 +99,12 @@ def render_topology_svg(window: Window, components: list[LevelComponent], level:
 
     parts.append('<g fill="none" stroke-width="2">')
     for comp in components:
-        color = (COLOR_BOUNDED if comp.classification is Classification.BOUNDED
+        color = (COLOR_BOUNDED if comp["classification"] == Classification.BOUNDED.value
                  else COLOR_TOUCHING)
-        pts = " ".join(f"{_fmt(sx)},{_fmt(sy)}"
-                       for sx, sy in (t(float(p[0]), float(p[1])) for p in comp.chain))
-        parts.append(f'<polyline points="{pts}" stroke="{color}"/>')
+        for chain in comp["polylines"]:
+            pts = " ".join(f"{_fmt(sx)},{_fmt(sy)}"
+                           for sx, sy in (t(float(p[0]), float(p[1])) for p in chain))
+            parts.append(f'<polyline points="{pts}" stroke="{color}"/>')
     parts.append("</g>")
 
     x0, y0 = t(window.lo[0], window.hi[1])
@@ -113,3 +115,13 @@ def render_topology_svg(window: Window, components: list[LevelComponent], level:
                  f'font-size="13">level={level:g} bounded=red touching=blue</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def outcome_svg(outcome: dict, deterministic: bool) -> str:
+    """The plot of a report outcome's first level, from the report alone: the
+    stored chains over the sign regions of the stored network."""
+    entry = outcome["levels"][0]["report"]
+    return render_topology_svg(
+        Window(entry["window"]["lo"], entry["window"]["hi"]), entry["components"],
+        entry["level"], field_fn=network_scalar_fn(network_from_dict(outcome["network"])),
+        deterministic=deterministic, title=f"seed {outcome['seed']}")

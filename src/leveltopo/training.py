@@ -148,8 +148,12 @@ class TrainConfig:
     target_loss: float = 0.05
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate (--lr) must be finite and positive, "
+                             f"got {self.learning_rate}")
+        if not math.isfinite(self.target_loss):
+            raise ValueError(f"target_loss (--target-loss) must be finite, "
+                             f"got {self.target_loss}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:

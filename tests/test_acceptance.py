@@ -3,11 +3,14 @@
 The heavyweight report-producing runs (criteria 3, 4, 5) are built once in
 module fixtures through the same deterministic report path the CLI uses (a
 sweep's worker-encoded entries, a reproduction's outcome dicts, spliced by
-``dumps_report``); criterion 9 rebuilds them from scratch and compares bytes.
+``dumps_report``); the criteria read the reports' outcomes, criterion 9
+rebuilds them from scratch and compares bytes, and ``validate_report``
+re-derives each one's verdicts and level entries.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines live.
 """
 
+import json
 import math
 import time
 from types import SimpleNamespace
@@ -26,7 +29,7 @@ from leveltopo.analysis import reproduction_spec
 from leveltopo.contours import band_oracle_compare
 from leveltopo.fields import sample_noncritical_levels
 from leveltopo.reports import (KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE, KIND_SWEEP,
-                               dumps_report, make_report, report_passed)
+                               dumps_report, make_report, report_passed, validate_report)
 
 from test_training import fd_loss_gradient, max_relative_error, random_case
 
@@ -55,21 +58,17 @@ RUNS = {
 def build_report(kind: str) -> SimpleNamespace:
     """Run ``kind``'s spec and build its deterministic report as the CLI does:
     a sweep hands ``make_report`` the entries it returns, a reproduction its
-    outcomes' dicts.  ``result`` is the sweep's entries or the reproduction's
-    ``SweepResult``."""
+    outcomes' dicts.  The criteria read the report's outcomes."""
     spec, config = RUNS[kind]
     t0 = time.perf_counter()
     if kind == KIND_SWEEP:
-        result = random_nonsingular_sweep(spec)
-        outcomes = list(result)
+        outcomes = list(random_nonsingular_sweep(spec))
     else:
-        result = run_experiment(spec)
-        outcomes = [o.to_dict() for o in result.outcomes]
+        outcomes = [o.to_dict() for o in run_experiment(spec).outcomes]
     seconds = time.perf_counter() - t0
     report = make_report(kind, {**config, "spec": spec.to_dict(), "deterministic": True},
                          outcomes, True, seconds)
-    return SimpleNamespace(result=result, report=report, data=dumps_report(report),
-                           seconds=seconds)
+    return SimpleNamespace(report=report, data=dumps_report(report), seconds=seconds)
 
 
 @pytest.fixture(scope="module")
@@ -138,9 +137,10 @@ def test_criterion_2_uniform_approximation():
 
 
 def test_criterion_3_nonsingular_level_sets(sweep_run):
-    bounded = sum(e["bounded_final"] for e in sweep_run.result)
-    nets = len(sweep_run.result)
-    levels = sum(len(e["levels"]) for e in sweep_run.result)
+    outcomes = sweep_run.report["outcomes"]
+    bounded = sum(e["bounded_final"] for e in outcomes)
+    nets = len(outcomes)
+    levels = sum(len(e["levels"]) for e in outcomes)
     ok = bounded == 0 and nets == 100 and levels == 500 and sweep_run.seconds < 60.0
     _line(3, "nonsingular-level-sets-unbounded", ok,
           f"{nets} nets, {levels} levels, bounded={bounded} (==0), "
@@ -151,9 +151,9 @@ def test_criterion_3_nonsingular_level_sets(sweep_run):
 
 
 def test_criterion_4_narrow_reproduction(narrow_run):
-    outcomes = narrow_run.result.outcomes
-    converged = [o for o in outcomes if o.error is None and o.converged]
-    bounded = sum(o.bounded_final for o in converged)
+    outcomes = narrow_run.report["outcomes"]
+    converged = [o for o in outcomes if o["error"] is None and o["converged"]]
+    bounded = sum(o["bounded_final"] for o in converged)
     ok = (len(converged) >= 10 and bounded == 0 and narrow_run.seconds < 300.0)
     _line(4, "deep-narrow-reproduction", ok,
           f"converged={len(converged)}/20 (>=10), bounded-in-converged={bounded} "
@@ -165,11 +165,11 @@ def test_criterion_4_narrow_reproduction(narrow_run):
 
 
 def test_criterion_5_wide_reproduction(wide_run):
-    outcomes = wide_run.result.outcomes
+    outcomes = wide_run.report["outcomes"]
     accurate = [o for o in outcomes
-                if o.error is None and o.accuracy is not None and o.accuracy >= 0.95]
+                if o["error"] is None and o["accuracy"] is not None and o["accuracy"] >= 0.95]
     with_loop = [o for o in accurate
-                 if any(lv.bounded_enclosing_origin >= 1 for lv in o.levels)]
+                 if any(lv["bounded_enclosing_origin"] >= 1 for lv in o["levels"])]
     need_loops = math.ceil(0.9 * len(accurate)) if accurate else 0
     ok = (len(accurate) >= 18 and len(with_loop) >= need_loops
           and wide_run.seconds < 180.0)
@@ -185,9 +185,18 @@ def test_criterion_5_wide_reproduction(wide_run):
 def test_wide_reproduction_origin_loop_on_every_seed(wide_run):
     # saddle cells are split by the trained net's value at their centre;
     # that must leave every 3b seed its loop around the origin
-    assert all(any(lv.bounded_enclosing_origin >= 1 for lv in o.levels)
-               for o in wide_run.result.outcomes)
-    assert len(wide_run.result.outcomes) == 20
+    outcomes = wide_run.report["outcomes"]
+    assert all(any(lv["bounded_enclosing_origin"] >= 1 for lv in o["levels"])
+               for o in outcomes)
+    assert len(outcomes) == 20
+
+
+def test_fixture_reports_validate(sweep_run, narrow_run, wide_run):
+    # every stored verdict, classification and count follows from the
+    # report's own chains, networks and spec; the sweep's outcomes are
+    # worker-encoded entries, so its written text is decoded
+    for report in (json.loads(sweep_run.data), narrow_run.report, wide_run.report):
+        assert validate_report(report) == (True, report["verdicts"])
 
 
 def test_criterion_6_contour_region_oracle_equivalence():

@@ -39,15 +39,15 @@ class TestAnalyzeLevel:
         (arc_fn, (Classification.BOUNDARY_TOUCHING,)),
     ], ids=["circle", "line", "arc-leaving-the-frame"])
     def test_classified_on_the_window(self, f, expected):
-        analysis = analyze_level(f, 0.0, sample_grid(f, window2(), (101, 101)))
-        assert analysis.final_classifications == expected
-        assert analysis.bounded_final == expected.count(Classification.BOUNDED)
+        entry = analyze_level(f, 0.0, sample_grid(f, window2(), (101, 101)))
+        assert entry["final_classifications"] == [c.value for c in expected]
+        assert entry["bounded_final"] == expected.count(Classification.BOUNDED)
 
     def test_final_classifications_are_the_components_own(self):
         for f in (circle_fn, line_fn, arc_fn):
-            analysis = analyze_level(f, 0.0, sample_grid(f, window2(), (101, 101)))
-            assert analysis.final_classifications == tuple(
-                c.classification for c in analysis.components)
+            entry = analyze_level(f, 0.0, sample_grid(f, window2(), (101, 101)))
+            assert entry["final_classifications"] == [
+                c["classification"] for c in entry["report"]["components"]]
 
 
 class TestSubCellLoop:
@@ -67,14 +67,13 @@ class TestSubCellLoop:
         return analyze_level(f, 0.5, sample_grid(f, window, (20, 20)))
 
     def test_spike_at_an_even_resolution_stays_bounded(self):
-        analysis = self.analyze(self.spike)
-        assert analysis.final_classifications == (Classification.BOUNDED,)
-        assert analysis.bounded_final == 1
+        entry = self.analyze(self.spike)
+        assert entry["final_classifications"] == ["bounded"]
+        assert entry["bounded_final"] == 1
 
     def test_spike_next_to_a_hill_stays_bounded(self):
-        analysis = self.analyze(lambda p: self.spike(p) + self.hill(p))
-        assert analysis.final_classifications == (Classification.BOUNDED,
-                                                  Classification.BOUNDED)
+        entry = self.analyze(lambda p: self.spike(p) + self.hill(p))
+        assert entry["final_classifications"] == ["bounded", "bounded"]
 
 
 class TestRunExperiment:
@@ -92,8 +91,9 @@ class TestRunExperiment:
     def test_aggregates_equal_sums(self):
         result = run_experiment(self.tiny_spec())
         for o in result.outcomes:
-            assert o.bounded_final == sum(lv.bounded_final for lv in o.levels)
-            assert o.boundary_final == sum(lv.boundary_final for lv in o.levels)
+            d = o.to_dict()
+            assert d["bounded_final"] == sum(lv["bounded_final"] for lv in o.levels)
+            assert d["boundary_final"] == sum(lv["boundary_final"] for lv in o.levels)
 
     def test_outcomes_in_seed_order_with_metrics(self):
         result = run_experiment(self.tiny_spec(seeds=(3, 1)))
@@ -223,6 +223,11 @@ class TestNonSingularSweep:
 
         with pytest.raises(ValueError):
             NonSingularSweepSpec(activation=RELU)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), 0.0])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        with pytest.raises(ValueError, match=r"delta \(--delta\) must be finite and positive"):
+            NonSingularSweepSpec(delta=delta)
 
 
 class TestCompositionTolerance:

@@ -14,6 +14,7 @@ from leveltopo import analysis, cli, training
 from leveltopo.cli import main, parse_activation, parse_levels, parse_window
 from leveltopo.network import Window, load_network, save_network
 from leveltopo.reports import compute_verdicts, load_report, validate_report
+from leveltopo.svgplot import outcome_svg
 from leveltopo import (SIGMOID, Layer, Network, Optimizer, TrainConfig, init_weights,
                        load_dataset, one_to_one_relu, train)
 
@@ -131,6 +132,17 @@ class TestTrain:
         assert main(["train", "--data", str(path), "--arch", "2,3,1", "--steps", "5",
                      "--out", str(tmp_path / "m.json")]) == 2
         assert f"dataset labels must be 0 or 1, got {label}" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--lr", "nan"], "learning_rate (--lr) must be finite and positive, got nan"),
+        (["--lr", "inf"], "learning_rate (--lr) must be finite and positive, got inf"),
+        (["--target-loss", "nan"], "target_loss (--target-loss) must be finite, got nan"),
+    ], ids=["lr-nan", "lr-inf", "target-loss-nan"])
+    def test_non_finite_setting_exit_2(self, tmp_path, dataset, capsys, flags, message):
+        assert main(["train", "--data", str(dataset), "--arch", "2,3,1", "--steps", "5",
+                     "--out", str(tmp_path / "m.json"), *flags]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
     def test_deep_narrow_arch_parses(self, tmp_path, dataset):
@@ -259,6 +271,14 @@ class TestSweepCommand:
         assert main(["sweep-nonsingular", "--count", "0"]) == 0
         assert "UNTESTED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-3"])
+    def test_delta_not_finite_and_positive_exit_2(self, tmp_path, capsys, value):
+        rp = tmp_path / "r.json"
+        assert main(["sweep-nonsingular", "--count", "1", f"--delta={value}",
+                     "--report", str(rp), "--deterministic"]) == 2
+        assert "delta (--delta) must be finite and positive" in capsys.readouterr().err
+        assert not rp.exists()
+
 
 class TestReproduceCommand:
     def test_wide_small_run(self, tmp_path, capsys):
@@ -273,6 +293,16 @@ class TestReproduceCommand:
         assert (svg_dir / "seed000.svg").exists()
         ok, _ = validate_report(load_report(rp))
         assert ok
+
+    def test_svg_rebuilds_from_the_report_on_disk(self, tmp_path):
+        rp, svg_dir = tmp_path / "r.json", tmp_path / "svgs"
+        assert main(["reproduce", "--paper-fig", "3b", "--seeds", "2", "--report", str(rp),
+                     "--svg-dir", str(svg_dir), "--deterministic"]) == 0
+        outcomes = load_report(rp)["outcomes"]
+        assert [o["seed"] for o in outcomes] == [0, 1]
+        for o in outcomes:
+            assert outcome_svg(o, deterministic=True) == \
+                (svg_dir / f"seed{o['seed']:03d}.svg").read_text()
 
     def test_seeds_zero_untested(self, capsys):
         assert main(["reproduce", "--paper-fig", "3b", "--seeds", "0"]) == 0
@@ -492,6 +522,14 @@ def zero_origin_loop(report):
     report["outcomes"][0]["levels"][0]["bounded_enclosing_origin"] = 0
 
 
+def set_entry_level(report):
+    report["outcomes"][0]["levels"][0]["level"] = 123.0
+
+
+def set_component_level(report):
+    report["outcomes"][0]["levels"][0]["report"]["components"][0]["level"] = 7.0
+
+
 def flip_loop_with_its_counts(report):
     """Relabel the bounded loop as boundary-touching with every count to match."""
     relabel_as_touching(report)
@@ -512,16 +550,21 @@ class TestValidateReportCounts:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("tamper,messages", [
-        (relabel_as_touching, ["seed 0 level 0.5: component 0 classification is "
-                               "'boundary_touching', recomputed 'bounded'",
-                               "seed 0 level 0.5: bounded_final is 1, recomputed 0",
-                               "seed 0 level 0.5: boundary_final is",
-                               "seed 0 level 0.5: counts.boundary_touching is 99, recomputed"]),
+        (relabel_as_touching, ["seed 0 level 0.5: final_classifications is "
+                               "['boundary_touching'], recomputed ['bounded']",
+                               "seed 0 level 0.5: report.counts.bounded is 0, recomputed 1",
+                               "seed 0 level 0.5: report.counts.boundary_touching is 99, "
+                               "recomputed 0",
+                               "seed 0 level 0.5: report.components[0].classification is "
+                               "'boundary_touching', recomputed 'bounded'"]),
         (drop_final_classification, ["seed 0 level 0.5: final_classifications is [], "
-                                     "recomputed ['bounded']",
-                                     "seed 0 level 0.5: bounded_final is 1, recomputed 0"]),
+                                     "recomputed ['bounded']"]),
         (inflate_outcome_count, ["seed 0: boundary_final is"]),
-    ], ids=["relabelled-loop", "dropped-classification", "outcome-sum"])
+        (set_entry_level, ["seed 0 level 123.0: level is 123.0, recomputed 0.5"]),
+        (set_component_level, ["seed 0 level 0.5: report.components[0].level is 7.0, "
+                               "recomputed 0.5"]),
+    ], ids=["relabelled-loop", "dropped-classification", "outcome-sum", "entry-level",
+            "component-level"])
     def test_tampered_counts_exit_1(self, wide_report, tmp_path, capsys, tamper, messages):
         report = load_report(wide_report)
         tamper(report)
@@ -535,13 +578,24 @@ class TestValidateReportCounts:
         for line, message in zip(err, messages):
             assert message in line
 
-    @pytest.mark.parametrize("tamper,message", [
-        (zero_origin_loop, "bounded_enclosing_origin is 0, recomputed 1"),
+    @pytest.mark.parametrize("tamper,messages", [
+        (zero_origin_loop, ["seed 0 level 0.5: bounded_enclosing_origin is 0, recomputed 1"]),
+        # every member derived from the loop's classification disagrees with
+        # its chain, and so do the outcome's sums
         (flip_loop_with_its_counts,
-         "component 0 classification is 'boundary_touching', recomputed 'bounded'"),
+         ["seed 0 level 0.5: final_classifications is ['boundary_touching'], "
+          "recomputed ['bounded']",
+          "seed 0 level 0.5: bounded_final is 0, recomputed 1",
+          "seed 0 level 0.5: boundary_final is 1, recomputed 0",
+          "seed 0 level 0.5: report.counts.bounded is 0, recomputed 1",
+          "seed 0 level 0.5: report.counts.boundary_touching is 1, recomputed 0",
+          "seed 0 level 0.5: report.components[0].classification is 'boundary_touching', "
+          "recomputed 'bounded'",
+          "seed 0: bounded_final is 0, recomputed 1",
+          "seed 0: boundary_final is 1, recomputed 0"]),
     ], ids=["zeroed-origin-loop", "flipped-loop-and-counts"])
     def test_tampered_data_under_matching_verdicts_exit_1(self, wide_report, tmp_path, capsys,
-                                                          tamper, message):
+                                                          tamper, messages):
         report = load_report(wide_report)
         tamper(report)
         report["verdicts"] = compute_verdicts(report)
@@ -549,7 +603,7 @@ class TestValidateReportCounts:
         path.write_text(json.dumps(report))
         assert main(["validate-report", str(path)]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"stored value does not match the report's own data: seed 0 level 0.5: {message}"]
+            f"stored value does not match the report's own data: {m}" for m in messages]
 
 
 @pytest.fixture(scope="module")

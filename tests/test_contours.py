@@ -242,8 +242,7 @@ class TestRefinementStability:
 class TestTopologyReport:
     def test_counts_and_dict_shape(self):
         fld = two_circle_field()
-        analysis = analyze_level(None, 0.0, fld, provenance={"source": "two-circles"})
-        d = analysis.to_dict()["report"]
+        d = analyze_level(None, 0.0, fld, provenance={"source": "two-circles"})["report"]
         assert d["counts"] == {"bounded": 2, "boundary_touching": 0}
         assert d["provenance"]["source"] == "two-circles"
         assert len(d["components"]) == 2
@@ -550,26 +549,26 @@ class TestSaddleRule:
         fld = sample_grid(ridge, window2(1.5), (31, 31))
         (comp,) = extract_components(fld, self.LEVEL, f=ridge)
         assert comp.classification is Classification.BOUNDARY_TOUCHING
-        analysis = analyze_level(ridge, self.LEVEL, fld)
-        assert analysis.bounded_final == 0 and analysis.boundary_final == 1
+        entry = analyze_level(ridge, self.LEVEL, fld)
+        assert entry["bounded_final"] == 0 and entry["boundary_final"] == 1
 
     def test_small_loop_across_a_saddle_cell_stays_bounded(self):
         fld = sample_grid(diagonal_peak, window2(1.0), (21, 21))
         cells = marching_squares(fld, -0.02).segment_cells.tolist()
         assert cells.count([10, 10]) == 2
         assert len(extract_components(fld, -0.02)) == 2  # the average splits it
-        analysis = analyze_level(diagonal_peak, -0.02, fld)
-        assert analysis.final_classifications == (Classification.BOUNDED,)
-        (loop,) = analysis.components
-        assert component_encloses(loop.chain, (0.05, 0.05))
+        entry = analyze_level(diagonal_peak, -0.02, fld)
+        assert entry["final_classifications"] == ["bounded"]
+        (loop,) = entry["report"]["components"]
+        assert component_encloses(np.asarray(loop["polylines"][0]), (0.05, 0.05))
 
     def test_small_loop_around_a_node_stays_bounded(self):
         peak = lambda p: -(p[:, 0] ** 2 + p[:, 1] ** 2)
         fld = sample_grid(peak, window2(1.0), (21, 21))
-        analysis = analyze_level(peak, -0.005, fld)
-        assert analysis.final_classifications == (Classification.BOUNDED,)
-        assert len(analysis.components[0].chain) == 5
-        assert analysis.bounded_enclosing_origin == 1
+        entry = analyze_level(peak, -0.005, fld)
+        assert entry["final_classifications"] == ["bounded"]
+        assert len(entry["report"]["components"][0]["polylines"][0]) == 5
+        assert entry["bounded_enclosing_origin"] == 1
 
     def test_function_evaluated_once_on_saddle_centres_only(self):
         fld = sample_grid(ridge, window2(1.5), (31, 31))

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from leveltopo import (SIGMOID, Window, eps_A_approximates, init_weights,
-                       network_scalar_fn, one_to_one_relu, region_components,
+from leveltopo import (SIGMOID, Window, init_weights, network_scalar_fn, region_components,
                        sample_grid)
-from leveltopo.activations import RELU, activation_apply, one_to_one_relu_bound
 from leveltopo.fields import (RegionComponent, RegionComponents, ScalarField, _cell_min_max,
                               sample_noncritical_levels)
 
@@ -320,24 +318,6 @@ class TestRegionComponentsMatchBfs:
     def test_random_small_fields(self, values, lo, width):
         fld = ScalarField(Window(np.zeros(values.ndim), np.ones(values.ndim)), values)
         assert_matches_bfs(fld, (lo, lo + width))
-
-
-class TestEpsApproximates:
-    def test_equal_functions(self):
-        assert eps_A_approximates(paraboloid, paraboloid, window2(), (21, 21), 1e-12)
-
-    def test_strictness_at_exact_offset(self):
-        f = paraboloid
-        g = lambda p: paraboloid(p) + 0.25
-        assert not eps_A_approximates(f, g, window2(), (21, 21), 0.25)
-        assert eps_A_approximates(f, g, window2(), (21, 21), 0.25 + 1e-9)
-
-    def test_one_to_one_relu_vs_relu_bound(self):
-        n = 10
-        f = lambda p: activation_apply(one_to_one_relu(n), p[:, 0])
-        g = lambda p: activation_apply(RELU, p[:, 0])
-        win = Window(np.array([-5.0, -1.0]), np.array([5.0, 1.0]))
-        assert eps_A_approximates(f, g, win, (101, 3), one_to_one_relu_bound(n) + 1e-9)
 
 
 class TestNoncriticalLevels:

@@ -141,6 +141,13 @@ class TestMakeNonsingular:
         with pytest.raises(ValueError):
             make_nonsingular(narrow_net((2, 1, 2, 1)), 1e-3, seed=0)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        net = Network(2, (Layer(np.zeros((2, 2)), np.zeros(2)),
+                          Layer(np.ones((1, 2)), np.zeros(1))), SIGMOID)
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            make_nonsingular(net, delta, seed=4)
+
     def test_gives_up_with_failing_layer_index(self, monkeypatch):
         import leveltopo.nonsingular as ns
 

@@ -276,6 +276,17 @@ class TestTrain:
         assert len(hist_a) == cfg.steps
         assert hist_a.tobytes() == hist_b.tobytes()
 
+    @pytest.mark.parametrize("over,message", [
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"learning_rate": 0.0}, "learning_rate"),
+        ({"target_loss": float("nan")}, "target_loss"),
+        ({"target_loss": float("inf")}, "target_loss"),
+    ], ids=["lr-nan", "lr-inf", "lr-zero", "target-nan", "target-inf"])
+    def test_settings_must_be_finite(self, over, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**over)
+
     def test_batch_size_validated(self):
         data = self.small_data()
         net = init_weights([2, 2, 1], SIGMOID, 0)
