@@ -56,73 +56,105 @@ class Activation:
         return Activation(ActivationKind(d["kind"]), d.get("sharpness"))
 
 
-def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function, ``1 / (1 + exp(-x))``, written into ``out`` when given.
-
-    exp may overflow to inf for very negative inputs, which still yields the
-    correct limit 0.0, so the overflow warning is suppressed rather than
-    branched around."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.negative(x, out=np.empty_like(x) if out is None else out)
-    with np.errstate(over="ignore"):
-        np.exp(out, out=out)
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` into ``out``.  exp overflows to inf for x below
+    about -709, which still yields the correct limit 0.0."""
+    np.negative(x, out=out)
+    np.exp(out, out=out)
     out += 1.0
     return np.divide(1.0, out, out=out)
+
+
+def _sigmoid_derivative(post: np.ndarray, z: np.ndarray) -> np.ndarray:
+    np.subtract(1.0, post, out=z)
+    z *= post
+    return z
+
+
+def _tanh_derivative(post: np.ndarray, z: np.ndarray) -> np.ndarray:
+    np.multiply(post, post, out=z)
+    return np.subtract(1.0, z, out=z)
+
+
+def _relu(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
+
+
+def _relu_derivative(post: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return np.greater_equal(z, 0.0, out=z)
+
+
+def _one_to_one_relu_forms(sharpness: int):
+    def forward(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.copyto(out, np.where(x >= 0, x, np.arctan(x) / sharpness))
+        return out
+
+    def derivative(post: np.ndarray, z: np.ndarray) -> np.ndarray:
+        np.copyto(z, np.where(z >= 0, 1.0, 1.0 / (sharpness * (1.0 + z * z))))
+        return z
+    return forward, derivative
+
+
+_FORMS = {
+    ActivationKind.SIGMOID: (_sigmoid, _sigmoid_derivative),
+    ActivationKind.TANH: (np.tanh, _tanh_derivative),
+    ActivationKind.RELU: (_relu, _relu_derivative),
+}
+
+
+def activation_forms(act: Activation):
+    """``(forward, derivative)``: the one in-place form of ``act`` and of its
+    derivative, which the training kernel binds once per run.
+
+    ``forward(x, out)`` writes ``act(x)`` into ``out``, which may be ``x``.
+    ``derivative(post, z)`` overwrites the pre-activation ``z`` with
+    ``act'(z)``; sigmoid and tanh read it from the activation value
+    ``post``, relu and one_to_one_relu from ``z`` (the right derivative,
+    1.0, at 0).  Both take float64 arrays, check nothing and return their
+    output.  They set no ``np.errstate``: sigmoid's exp (and the square in
+    one_to_one_relu's derivative) overflows to inf for large inputs, which
+    gives the correct limit, so a caller that wants no warning silences
+    ``over``.
+    """
+    if act.kind is ActivationKind.ONE_TO_ONE_RELU:
+        return _one_to_one_relu_forms(act.sharpness)
+    return _FORMS[act.kind]
 
 
 def activation_apply(act: Activation, x, out: np.ndarray | None = None):
     """Apply ``act`` elementwise.  Accepts scalars or arrays, returns float64.
 
-    With ``out`` (an array shaped like ``x``) the result is written there,
-    without temporaries for sigmoid, tanh and relu.  All four kinds are
-    total on R.  sigmoid saturates to exactly 0.0 / 1.0 in float64 for |x|
-    beyond ~745 / ~37; tanh saturates to +-1.0 near |x|=20; one_to_one_relu
-    saturates toward -pi/(2 n) as x -> -inf.
+    With ``out`` (an array shaped like ``x``) the result is written there.
+    All four kinds are total on R.  sigmoid saturates to exactly 0.0 / 1.0
+    in float64 for |x| beyond ~745 / ~37; tanh saturates to +-1.0 near
+    |x|=20; one_to_one_relu saturates toward -pi/(2 n) as x -> -inf.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if act.kind is ActivationKind.SIGMOID:
-        out = sigmoid(arr, out)
-    elif act.kind is ActivationKind.TANH:
-        out = np.tanh(arr, out=out)
-    elif act.kind is ActivationKind.RELU:
-        out = np.maximum(arr, 0.0, out=out)
-    else:
-        out = _into(np.where(arr >= 0, arr, np.arctan(arr) / act.sharpness), out)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def _into(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    if out is None:
-        return values
-    out[...] = values
-    return out
+    forward, _ = activation_forms(act)
+    with np.errstate(over="ignore"):
+        out = forward(arr, np.empty_like(arr) if out is None else out)
+    return float(out) if arr.ndim == 0 else out
 
 
 def activation_derivative(act: Activation, x, post=None, out: np.ndarray | None = None):
     """Elementwise derivative at pre-activation ``x``.
 
-    sigmoid and tanh reuse the activation value ``post`` when it is given
-    (the training hot path).  With ``out`` the result is written there;
-    ``out`` may be ``x`` itself, which is read before it is written.  relu
-    and one_to_one_relu use the right derivative (1.0) at x = 0.
+    ``post``, the activation value at ``x``, is computed when not given.
+    With ``out`` the result is written there; ``out`` may be ``x`` itself,
+    which is read before it is written.  relu and one_to_one_relu use the
+    right derivative (1.0) at x = 0.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if act.kind is ActivationKind.SIGMOID:
-        s = sigmoid(arr) if post is None else post
-        result = np.subtract(1.0, s, out=out)
-        result *= s
-    elif act.kind is ActivationKind.TANH:
-        t = np.tanh(arr) if post is None else post
-        result = np.subtract(1.0, np.multiply(t, t, out=out), out=out)
-    elif act.kind is ActivationKind.RELU:
-        result = _into(np.where(arr >= 0, 1.0, 0.0), out)
-    else:
-        result = _into(np.where(arr >= 0, 1.0, 1.0 / (act.sharpness * (1.0 + arr * arr))), out)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(result)
-    return result
+    forward, derivative = activation_forms(act)
+    with np.errstate(over="ignore"):
+        if post is None:
+            post = forward(arr, np.empty_like(arr))
+        if out is None:
+            out = arr.copy()
+        elif out is not arr:
+            np.copyto(out, arr)
+        out = derivative(post, out)
+    return float(out) if arr.ndim == 0 else out
 
 
 def uniform_deviation(a: Activation, b: Activation, interval: tuple[float, float],

@@ -264,7 +264,8 @@ def data_mismatches(report: dict) -> list[str]:
     and ``accuracy`` is that of the stored network on the seed's ring data,
     regenerated from the spec; in a sweep, ``nonsingularity`` is the
     membership check of the stored network (its weights round-trip
-    exactly)."""
+    exactly).  The top-level ``seeds``, and in a reproduction the spec's
+    ``seeds``, list the outcomes' seeds in order."""
     kind = report["kind"]
     lines = []
     for o in report["outcomes"]:
@@ -295,7 +296,12 @@ def data_mismatches(report: dict) -> list[str]:
         for key, stored, recomputed in checks:
             if stored != recomputed:
                 lines.append(f"seed {o['seed']}: {key} is {stored!r}, recomputed {recomputed!r}")
-    return lines
+    seeds = [o["seed"] for o in report["outcomes"]]
+    lists = [("seeds", report["seeds"])]
+    if kind in (KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE):
+        lists.append(("config.spec.seeds", report["config"]["spec"]["seeds"]))
+    return lines + [f"{member} is {stored!r}, recomputed {seeds!r}"
+                    for member, stored in lists if stored != seeds]
 
 
 def validate_report(report: dict) -> tuple[bool, dict]:

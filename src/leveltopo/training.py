@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .activations import Activation, ActivationKind, activation_apply, activation_derivative
+from .activations import Activation, ActivationKind, activation_forms
 from .network import Layer, Network, scalar_output
 
 FULL_BATCH_LIMIT = 4096
@@ -155,14 +155,15 @@ class TrainConfig:
             raise ValueError(f"target_loss (--target-loss) must be finite, "
                              f"got {self.target_loss}")
         if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise ValueError(f"steps (--steps) must be >= 1, got {self.steps}")
         if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValueError(f"batch_size (--batch-size) must be >= 1, got {self.batch_size}")
 
     def resolve_batch_size(self, n_points: int) -> int:
         if self.batch_size is not None:
             if self.batch_size > n_points:
-                raise ValueError(f"batch_size {self.batch_size} exceeds dataset size {n_points}")
+                raise ValueError(f"batch_size (--batch-size) must be at most the dataset "
+                                 f"size {n_points}, got {self.batch_size}")
             return self.batch_size
         return n_points if n_points <= FULL_BATCH_LIMIT else DEFAULT_MINI_BATCH
 
@@ -187,87 +188,99 @@ def init_weights(arch: list[int], activation: Activation, seed: int,
     return Network(arch[0], tuple(layers), activation, final_activation)
 
 
-def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
 def _flatten(net: Network) -> np.ndarray:
     """All parameters of ``net`` in one row: each layer's weights, then its bias."""
     return np.concatenate([np.concatenate([layer.weights.ravel(), layer.bias])
                            for layer in net.layers])
 
 
-def _layer_views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer views (weights (S, out, in), bias (S, out, 1)) of a (S, params) array."""
-    seeds = flat.shape[0]
-    views, start = [], 0
-    for n_out, n_in in shapes:
-        w_end = start + n_out * n_in
-        views.append((flat[:, start:w_end].reshape(seeds, n_out, n_in),
-                      flat[:, w_end:w_end + n_out].reshape(seeds, n_out, 1)))
-        start = w_end + n_out
-    return views
+class _Plan:
+    """The arrays a step of a stack of S seeds touches, built when the stack
+    is built and again each time it is compacted.
 
-
-def _workspace(seeds: int, shapes, points: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (pre-activation, activation) buffers, each (S, out, points).
-
-    The kernel reuses them every step, so a step allocates no array of the
-    stack's size (freeing and re-allocating those made the allocator hand
-    pages back to the system and fault them in again, every step).
+    ``forward`` holds, per layer, views of its weights (S, out, in) and bias
+    (S, out, 1) into the (S, params) array ``params`` (laid out as
+    ``_flatten`` lays out one row) and its (pre-activation, activation)
+    buffers, each (S, out, points).  ``backward`` holds, last layer first,
+    the views of its gradients into ``grads``, the transposed view of its
+    weights, and the layer below's two buffers with the transposed view of
+    its activation (None for the first layer, which reads the batch).
+    ``update`` is two (S, params) buffers for the optimizer's update.  A
+    step allocates no hidden layer's array (freeing and re-allocating those
+    made the allocator hand pages back to the system and fault them in
+    again, every step), only the per-point loss of the output layer.
     """
-    return [(np.empty((seeds, n_out, points)), np.empty((seeds, n_out, points)))
-            for n_out, _ in shapes]
+
+    def __init__(self, params: np.ndarray, grads: np.ndarray, shapes, points: int):
+        seeds = params.shape[0]
+        self.forward, self.backward = [], []
+        below, start = (None, None, None), 0
+        for n_out, n_in in shapes:
+            w_end, b_end = start + n_out * n_in, start + n_out * n_in + n_out
+            w, gw = (a[:, start:w_end].reshape(seeds, n_out, n_in) for a in (params, grads))
+            b, gb = (a[:, w_end:b_end].reshape(seeds, n_out, 1) for a in (params, grads))
+            z, post = np.empty((seeds, n_out, points)), np.empty((seeds, n_out, points))
+            self.forward.append((w, b, z, post))
+            self.backward.insert(0, (gw, gb, w.transpose(0, 2, 1), *below))
+            below, start = (z, post, post.transpose(0, 2, 1)), b_end
+        self.update = (np.empty_like(params), np.empty_like(params))
 
 
-def _stack_loss_and_grad(params, grads, work, activation: Activation,
-                         final_activation: bool, x: np.ndarray, y: np.ndarray,
-                         loss: Loss) -> np.ndarray:
+def _stack_loss_and_grad(plan: _Plan, forward, derivative, final_activation: bool,
+                         x: np.ndarray, y: np.ndarray, loss: Loss) -> np.ndarray:
     """Forward and reverse-mode pass for a stack of seeds; the training hot loop.
 
-    ``x`` is (S, in, points) and ``y`` is (S, out, points); ``params`` and
-    ``grads`` are per-layer views from ``_layer_views`` and ``work`` comes
-    from ``_workspace``.  Writes every seed's gradient into ``grads`` and
-    returns its mean loss, shape (S,).  Each seed's numbers come from its own
+    ``x`` is (S, in, points) and ``y`` is (S, out, points); ``forward`` and
+    ``derivative`` are the activation's in-place forms (``activation_forms``).
+    Writes every seed's gradient into the plan's gradient views and returns
+    its mean loss, shape (S,).  Each seed's numbers come from its own
     matrices and rows, so a seed gives the same bits alone and inside any
-    stack.  The caller decides what to do with overflow: a non-finite loss
-    is the divergence signal.
+    stack.  The caller runs it under ``np.errstate(over="ignore",
+    invalid="ignore")`` and decides what to do with overflow: a non-finite
+    loss is the divergence signal.
     """
-    last = len(params) - 1
+    last = len(plan.forward) - 1
     a = x
-    for i, ((w, b), (z, post)) in enumerate(zip(params, work)):
+    for i, (w, b, z, post) in enumerate(plan.forward):
         np.matmul(w, a, out=z)
         z += b
-        a = activation_apply(activation, z, out=post) if (i < last or final_activation) else z
+        a = forward(z, post) if (i < last or final_activation) else z
 
     seeds = x.shape[0]
     count = y.shape[1] * y.shape[2]
-    z, delta = work[last]
+    z, delta = plan.forward[last][2:]
     if loss is Loss.BCE:
-        losses = np.mean((_softplus(z) - y * z).reshape(seeds, count), axis=1)
+        # softplus(z) - y z, softplus(z) = max(z, 0) + log1p(exp(-|z|)): finite
+        # even where the sigmoid saturates
+        terms = np.abs(z)
+        np.negative(terms, out=terms)
+        np.exp(terms, out=terms)
+        np.log1p(terms, out=terms)
+        total = np.maximum(z, 0.0)
+        total += terms
+        total -= np.multiply(y, z, out=terms)
         np.subtract(a, y, out=delta)
         delta /= count
     else:
         if final_activation:
-            deriv = activation_derivative(activation, z, a, out=z)
+            deriv = derivative(a, z)
         np.subtract(a, y, out=delta)
-        losses = np.mean((delta * delta).reshape(seeds, count), axis=1)
+        total = np.multiply(delta, delta)
         delta *= 2.0
         delta /= count
         if final_activation:
             delta *= deriv
+    losses = np.add.reduce(total.reshape(seeds, count), axis=1)
+    losses /= count  # what np.mean computes, bit for bit
 
     # the delta of layer i lives in that layer's activation buffer, which the
     # backward pass no longer needs once it reaches layer i
-    for i in range(last, -1, -1):
-        gw, gb = grads[i]
-        below = work[i - 1][1] if i > 0 else x
-        np.matmul(delta, below.transpose(0, 2, 1), out=gw)
-        np.sum(delta, axis=2, keepdims=True, out=gb)
-        if i > 0:
-            z_below = work[i - 1][0]
-            deriv = activation_derivative(activation, z_below, below, out=z_below)
-            np.matmul(params[i][0].transpose(0, 2, 1), delta, out=below)
+    for gw, gb, w_t, z_below, below, below_t in plan.backward:
+        np.matmul(delta, x.transpose(0, 2, 1) if below is None else below_t, out=gw)
+        np.add.reduce(delta, axis=2, keepdims=True, out=gb)
+        if below is not None:
+            deriv = derivative(below, z_below)
+            np.matmul(w_t, delta, out=below)
             below *= deriv
             delta = below
     return losses
@@ -297,14 +310,13 @@ def loss_and_grad(net: Network, points: np.ndarray, labels: np.ndarray,
     _check_loss_fits(net, loss)
     shapes = [layer.weights.shape for layer in net.layers]
     params = _flatten(net)[None, :]
-    grads = np.empty_like(params)
-    grad_views = _layer_views(grads, shapes)
+    plan = _Plan(params, np.empty_like(params), shapes, x.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         losses = _stack_loss_and_grad(
-            _layer_views(params, shapes), grad_views, _workspace(1, shapes, x.shape[0]),
-            net.activation, net.final_activation, np.ascontiguousarray(x.T)[None],
+            plan, *activation_forms(net.activation), net.final_activation,
+            np.ascontiguousarray(x.T)[None],
             np.ascontiguousarray(y.reshape(x.shape[0], -1).T)[None], loss)
-    return float(losses[0]), [(gw[0], gb[0, :, 0]) for gw, gb in grad_views]
+    return float(losses[0]), [(gw[0], gb[0, :, 0]) for gw, gb, *_ in reversed(plan.backward)]
 
 
 def _check_stack(nets: list[Network], datasets: list[Dataset],
@@ -329,11 +341,39 @@ def _check_stack(nets: list[Network], datasets: list[Dataset],
             raise ValueError("stacked configs may differ only in their seed")
 
 
-def _network_at(template: Network, views, row: int) -> Network:
+def _network_at(template: Network, plan: _Plan, row: int) -> Network:
     """The network of stack row ``row``, with ``template``'s activation."""
     return Network(template.input_dim,
-                   tuple(Layer(w[row], b[row, :, 0]) for w, b in views),
+                   tuple(Layer(w[row], b[row, :, 0]) for w, b, _, _ in plan.forward),
                    template.activation, template.final_activation)
+
+
+def _update(plan: _Plan, params, grads, moments, cfg: TrainConfig, step: int) -> None:
+    """One optimizer step on every row, into the plan's update buffers.
+
+    Adam runs the operations of ``m = b1 m + (1 - b1) g``, ``v = b2 v +
+    (1 - b2) g g`` and ``params -= lr (m / c1) / (sqrt(v / c2) + eps)`` in
+    their order of evaluation, so the bits are those of the expressions."""
+    t1, t2 = plan.update
+    if cfg.optimizer is Optimizer.SGD:
+        params -= np.multiply(grads, cfg.learning_rate, out=t1)
+        return
+    m_state, v_state = moments
+    c1 = 1.0 - ADAM_BETA1 ** step
+    c2 = 1.0 - ADAM_BETA2 ** step
+    m_state *= ADAM_BETA1
+    m_state += np.multiply(grads, 1.0 - ADAM_BETA1, out=t1)
+    v_state *= ADAM_BETA2
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=t1)
+    t1 *= grads
+    v_state += t1
+    np.divide(m_state, c1, out=t1)
+    t1 *= cfg.learning_rate
+    np.divide(v_state, c2, out=t2)
+    np.sqrt(t2, out=t2)
+    t2 += ADAM_EPS
+    t1 /= t2
+    params -= t1
 
 
 def train_stack(nets, datasets, cfgs) -> list:
@@ -345,15 +385,16 @@ def train_stack(nets, datasets, cfgs) -> list:
     or the ``TrainingDiverged`` that seed raised.  A seed leaves the stack
     when its loss reaches ``target_loss`` (keeping the weights that loss was
     computed with) or stops being finite, and the arrays of the others are
-    compacted; the (seeds, steps) loss buffer is not, and a result gets a
-    copy of its row's prefix.  Every seed's result is bitwise what it gets
-    trained alone.
+    compacted and their ``_Plan`` rebuilt; the (seeds, steps) loss buffer is
+    not, and a result gets a copy of its row's prefix.  Every seed's result
+    is bitwise what it gets trained alone.
     """
     nets, datasets, cfgs = list(nets), list(datasets), list(cfgs)
     if not nets:
         return []
     _check_stack(nets, datasets, cfgs)
     template, cfg = nets[0], cfgs[0]
+    forward, derivative = activation_forms(template.activation)
     shapes = [layer.weights.shape for layer in template.layers]
     n = len(datasets[0])
     batch = cfg.resolve_batch_size(n)
@@ -363,15 +404,13 @@ def train_stack(nets, datasets, cfgs) -> list:
     y = np.stack([d.labels.astype(np.float64)[None, :] for d in datasets])  # (S, 1, N)
     params = np.stack([_flatten(net) for net in nets])                # (S, params)
     grads = np.empty_like(params)
-    if cfg.optimizer is Optimizer.ADAM:
-        m_state = np.zeros_like(params)
-        v_state = np.zeros_like(params)
+    moments = ((np.zeros_like(params), np.zeros_like(params))
+               if cfg.optimizer is Optimizer.ADAM else ())
     ids = np.arange(len(nets))         # stack row -> input position
     history = np.empty((len(nets), cfg.steps))
     results: list = [None] * len(nets)
 
-    views, grad_views = _layer_views(params, shapes), _layer_views(grads, shapes)
-    work = _workspace(len(ids), shapes, batch)
+    plan = _Plan(params, grads, shapes, batch)
     orders = None
     cursor = n  # forces a shuffle before the first mini-batch
     with np.errstate(over="ignore", invalid="ignore"):
@@ -387,7 +426,7 @@ def train_stack(nets, datasets, cfgs) -> list:
                 bx = np.take_along_axis(x, sel, axis=2)
                 by = np.take_along_axis(y, sel, axis=2)
 
-            losses = _stack_loss_and_grad(views, grad_views, work, template.activation,
+            losses = _stack_loss_and_grad(plan, forward, derivative,
                                           template.final_activation, bx, by, cfg.loss)
             history[ids, step - 1] = losses
             stay = (losses > cfg.target_loss) & (losses < math.inf)  # NaN fails both
@@ -395,7 +434,7 @@ def train_stack(nets, datasets, cfgs) -> list:
                 for row in np.flatnonzero(~stay).tolist():
                     seed = ids[row]
                     if math.isfinite(losses[row]):
-                        results[seed] = (_network_at(template, views, row),
+                        results[seed] = (_network_at(template, plan, row),
                                          history[seed, :step].copy())
                     else:
                         results[seed] = TrainingDiverged(history[seed, :step - 1].copy())
@@ -404,29 +443,16 @@ def train_stack(nets, datasets, cfgs) -> list:
                     break
                 ids = ids[keep]
                 rngs = [rngs[row] for row in keep.tolist()]
-                params, x, y = params[keep], x[keep], y[keep]
-                grads = grads[keep]
+                params, grads, x, y = params[keep], grads[keep], x[keep], y[keep]
+                moments = tuple(state[keep] for state in moments)
                 if orders is not None:
                     orders = orders[keep]
-                if cfg.optimizer is Optimizer.ADAM:
-                    m_state, v_state = m_state[keep], v_state[keep]
-                views, grad_views = _layer_views(params, shapes), _layer_views(grads, shapes)
-                work = _workspace(len(ids), shapes, batch)
+                plan = _Plan(params, grads, shapes, batch)
 
-            if cfg.optimizer is Optimizer.SGD:
-                params -= cfg.learning_rate * grads
-            else:
-                c1 = 1.0 - ADAM_BETA1 ** step
-                c2 = 1.0 - ADAM_BETA2 ** step
-                m_state *= ADAM_BETA1
-                m_state += (1.0 - ADAM_BETA1) * grads
-                v_state *= ADAM_BETA2
-                v_state += (1.0 - ADAM_BETA2) * grads * grads
-                params -= cfg.learning_rate * (m_state / c1) / (np.sqrt(v_state / c2)
-                                                                + ADAM_EPS)
+            _update(plan, params, grads, moments, cfg, step)
     for row, seed in enumerate(ids.tolist()):
         if results[seed] is None:  # trained for all its steps
-            results[seed] = (_network_at(template, views, row), history[seed].copy())
+            results[seed] = (_network_at(template, plan, row), history[seed].copy())
     return results
 
 

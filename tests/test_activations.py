@@ -90,6 +90,15 @@ class TestClassicActivations:
         assert got is x
         np.testing.assert_array_equal(got, expected)
 
+    @pytest.mark.parametrize("act", [SIGMOID, TANH, RELU, one_to_one_relu(3)],
+                             ids=["sigmoid", "tanh", "relu", "one_to_one_relu"])
+    def test_apply_into_x_is_bitwise_the_plain_one(self, act):
+        x = np.linspace(-6.0, 6.0, 41)
+        expected = activation_apply(act, x)
+        got = activation_apply(act, x, out=x)
+        assert got is x
+        np.testing.assert_array_equal(got, expected)
+
 
 class TestUniformDeviation:
     def test_identical_functions(self):

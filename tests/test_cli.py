@@ -145,6 +145,18 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--steps", "0"], "steps (--steps) must be >= 1, got 0"),
+        (["--batch-size", "0"], "batch_size (--batch-size) must be >= 1, got 0"),
+        (["--batch-size", "99999"],
+         "batch_size (--batch-size) must be at most the dataset size 180, got 99999"),
+    ], ids=["steps-zero", "batch-size-zero", "batch-size-too-large"])
+    def test_bad_count_names_its_flag_exit_2(self, tmp_path, dataset, capsys, flags, message):
+        assert main(["train", "--data", str(dataset), "--arch", "2,3,1", "--steps", "5",
+                     "--out", str(tmp_path / "m.json"), *flags]) == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_deep_narrow_arch_parses(self, tmp_path, dataset):
         assert main(["train", "--data", str(dataset), "--arch", "2,2,2,2,2,2,2,1",
                      "--steps", "5", "--out", str(tmp_path / "m.json")]) == 0
@@ -646,6 +658,19 @@ def negate_determinant(report):
     dets[0] = -dets[0]
 
 
+def rewrite_seeds(report):
+    report["seeds"] = [5]
+
+
+def rewrite_spec_seeds(report):
+    report["config"]["spec"]["seeds"] = [9, 8]
+
+
+def rewrite_both_seed_lists(report):
+    rewrite_seeds(report)
+    rewrite_spec_seeds(report)
+
+
 class TestValidateReportDerivations:
     """validate-report re-derives ``converged`` from the stored loss and spec,
     ``accuracy`` from the stored network on the seed's regenerated ring data,
@@ -672,6 +697,24 @@ class TestValidateReportDerivations:
         assert len(err) == 1
         assert err[0].startswith(
             f"stored value does not match the report's own data: {message}")
+
+    @pytest.mark.parametrize("report_fixture,tamper,messages", [
+        ("two_seed_wide_report", rewrite_seeds, ["seeds is [5], recomputed [0, 1]"]),
+        ("two_seed_wide_report", rewrite_spec_seeds,
+         ["config.spec.seeds is [9, 8], recomputed [0, 1]"]),
+        ("two_seed_wide_report", rewrite_both_seed_lists,
+         ["seeds is [5], recomputed [0, 1]", "config.spec.seeds is [9, 8], recomputed [0, 1]"]),
+        ("sweep_report", rewrite_seeds, ["seeds is [5], recomputed [0]"]),
+    ], ids=["seeds", "spec-seeds", "both", "sweep-seeds"])
+    def test_tampered_seed_lists_exit_1(self, request, tmp_path, capsys, report_fixture,
+                                        tamper, messages):
+        report = load_report(request.getfixturevalue(report_fixture))
+        tamper(report)
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(report))
+        assert main(["validate-report", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"stored value does not match the report's own data: {m}" for m in messages]
 
 
 class TestEnvironment:

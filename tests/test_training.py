@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leveltopo import (RELU, SIGMOID, TANH, Dataset, Layer, Loss, Network, Optimizer,
-                       TrainConfig, TrainingDiverged, accuracy, gen_ring_dataset,
+from leveltopo import (RELU, SIGMOID, TANH, ActivationKind, Dataset, Layer, Loss, Network,
+                       Optimizer, TrainConfig, TrainingDiverged, accuracy, gen_ring_dataset,
                        init_weights, load_dataset, loss_and_grad, one_to_one_relu,
-                       save_dataset, train, train_stack)
+                       save_dataset, train, train_stack, training)
+from leveltopo.activations import activation_forms
 
 
 def fd_loss_gradient(net, points, labels, loss, h=1e-5):
@@ -430,6 +431,198 @@ class TestTrainStack:
 
     def test_empty_stack(self):
         assert train_stack([], [], []) == []
+
+
+# A frozen reference of the training arithmetic: the kernel as it stood
+# before its activations and reductions were rewritten in place, with the
+# activation code of that time.  The kernel must stay bitwise equal to it.
+
+def ref_activation(act, x, out):
+    if act.kind is ActivationKind.SIGMOID:
+        out = np.negative(x, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
+    if act.kind is ActivationKind.TANH:
+        return np.tanh(x, out=out)
+    if act.kind is ActivationKind.RELU:
+        return np.maximum(x, 0.0, out=out)
+    out[...] = np.where(x >= 0, x, np.arctan(x) / act.sharpness)
+    return out
+
+
+def ref_derivative(act, x, post, out):
+    if act.kind is ActivationKind.SIGMOID:
+        result = np.subtract(1.0, post, out=out)
+        result *= post
+        return result
+    if act.kind is ActivationKind.TANH:
+        return np.subtract(1.0, np.multiply(post, post, out=out), out=out)
+    if act.kind is ActivationKind.RELU:
+        out[...] = np.where(x >= 0, 1.0, 0.0)
+    else:
+        out[...] = np.where(x >= 0, 1.0, 1.0 / (act.sharpness * (1.0 + x * x)))
+    return out
+
+
+def ref_layer_views(flat, shapes):
+    seeds = flat.shape[0]
+    views, start = [], 0
+    for n_out, n_in in shapes:
+        w_end = start + n_out * n_in
+        views.append((flat[:, start:w_end].reshape(seeds, n_out, n_in),
+                      flat[:, w_end:w_end + n_out].reshape(seeds, n_out, 1)))
+        start = w_end + n_out
+    return views
+
+
+def ref_loss_and_grad(params, grads, shapes, activation, final_activation, x, y, loss):
+    """Mean losses (S,) of a stack; writes its gradients into ``grads``."""
+    views, grad_views = ref_layer_views(params, shapes), ref_layer_views(grads, shapes)
+    work = [(np.empty((x.shape[0], n_out, x.shape[2])), np.empty((x.shape[0], n_out, x.shape[2])))
+            for n_out, _ in shapes]
+    last = len(views) - 1
+    a = x
+    for i, ((w, b), (z, post)) in enumerate(zip(views, work)):
+        np.matmul(w, a, out=z)
+        z += b
+        a = ref_activation(activation, z, post) if (i < last or final_activation) else z
+    seeds = x.shape[0]
+    count = y.shape[1] * y.shape[2]
+    z, delta = work[last]
+    if loss is Loss.BCE:
+        softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+        losses = np.mean((softplus - y * z).reshape(seeds, count), axis=1)
+        np.subtract(a, y, out=delta)
+        delta /= count
+    else:
+        if final_activation:
+            deriv = ref_derivative(activation, z, a, z)
+        np.subtract(a, y, out=delta)
+        losses = np.mean((delta * delta).reshape(seeds, count), axis=1)
+        delta *= 2.0
+        delta /= count
+        if final_activation:
+            delta *= deriv
+    for i in range(last, -1, -1):
+        gw, gb = grad_views[i]
+        below = work[i - 1][1] if i > 0 else x
+        np.matmul(delta, below.transpose(0, 2, 1), out=gw)
+        np.sum(delta, axis=2, keepdims=True, out=gb)
+        if i > 0:
+            z_below = work[i - 1][0]
+            deriv = ref_derivative(activation, z_below, below, z_below)
+            np.matmul(views[i][0].transpose(0, 2, 1), delta, out=below)
+            below *= deriv
+            delta = below
+    return losses
+
+
+def ref_train(nets, datasets, cfg, seeds):
+    """Every seed's weights and losses over ``cfg.steps`` steps, no early stop."""
+    shapes = [layer.weights.shape for layer in nets[0].layers]
+    n = len(datasets[0])
+    batch = cfg.resolve_batch_size(n)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    x = np.stack([d.points.T for d in datasets])
+    y = np.stack([d.labels.astype(np.float64)[None, :] for d in datasets])
+    params = np.stack([training._flatten(net) for net in nets])
+    grads = np.empty_like(params)
+    m_state, v_state = np.zeros_like(params), np.zeros_like(params)
+    history = np.empty((len(nets), cfg.steps))
+    cursor = n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, cfg.steps + 1):
+            bx, by = x, y
+            if batch < n:
+                if cursor + batch > n:
+                    orders = np.stack([rng.permutation(n) for rng in rngs])
+                    cursor = 0
+                sel = orders[:, None, cursor:cursor + batch]
+                cursor += batch
+                bx = np.take_along_axis(x, sel, axis=2)
+                by = np.take_along_axis(y, sel, axis=2)
+            history[:, step - 1] = ref_loss_and_grad(
+                params, grads, shapes, nets[0].activation, nets[0].final_activation,
+                bx, by, cfg.loss)
+            if cfg.optimizer is Optimizer.SGD:
+                params -= cfg.learning_rate * grads
+            else:
+                c1 = 1.0 - training.ADAM_BETA1 ** step
+                c2 = 1.0 - training.ADAM_BETA2 ** step
+                m_state *= training.ADAM_BETA1
+                m_state += (1.0 - training.ADAM_BETA1) * grads
+                v_state *= training.ADAM_BETA2
+                v_state += (1.0 - training.ADAM_BETA2) * grads * grads
+                params -= cfg.learning_rate * (m_state / c1) / (
+                    np.sqrt(v_state / c2) + training.ADAM_EPS)
+    return params, history
+
+
+KERNEL_CASES = {
+    "sigmoid-bce": (SIGMOID, Loss.BCE, True),
+    "sigmoid-mse-head": (SIGMOID, Loss.MSE, True),
+    "sigmoid-mse-raw": (SIGMOID, Loss.MSE, False),
+    "tanh-mse-head": (TANH, Loss.MSE, True),
+    "tanh-mse-raw": (TANH, Loss.MSE, False),
+    "relu-mse-head": (RELU, Loss.MSE, True),
+    "relu-mse-raw": (RELU, Loss.MSE, False),
+    "one_to_one_relu3-mse-head": (one_to_one_relu(3), Loss.MSE, True),
+    "one_to_one_relu3-mse-raw": (one_to_one_relu(3), Loss.MSE, False),
+}
+
+
+class TestKernelMatchesReference:
+    """Losses and gradients are bitwise those of the frozen reference."""
+
+    @pytest.mark.parametrize("activation,loss,final", KERNEL_CASES.values(),
+                             ids=KERNEL_CASES.keys())
+    @pytest.mark.parametrize("seeds", [(4,), (0, 1, 2)], ids=["stack1", "stack3"])
+    @pytest.mark.parametrize("batch", [None, 37], ids=["full", "mini"])
+    def test_losses_and_gradients(self, activation, loss, final, seeds, batch):
+        arch = [2, 3, 2, 2, 1]
+        nets = [init_weights(arch, activation, s, final_activation=final) for s in seeds]
+        # move the biases off zero, so the bias terms are exercised
+        rng = np.random.default_rng(len(seeds))
+        params = np.stack([training._flatten(net) for net in nets])
+        params += rng.normal(scale=0.3, size=params.shape)
+        shapes = [layer.weights.shape for layer in nets[0].layers]
+        data = [gen_ring_dataset(s, 40, 80) for s in seeds]
+        x = np.stack([d.points.T for d in data])
+        y = np.stack([d.labels.astype(np.float64)[None, :] for d in data])
+        if batch is not None:
+            sel = np.stack([rng.permutation(len(data[0]))[:batch] for _ in seeds])[:, None, :]
+            x, y = np.take_along_axis(x, sel, axis=2), np.take_along_axis(y, sel, axis=2)
+        for _ in range(3):  # three points of a descent, not only the start
+            want_grads = np.zeros_like(params)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = ref_loss_and_grad(params, want_grads, shapes, activation, final,
+                                         x, y, loss)
+                got_grads = np.full_like(params, np.nan)
+                plan = training._Plan(params.copy(), got_grads, shapes, x.shape[2])
+                got = training._stack_loss_and_grad(plan, *activation_forms(activation),
+                                                    final, x, y, loss)
+            assert got.tobytes() == want.tobytes()
+            for (gw, gb), (rw, rb) in zip(
+                    [entry[:2] for entry in reversed(plan.backward)],
+                    ref_layer_views(want_grads, shapes)):
+                assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
+            params -= 0.5 * want_grads
+
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(steps=300, target_loss=0.0),
+        TrainConfig(optimizer=Optimizer.SGD, learning_rate=0.5, steps=300, target_loss=0.0),
+        TrainConfig(steps=300, batch_size=50, target_loss=0.0),
+    ], ids=["adam", "sgd", "adam-mini"])
+    def test_training_matches_reference_loop(self, cfg):
+        seeds = (0, 1, 2)
+        nets = [init_weights([2, 2, 2, 2, 2, 2, 2, 1], SIGMOID, s) for s in seeds]
+        datasets = [gen_ring_dataset(s, 50, 100) for s in seeds]
+        stacked = train_stack(nets, datasets, [dataclasses.replace(cfg, seed=s) for s in seeds])
+        params, history = ref_train(nets, datasets, cfg, seeds)
+        for row, (trained, hist) in enumerate(stacked):
+            assert hist.tobytes() == history[row].tobytes()
+            assert training._flatten(trained).tobytes() == params[row].tobytes()
 
 
 class TestAccuracy:
