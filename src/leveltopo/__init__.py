@@ -9,8 +9,8 @@ and classifies their path components as bounded or boundary-touching.
 """
 
 from .activations import (Activation, ActivationKind, RELU, SIGMOID, TANH,
-                          activation_apply, activation_derivative, one_to_one_relu,
-                          one_to_one_relu_bound, uniform_deviation)
+                          activation_apply, one_to_one_relu, one_to_one_relu_bound,
+                          uniform_deviation)
 from .network import (Layer, Network, Window, decompose, forward_batch,
                       load_network, network_hash, save_network, scalar_output)
 from .nonsingular import (NonSingularityReport, NonSingularizationError,

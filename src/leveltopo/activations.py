@@ -48,13 +48,6 @@ class Activation:
         """True when the function is strictly increasing on all of R."""
         return self.kind is not ActivationKind.RELU
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind.value, "sharpness": self.sharpness}
-
-    @staticmethod
-    def from_dict(d: dict) -> "Activation":
-        return Activation(ActivationKind(d["kind"]), d.get("sharpness"))
-
 
 def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``1 / (1 + exp(-x))`` into ``out``.  exp overflows to inf for x below
@@ -121,10 +114,9 @@ def activation_forms(act: Activation):
     return _FORMS[act.kind]
 
 
-def activation_apply(act: Activation, x, out: np.ndarray | None = None):
+def activation_apply(act: Activation, x):
     """Apply ``act`` elementwise.  Accepts scalars or arrays, returns float64.
 
-    With ``out`` (an array shaped like ``x``) the result is written there.
     All four kinds are total on R.  sigmoid saturates to exactly 0.0 / 1.0
     in float64 for |x| beyond ~745 / ~37; tanh saturates to +-1.0 near
     |x|=20; one_to_one_relu saturates toward -pi/(2 n) as x -> -inf.
@@ -132,28 +124,7 @@ def activation_apply(act: Activation, x, out: np.ndarray | None = None):
     arr = np.asarray(x, dtype=np.float64)
     forward, _ = activation_forms(act)
     with np.errstate(over="ignore"):
-        out = forward(arr, np.empty_like(arr) if out is None else out)
-    return float(out) if arr.ndim == 0 else out
-
-
-def activation_derivative(act: Activation, x, post=None, out: np.ndarray | None = None):
-    """Elementwise derivative at pre-activation ``x``.
-
-    ``post``, the activation value at ``x``, is computed when not given.
-    With ``out`` the result is written there; ``out`` may be ``x`` itself,
-    which is read before it is written.  relu and one_to_one_relu use the
-    right derivative (1.0) at x = 0.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    forward, derivative = activation_forms(act)
-    with np.errstate(over="ignore"):
-        if post is None:
-            post = forward(arr, np.empty_like(arr))
-        if out is None:
-            out = arr.copy()
-        elif out is not arr:
-            np.copyto(out, arr)
-        out = derivative(post, out)
+        out = forward(arr, np.empty_like(arr))
     return float(out) if arr.ndim == 0 else out
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .activations import SIGMOID, Activation
 from .contours import boundary_tol, extract_components
 from .fields import ScalarField, network_scalar_fn, sample_grid
-from .network import Network, Window, network_hash, network_to_dict
+from .network import Network, Window, _plain, network_hash, network_to_dict
 from .nonsingular import is_nonsingular, make_nonsingular, pad_to_width, NonSingularityReport
 from .reports import EncodedOutcome, encode_outcome, level_entry, level_sums
 from .training import (DECISION_CUT, Dataset, TrainConfig, TrainingDiverged, accuracy,
@@ -116,15 +116,7 @@ class ExperimentSpec:
         return "skinny" if all(w <= self.arch[0] for w in self.arch[1:-1]) else "wide"
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["activation"] = self.activation.to_dict()
-        d["train"] = self.train.to_dict()
-        d["window"] = self.window.to_dict() if self.window else None
-        d["arch"] = list(self.arch)
-        d["seeds"] = list(self.seeds)
-        d["levels"] = list(self.levels)
-        d["regime"] = self.regime
-        return d
+        return {**_plain(self), "regime": self.regime}
 
 
 @dataclass(frozen=True)
@@ -140,18 +132,7 @@ class SeedOutcome:
     network: dict | None = None  # serialized network, for provenance and re-plotting
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "error": self.error,
-            "final_loss": self.final_loss,
-            "steps_run": self.steps_run,
-            "converged": self.converged,
-            "accuracy": self.accuracy,
-            **level_sums(self.levels),
-            "nonsingularity": self.nonsingularity.to_dict() if self.nonsingularity else None,
-            "levels": list(self.levels),
-            "network": self.network,
-        }
+        return {**_plain(self), **level_sums(self.levels)}
 
 
 @dataclass(frozen=True)
@@ -258,10 +239,7 @@ class NonSingularSweepSpec:
             raise ValueError(f"delta (--delta) must be finite and positive, got {self.delta}")
 
     def to_dict(self) -> dict:
-        return {"n": SWEEP_DIM, "depths": list(self.depths),
-                "activation": self.activation.to_dict(), "count": self.count,
-                "levels_per_net": self.levels_per_net, "window": self.window.to_dict(),
-                "resolution": self.resolution, "seed": self.seed, "delta": self.delta}
+        return {**_plain(self), "n": SWEEP_DIM}
 
 
 def build_random_nonsingular(spec: NonSingularSweepSpec, index: int,

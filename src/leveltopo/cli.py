@@ -23,11 +23,11 @@ from .analysis import (ConstructionError, ExperimentSpec, NonSingularSweepSpec, 
                        analyze_level, auto_window, reproduction_spec, run_experiment,
                        random_nonsingular_sweep)
 from .fields import network_scalar_fn, sample_grid
-from .network import Window, load_network, network_hash, save_network
+from .network import Window, _plain, load_network, network_hash, save_network
 from .nonsingular import NonSingularizationError
 from .reports import (KIND_ANALYZE, KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE,
-                      KIND_SWEEP, data_mismatches, load_report, make_report, report_passed,
-                      validate_report, verdict_lines, write_report)
+                      KIND_SWEEP, load_report, make_report, report_passed, validate_report,
+                      verdict_lines, write_report)
 from .svgplot import outcome_svg, render_topology_svg
 from .training import (DECISION_CUT, Loss, Optimizer, TrainConfig, TrainingDiverged,
                        accuracy, gen_ring_dataset, init_weights, load_dataset,
@@ -159,7 +159,7 @@ def cmd_analyze(args) -> int:
     entries = tuple(analyze_level(f, level, base_field, provenance) for level in levels)
     outcome = SeedOutcome(seed=0, accuracy=accuracy(net, data) if data is not None else None,
                           levels=entries).to_dict()
-    config = {"model": args.model, "window": window.to_dict(),
+    config = {"model": args.model, "window": _plain(window),
               "resolution": args.resolution, "levels": list(levels),
               "deterministic": args.deterministic}
     report = make_report(KIND_ANALYZE, config, [outcome], args.deterministic, 0.0)
@@ -223,11 +223,11 @@ def cmd_sweep_nonsingular(args) -> int:
 
 def cmd_validate_report(args) -> int:
     report = load_report(args.report)
-    ok, recomputed = validate_report(report)
+    ok, recomputed, mismatches = validate_report(report)
     if ok:
         print(f"verdicts check out: {args.report}")
         return 0
-    for line in data_mismatches(report):
+    for line in mismatches:
         print(f"stored value does not match the report's own data: {line}", file=sys.stderr)
     if recomputed != report.get("verdicts"):
         print("stored verdicts do not match the report's own data:", file=sys.stderr)

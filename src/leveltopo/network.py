@@ -7,13 +7,14 @@ across threads or worker processes.
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .activations import Activation, activation_apply
+from .activations import Activation, ActivationKind, activation_apply
 
 
 @dataclass(frozen=True)
@@ -195,8 +196,25 @@ class Window:
         gaps = np.minimum(p - self.lo, self.hi - p)
         return np.min(gaps, axis=1)
 
-    def to_dict(self) -> dict:
-        return {"lo": self.lo.tolist(), "hi": self.hi.tolist()}
+
+def _plain(value):
+    """The JSON form of a value object: a dataclass is the dict of its
+    fields, an enum its value, an array nested lists and a tuple a list,
+    each member in its own JSON form.  Dicts, lists and scalars are taken
+    as they are, unvisited: an outcome's level entries hold megabytes of
+    floats.
+
+    Private, so that a tracer wrapping the package's public functions sees
+    no call per field."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 FORMAT_VERSION = 1
@@ -204,16 +222,7 @@ FORMAT_VERSION = 1
 
 def network_to_dict(net: Network) -> dict:
     """Plain-dict form of a network (row-major weights, full-precision floats)."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "input_dim": net.input_dim,
-        "layers": [
-            {"weights": layer.weights.tolist(), "bias": layer.bias.tolist()}
-            for layer in net.layers
-        ],
-        "activation": net.activation.to_dict(),
-        "final_activation": net.final_activation,
-    }
+    return {"format_version": FORMAT_VERSION, **_plain(net)}
 
 
 def network_from_dict(d: dict) -> Network:
@@ -232,7 +241,9 @@ def network_from_dict(d: dict) -> Network:
                   np.asarray(spec["bias"], dtype=np.float64))
             for spec in d["layers"]
         )
-        return Network(d["input_dim"], layers, Activation.from_dict(d["activation"]),
+        act = d["activation"]
+        return Network(d["input_dim"], layers,
+                       Activation(ActivationKind(act["kind"]), act.get("sharpness")),
                        d["final_activation"])
     except KeyError as exc:
         raise ValueError(f"network is missing key {exc}") from None

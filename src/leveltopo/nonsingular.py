@@ -79,15 +79,6 @@ class NonSingularityReport:
     verdict: bool
     tolerance_used: float
 
-    def to_dict(self) -> dict:
-        return {
-            "determinants": list(self.determinants),
-            "activation_one_to_one": self.activation_one_to_one,
-            "widths_uniform": self.widths_uniform,
-            "verdict": self.verdict,
-            "tolerance_used": self.tolerance_used,
-        }
-
 
 def pad_to_width(net: Network, n: int) -> Network:
     """Embed ``net`` in a network whose hidden layers all have width ``n``.

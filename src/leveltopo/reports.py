@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contours import Classification, classify_component, component_encloses
-from .network import Window, network_from_dict
+from .network import Window, _plain, network_from_dict
 from .nonsingular import is_nonsingular
 from .training import accuracy, gen_ring_dataset
 
@@ -124,17 +124,22 @@ def _check(ok: bool, name: str, detail: str) -> str:
 
 def _verdict_narrow(outcomes: list[dict]) -> tuple[dict, list[str]]:
     """Narrow regime: among seeds that converged, every decision-boundary
-    component must be boundary-touching."""
+    component must be boundary-touching, and each seed must have one: a seed
+    whose boundary never enters the window is no evidence."""
     converged = [o for o in outcomes if o["error"] is None and o["converged"]]
     required = math.ceil(MIN_CONVERGED_FRACTION * len(outcomes))
     bounded = sum(o["bounded_final"] for o in converged)
-    enough, clean = len(converged) >= required, bounded == 0
-    verdict = {"status": "PASS" if enough and clean else "FAIL", "converged": len(converged),
-               "required_converged": required, "bounded_components_among_converged": bounded}
+    empty = sum(o["bounded_final"] + o["boundary_final"] == 0 for o in converged)
+    enough, clean, seen = len(converged) >= required, bounded == 0, empty == 0
+    verdict = {"status": "PASS" if enough and clean and seen else "FAIL",
+               "converged": len(converged), "required_converged": required,
+               "bounded_components_among_converged": bounded,
+               "converged_without_component": empty}
     return verdict, [
         _check(enough, "converged-seeds",
                f"{len(converged)}/{len(outcomes)} (required {required})"),
-        _check(clean, "bounded-components-among-converged", f"{bounded} (required 0)")]
+        _check(clean, "bounded-components-among-converged", f"{bounded} (required 0)"),
+        _check(seen, "converged-without-component", f"{empty} (required 0)")]
 
 
 def _verdict_wide(outcomes: list[dict]) -> tuple[dict, list[str]]:
@@ -223,7 +228,7 @@ def level_entry(level: float, window: Window, resolution: tuple[int, ...] | list
         "bounded_enclosing_origin": enclosing,
         "report": {
             "level": level,
-            "window": window.to_dict(),
+            "window": _plain(window),
             "resolution": list(resolution),
             "boundary_tol": boundary_tol,
             "counts": {"bounded": bounded, "boundary_touching": len(classes) - bounded},
@@ -272,7 +277,7 @@ def data_mismatches(report: dict) -> list[str]:
         rebuilt_levels = []
         for lv in o["levels"]:
             rep = lv["report"]
-            window = Window(rep["window"]["lo"], rep["window"]["hi"])
+            window = Window(**rep["window"])
             components = [{**c, "classification": classify_component(
                               c["polylines"][0], window, rep["boundary_tol"]).value,
                            "level": rep["level"]} for c in rep["components"]]
@@ -292,7 +297,7 @@ def data_mismatches(report: dict) -> list[str]:
                         accuracy(network_from_dict(o["network"]), data))]
         if kind == KIND_SWEEP:
             checks.append(("nonsingularity", o["nonsingularity"],
-                           is_nonsingular(network_from_dict(o["network"])).to_dict()))
+                           _plain(is_nonsingular(network_from_dict(o["network"])))))
         for key, stored, recomputed in checks:
             if stored != recomputed:
                 lines.append(f"seed {o['seed']}: {key} is {stored!r}, recomputed {recomputed!r}")
@@ -304,10 +309,10 @@ def data_mismatches(report: dict) -> list[str]:
                     for member, stored in lists if stored != seeds]
 
 
-def validate_report(report: dict) -> tuple[bool, dict]:
+def validate_report(report: dict) -> tuple[bool, dict, list[str]]:
     """Recompute the verdicts and every stored classification and count from
-    raw outcome data; True when they all match (``data_mismatches`` says
-    which values do not).
+    raw outcome data: whether they all match, the recomputed verdicts, and
+    one line per stored value that does not (``data_mismatches``).
 
     A report that lacks a key or holds a value of the wrong type raises
     ValueError."""
@@ -322,7 +327,7 @@ def validate_report(report: dict) -> tuple[bool, dict]:
         raise ValueError(f"report is missing key {exc}") from None
     except (TypeError, IndexError) as exc:
         raise ValueError(f"malformed report: {exc}") from None
-    return recomputed == report.get("verdicts") and not mismatches, recomputed
+    return recomputed == report.get("verdicts") and not mismatches, recomputed, mismatches
 
 
 def report_passed(report: dict) -> bool:

@@ -122,6 +122,6 @@ def outcome_svg(outcome: dict, deterministic: bool) -> str:
     stored chains over the sign regions of the stored network."""
     entry = outcome["levels"][0]["report"]
     return render_topology_svg(
-        Window(entry["window"]["lo"], entry["window"]["hi"]), entry["components"],
-        entry["level"], field_fn=network_scalar_fn(network_from_dict(outcome["network"])),
+        Window(**entry["window"]), entry["components"], entry["level"],
+        field_fn=network_scalar_fn(network_from_dict(outcome["network"])),
         deterministic=deterministic, title=f"seed {outcome['seed']}")

@@ -167,12 +167,6 @@ class TrainConfig:
             return self.batch_size
         return n_points if n_points <= FULL_BATCH_LIMIT else DEFAULT_MINI_BATCH
 
-    def to_dict(self) -> dict:
-        return {"optimizer": self.optimizer.value, "learning_rate": self.learning_rate,
-                "steps": self.steps, "batch_size": self.batch_size, "seed": self.seed,
-                "loss": self.loss.value, "init": self.init.value,
-                "target_loss": self.target_loss}
-
 
 def init_weights(arch: list[int], activation: Activation, seed: int,
                  final_activation: bool = True) -> Network:

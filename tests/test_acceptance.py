@@ -196,7 +196,7 @@ def test_fixture_reports_validate(sweep_run, narrow_run, wide_run):
     # report's own chains, networks and spec; the sweep's outcomes are
     # worker-encoded entries, so its written text is decoded
     for report in (json.loads(sweep_run.data), narrow_run.report, wide_run.report):
-        assert validate_report(report) == (True, report["verdicts"])
+        assert validate_report(report) == (True, report["verdicts"], [])
 
 
 def test_criterion_6_contour_region_oracle_equivalence():

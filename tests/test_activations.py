@@ -5,8 +5,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from leveltopo import (RELU, SIGMOID, TANH, Activation, ActivationKind,
-                       activation_apply, activation_derivative, one_to_one_relu,
-                       one_to_one_relu_bound, uniform_deviation)
+                       activation_apply, one_to_one_relu, one_to_one_relu_bound,
+                       uniform_deviation)
+from leveltopo.activations import activation_forms
+
+
+def derivative(act, x):
+    """``act'`` at the points ``x``, from the in-place forms the training
+    kernel binds: the activation value first, then the derivative over a
+    copy of ``x``."""
+    forward, derive = activation_forms(act)
+    z = np.array(x, dtype=np.float64)
+    return derive(forward(z, np.empty_like(z)), z)
 
 
 class TestOneToOneRelu:
@@ -48,12 +58,12 @@ class TestOneToOneRelu:
             Activation(ActivationKind.SIGMOID, sharpness=2)
 
     def test_derivative_right_of_joint_is_one(self):
-        assert activation_derivative(one_to_one_relu(7), 0.0) == 1.0
-        assert activation_derivative(RELU, 0.0) == 1.0
+        assert derivative(one_to_one_relu(7), [0.0])[0] == 1.0
+        assert derivative(RELU, [0.0])[0] == 1.0
 
     def test_derivative_negative_branch(self):
         # d/dx arctan(x)/n = 1/(n (1 + x^2))
-        got = activation_derivative(one_to_one_relu(4), -2.0)
+        got = derivative(one_to_one_relu(4), [-2.0])[0]
         assert got == pytest.approx(1.0 / (4 * 5.0), rel=1e-15)
 
 
@@ -78,24 +88,16 @@ class TestClassicActivations:
     @given(st.floats(-30, 30))
     def test_sigmoid_derivative_identity(self, x):
         s = activation_apply(SIGMOID, x)
-        assert activation_derivative(SIGMOID, x) == pytest.approx(s * (1 - s), rel=1e-12)
-
-    @pytest.mark.parametrize("act", [SIGMOID, TANH, RELU, one_to_one_relu(3)],
-                             ids=["sigmoid", "tanh", "relu", "one_to_one_relu"])
-    def test_derivative_from_post_into_x_is_bitwise_the_plain_one(self, act):
-        # the training kernel passes the activation value and writes over x
-        x = np.linspace(-6.0, 6.0, 41)
-        expected = activation_derivative(act, x)
-        got = activation_derivative(act, x, activation_apply(act, x), out=x)
-        assert got is x
-        np.testing.assert_array_equal(got, expected)
+        assert derivative(SIGMOID, [x])[0] == pytest.approx(s * (1 - s), rel=1e-12)
 
     @pytest.mark.parametrize("act", [SIGMOID, TANH, RELU, one_to_one_relu(3)],
                              ids=["sigmoid", "tanh", "relu", "one_to_one_relu"])
     def test_apply_into_x_is_bitwise_the_plain_one(self, act):
+        # the in-place form may write over its input
         x = np.linspace(-6.0, 6.0, 41)
         expected = activation_apply(act, x)
-        got = activation_apply(act, x, out=x)
+        forward, _ = activation_forms(act)
+        got = forward(x, x)
         assert got is x
         np.testing.assert_array_equal(got, expected)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leveltopo import analysis, cli, training
+from leveltopo import analysis, cli, reports, training
 from leveltopo.cli import main, parse_activation, parse_levels, parse_window
 from leveltopo.network import Window, load_network, save_network
 from leveltopo.reports import compute_verdicts, load_report, validate_report
@@ -170,7 +170,7 @@ class TestAnalyze:
                      "--resolution", "81", "--report", str(report_path),
                      "--svg", str(svg_path), "--deterministic"]) == 0
         report = load_report(report_path)
-        ok, _ = validate_report(report)
+        ok, _, _ = validate_report(report)
         assert ok
         svg = svg_path.read_text()
         assert svg.startswith("<?xml") and "<polyline" in svg
@@ -262,7 +262,7 @@ class TestSweepCommand:
         assert code == 0
         report = load_report(rp)
         assert report["verdicts"]["sweep-nonsingular"]["status"] == "PASS"
-        ok, _ = validate_report(report)
+        ok, _, _ = validate_report(report)
         assert ok
 
     def test_deterministic_reports_byte_identical(self, tmp_path):
@@ -303,7 +303,7 @@ class TestReproduceCommand:
         assert code == 0
         assert "PASS" in out
         assert (svg_dir / "seed000.svg").exists()
-        ok, _ = validate_report(load_report(rp))
+        ok, _, _ = validate_report(load_report(rp))
         assert ok
 
     def test_svg_rebuilds_from_the_report_on_disk(self, tmp_path):
@@ -589,6 +589,20 @@ class TestValidateReportCounts:
         assert len(err) == len(messages)
         for line, message in zip(err, messages):
             assert message in line
+
+    def test_a_failing_report_is_derived_once(self, wide_report, tmp_path, monkeypatch,
+                                              capsys):
+        report = load_report(wide_report)
+        inflate_outcome_count(report)
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(report))
+        rebuilt = []
+        level_entry = reports.level_entry
+        monkeypatch.setattr(reports, "level_entry",
+                            lambda *args: rebuilt.append(args) or level_entry(*args))
+        assert main(["validate-report", str(path)]) == 1
+        assert len(rebuilt) == len(report["outcomes"][0]["levels"]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     @pytest.mark.parametrize("tamper,messages", [
         (zero_origin_loop, ["seed 0 level 0.5: bounded_enclosing_origin is 0, recomputed 1"]),

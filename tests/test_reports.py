@@ -35,17 +35,26 @@ def errored(seed):
 @pytest.mark.parametrize("kind,outcomes,lines,passed", [
     (KIND_REPRODUCE_NARROW, [outcome(0), outcome(1)],
      ["PASS converged-seeds: 2/2 (required 1)",
-      "PASS bounded-components-among-converged: 0 (required 0)"], True),
+      "PASS bounded-components-among-converged: 0 (required 0)",
+      "PASS converged-without-component: 0 (required 0)"], True),
     (KIND_REPRODUCE_NARROW, [outcome(0), *(outcome(s, converged=False) for s in (1, 2, 3))],
      ["FAIL converged-seeds: 1/4 (required 2)",
-      "PASS bounded-components-among-converged: 0 (required 0)"], False),
+      "PASS bounded-components-among-converged: 0 (required 0)",
+      "PASS converged-without-component: 0 (required 0)"], False),
     (KIND_REPRODUCE_NARROW, [outcome(0, bounded=1), outcome(1),
                              outcome(2, converged=False, bounded=3)],
      ["PASS converged-seeds: 2/3 (required 2)",
-      "FAIL bounded-components-among-converged: 1 (required 0)"], False),
+      "FAIL bounded-components-among-converged: 1 (required 0)",
+      "PASS converged-without-component: 0 (required 0)"], False),
+    (KIND_REPRODUCE_NARROW, [outcome(0), outcome(1, touching=0),
+                             outcome(2, converged=False, touching=0)],
+     ["PASS converged-seeds: 2/3 (required 2)",
+      "PASS bounded-components-among-converged: 0 (required 0)",
+      "FAIL converged-without-component: 1 (required 0)"], False),
     (KIND_REPRODUCE_NARROW, [outcome(0), errored(1), errored(2)],
      ["FAIL converged-seeds: 1/3 (required 2)",
-      "PASS bounded-components-among-converged: 0 (required 0)"], False),
+      "PASS bounded-components-among-converged: 0 (required 0)",
+      "PASS converged-without-component: 0 (required 0)"], False),
     (KIND_REPRODUCE_WIDE, [outcome(0, loops=1), outcome(1, loops=1)],
      ["PASS accurate-seeds: 2/2 (required 2)",
       "PASS origin-loop-seeds: 2/2 (required 2)"], True),
@@ -68,7 +77,8 @@ def errored(seed):
     (KIND_ANALYZE, [outcome(0, bounded=1, touching=2)],
      ["DONE analyze: bounded=1 touching=2"], True),
     (KIND_ANALYZE, [], ["DONE analyze: bounded=0 touching=0"], True),
-], ids=["narrow-pass", "narrow-too-few-converged", "narrow-bounded", "narrow-errored-seed",
+], ids=["narrow-pass", "narrow-too-few-converged", "narrow-bounded",
+        "narrow-converged-without-component", "narrow-errored-seed",
         "wide-pass", "wide-inaccurate", "wide-no-origin-loop", "wide-errored-seed",
         "sweep-pass", "sweep-violations", "narrow-untested", "wide-untested",
         "sweep-untested", "analyze-done", "analyze-empty"])
