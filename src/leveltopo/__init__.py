@@ -12,7 +12,7 @@ from .activations import (Activation, ActivationKind, RELU, SIGMOID, TANH,
                           activation_apply, one_to_one_relu, one_to_one_relu_bound,
                           uniform_deviation)
 from .network import (Layer, Network, Window, decompose, forward_batch,
-                      load_network, network_hash, save_network, scalar_output)
+                      load_network, save_network, scalar_output)
 from .nonsingular import (NonSingularityReport, NonSingularizationError,
                           check_injective_on_grid, is_nonsingular, make_nonsingular,
                           pad_to_width, scaled_det)

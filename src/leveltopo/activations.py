@@ -38,8 +38,10 @@ class Activation:
 
     def __post_init__(self):
         if self.kind is ActivationKind.ONE_TO_ONE_RELU:
-            if self.sharpness is None or self.sharpness < 1:
-                raise ValueError("one_to_one_relu requires integer sharpness >= 1")
+            if (not isinstance(self.sharpness, int) or isinstance(self.sharpness, bool)
+                    or self.sharpness < 1):
+                raise ValueError(f"one_to_one_relu requires integer sharpness >= 1, "
+                                 f"got {self.sharpness!r}")
         elif self.sharpness is not None:
             raise ValueError(f"sharpness is only valid for one_to_one_relu, got {self.kind}")
 

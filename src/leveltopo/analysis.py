@@ -27,9 +27,9 @@ from functools import partial
 import numpy as np
 
 from .activations import SIGMOID, Activation
-from .contours import boundary_tol, extract_components
+from .contours import extract_components
 from .fields import ScalarField, network_scalar_fn, sample_grid
-from .network import Network, Window, _plain, network_hash, network_to_dict
+from .network import Network, Window, _plain, network_to_dict
 from .nonsingular import is_nonsingular, make_nonsingular, pad_to_width, NonSingularityReport
 from .reports import EncodedOutcome, encode_outcome, level_entry, level_sums
 from .training import (DECISION_CUT, Dataset, TrainConfig, TrainingDiverged, accuracy,
@@ -67,7 +67,7 @@ def parallel_map(fn, items):
 # per-level analysis
 
 
-def analyze_level(f, level: float, field: ScalarField, provenance: dict | None = None) -> dict:
+def analyze_level(f, level: float, field: ScalarField) -> dict:
     """The report entry (``level_entry``) of the level components of
     ``field``, a sampling of ``f``, classified on the window.
 
@@ -75,9 +75,8 @@ def analyze_level(f, level: float, field: ScalarField, provenance: dict | None =
     the corner average), so callers probing several levels sample the
     window once.
     """
-    return level_entry(float(level), field.window, field.resolution, boundary_tol(field),
-                       [c.to_dict() for c in extract_components(field, level, f=f)],
-                       {**(provenance or {}), "field_sha256": field.sha256})
+    return level_entry(float(level), field.window, field.resolution,
+                       [c.chain for c in extract_components(field, level, f=f)])
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +92,8 @@ def auto_window(data: Dataset) -> Window:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to reproduce one seed sweep."""
+    """Everything needed to reproduce one seed sweep.  Each seed is analysed
+    on the bounding box of its data, doubled (``auto_window``)."""
 
     name: str
     arch: tuple[int, ...]
@@ -105,7 +105,6 @@ class ExperimentSpec:
     inner_sigma: float = 0.5
     ring_radius: float = 3.0
     ring_sigma: float = 0.3
-    window: Window | None = None   # None: per-seed data bounding box, doubled
     resolution: int = 201
     levels: tuple[float, ...] = (DECISION_CUT,)
     convergence_loss: float = 0.35
@@ -129,7 +128,7 @@ class SeedOutcome:
     accuracy: float | None = None
     levels: tuple[dict, ...] = ()  # report entries (``analyze_level``)
     nonsingularity: NonSingularityReport | None = None
-    network: dict | None = None  # serialized network, for provenance and re-plotting
+    network: dict | None = None  # the analysed network, for re-checking and re-plotting
 
     def to_dict(self) -> dict:
         return {**_plain(self), **level_sums(self.levels)}
@@ -151,12 +150,9 @@ def _seed_outcome(spec: ExperimentSpec, seed: int, data, result) -> SeedOutcome:
     trained, history = result
     steps_run, final_loss = len(history), float(history[-1])
     acc = accuracy(trained, data)
-    window = spec.window if spec.window is not None else auto_window(data)
     f = network_scalar_fn(trained)
-    base_field = sample_grid(f, window, (spec.resolution, spec.resolution))
-    provenance = {"network_sha256": network_hash(trained), "seed": seed}
-    levels = tuple(analyze_level(f, level, base_field, provenance)
-                   for level in spec.levels)
+    base_field = sample_grid(f, auto_window(data), (spec.resolution, spec.resolution))
+    levels = tuple(analyze_level(f, level, base_field) for level in spec.levels)
     return SeedOutcome(seed=seed, final_loss=final_loss, steps_run=steps_run,
                        converged=final_loss <= spec.convergence_loss, accuracy=acc,
                        levels=levels, network=network_to_dict(trained))
@@ -237,6 +233,11 @@ class NonSingularSweepSpec:
                              f"got {self.levels_per_net}")
         if not 0 < self.delta < np.inf:
             raise ValueError(f"delta (--delta) must be finite and positive, got {self.delta}")
+        if self.window.dim != SWEEP_DIM:
+            raise ValueError(f"window (--window) must be {SWEEP_DIM}-d, "
+                             f"got a {self.window.dim}-d window")
+        if self.resolution < 2:
+            raise ValueError(f"resolution (--resolution) must be >= 2, got {self.resolution}")
 
     def to_dict(self) -> dict:
         return {**_plain(self), "n": SWEEP_DIM}
@@ -269,8 +270,7 @@ def _sweep_net(spec: NonSingularSweepSpec, job: tuple[int, int]) -> EncodedOutco
     fld = sample_grid(f, spec.window, (spec.resolution, spec.resolution))
     p5, p95 = np.percentile(fld.values, [5.0, 95.0])
     levels = rng.uniform(p5, p95, spec.levels_per_net)
-    provenance = {"network_sha256": network_hash(net), "net_index": index}
-    entries = tuple(analyze_level(f, level, fld, provenance) for level in levels)
+    entries = tuple(analyze_level(f, level, fld) for level in levels)
     return encode_outcome(SeedOutcome(seed=index, levels=entries, nonsingularity=report,
                                       network=network_to_dict(net)).to_dict())
 

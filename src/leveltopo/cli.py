@@ -23,7 +23,7 @@ from .analysis import (ConstructionError, ExperimentSpec, NonSingularSweepSpec, 
                        analyze_level, auto_window, reproduction_spec, run_experiment,
                        random_nonsingular_sweep)
 from .fields import network_scalar_fn, sample_grid
-from .network import Window, _plain, load_network, network_hash, save_network
+from .network import Window, _plain, load_network, network_to_dict, save_network
 from .nonsingular import NonSingularizationError
 from .reports import (KIND_ANALYZE, KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE,
                       KIND_SWEEP, load_report, make_report, report_passed, validate_report,
@@ -130,6 +130,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.resolution < 2:
+        raise ValueError(f"resolution (--resolution) must be >= 2, got {args.resolution}")
     net = load_network(args.model)
     if net.output_dim != 1:
         raise ValueError("analysis needs a scalar-valued model")
@@ -155,10 +157,9 @@ def cmd_analyze(args) -> int:
             print(f"warning: level {level:g} outside achieved value range "
                   f"[{lo_v:.4g}, {hi_v:.4g}]; expect an empty component list",
                   file=sys.stderr)
-    provenance = {"network_sha256": network_hash(net)}
-    entries = tuple(analyze_level(f, level, base_field, provenance) for level in levels)
+    entries = tuple(analyze_level(f, level, base_field) for level in levels)
     outcome = SeedOutcome(seed=0, accuracy=accuracy(net, data) if data is not None else None,
-                          levels=entries).to_dict()
+                          levels=entries, network=network_to_dict(net)).to_dict()
     config = {"model": args.model, "window": _plain(window),
               "resolution": args.resolution, "levels": list(levels),
               "deterministic": args.deterministic}

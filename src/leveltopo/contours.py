@@ -34,7 +34,6 @@ import numpy as np
 
 from .fields import ScalarField, region_components
 from .network import Window
-from .nonsingular import _row_norms
 
 # corner values exactly at the level are shifted by this fraction of the
 # value range, which removes the degenerate table cases
@@ -44,9 +43,11 @@ LEVEL_NUDGE = 1e-12
 BOUNDARY_TOL_CELLS = 1.5
 
 
-def boundary_tol(field: ScalarField) -> float:
-    """How close to the frame a component of ``field`` may come and still be bounded."""
-    return BOUNDARY_TOL_CELLS * field.cell_diagonal
+def boundary_tol(window: Window, resolution) -> float:
+    """How close to the frame of ``window``, sampled at ``resolution`` nodes
+    per axis, a component may come and still be bounded."""
+    spacing = window.extent / (np.asarray(resolution) - 1)
+    return BOUNDARY_TOL_CELLS * float(np.linalg.norm(spacing))
 
 
 class Classification(enum.Enum):
@@ -62,7 +63,6 @@ class SegmentSoup:
     each segment to the (i, j) grid cell that produced it.
     """
 
-    level: float
     field: ScalarField
     vertices: np.ndarray       # (V, 2) float
     segments: np.ndarray       # (S, 2) int
@@ -141,7 +141,7 @@ def marching_squares(field: ScalarField, level: float, f=None) -> SegmentSoup:
 
     # one or two segments per cell, in cell order
     emit = np.column_stack((np.ones(len(ci), dtype=bool), saddle))
-    return SegmentSoup(float(level), field, vertices, pairs[emit],
+    return SegmentSoup(field, vertices, pairs[emit],
                        np.repeat(np.column_stack((ci, cj)), 1 + saddle, axis=0))
 
 
@@ -157,19 +157,8 @@ class LevelComponent:
 
     chain: np.ndarray  # (k, 2) vertices
     classification: Classification
-    level: float
-    length: float
     crosses_window_edge_cells: bool
     cells: np.ndarray  # (k, 2) grid cells that produced the segments
-
-    def to_dict(self) -> dict:
-        return {
-            "classification": self.classification.value,
-            "level": self.level,
-            "length": self.length,
-            "crosses_window_edge_cells": self.crosses_window_edge_cells,
-            "polylines": [self.chain.tolist()],
-        }
 
 
 def classify_component(chain, window: Window, boundary_tol: float) -> Classification:
@@ -189,8 +178,7 @@ def link_components(soup: SegmentSoup) -> list[LevelComponent]:
     end, and its successor leaves that end along the vertex's other segment.
     A loop is walked from its lowest segment's first vertex along that
     segment; an open chain starts at the end whose end segment has the lower
-    index, and a lone segment runs from its first vertex.  ``length`` sums
-    one norm per segment in ascending segment order.
+    index, and a lone segment runs from its first vertex.
     """
     field = soup.field
     n_seg = len(soup.segments)
@@ -251,15 +239,13 @@ def link_components(soup: SegmentSoup) -> list[LevelComponent]:
     nx, ny = field.resolution[0] - 1, field.resolution[1] - 1
     on_frame = np.logical_or.reduceat((cells[:, 0] == 0) | (cells[:, 0] == nx - 1)
                                       | (cells[:, 1] == 0) | (cells[:, 1] == ny - 1), offsets)
-    a, b = soup.segments[by_comp].T
-    norms = _row_norms(soup.vertices[a] - soup.vertices[b])
 
-    components, tol = [], boundary_tol(field)
+    components, tol = [], boundary_tol(field.window, field.resolution)
     for k, (s0, s1) in enumerate(zip(offsets.tolist(), last.tolist())):
         chain = points[s0 + k:s1 + k + 1]
         components.append(LevelComponent(
-            chain, classify_component(chain, field.window, tol),
-            soup.level, float(np.cumsum(norms[s0:s1])[-1]), bool(on_frame[k]), cells[s0:s1]))
+            chain, classify_component(chain, field.window, tol), bool(on_frame[k]),
+            cells[s0:s1]))
     # deterministic order: by the first vertex of the chain
     components.sort(key=lambda c: (round(c.chain[0][0], 12), round(c.chain[0][1], 12)))
     return components

@@ -18,9 +18,7 @@ a level-y contour has one component per band component of
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -59,24 +57,11 @@ class ScalarField:
     def spacing(self) -> np.ndarray:
         return self.window.extent / (np.array(self.resolution) - 1)
 
-    @property
-    def cell_diagonal(self) -> float:
-        return float(np.linalg.norm(self.spacing))
-
     def axis(self, d: int) -> np.ndarray:
         return np.linspace(self.window.lo[d], self.window.hi[d], self.resolution[d])
 
     def value_range(self) -> tuple[float, float]:
         return float(self.values.min()), float(self.values.max())
-
-    @cached_property
-    def sha256(self) -> str:
-        """Hash of the samples and the window corners, computed once per field."""
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.values).tobytes())
-        h.update(self.window.lo.tobytes())
-        h.update(self.window.hi.tobytes())
-        return h.hexdigest()
 
 
 def sample_grid(f, window: Window, resolution: tuple[int, ...]) -> ScalarField:

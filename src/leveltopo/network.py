@@ -8,7 +8,6 @@ across threads or worker processes.
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 from dataclasses import dataclass, fields, is_dataclass
 
@@ -271,8 +270,3 @@ def save_network(net: Network, path) -> None:
 def load_network(path) -> Network:
     with open(path) as fh:
         return loads_network(fh.read())
-
-
-def network_hash(net: Network) -> str:
-    """Stable content hash used as provenance in reports."""
-    return hashlib.sha256(dumps_network(net).encode()).hexdigest()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contours import Classification, classify_component, component_encloses
+from .contours import Classification, boundary_tol, classify_component, component_encloses
 from .network import Window, _plain, network_from_dict
 from .nonsingular import is_nonsingular
 from .training import accuracy, gen_ring_dataset
@@ -209,15 +209,19 @@ def compute_verdicts(report: dict) -> dict:
 
 
 def level_entry(level: float, window: Window, resolution: tuple[int, ...] | list[int],
-                boundary_tol: float, components: list[dict], provenance: dict) -> dict:
-    """A level's report entry, from its components in ``LevelComponent.to_dict``
-    form.  The one derivation of a level's classifications and counts:
+                chains: list) -> dict:
+    """A level's report entry, from the vertex chains of its components:
+    arrays, or the lists a report stores.  Every member is raw data (the
+    level, window, resolution and chains) or derived here, the one
+    derivation of each: ``boundary_tol`` from the window and resolution,
+    each component's classification from its chain, and the counts.
     ``analyze_level`` builds each entry with it, and ``data_mismatches``
     rebuilds each stored entry with it.  ``bounded_enclosing_origin`` counts
     the bounded chains around the origin (even-odd test)."""
-    classes = [c["classification"] for c in components]
-    loops = [np.asarray(c["polylines"][0], dtype=np.float64) for c in components
-             if c["classification"] == Classification.BOUNDED.value]
+    tol = boundary_tol(window, resolution)
+    classes = [classify_component(chain, window, tol).value for chain in chains]
+    loops = [np.asarray(chain, dtype=np.float64) for chain, cls in zip(chains, classes)
+             if cls == Classification.BOUNDED.value]
     bounded = len(loops)
     enclosing = sum(component_encloses(loop, (0.0, 0.0)) for loop in loops)
     return {
@@ -230,10 +234,9 @@ def level_entry(level: float, window: Window, resolution: tuple[int, ...] | list
             "level": level,
             "window": _plain(window),
             "resolution": list(resolution),
-            "boundary_tol": boundary_tol,
-            "counts": {"bounded": bounded, "boundary_touching": len(classes) - bounded},
-            "components": components,
-            "provenance": provenance,
+            "boundary_tol": tol,
+            "components": [{"classification": cls, "polylines": [_plain(chain)]}
+                           for cls, chain in zip(classes, chains)],
         },
     }
 
@@ -260,9 +263,8 @@ def data_mismatches(report: dict) -> list[str]:
     """One line per stored value that the report's own data contradicts.
 
     Each level entry must equal the entry ``level_entry`` rebuilds from its
-    chains: each component is reclassified from its chain, the stored
-    ``window`` and ``boundary_tol`` (``classify_component``; the floats
-    round-trip exactly) and takes ``report.level``.  Per outcome,
+    raw data: ``report.level``, ``window``, ``resolution`` and each
+    component's chain (the floats round-trip exactly).  Per outcome,
     ``bounded_final`` and ``boundary_final`` are the sums over the rebuilt
     entries; in a reproduction, for every seed without an error,
     ``converged`` is ``final_loss <= convergence_loss`` of the stored spec
@@ -277,12 +279,8 @@ def data_mismatches(report: dict) -> list[str]:
         rebuilt_levels = []
         for lv in o["levels"]:
             rep = lv["report"]
-            window = Window(**rep["window"])
-            components = [{**c, "classification": classify_component(
-                              c["polylines"][0], window, rep["boundary_tol"]).value,
-                           "level": rep["level"]} for c in rep["components"]]
-            rebuilt = level_entry(rep["level"], window, rep["resolution"], rep["boundary_tol"],
-                                  components, rep["provenance"])
+            rebuilt = level_entry(rep["level"], Window(**rep["window"]), rep["resolution"],
+                                  [c["polylines"][0] for c in rep["components"]])
             rebuilt_levels.append(rebuilt)
             lines += [f"seed {o['seed']} level {lv['level']!r}: {member} is {stored!r}, "
                       f"recomputed {recomputed!r}"

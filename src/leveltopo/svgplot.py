@@ -51,8 +51,9 @@ def render_topology_svg(window: Window, components: list[dict], level: float,
                         labels: np.ndarray | None = None,
                         deterministic: bool = False, title: str = "") -> str:
     """Compose the SVG document.  ``components`` are report component entries
-    (``LevelComponent.to_dict`` form).  ``field_fn`` (points -> values)
-    drives the sign-region fill; omit it to skip the fill layer."""
+    (``classification`` and ``polylines``, as ``level_entry`` writes them).
+    ``field_fn`` (points -> values) drives the sign-region fill; omit it to
+    skip the fill layer."""
     t = _Transform(window)
     stamp = "1970-01-01T00:00:00Z" if deterministic else (
         datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"))

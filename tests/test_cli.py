@@ -228,6 +228,18 @@ class TestAnalyze:
                      "--resolution", "21"]) == 2
         assert f"network key {key!r} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sharpness", [2.5, True])
+    def test_model_with_non_integer_sharpness_exit_2(self, tmp_path, model, capsys,
+                                                     sharpness):
+        d = json.loads(model.read_text())
+        d["activation"] = {"kind": "one_to_one_relu", "sharpness": sharpness}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(d))
+        assert main(["analyze", "--model", str(path), "--window=-1,1,-1,1",
+                     "--resolution", "21"]) == 2
+        assert (f"one_to_one_relu requires integer sharpness >= 1, got {sharpness!r}"
+                in capsys.readouterr().err)
+
     def test_level_outside_range_warns_but_succeeds(self, tmp_path, model, dataset,
                                                     capsys):
         rp = tmp_path / "r.json"
@@ -374,6 +386,9 @@ class TestOptionChecks:
           "--levels-per-net", "0"], "--levels-per-net"),
         (["sweep-nonsingular", "--count", "-2"], "--count"),
         (["sweep-nonsingular", "--depths=-1"], "--depths"),
+        (["sweep-nonsingular", "--window=-1,1,-1,1,-1,1"], "--window"),
+        (["sweep-nonsingular", "--resolution", "1"], "--resolution"),
+        (["analyze", "--model", "m.json", "--resolution", "1"], "--resolution"),
     ])
     def test_vacuous_or_negative_count_exit_2(self, capsys, argv, flag):
         assert main(argv) == 2
@@ -470,7 +485,8 @@ class TestValidateReportCommand:
         ({"schema_version": 1}, "missing key 'kind'"),
         ({"schema_version": 1, "kind": "analyze", "outcomes": [
             {"seed": 0, "bounded_final": 1, "boundary_final": 0, "levels": [
-                {"level": 0.5, "report": {"window": {"lo": [-1, -1], "hi": [1, 1]},
+                {"level": 0.5, "report": {"level": 0.5, "resolution": [5, 5],
+                                          "window": {"lo": [-1, -1], "hi": [1, 1]},
                                           "boundary_tol": 0.1, "components": [
                                               {"classification": "bounded",
                                                "polylines": []}]}}]}]},
@@ -514,12 +530,13 @@ def wide_report(tmp_path_factory):
 
 def relabel_as_touching(report):
     """Rewrite the bounded loop as boundary-touching in both classification
-    lists, leaving every stored count as it was."""
+    lists, and the level's counts to wrong values, leaving the outcome's
+    sums as they were."""
     level = report["outcomes"][0]["levels"][0]
     level["final_classifications"] = ["boundary_touching"] * len(level["final_classifications"])
     for comp in level["report"]["components"]:
         comp["classification"] = "boundary_touching"
-    level["report"]["counts"] = {"bounded": 0, "boundary_touching": 99}
+    level["bounded_final"], level["boundary_final"] = 0, 99
 
 
 def drop_final_classification(report):
@@ -538,17 +555,12 @@ def set_entry_level(report):
     report["outcomes"][0]["levels"][0]["level"] = 123.0
 
 
-def set_component_level(report):
-    report["outcomes"][0]["levels"][0]["report"]["components"][0]["level"] = 7.0
-
-
 def flip_loop_with_its_counts(report):
     """Relabel the bounded loop as boundary-touching with every count to match."""
     relabel_as_touching(report)
     outcome = report["outcomes"][0]
     level = outcome["levels"][0]
     n = len(level["final_classifications"])
-    level["report"]["counts"] = {"bounded": 0, "boundary_touching": n}
     level["bounded_final"] = outcome["bounded_final"] = 0
     level["boundary_final"] = outcome["boundary_final"] = n
 
@@ -564,19 +576,15 @@ class TestValidateReportCounts:
     @pytest.mark.parametrize("tamper,messages", [
         (relabel_as_touching, ["seed 0 level 0.5: final_classifications is "
                                "['boundary_touching'], recomputed ['bounded']",
-                               "seed 0 level 0.5: report.counts.bounded is 0, recomputed 1",
-                               "seed 0 level 0.5: report.counts.boundary_touching is 99, "
-                               "recomputed 0",
+                               "seed 0 level 0.5: bounded_final is 0, recomputed 1",
+                               "seed 0 level 0.5: boundary_final is 99, recomputed 0",
                                "seed 0 level 0.5: report.components[0].classification is "
                                "'boundary_touching', recomputed 'bounded'"]),
         (drop_final_classification, ["seed 0 level 0.5: final_classifications is [], "
                                      "recomputed ['bounded']"]),
         (inflate_outcome_count, ["seed 0: boundary_final is"]),
         (set_entry_level, ["seed 0 level 123.0: level is 123.0, recomputed 0.5"]),
-        (set_component_level, ["seed 0 level 0.5: report.components[0].level is 7.0, "
-                               "recomputed 0.5"]),
-    ], ids=["relabelled-loop", "dropped-classification", "outcome-sum", "entry-level",
-            "component-level"])
+    ], ids=["relabelled-loop", "dropped-classification", "outcome-sum", "entry-level"])
     def test_tampered_counts_exit_1(self, wide_report, tmp_path, capsys, tamper, messages):
         report = load_report(wide_report)
         tamper(report)
@@ -589,6 +597,28 @@ class TestValidateReportCounts:
         assert len(err) == len(messages)
         for line, message in zip(err, messages):
             assert message in line
+
+    @pytest.mark.parametrize("member,value", [
+        ("final_classifications", ["boundary_touching"]),
+        ("bounded_final", 0),
+        ("boundary_final", 1),
+        ("bounded_enclosing_origin", 0),
+        ("report.boundary_tol", 0.0),
+        ("report.components[0].classification", "boundary_touching"),
+    ])
+    def test_each_derived_member_is_rederived(self, wide_report, tmp_path, capsys, member,
+                                              value):
+        report = load_report(wide_report)
+        target = report["outcomes"][0]["levels"][0]
+        *parents, key = member.replace("[0]", ".0").split(".")
+        for part in parents:
+            target = target[int(part) if part.isdigit() else part]
+        target[key] = value
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(report))
+        assert main(["validate-report", str(path)]) == 1
+        assert (f"stored value does not match the report's own data: seed 0 level 0.5: "
+                f"{member} is {value!r}, recomputed " in capsys.readouterr().err)
 
     def test_a_failing_report_is_derived_once(self, wide_report, tmp_path, monkeypatch,
                                               capsys):
@@ -613,8 +643,6 @@ class TestValidateReportCounts:
           "recomputed ['bounded']",
           "seed 0 level 0.5: bounded_final is 0, recomputed 1",
           "seed 0 level 0.5: boundary_final is 1, recomputed 0",
-          "seed 0 level 0.5: report.counts.bounded is 0, recomputed 1",
-          "seed 0 level 0.5: report.counts.boundary_touching is 1, recomputed 0",
           "seed 0 level 0.5: report.components[0].classification is 'boundary_touching', "
           "recomputed 'bounded'",
           "seed 0: bounded_final is 0, recomputed 1",

@@ -38,10 +38,6 @@ class TestMarchingSquares:
         chain = comp.chain
         np.testing.assert_array_equal(chain[0], chain[-1])  # closed
 
-    def test_circle_length_within_two_percent(self):
-        comps = extract_components(circle_field(), 0.0)
-        assert comps[0].length == pytest.approx(2 * math.pi, rel=0.02)
-
     def test_vertical_line_spans_window(self):
         fld = sample_grid(lambda p: p[:, 0], window2(), (101, 101))
         comps = extract_components(fld, 0.0)
@@ -116,8 +112,9 @@ class TestLinkAndClassify:
     def test_classify_circle_bounded(self):
         comps = extract_components(circle_field(), 0.0)
         fld = circle_field()
+        diagonal = float(np.linalg.norm(fld.spacing))
         assert classify_component(comps[0].chain, fld.window,
-                                  boundary_tol=fld.cell_diagonal) is Classification.BOUNDED
+                                  boundary_tol=diagonal) is Classification.BOUNDED
 
     def test_classify_diagonal_touching(self):
         chain = np.array([[-2.0, -2.0], [2.0, 2.0]])
@@ -242,10 +239,13 @@ class TestRefinementStability:
 class TestTopologyReport:
     def test_counts_and_dict_shape(self):
         fld = two_circle_field()
-        d = analyze_level(None, 0.0, fld, provenance={"source": "two-circles"})["report"]
-        assert d["counts"] == {"bounded": 2, "boundary_touching": 0}
-        assert d["provenance"]["source"] == "two-circles"
-        assert len(d["components"]) == 2
+        entry = analyze_level(None, 0.0, fld)
+        assert (entry["bounded_final"], entry["boundary_final"]) == (2, 0)
+        assert entry["final_classifications"] == ["bounded", "bounded"]
+        d = entry["report"]
+        assert set(d) == {"level", "window", "resolution", "boundary_tol", "components"}
+        assert d["boundary_tol"] == 1.5 * float(np.linalg.norm(fld.spacing))
+        assert [set(c) for c in d["components"]] == [{"classification", "polylines"}] * 2
 
 
 class TestOracleEquivalence:
@@ -365,10 +365,9 @@ def loop_marching_squares(field, level):
 
 
 def loop_link_components(field, vertices, segments, segment_cells):
-    """Vertex walk from each lowest unused segment; one norm per segment,
-    summed in ascending segment order.  Returns (chain, classification,
-    length, frame flag, cells) per component, in the sorted order."""
-    boundary_tol = 1.5 * field.cell_diagonal
+    """Vertex walk from each lowest unused segment.  Returns (chain,
+    classification, frame flag, cells) per component, in the sorted order."""
+    boundary_tol = 1.5 * float(np.linalg.norm(field.spacing))
     segments = segments.tolist()
     incident = [[] for _ in range(len(vertices))]
     for sid, (a, b) in enumerate(segments):
@@ -398,14 +397,11 @@ def loop_link_components(field, vertices, segments, segment_cells):
             chain.reverse()
         seg_ids.sort()
         points = vertices[chain]
-        length = 0.0
-        for s in seg_ids:
-            length = length + np.linalg.norm(vertices[segments[s][0]] - vertices[segments[s][1]])
         cells = segment_cells[seg_ids]
         on_frame = bool(np.any((cells[:, 0] == 0) | (cells[:, 0] == nx - 1)
                                | (cells[:, 1] == 0) | (cells[:, 1] == ny - 1)))
         touching = float(field.window.boundary_distance(points).min()) <= boundary_tol
-        components.append((points, touching, float(length), on_frame, cells))
+        components.append((points, touching, on_frame, cells))
     components.sort(key=lambda c: (round(c[0][0][0], 12), round(c[0][0][1], 12)))
     return components
 
@@ -461,9 +457,8 @@ class TestArrayPathMatchesLoopReference:
         expected = loop_link_components(fld, vertices, segments, cells)
         got = link_components(soup)
         assert len(got) == len(expected)
-        for comp, (chain, touching, length, on_frame, comp_cells) in zip(got, expected):
+        for comp, (chain, touching, on_frame, comp_cells) in zip(got, expected):
             np.testing.assert_array_equal(bits(comp.chain), bits(chain))
-            assert bits(comp.length) == bits(length)
             assert (comp.classification is Classification.BOUNDARY_TOUCHING) == touching
             assert comp.crosses_window_edge_cells == on_frame
             np.testing.assert_array_equal(comp.cells, comp_cells)

@@ -1,4 +1,5 @@
-"""The JSON forms of the value objects that reports and model files store.
+"""The JSON forms of the value objects and level entries that reports and
+model files store.
 
 Each expected dict is a literal: a change to how a value object is written
 shows here, not only as a report that differs from an earlier run.
@@ -9,6 +10,7 @@ import numpy as np
 from leveltopo import Layer, Network, Window, is_nonsingular, one_to_one_relu
 from leveltopo.analysis import NonSingularSweepSpec, SeedOutcome, reproduction_spec
 from leveltopo.network import network_from_dict, network_to_dict
+from leveltopo.reports import level_entry
 
 SIGMOID_FORM = {"kind": "sigmoid", "sharpness": None}
 
@@ -40,7 +42,7 @@ def test_reproduction_spec():
                   "batch_size": None, "seed": 0, "loss": "bce", "init": "uniform_scaled",
                   "target_loss": 0.05},
         "seeds": [0], "n_inner": 500, "n_ring": 1000, "inner_sigma": 0.5,
-        "ring_radius": 3.0, "ring_sigma": 0.3, "window": None, "resolution": 201,
+        "ring_radius": 3.0, "ring_sigma": 0.3, "resolution": 201,
         "levels": [0.5], "convergence_loss": 0.35, "regime": "wide"}
 
 
@@ -74,6 +76,34 @@ def test_empty_seed_outcome():
         "seed": 0, "error": None, "final_loss": None, "steps_run": None, "converged": None,
         "accuracy": None, "bounded_final": 0, "boundary_final": 0, "nonsingularity": None,
         "levels": [], "network": None}
+
+
+# spacing (3, 4) on this window, so the cell diagonal is 5 and the boundary
+# tolerance 1.5 diagonals
+ENTRY_WINDOW = Window(np.array([-30.0, -40.0]), np.array([30.0, 40.0]))
+ORIGIN_LOOP = [[-5.0, -5.0], [5.0, -5.0], [5.0, 5.0], [-5.0, 5.0], [-5.0, -5.0]]
+SIDE_LOOP = [[10.0, 10.0], [12.0, 10.0], [12.0, 12.0], [10.0, 10.0]]
+FRAME_CHAIN = [[-30.0, 0.0], [0.0, 10.0]]
+
+LEVEL_ENTRY_FORM = {
+    "level": 0.5,
+    "final_classifications": ["bounded", "bounded", "boundary_touching"],
+    "bounded_final": 2, "boundary_final": 1, "bounded_enclosing_origin": 1,
+    "report": {
+        "level": 0.5, "window": {"lo": [-30.0, -40.0], "hi": [30.0, 40.0]},
+        "resolution": [21, 21], "boundary_tol": 7.5,
+        "components": [{"classification": "bounded", "polylines": [ORIGIN_LOOP]},
+                       {"classification": "bounded", "polylines": [SIDE_LOOP]},
+                       {"classification": "boundary_touching", "polylines": [FRAME_CHAIN]}]},
+}
+
+
+def test_level_entry():
+    chains = [np.array(c) for c in (ORIGIN_LOOP, SIDE_LOOP, FRAME_CHAIN)]
+    assert level_entry(0.5, ENTRY_WINDOW, (21, 21), chains) == LEVEL_ENTRY_FORM
+    # rebuilt from the stored lists, as validate-report does, it is the same
+    assert level_entry(0.5, ENTRY_WINDOW, [21, 21],
+                       [ORIGIN_LOOP, SIDE_LOOP, FRAME_CHAIN]) == LEVEL_ENTRY_FORM
 
 
 def test_window_round_trip():
