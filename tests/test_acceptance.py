@@ -31,6 +31,7 @@ from leveltopo.fields import sample_noncritical_levels
 from leveltopo.reports import (KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE, KIND_SWEEP,
                                dumps_report, make_report, report_passed, validate_report)
 
+from test_reports import PINNED_ON, report_digest
 from test_training import fd_loss_gradient, max_relative_error, random_case
 
 
@@ -197,6 +198,21 @@ def test_fixture_reports_validate(sweep_run, narrow_run, wide_run):
     # worker-encoded entries, so its written text is decoded
     for report in (json.loads(sweep_run.data), narrow_run.report, wide_run.report):
         assert validate_report(report) == (True, report["verdicts"], [])
+
+
+# the sha256 of each fixture report's text without its `versions` member
+FIXTURE_DIGESTS = {
+    KIND_SWEEP: "abb26cb63cba292b8028e53d62e68cb1b3339302063c654793a7064daffe86c3",
+    KIND_REPRODUCE_NARROW: "6ac8ac57f5c4e19999ce41779879fda4b5aab92d9b86c9dd033d60c335fa4b57",
+    KIND_REPRODUCE_WIDE: "c4303d538dc5ecfcfbb7c2960599187033522832f9434c0c38b0dadb18015824",
+}
+
+
+def test_fixture_reports_are_pinned(sweep_run, narrow_run, wide_run):
+    digests = {run.report["kind"]: report_digest(run.report)
+               for run in (sweep_run, narrow_run, wide_run)}
+    assert digests == FIXTURE_DIGESTS, (
+        f"a fixture report changed; the pinned digests hold for {PINNED_ON}")
 
 
 def test_criterion_6_contour_region_oracle_equivalence():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,8 +7,28 @@ from leveltopo import SIGMOID, NonSingularSweepSpec, init_weights, save_network
 from leveltopo.analysis import THREADS_ENV, random_nonsingular_sweep
 from leveltopo.cli import main
 from leveltopo.reports import (KIND_ANALYZE, KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE,
-                               KIND_SWEEP, dumps_report, encode_outcome, make_report,
-                               report_passed, verdict_lines)
+                               KIND_SWEEP, dumps_report, encode_outcome, load_report,
+                               make_report, report_passed, verdict_lines)
+
+# The sha256 of a deterministic report's text without its `versions` member.
+# Float bits, and so these digests, hold for the numpy and CPU they were taken
+# on: numpy 2.4.6 on x86-64 (Intel Xeon), Python 3.11.  A change that alters a
+# digest on purpose updates it here and says why.
+PINNED_ON = "numpy 2.4.6 on x86-64"
+WIDE_4_SEEDS_DIGEST = "c3f78ebdcdae17f205517722f6f9126c8fe9995058da4a690dcebb483dfa57a1"
+
+
+def report_digest(report: dict) -> str:
+    return hashlib.sha256(dumps_report(
+        {k: v for k, v in report.items() if k != "versions"}).encode()).hexdigest()
+
+
+def test_deterministic_wide_report_is_pinned(tmp_path):
+    rp = tmp_path / "r.json"
+    assert main(["reproduce", "--paper-fig", "3b", "--seeds", "4", "--report", str(rp),
+                 "--deterministic"]) == 0
+    assert report_digest(load_report(rp)) == WIDE_4_SEEDS_DIGEST, (
+        f"the 4-seed 3b report changed; its digest holds for {PINNED_ON}")
 
 
 def plain_json(report: dict) -> str:
