@@ -156,7 +156,6 @@ class LevelComponent:
     """
 
     chain: np.ndarray  # (k, 2) vertices
-    classification: Classification
     crosses_window_edge_cells: bool
     cells: np.ndarray  # (k, 2) grid cells that produced the segments
 
@@ -240,12 +239,8 @@ def link_components(soup: SegmentSoup) -> list[LevelComponent]:
     on_frame = np.logical_or.reduceat((cells[:, 0] == 0) | (cells[:, 0] == nx - 1)
                                       | (cells[:, 1] == 0) | (cells[:, 1] == ny - 1), offsets)
 
-    components, tol = [], boundary_tol(field.window, field.resolution)
-    for k, (s0, s1) in enumerate(zip(offsets.tolist(), last.tolist())):
-        chain = points[s0 + k:s1 + k + 1]
-        components.append(LevelComponent(
-            chain, classify_component(chain, field.window, tol), bool(on_frame[k]),
-            cells[s0:s1]))
+    components = [LevelComponent(points[s0 + k:s1 + k + 1], bool(on_frame[k]), cells[s0:s1])
+                  for k, (s0, s1) in enumerate(zip(offsets.tolist(), last.tolist()))]
     # deterministic order: by the first vertex of the chain
     components.sort(key=lambda c: (round(c.chain[0][0], 12), round(c.chain[0][1], 12)))
     return components

@@ -7,8 +7,13 @@ from leveltopo import (SIGMOID, Classification, Window, analyze_level, classify_
                        component_encloses, extract_components, init_weights,
                        link_components, marching_squares, network_scalar_fn,
                        region_components, sample_grid)
-from leveltopo.contours import LEVEL_NUDGE, band_oracle_compare
+from leveltopo.contours import LEVEL_NUDGE, band_oracle_compare, boundary_tol
 from leveltopo.fields import RegionComponent, RegionComponents, sample_noncritical_levels
+
+
+def classify(comp, fld):
+    """The classification of ``comp``, a component of ``fld``."""
+    return classify_component(comp.chain, fld.window, boundary_tol(fld.window, fld.resolution))
 
 
 def window2(half=2.0):
@@ -31,10 +36,11 @@ def two_circle_field(res=201, half=4.0):
 
 class TestMarchingSquares:
     def test_circle_is_single_closed_loop(self):
-        comps = extract_components(circle_field(), 0.0)
+        fld = circle_field()
+        comps = extract_components(fld, 0.0)
         assert len(comps) == 1
         comp = comps[0]
-        assert comp.classification is Classification.BOUNDED
+        assert classify(comp, fld) is Classification.BOUNDED
         chain = comp.chain
         np.testing.assert_array_equal(chain[0], chain[-1])  # closed
 
@@ -42,7 +48,7 @@ class TestMarchingSquares:
         fld = sample_grid(lambda p: p[:, 0], window2(), (101, 101))
         comps = extract_components(fld, 0.0)
         assert len(comps) == 1
-        assert comps[0].classification is Classification.BOUNDARY_TOUCHING
+        assert classify(comps[0], fld) is Classification.BOUNDARY_TOUCHING
         ys = comps[0].chain[:, 1]
         assert ys.min() == -2.0 and ys.max() == 2.0
 
@@ -95,9 +101,10 @@ class TestMarchingSquares:
 
 class TestLinkAndClassify:
     def test_two_disjoint_circles(self):
-        comps = extract_components(two_circle_field(), 0.0)
+        fld = two_circle_field()
+        comps = extract_components(fld, 0.0)
         assert len(comps) == 2
-        assert all(c.classification is Classification.BOUNDED for c in comps)
+        assert all(classify(c, fld) is Classification.BOUNDED for c in comps)
 
     def test_two_circles_against_flood_fill(self):
         fld = two_circle_field()
@@ -230,9 +237,9 @@ class TestRefinementStability:
     def test_doubling_resolution_keeps_bounded_count(self, builder, level,
                                                      expected_bounded):
         for res in (101, 201, 401):
-            comps = extract_components(builder(res), level)
-            bounded = [c for c in comps
-                       if c.classification is Classification.BOUNDED]
+            fld = builder(res)
+            bounded = [c for c in extract_components(fld, level)
+                       if classify(c, fld) is Classification.BOUNDED]
             assert len(bounded) == expected_bounded
 
 
@@ -459,7 +466,7 @@ class TestArrayPathMatchesLoopReference:
         assert len(got) == len(expected)
         for comp, (chain, touching, on_frame, comp_cells) in zip(got, expected):
             np.testing.assert_array_equal(bits(comp.chain), bits(chain))
-            assert (comp.classification is Classification.BOUNDARY_TOUCHING) == touching
+            assert (classify(comp, fld) is Classification.BOUNDARY_TOUCHING) == touching
             assert comp.crosses_window_edge_cells == on_frame
             np.testing.assert_array_equal(comp.cells, comp_cells)
             for px, py in [(0.0, 0.0), (0.55, -0.35), tuple(chain.mean(axis=0))]:
@@ -538,12 +545,12 @@ class TestSaddleRule:
     def test_average_rule_makes_loops_on_a_ridge(self):
         fld = sample_grid(ridge, window2(1.5), (31, 31))
         comps = extract_components(fld, self.LEVEL)
-        assert sum(c.classification is Classification.BOUNDED for c in comps) >= 5
+        assert sum(classify(c, fld) is Classification.BOUNDED for c in comps) >= 5
 
     def test_function_rule_keeps_the_ridge_one_chain(self):
         fld = sample_grid(ridge, window2(1.5), (31, 31))
         (comp,) = extract_components(fld, self.LEVEL, f=ridge)
-        assert comp.classification is Classification.BOUNDARY_TOUCHING
+        assert classify(comp, fld) is Classification.BOUNDARY_TOUCHING
         entry = analyze_level(ridge, self.LEVEL, fld)
         assert entry["bounded_final"] == 0 and entry["boundary_final"] == 1
 
