@@ -31,7 +31,7 @@ from .contours import extract_components
 from .fields import ScalarField, network_scalar_fn, sample_grid
 from .network import Network, Window, _plain, network_to_dict
 from .nonsingular import is_nonsingular, make_nonsingular, pad_to_width, NonSingularityReport
-from .reports import EncodedOutcome, encode_outcome, level_entry, level_sums
+from .reports import EncodedOutcome, encode_outcome, level_entry
 from .training import (DECISION_CUT, Dataset, TrainConfig, TrainingDiverged, accuracy,
                        gen_ring_dataset, init_weights, train_stack)
 
@@ -117,6 +117,11 @@ class ExperimentSpec:
     def to_dict(self) -> dict:
         return {**_plain(self), "regime": self.regime}
 
+    def dataset(self, seed: int) -> Dataset:
+        """The ring data of ``seed``."""
+        return gen_ring_dataset(seed, self.n_inner, self.n_ring, self.inner_sigma,
+                                self.ring_radius, self.ring_sigma)
+
 
 @dataclass(frozen=True)
 class SeedOutcome:
@@ -131,7 +136,8 @@ class SeedOutcome:
     network: dict | None = None  # the analysed network, for re-checking and re-plotting
 
     def to_dict(self) -> dict:
-        return {**_plain(self), **level_sums(self.levels)}
+        return {**_plain(self), **{key: sum(lv[key] for lv in self.levels)
+                                   for key in ("bounded_final", "boundary_final")}}
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,18 @@ class SweepResult:
     outcomes: tuple[SeedOutcome, ...]
 
 
+def trained_outcome(spec: ExperimentSpec, seed: int, data: Dataset, net: Network,
+                    final_loss: float, steps_run: int, chains: list) -> SeedOutcome:
+    """A trained seed's outcome from its loss, step count, network and the
+    vertex chains of each of ``spec.levels``; for a run and a rebuild alike."""
+    window, resolution = auto_window(data), (spec.resolution, spec.resolution)
+    levels = tuple(level_entry(float(level), window, resolution, level_chains)
+                   for level, level_chains in zip(spec.levels, chains))
+    return SeedOutcome(seed=seed, final_loss=final_loss, steps_run=steps_run,
+                       converged=final_loss <= spec.convergence_loss,
+                       accuracy=accuracy(net, data), levels=levels, network=network_to_dict(net))
+
+
 def _seed_outcome(spec: ExperimentSpec, seed: int, data, result) -> SeedOutcome:
     """Analyze one seed's training result: (trained, loss history), or the
     TrainingDiverged it raised."""
@@ -148,20 +166,15 @@ def _seed_outcome(spec: ExperimentSpec, seed: int, data, result) -> SeedOutcome:
         return SeedOutcome(seed=seed, error=str(result), steps_run=len(result.history),
                            final_loss=float(result.history[-1]) if len(result.history) else None)
     trained, history = result
-    steps_run, final_loss = len(history), float(history[-1])
-    acc = accuracy(trained, data)
     f = network_scalar_fn(trained)
-    base_field = sample_grid(f, auto_window(data), (spec.resolution, spec.resolution))
-    levels = tuple(analyze_level(f, level, base_field) for level in spec.levels)
-    return SeedOutcome(seed=seed, final_loss=final_loss, steps_run=steps_run,
-                       converged=final_loss <= spec.convergence_loss, accuracy=acc,
-                       levels=levels, network=network_to_dict(trained))
+    field = sample_grid(f, auto_window(data), (spec.resolution, spec.resolution))
+    chains = [[c.chain for c in extract_components(field, level, f=f)] for level in spec.levels]
+    return trained_outcome(spec, seed, data, trained, float(history[-1]), len(history), chains)
 
 
 def _experiment_chunk(spec: ExperimentSpec, seeds: tuple[int, ...]) -> list[SeedOutcome]:
     """Train a chunk of seeds as one stack, then analyze each seed."""
-    datasets = [gen_ring_dataset(seed, spec.n_inner, spec.n_ring, spec.inner_sigma,
-                                 spec.ring_radius, spec.ring_sigma) for seed in seeds]
+    datasets = [spec.dataset(seed) for seed in seeds]
     nets = [init_weights(list(spec.arch), spec.activation, seed) for seed in seeds]
     cfgs = [dataclasses.replace(spec.train, seed=seed) for seed in seeds]
     return [_seed_outcome(spec, seed, data, result) for seed, data, result

@@ -21,20 +21,21 @@ from . import __version__
 from .activations import Activation, ActivationKind
 from .analysis import (ConstructionError, ExperimentSpec, NonSingularSweepSpec, SeedOutcome,
                        analyze_level, auto_window, reproduction_spec, run_experiment,
-                       random_nonsingular_sweep)
+                       random_nonsingular_sweep, trained_outcome)
 from .fields import network_scalar_fn, sample_grid
-from .network import Window, _plain, load_network, network_to_dict, save_network
-from .nonsingular import NonSingularizationError
-from .reports import (KIND_ANALYZE, KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE,
-                      KIND_SWEEP, load_report, make_report, report_passed, validate_report,
-                      verdict_lines, write_report)
+from .network import Window, _plain, load_network, network_from_dict, network_to_dict, save_network
+from .nonsingular import NonSingularizationError, is_nonsingular
+from .reports import (FIG_KINDS, KIND_ANALYZE, KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE,
+                      KIND_SWEEP, RAW_MEMBERS, SCHEMA_VERSION, level_entry, load_report,
+                      make_report, report_passed, verdict_lines, write_report)
 from .svgplot import outcome_svg, render_topology_svg
 from .training import (DECISION_CUT, Loss, Optimizer, TrainConfig, TrainingDiverged,
                        accuracy, gen_ring_dataset, init_weights, load_dataset,
-                       save_dataset, train)
+                       loss_and_grad, save_dataset, train)
 
 RUNTIME_ERRORS = (TrainingDiverged, ConstructionError, NonSingularizationError,
                   OSError, MemoryError)
+ABSENT = object()  # a member that one of two compared reports lacks
 
 
 def parse_activation(text: str) -> Activation:
@@ -181,7 +182,6 @@ def cmd_reproduce(args) -> int:
     if args.seeds < 0:
         raise ValueError(f"--seeds must be >= 0, got {args.seeds}")
     spec = reproduction_spec(fig, tuple(range(args.seeds)))
-    kind = KIND_REPRODUCE_NARROW if fig == "3a" else KIND_REPRODUCE_WIDE
     # made before the run and filled after the report is written, so a bad
     # directory costs no finished run
     svg_dir = Path(args.svg_dir) if args.svg_dir else None
@@ -193,8 +193,8 @@ def cmd_reproduce(args) -> int:
     sweep = run_experiment(spec)
     wall = time.perf_counter() - t0
     outcomes = [o.to_dict() for o in sweep.outcomes]
-    report = make_report(kind, {"paper_fig": fig, "spec": spec.to_dict(),
-                                "deterministic": args.deterministic},
+    report = make_report(FIG_KINDS[fig], {"paper_fig": fig, "spec": spec.to_dict(),
+                                          "deterministic": args.deterministic},
                          outcomes, args.deterministic, wall)
     code = _finish(report, args.report)
     if svg_dir:
@@ -222,19 +222,95 @@ def cmd_sweep_nonsingular(args) -> int:
     return _finish(report, args.report)
 
 
+def _rebuilt_seed(spec: ExperimentSpec, raw: dict, chains: list) -> dict:
+    """A reproduce outcome.  A seed stops before ``train.steps`` only at
+    ``target_loss``, keeping its weights: so its loss is that of the stored network."""
+    if raw["error"] is not None:
+        return SeedOutcome(**raw).to_dict()
+    data, net, cfg = spec.dataset(raw["seed"]), network_from_dict(raw["network"]), spec.train
+    loss = loss_and_grad(net, data.points, data.labels, cfg.loss)[0]
+    stopped = 1 <= raw["steps_run"] < cfg.steps and loss <= cfg.target_loss
+    return trained_outcome(spec, raw["seed"], data, net, loss if stopped else raw["final_loss"],
+                           raw["steps_run"] if stopped else cfg.steps,
+                           chains + [[]] * len(spec.levels)).to_dict()
+
+
+def rebuild_report(report: dict) -> dict:
+    """The report that the writer's functions write from the raw members of
+    ``report``: per outcome its level chains, seed and network (a reproduction's
+    ``RAW_MEMBERS``, a sweep entry's level, an analyze outcome's accuracy, whose
+    data is unnamed); the paper figure, sweep spec or analyze config;
+    ``config.deterministic``, ``versions`` and a non-zeroed ``wall_seconds``."""
+    kind, outcomes = report["kind"], report["outcomes"]
+    chains = [[[c["polylines"][0] for c in lv["report"]["components"]] for lv in o["levels"]]
+              for o in outcomes]
+    config, wall = report["config"], report["timings"]["wall_seconds"]
+    det = config["deterministic"]
+    if kind in (KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE):
+        raws = [{key: o[key] for key in RAW_MEMBERS} for o in outcomes]
+        fig = config["paper_fig"]
+        spec = reproduction_spec(fig, tuple(raw["seed"] for raw in raws))
+        kind, config = FIG_KINDS[fig], {"paper_fig": fig, "spec": spec.to_dict(),
+                                        "deterministic": det}
+        rebuilt = [_rebuilt_seed(spec, raw, c) for raw, c in zip(raws, chains)]
+    elif kind == KIND_SWEEP:
+        spec, config = config["spec"], {"spec": config["spec"], "deterministic": det}
+        window, res = Window(**spec["window"]), (spec["resolution"], spec["resolution"])
+        rebuilt = [SeedOutcome(seed=o["seed"], network=o["network"], levels=tuple(
+            level_entry(lv["level"], window, res, c) for lv, c in zip(o["levels"], cs)),
+            nonsingularity=is_nonsingular(network_from_dict(o["network"]))).to_dict()
+            for o, cs in zip(outcomes, chains)]
+    elif kind == KIND_ANALYZE:
+        levels, window = config["levels"], Window(**config["window"])
+        res, wall = (config["resolution"], config["resolution"]), 0.0
+        rebuilt = [SeedOutcome(
+            seed=o["seed"], network=o["network"], accuracy=o["accuracy"],
+            levels=tuple(level_entry(float(level), window, res, c)
+                         for level, c in zip(levels, cs + [[]] * len(levels)))).to_dict()
+            for o, cs in zip(outcomes, chains)]
+    else:
+        raise ValueError(f"unknown report kind {kind!r}")
+    return {**make_report(kind, config, rebuilt, det, wall), "versions": report["versions"]}
+
+
+def _differences(stored, rebuilt, path: str = "") -> list[str]:
+    """One ``<path> is X, recomputed Y`` line per differing leaf, over the union
+    of every object's members and every list's items; leaves compare as JSON."""
+    if stored is rebuilt:
+        return []
+    if type(stored) is type(rebuilt) and isinstance(stored, (dict, list)):
+        items = isinstance(stored, list)
+        if items:
+            stored, rebuilt = dict(enumerate(stored)), dict(enumerate(rebuilt))
+        return [line for key in sorted(stored.keys() | rebuilt.keys()) for line in _differences(
+            stored.get(key, ABSENT), rebuilt.get(key, ABSENT),
+            f"{path}[{key}]" if items else f"{path}.{key}" if path else key)]
+    if ABSENT not in (stored, rebuilt) and json.dumps(stored) == json.dumps(rebuilt):
+        return []
+    stored, rebuilt = ("absent" if v is ABSENT else repr(v) for v in (stored, rebuilt))
+    return [f"{path} is {stored}, recomputed {rebuilt}"]
+
+
+def validate_report(report) -> list[str]:
+    """Where ``report`` differs from ``rebuild_report(report)``, one line per
+    member; a report that lacks a raw member or mistypes one raises ValueError."""
+    if not isinstance(report, dict):
+        raise ValueError(f"a report is a JSON object, got {type(report).__name__}")
+    if report.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {report.get('schema_version')!r}")
+    try:
+        return _differences(report, rebuild_report(report))
+    except KeyError as exc:
+        raise ValueError(f"report is missing key {exc}") from None
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"malformed report: {exc}") from None
+
+
 def cmd_validate_report(args) -> int:
-    report = load_report(args.report)
-    ok, recomputed, mismatches = validate_report(report)
-    if ok:
-        print(f"verdicts check out: {args.report}")
-        return 0
-    for line in mismatches:
-        print(f"stored value does not match the report's own data: {line}", file=sys.stderr)
-    if recomputed != report.get("verdicts"):
-        print("stored verdicts do not match the report's own data:", file=sys.stderr)
-        print(json.dumps({"stored": report.get("verdicts"), "recomputed": recomputed},
-                         indent=2, sort_keys=True), file=sys.stderr)
-    return 1
+    mismatches = validate_report(load_report(args.report))
+    for line in mismatches or [f"verdicts check out: {args.report}"]:
+        print(line, file=sys.stderr if mismatches else sys.stdout)
+    return 1 if mismatches else 0
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deterministic", action="store_true")
     p.set_defaults(func=cmd_sweep_nonsingular)
 
-    p = sub.add_parser("validate-report", help="recompute a report's verdicts")
+    p = sub.add_parser("validate-report",
+                       help="rebuild a report from its raw data and list each member that differs")
     p.add_argument("report")
     p.set_defaults(func=cmd_validate_report)
     return parser

@@ -1,10 +1,9 @@
 """Run reports: a versioned JSON envelope whose verdicts are recomputable.
 
-Every verdict stored in a report is a pure function of the raw per-seed data
-in the same report, so ``validate-report`` can re-derive them and flag any
-report whose summary does not follow from its own evidence.  With the
-deterministic flag, wall-clock timings are zeroed so identical runs produce
-byte-identical files.
+Every member of a report other than its raw data is derived from that data,
+so ``validate-report`` rebuilds the report and flags each member that does
+not follow from its own evidence.  With the deterministic flag, wall-clock
+timings are zeroed so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contours import Classification, boundary_tol, classify_component, component_encloses
-from .network import Window, _plain, network_from_dict
-from .nonsingular import is_nonsingular
-from .training import accuracy, gen_ring_dataset
+from .network import Window, _plain
 
 SCHEMA_VERSION = 1
 
@@ -27,6 +24,9 @@ KIND_REPRODUCE_NARROW = "reproduce-3a"
 KIND_REPRODUCE_WIDE = "reproduce-3b"
 KIND_SWEEP = "sweep-nonsingular"
 KIND_ANALYZE = "analyze"
+FIG_KINDS = {"3a": KIND_REPRODUCE_NARROW, "3b": KIND_REPRODUCE_WIDE}  # by ``--paper-fig``
+# the members of a reproduction's outcome that are raw data, beside its chains
+RAW_MEMBERS = ("seed", "error", "final_loss", "steps_run", "network")
 
 # reproduction pass rules, as fractions of the seed count
 MIN_CONVERGED_FRACTION = 0.5      # narrow sweep: seeds that must reach the loss bar
@@ -211,13 +211,11 @@ def compute_verdicts(report: dict) -> dict:
 def level_entry(level: float, window: Window, resolution: tuple[int, ...] | list[int],
                 chains: list) -> dict:
     """A level's report entry, from the vertex chains of its components:
-    arrays, or the lists a report stores.  Every member is raw data (the
-    level, window, resolution and chains) or derived here, the one
-    derivation of each: ``boundary_tol`` from the window and resolution,
-    each component's classification from its chain, and the counts.
-    ``analyze_level`` builds each entry with it, and ``data_mismatches``
-    rebuilds each stored entry with it.  ``bounded_enclosing_origin`` counts
-    the bounded chains around the origin (even-odd test)."""
+    arrays, or the lists a report stores.  Beside the level, window,
+    resolution and chains, each member is derived here, the one derivation
+    of each: ``boundary_tol``, each component's classification from its
+    chain, and the counts; ``bounded_enclosing_origin`` counts the bounded
+    chains around the origin (even-odd test)."""
     tol = boundary_tol(window, resolution)
     classes = [classify_component(chain, window, tol).value for chain in chains]
     loops = [np.asarray(chain, dtype=np.float64) for chain, cls in zip(chains, classes)
@@ -239,93 +237,6 @@ def level_entry(level: float, window: Window, resolution: tuple[int, ...] | list
                            for cls, chain in zip(classes, chains)],
         },
     }
-
-
-def level_sums(levels: list[dict]) -> dict:
-    """An outcome's ``bounded_final`` and ``boundary_final``: the sums over its level entries."""
-    return {key: sum(lv[key] for lv in levels) for key in ("bounded_final", "boundary_final")}
-
-
-def _differences(stored, rebuilt, member: str = "") -> list[tuple]:
-    """(member, stored value, rebuilt value) for each member of ``rebuilt``
-    that ``stored`` contradicts.  Dicts, and lists of dicts, are compared
-    member by member."""
-    if isinstance(rebuilt, dict):
-        return [d for key, value in rebuilt.items()
-                for d in _differences(stored[key], value, f"{member}.{key}" if member else key)]
-    if isinstance(rebuilt, list) and rebuilt and isinstance(rebuilt[0], dict):
-        return [d for k, (s, r) in enumerate(zip(stored, rebuilt))
-                for d in _differences(s, r, f"{member}[{k}]")]
-    return [] if stored == rebuilt else [(member, stored, rebuilt)]
-
-
-def data_mismatches(report: dict) -> list[str]:
-    """One line per stored value that the report's own data contradicts.
-
-    Each level entry must equal the entry ``level_entry`` rebuilds from its
-    raw data: ``report.level``, ``window``, ``resolution`` and each
-    component's chain (the floats round-trip exactly).  Per outcome,
-    ``bounded_final`` and ``boundary_final`` are the sums over the rebuilt
-    entries; in a reproduction, for every seed without an error,
-    ``converged`` is ``final_loss <= convergence_loss`` of the stored spec
-    and ``accuracy`` is that of the stored network on the seed's ring data,
-    regenerated from the spec; in a sweep, ``nonsingularity`` is the
-    membership check of the stored network (its weights round-trip
-    exactly).  The top-level ``seeds``, and in a reproduction the spec's
-    ``seeds``, list the outcomes' seeds in order."""
-    kind = report["kind"]
-    lines = []
-    for o in report["outcomes"]:
-        rebuilt_levels = []
-        for lv in o["levels"]:
-            rep = lv["report"]
-            rebuilt = level_entry(rep["level"], Window(**rep["window"]), rep["resolution"],
-                                  [c["polylines"][0] for c in rep["components"]])
-            rebuilt_levels.append(rebuilt)
-            lines += [f"seed {o['seed']} level {lv['level']!r}: {member} is {stored!r}, "
-                      f"recomputed {recomputed!r}"
-                      for member, stored, recomputed in _differences(lv, rebuilt)]
-        checks = [(key, o[key], value) for key, value in level_sums(rebuilt_levels).items()]
-        if kind in (KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE) and o["error"] is None:
-            spec = report["config"]["spec"]
-            data = gen_ring_dataset(o["seed"], **{k: spec[k] for k in (
-                "n_inner", "n_ring", "inner_sigma", "ring_radius", "ring_sigma")})
-            checks += [("converged", o["converged"], o["final_loss"] <= spec["convergence_loss"]),
-                       ("accuracy", o["accuracy"],
-                        accuracy(network_from_dict(o["network"]), data))]
-        if kind == KIND_SWEEP:
-            checks.append(("nonsingularity", o["nonsingularity"],
-                           _plain(is_nonsingular(network_from_dict(o["network"])))))
-        for key, stored, recomputed in checks:
-            if stored != recomputed:
-                lines.append(f"seed {o['seed']}: {key} is {stored!r}, recomputed {recomputed!r}")
-    seeds = [o["seed"] for o in report["outcomes"]]
-    lists = [("seeds", report["seeds"])]
-    if kind in (KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE):
-        lists.append(("config.spec.seeds", report["config"]["spec"]["seeds"]))
-    return lines + [f"{member} is {stored!r}, recomputed {seeds!r}"
-                    for member, stored in lists if stored != seeds]
-
-
-def validate_report(report: dict) -> tuple[bool, dict, list[str]]:
-    """Recompute the verdicts and every stored classification and count from
-    raw outcome data: whether they all match, the recomputed verdicts, and
-    one line per stored value that does not (``data_mismatches``).
-
-    A report that lacks a key or holds a value of the wrong type raises
-    ValueError."""
-    if not isinstance(report, dict):
-        raise ValueError(f"a report is a JSON object, got {type(report).__name__}")
-    if report.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {report.get('schema_version')!r}")
-    try:
-        recomputed = compute_verdicts(report)
-        mismatches = data_mismatches(report)
-    except KeyError as exc:
-        raise ValueError(f"report is missing key {exc}") from None
-    except (TypeError, IndexError) as exc:
-        raise ValueError(f"malformed report: {exc}") from None
-    return recomputed == report.get("verdicts") and not mismatches, recomputed, mismatches
 
 
 def report_passed(report: dict) -> bool:

@@ -5,7 +5,7 @@ module fixtures through the same deterministic report path the CLI uses (a
 sweep's worker-encoded entries, a reproduction's outcome dicts, spliced by
 ``dumps_report``); the criteria read the reports' outcomes, criterion 9
 rebuilds them from scratch and compares bytes, and ``validate_report``
-re-derives each one's verdicts and level entries.
+rebuilds each one from its raw members and finds no member that differs.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines live.
 """
@@ -26,10 +26,11 @@ from leveltopo import (RELU, SIGMOID, TANH, FunctionLink, Loss, NonSingularSweep
                        run_experiment, sample_grid, uniform_deviation)
 from leveltopo.activations import one_to_one_relu_bound
 from leveltopo.analysis import reproduction_spec
+from leveltopo.cli import validate_report
 from leveltopo.contours import band_oracle_compare
 from leveltopo.fields import sample_noncritical_levels
 from leveltopo.reports import (KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE, KIND_SWEEP,
-                               dumps_report, make_report, report_passed, validate_report)
+                               dumps_report, make_report, report_passed)
 
 from test_reports import PINNED_ON, report_digest
 from test_training import fd_loss_gradient, max_relative_error, random_case
@@ -193,11 +194,10 @@ def test_wide_reproduction_origin_loop_on_every_seed(wide_run):
 
 
 def test_fixture_reports_validate(sweep_run, narrow_run, wide_run):
-    # every stored verdict, classification and count follows from the
-    # report's own chains, networks and spec; the sweep's outcomes are
+    # every member is raw data or follows from it; the sweep's outcomes are
     # worker-encoded entries, so its written text is decoded
     for report in (json.loads(sweep_run.data), narrow_run.report, wide_run.report):
-        assert validate_report(report) == (True, report["verdicts"], [])
+        assert validate_report(report) == []
 
 
 # the sha256 of each fixture report's text without its `versions` member

@@ -10,8 +10,9 @@ from leveltopo import (SIGMOID, Classification, CompositionToleranceError,
                        one_to_one_relu, random_nonsingular_sweep, run_experiment,
                        sample_grid)
 from leveltopo.analysis import THREADS_ENV, auto_window, reproduction_spec
-from leveltopo.reports import (KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE, dumps_report,
-                               make_report, validate_report)
+from leveltopo import cli
+from leveltopo.cli import validate_report
+from leveltopo.reports import KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE, dumps_report, make_report
 from leveltopo.training import DECISION_CUT, Dataset
 
 
@@ -143,7 +144,7 @@ class TestRunExperiment:
         np.testing.assert_array_equal(window.lo, [-4.0, -3.0])
         np.testing.assert_array_equal(window.hi, [4.0, 5.0])
 
-    def test_diverged_seeds_are_recorded(self, diverging_spec):
+    def test_diverged_seeds_are_recorded(self, diverging_spec, monkeypatch):
         result = run_experiment(diverging_spec)
         assert [o.seed for o in result.outcomes] == [0, 1]
         for o in result.outcomes:
@@ -151,10 +152,14 @@ class TestRunExperiment:
             assert o.steps_run == 1 and np.isfinite(o.final_loss)
             assert (o.converged, o.accuracy, o.network) == (None, None, None)
             assert o.levels == ()
-        report = make_report(KIND_REPRODUCE_WIDE, {"spec": diverging_spec.to_dict()},
+        report = make_report(KIND_REPRODUCE_WIDE, {"paper_fig": "3b",
+                                                   "spec": diverging_spec.to_dict(),
+                                                   "deterministic": True},
                              [o.to_dict() for o in result.outcomes], True, 0.0)
         assert report["verdicts"][KIND_REPRODUCE_WIDE]["status"] == "FAIL"
-        assert validate_report(report)[0]
+        # the report of the diverging spec, run as the 3b preset
+        monkeypatch.setattr(cli, "reproduction_spec", lambda fig, seeds: diverging_spec)
+        assert validate_report(report) == []
 
 
 class TestReproductionSpecs:

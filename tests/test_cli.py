@@ -10,12 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leveltopo import analysis, cli, reports, training
-from leveltopo.cli import main, parse_activation, parse_levels, parse_window
+from leveltopo import analysis, cli, training
+from leveltopo.cli import main, parse_activation, parse_levels, parse_window, validate_report
 from leveltopo.network import Window, load_network, save_network
-from leveltopo.reports import compute_verdicts, load_report, validate_report
+from leveltopo.reports import compute_verdicts, level_entry, load_report
 from leveltopo.svgplot import outcome_svg
-from leveltopo import (SIGMOID, Layer, Network, Optimizer, TrainConfig, init_weights,
+from leveltopo import (SIGMOID, Layer, Network, NonSingularityReport, Optimizer, TrainConfig,
+                       init_weights,
                        load_dataset, one_to_one_relu, train)
 
 
@@ -170,8 +171,7 @@ class TestAnalyze:
                      "--resolution", "81", "--report", str(report_path),
                      "--svg", str(svg_path), "--deterministic"]) == 0
         report = load_report(report_path)
-        ok, _, _ = validate_report(report)
-        assert ok
+        assert validate_report(report) == []
         svg = svg_path.read_text()
         assert svg.startswith("<?xml") and "<polyline" in svg
         assert "1970-01-01" in svg  # deterministic timestamp
@@ -274,8 +274,7 @@ class TestSweepCommand:
         assert code == 0
         report = load_report(rp)
         assert report["verdicts"]["sweep-nonsingular"]["status"] == "PASS"
-        ok, _, _ = validate_report(report)
-        assert ok
+        assert validate_report(report) == []
 
     def test_deterministic_reports_byte_identical(self, tmp_path):
         blobs = []
@@ -315,8 +314,7 @@ class TestReproduceCommand:
         assert code == 0
         assert "PASS" in out
         assert (svg_dir / "seed000.svg").exists()
-        ok, _, _ = validate_report(load_report(rp))
-        assert ok
+        assert validate_report(load_report(rp)) == []
 
     def test_svg_rebuilds_from_the_report_on_disk(self, tmp_path):
         rp, svg_dir = tmp_path / "r.json", tmp_path / "svgs"
@@ -498,16 +496,18 @@ class TestValidateReportCommand:
         assert main(["validate-report", str(rp)]) == 2
         assert message in capsys.readouterr().err
 
-    def test_outcome_without_bounded_final_exit_2(self, tmp_path, capsys):
+    def test_outcome_without_bounded_final_exit_1(self, tmp_path, capsys):
+        # a derived member that is missing is a mismatch like any other
         rp = tmp_path / "r.json"
         assert main(["sweep-nonsingular", "--count", "1", "--levels-per-net", "1",
                      "--resolution", "41", "--report", str(rp),
                      "--deterministic"]) == 0
         report = load_report(rp)
-        del report["outcomes"][0]["bounded_final"]
+        bounded = report["outcomes"][0].pop("bounded_final")
         rp.write_text(json.dumps(report))
-        assert main(["validate-report", str(rp)]) == 2
-        assert "missing key 'bounded_final'" in capsys.readouterr().err
+        assert main(["validate-report", str(rp)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"outcomes[0].bounded_final is absent, recomputed {bounded}"]
 
     def test_intact_report_validates(self, tmp_path):
         rp = tmp_path / "r.json"
@@ -574,16 +574,16 @@ class TestValidateReportCounts:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("tamper,messages", [
-        (relabel_as_touching, ["seed 0 level 0.5: final_classifications is "
-                               "['boundary_touching'], recomputed ['bounded']",
-                               "seed 0 level 0.5: bounded_final is 0, recomputed 1",
-                               "seed 0 level 0.5: boundary_final is 99, recomputed 0",
-                               "seed 0 level 0.5: report.components[0].classification is "
+        (relabel_as_touching, ["outcomes[0].levels[0].boundary_final is 99, recomputed 0",
+                               "outcomes[0].levels[0].bounded_final is 0, recomputed 1",
+                               "outcomes[0].levels[0].final_classifications[0] is "
+                               "'boundary_touching', recomputed 'bounded'",
+                               "outcomes[0].levels[0].report.components[0].classification is "
                                "'boundary_touching', recomputed 'bounded'"]),
-        (drop_final_classification, ["seed 0 level 0.5: final_classifications is [], "
-                                     "recomputed ['bounded']"]),
-        (inflate_outcome_count, ["seed 0: boundary_final is"]),
-        (set_entry_level, ["seed 0 level 123.0: level is 123.0, recomputed 0.5"]),
+        (drop_final_classification, ["outcomes[0].levels[0].final_classifications[0] is "
+                                     "absent, recomputed 'bounded'"]),
+        (inflate_outcome_count, ["outcomes[0].boundary_final is 1, recomputed 0"]),
+        (set_entry_level, ["outcomes[0].levels[0].level is 123.0, recomputed 0.5"]),
     ], ids=["relabelled-loop", "dropped-classification", "outcome-sum", "entry-level"])
     def test_tampered_counts_exit_1(self, wide_report, tmp_path, capsys, tamper, messages):
         report = load_report(wide_report)
@@ -591,15 +591,12 @@ class TestValidateReportCounts:
         path = tmp_path / "r.json"
         path.write_text(json.dumps(report))
         assert main(["validate-report", str(path)]) == 1
-        err = capsys.readouterr().err.splitlines()
         # one line per contradicted count, and none about the verdicts, which
         # still match
-        assert len(err) == len(messages)
-        for line, message in zip(err, messages):
-            assert message in line
+        assert capsys.readouterr().err.splitlines() == messages
 
     @pytest.mark.parametrize("member,value", [
-        ("final_classifications", ["boundary_touching"]),
+        ("final_classifications[0]", "boundary_touching"),
         ("bounded_final", 0),
         ("boundary_final", 1),
         ("bounded_enclosing_origin", 0),
@@ -610,15 +607,16 @@ class TestValidateReportCounts:
                                               value):
         report = load_report(wide_report)
         target = report["outcomes"][0]["levels"][0]
-        *parents, key = member.replace("[0]", ".0").split(".")
+        *parents, key = [int(part) if part.isdigit() else part
+                         for part in member.replace("[0]", ".0").split(".")]
         for part in parents:
-            target = target[int(part) if part.isdigit() else part]
+            target = target[part]
         target[key] = value
         path = tmp_path / "r.json"
         path.write_text(json.dumps(report))
         assert main(["validate-report", str(path)]) == 1
-        assert (f"stored value does not match the report's own data: seed 0 level 0.5: "
-                f"{member} is {value!r}, recomputed " in capsys.readouterr().err)
+        assert (f"outcomes[0].levels[0].{member} is {value!r}, recomputed "
+                in capsys.readouterr().err)
 
     def test_a_failing_report_is_derived_once(self, wide_report, tmp_path, monkeypatch,
                                               capsys):
@@ -627,26 +625,30 @@ class TestValidateReportCounts:
         path = tmp_path / "r.json"
         path.write_text(json.dumps(report))
         rebuilt = []
-        level_entry = reports.level_entry
-        monkeypatch.setattr(reports, "level_entry",
+        level_entry = analysis.level_entry
+        monkeypatch.setattr(analysis, "level_entry",
                             lambda *args: rebuilt.append(args) or level_entry(*args))
         assert main(["validate-report", str(path)]) == 1
         assert len(rebuilt) == len(report["outcomes"][0]["levels"]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
 
     @pytest.mark.parametrize("tamper,messages", [
-        (zero_origin_loop, ["seed 0 level 0.5: bounded_enclosing_origin is 0, recomputed 1"]),
+        # the verdict recomputed from the tampered count is a member too
+        (zero_origin_loop,
+         ["outcomes[0].levels[0].bounded_enclosing_origin is 0, recomputed 1",
+          "verdicts.reproduce-3b.status is 'FAIL', recomputed 'PASS'",
+          "verdicts.reproduce-3b.with_origin_loop is 0, recomputed 1"]),
         # every member derived from the loop's classification disagrees with
         # its chain, and so do the outcome's sums
         (flip_loop_with_its_counts,
-         ["seed 0 level 0.5: final_classifications is ['boundary_touching'], "
-          "recomputed ['bounded']",
-          "seed 0 level 0.5: bounded_final is 0, recomputed 1",
-          "seed 0 level 0.5: boundary_final is 1, recomputed 0",
-          "seed 0 level 0.5: report.components[0].classification is 'boundary_touching', "
+         ["outcomes[0].boundary_final is 1, recomputed 0",
+          "outcomes[0].bounded_final is 0, recomputed 1",
+          "outcomes[0].levels[0].boundary_final is 1, recomputed 0",
+          "outcomes[0].levels[0].bounded_final is 0, recomputed 1",
+          "outcomes[0].levels[0].final_classifications[0] is 'boundary_touching', "
           "recomputed 'bounded'",
-          "seed 0: bounded_final is 0, recomputed 1",
-          "seed 0: boundary_final is 1, recomputed 0"]),
+          "outcomes[0].levels[0].report.components[0].classification is "
+          "'boundary_touching', recomputed 'bounded'"]),
     ], ids=["zeroed-origin-loop", "flipped-loop-and-counts"])
     def test_tampered_data_under_matching_verdicts_exit_1(self, wide_report, tmp_path, capsys,
                                                           tamper, messages):
@@ -656,8 +658,7 @@ class TestValidateReportCounts:
         path = tmp_path / "r.json"
         path.write_text(json.dumps(report))
         assert main(["validate-report", str(path)]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"stored value does not match the report's own data: {m}" for m in messages]
+        assert capsys.readouterr().err.splitlines() == messages
 
 
 @pytest.fixture(scope="module")
@@ -714,21 +715,37 @@ def rewrite_both_seed_lists(report):
 
 
 class TestValidateReportDerivations:
-    """validate-report re-derives ``converged`` from the stored loss and spec,
-    ``accuracy`` from the stored network on the seed's regenerated ring data,
-    and a sweep's ``nonsingularity`` from the stored network."""
+    """validate-report re-derives ``converged`` from the loss and the preset,
+    an early stop's ``final_loss`` and every ``accuracy`` from the stored
+    network on the seed's regenerated ring data, the kind from the paper
+    figure, and a sweep's ``nonsingularity`` from the stored network; the
+    verdicts follow from the rebuilt outcomes."""
 
-    @pytest.mark.parametrize("report_fixture,tamper,message", [
+    @pytest.mark.parametrize("report_fixture,tamper,messages", [
+        # the seed stopped early, so its loss is that of its stored network
         ("two_seed_wide_report", unconverged_at_low_loss,
-         "seed 0: converged is False, recomputed True"),
-        ("two_seed_wide_report", as_narrow_kind, "seed 0: converged is False, recomputed True"),
-        ("two_seed_wide_report", halve_accuracy, "seed 0: accuracy is 0.5, recomputed "),
-        ("sweep_report", flip_nonsingular_verdict, "seed 0: nonsingularity is {"),
-        ("sweep_report", negate_determinant, "seed 0: nonsingularity is {"),
+         ["outcomes[0].converged is False, recomputed True",
+          "outcomes[0].final_loss is 0.01, recomputed 0.04991314624188036"]),
+        ("two_seed_wide_report", as_narrow_kind,
+         ["kind is 'reproduce-3a', recomputed 'reproduce-3b'",
+          "outcomes[0].converged is False, recomputed True",
+          "outcomes[0].final_loss is 0.01, recomputed 0.04991314624188036",
+          "verdicts.reproduce-3a is {",
+          "verdicts.reproduce-3b is absent, recomputed {"]),
+        ("two_seed_wide_report", halve_accuracy,
+         ["outcomes[0].accuracy is 0.5, recomputed ",
+          "verdicts.reproduce-3b.accurate is 1, recomputed 2",
+          "verdicts.reproduce-3b.required_with_loop is 1, recomputed 2",
+          "verdicts.reproduce-3b.status is 'FAIL', recomputed 'PASS'",
+          "verdicts.reproduce-3b.with_origin_loop is 1, recomputed 2"]),
+        ("sweep_report", flip_nonsingular_verdict,
+         ["outcomes[0].nonsingularity.verdict is False, recomputed True"]),
+        ("sweep_report", negate_determinant,
+         ["outcomes[0].nonsingularity.determinants[0] is -"]),
     ], ids=["converged", "converged-narrow", "accuracy", "nonsingular-verdict",
             "determinant-sign"])
     def test_tampered_derivation_exit_1(self, request, tmp_path, capsys, report_fixture,
-                                        tamper, message):
+                                        tamper, messages):
         report = load_report(request.getfixturevalue(report_fixture))
         tamper(report)
         report["verdicts"] = compute_verdicts(report)
@@ -736,17 +753,19 @@ class TestValidateReportDerivations:
         path.write_text(json.dumps(report))
         assert main(["validate-report", str(path)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith(
-            f"stored value does not match the report's own data: {message}")
+        assert len(err) == len(messages)
+        for line, message in zip(err, messages):
+            assert line.startswith(message)
 
     @pytest.mark.parametrize("report_fixture,tamper,messages", [
-        ("two_seed_wide_report", rewrite_seeds, ["seeds is [5], recomputed [0, 1]"]),
+        ("two_seed_wide_report", rewrite_seeds,
+         ["seeds[0] is 5, recomputed 0", "seeds[1] is absent, recomputed 1"]),
         ("two_seed_wide_report", rewrite_spec_seeds,
-         ["config.spec.seeds is [9, 8], recomputed [0, 1]"]),
+         ["config.spec.seeds[0] is 9, recomputed 0", "config.spec.seeds[1] is 8, recomputed 1"]),
         ("two_seed_wide_report", rewrite_both_seed_lists,
-         ["seeds is [5], recomputed [0, 1]", "config.spec.seeds is [9, 8], recomputed [0, 1]"]),
-        ("sweep_report", rewrite_seeds, ["seeds is [5], recomputed [0]"]),
+         ["config.spec.seeds[0] is 9, recomputed 0", "config.spec.seeds[1] is 8, recomputed 1",
+          "seeds[0] is 5, recomputed 0", "seeds[1] is absent, recomputed 1"]),
+        ("sweep_report", rewrite_seeds, ["seeds[0] is 5, recomputed 0"]),
     ], ids=["seeds", "spec-seeds", "both", "sweep-seeds"])
     def test_tampered_seed_lists_exit_1(self, request, tmp_path, capsys, report_fixture,
                                         tamper, messages):
@@ -755,8 +774,179 @@ class TestValidateReportDerivations:
         path = tmp_path / "r.json"
         path.write_text(json.dumps(report))
         assert main(["validate-report", str(path)]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"stored value does not match the report's own data: {m}" for m in messages]
+        assert capsys.readouterr().err.splitlines() == messages
+
+
+@pytest.fixture(scope="module")
+def narrow_report(tmp_path_factory):
+    """A two-seed 3a report: seed 0 neither converges nor has a component,
+    seed 1 converges with one boundary-touching component."""
+    path = tmp_path_factory.mktemp("narrow") / "r.json"
+    assert main(["reproduce", "--paper-fig", "3a", "--seeds", "2", "--report", str(path),
+                 "--deterministic"]) == 0
+    assert [(o["converged"], o["bounded_final"], o["boundary_final"])
+            for o in load_report(path)["outcomes"]] == [(False, 0, 0), (True, 0, 1)]
+    return path
+
+
+# each tamper edits a report in place and returns the lines validate-report
+# prints for it
+
+
+def add_top_level_member(report):
+    report["extra"] = 1
+    return ["extra is 1, recomputed absent"]
+
+
+def add_outcome_member(report):
+    report["outcomes"][0]["extra"] = 1
+    return ["outcomes[0].extra is 1, recomputed absent"]
+
+
+def add_entry_member(report):
+    report["outcomes"][0]["levels"][0]["extra"] = 1
+    return ["outcomes[0].levels[0].extra is 1, recomputed absent"]
+
+
+def readd_entry_counts(report):
+    counts = {"bounded": 1, "boundary_touching": 0}
+    report["outcomes"][0]["levels"][0]["report"]["counts"] = counts
+    return [f"outcomes[0].levels[0].report.counts is {counts!r}, recomputed absent"]
+
+
+def delete_nonsingularity(report):
+    stored = report["outcomes"][0].pop("nonsingularity")
+    rebuilt = {f.name: stored[f.name] for f in dataclasses.fields(NonSingularityReport)}
+    return [f"outcomes[0].nonsingularity is absent, recomputed {rebuilt!r}"]
+
+
+def mark_sweep_net_converged(report):
+    report["outcomes"][0]["converged"] = True
+    return ["outcomes[0].converged is True, recomputed None"]
+
+
+def set_sweep_net_loss(report):
+    report["outcomes"][0]["final_loss"] = 0.3
+    return ["outcomes[0].final_loss is 0.3, recomputed None"]
+
+
+def stop_at_step_one(report):
+    report["outcomes"][0]["steps_run"] = 1
+    return ["outcomes[0].steps_run is 1, recomputed 20000"]
+
+
+def run_past_the_spec(report):
+    report["outcomes"][0]["steps_run"] = 6000
+    return ["outcomes[0].steps_run is 6000, recomputed 5000"]
+
+
+def lower_early_stop_loss(report):
+    loss = report["outcomes"][0]["final_loss"]
+    report["outcomes"][0]["final_loss"] = 1e-4
+    return [f"outcomes[0].final_loss is 0.0001, recomputed {loss!r}"]
+
+
+def widen_arch(report):
+    report["config"]["spec"]["arch"][1] = 4
+    return ["config.spec.arch[1] is 4, recomputed 3"]
+
+
+def relabel_regime(report):
+    report["config"]["spec"]["regime"] = "skinny"
+    return ["config.spec.regime is 'skinny', recomputed 'wide'"]
+
+
+def shorten_training(report):
+    report["config"]["spec"]["train"]["steps"] = 10
+    return ["config.spec.train.steps is 10, recomputed 5000"]
+
+
+def set_wall_seconds(report):
+    report["timings"]["wall_seconds"] = 5.0
+    return ["timings.wall_seconds is 5.0, recomputed 0.0"]
+
+
+def clear_deterministic_timing(report):
+    report["timings"]["deterministic"] = False
+    return ["timings.deterministic is False, recomputed True"]
+
+
+def raise_convergence_loss(report):
+    """Raise the gate's threshold, with every seed converged and the verdicts
+    recomputed to match."""
+    report["config"]["spec"]["convergence_loss"] = 10.0
+    for o in report["outcomes"]:
+        o["converged"] = True
+    report["verdicts"] = compute_verdicts(report)
+    return ["config.spec.convergence_loss is 10.0, recomputed 0.35",
+            "outcomes[0].converged is True, recomputed False",
+            "verdicts.reproduce-3a.converged is 2, recomputed 1",
+            "verdicts.reproduce-3a.converged_without_component is 1, recomputed 0",
+            "verdicts.reproduce-3a.status is 'FAIL', recomputed 'PASS'"]
+
+
+def widen_windows(report):
+    """Rebuild every entry on [-100, 100]^2, with the sums and verdicts to
+    match: seed 1's frame-touching chain becomes bounded."""
+    wide = Window(np.array([-100.0, -100.0]), np.array([100.0, 100.0]))
+    lines = []
+    for i, o in enumerate(report["outcomes"]):
+        stored = o["levels"][0]["report"]
+        entry = level_entry(o["levels"][0]["level"], wide, stored["resolution"],
+                            [c["polylines"][0] for c in stored["components"]])
+        o["levels"][0] = entry
+        o["bounded_final"], o["boundary_final"] = entry["bounded_final"], entry["boundary_final"]
+        lines.append(f"outcomes[{i}].levels[0].report.boundary_tol is "
+                     f"{entry['report']['boundary_tol']!r}, recomputed {stored['boundary_tol']!r}")
+        lines += [f"outcomes[{i}].levels[0].report.window.{side}[{k}] is {bound!r}, "
+                  f"recomputed {stored['window'][side][k]!r}"
+                  for side, bound in (("hi", 100.0), ("lo", -100.0)) for k in (0, 1)]
+    report["verdicts"] = compute_verdicts(report)
+    return lines + [
+        "outcomes[1].boundary_final is 0, recomputed 1",
+        "outcomes[1].bounded_final is 1, recomputed 0",
+        "outcomes[1].levels[0].boundary_final is 0, recomputed 1",
+        "outcomes[1].levels[0].bounded_enclosing_origin is 1, recomputed 0",
+        "outcomes[1].levels[0].bounded_final is 1, recomputed 0",
+        "outcomes[1].levels[0].final_classifications[0] is 'bounded', "
+        "recomputed 'boundary_touching'",
+        "outcomes[1].levels[0].report.components[0].classification is 'bounded', "
+        "recomputed 'boundary_touching'",
+        "verdicts.reproduce-3a.bounded_components_among_converged is 1, recomputed 0",
+        "verdicts.reproduce-3a.status is 'FAIL', recomputed 'PASS'"]
+
+
+class TestEveryMemberIsRebuilt:
+    """validate-report rebuilds the whole report from its raw members, so an
+    edit to any other member, an extra member or a missing one exits 1 with
+    one line per member that differs."""
+
+    @pytest.mark.parametrize("report_fixture,tamper", [
+        ("two_seed_wide_report", add_top_level_member),
+        ("sweep_report", add_outcome_member),
+        ("two_seed_wide_report", add_entry_member),
+        ("two_seed_wide_report", readd_entry_counts),
+        ("sweep_report", delete_nonsingularity),
+        ("sweep_report", mark_sweep_net_converged),
+        ("sweep_report", set_sweep_net_loss),
+        ("narrow_report", stop_at_step_one),
+        ("two_seed_wide_report", run_past_the_spec),
+        ("two_seed_wide_report", lower_early_stop_loss),
+        ("two_seed_wide_report", widen_arch),
+        ("two_seed_wide_report", relabel_regime),
+        ("two_seed_wide_report", shorten_training),
+        ("two_seed_wide_report", set_wall_seconds),
+        ("two_seed_wide_report", clear_deterministic_timing),
+        ("narrow_report", raise_convergence_loss),
+        ("narrow_report", widen_windows),
+    ], ids=lambda v: v if isinstance(v, str) else v.__name__.replace("_", "-"))
+    def test_tampered_report_exit_1(self, request, tmp_path, capsys, report_fixture, tamper):
+        report = load_report(request.getfixturevalue(report_fixture))
+        expected = tamper(report)
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(report))
+        assert main(["validate-report", str(path)]) == 1
+        assert sorted(capsys.readouterr().err.splitlines()) == sorted(expected)
 
 
 class TestEnvironment:
