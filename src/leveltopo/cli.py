@@ -224,7 +224,7 @@ def cmd_sweep_nonsingular(args) -> int:
 
 def _rebuilt_seed(spec: ExperimentSpec, raw: dict, chains: list) -> dict:
     """A reproduce outcome.  A seed stops before ``train.steps`` only at
-    ``target_loss``, keeping its weights: so its loss is that of the stored network."""
+    ``target_loss``, with the weights of that loss; any other ran every step."""
     if raw["error"] is not None:
         return SeedOutcome(**raw).to_dict()
     data, net, cfg = spec.dataset(raw["seed"]), network_from_dict(raw["network"]), spec.train
