@@ -57,13 +57,12 @@ class Classification(enum.Enum):
 
 @dataclass(frozen=True)
 class SegmentSoup:
-    """Raw marching-squares output for one level of ``field``.
+    """Raw marching-squares output for one level of a field.
 
     ``segments`` holds index pairs into ``vertices``; ``segment_cells`` maps
     each segment to the (i, j) grid cell that produced it.
     """
 
-    field: ScalarField
     vertices: np.ndarray       # (V, 2) float
     segments: np.ndarray       # (S, 2) int
     segment_cells: np.ndarray  # (S, 2) int
@@ -141,7 +140,7 @@ def marching_squares(field: ScalarField, level: float, f=None) -> SegmentSoup:
 
     # one or two segments per cell, in cell order
     emit = np.column_stack((np.ones(len(ci), dtype=bool), saddle))
-    return SegmentSoup(field, vertices, pairs[emit],
+    return SegmentSoup(vertices, pairs[emit],
                        np.repeat(np.column_stack((ci, cj)), 1 + saddle, axis=0))
 
 
@@ -150,13 +149,10 @@ class LevelComponent:
     """One path component of an isocontour.
 
     ``chain`` is its vertex chain; a closed loop repeats its first vertex at
-    the end.  ``crosses_window_edge_cells`` records whether any producing
-    cell sits on the window frame (used by the band-region oracle, whose
-    boundary flag is cell-based).
+    the end.  ``cells`` are the grid cells that produced its segments.
     """
 
     chain: np.ndarray  # (k, 2) vertices
-    crosses_window_edge_cells: bool
     cells: np.ndarray  # (k, 2) grid cells that produced the segments
 
 
@@ -179,7 +175,6 @@ def link_components(soup: SegmentSoup) -> list[LevelComponent]:
     segment; an open chain starts at the end whose end segment has the lower
     index, and a lone segment runs from its first vertex.
     """
-    field = soup.field
     n_seg = len(soup.segments)
     if n_seg == 0:
         return []
@@ -235,11 +230,7 @@ def link_components(soup: SegmentSoup) -> list[LevelComponent]:
 
     by_comp = np.argsort(comp, kind="stable")  # ascending segment ids per component
     cells = soup.segment_cells[by_comp]
-    nx, ny = field.resolution[0] - 1, field.resolution[1] - 1
-    on_frame = np.logical_or.reduceat((cells[:, 0] == 0) | (cells[:, 0] == nx - 1)
-                                      | (cells[:, 1] == 0) | (cells[:, 1] == ny - 1), offsets)
-
-    components = [LevelComponent(points[s0 + k:s1 + k + 1], bool(on_frame[k]), cells[s0:s1])
+    components = [LevelComponent(points[s0 + k:s1 + k + 1], cells[s0:s1])
                   for k, (s0, s1) in enumerate(zip(offsets.tolist(), last.tolist()))]
     # deterministic order: by the first vertex of the chain
     components.sort(key=lambda c: (round(c.chain[0][0], 12), round(c.chain[0][1], 12)))
@@ -259,6 +250,12 @@ def component_encloses(chain, point) -> bool:
     s = (y0 > py) != (y1 > py)  # edges that straddle the ray's line
     x0, y0, x1, y1 = x0[s], y0[s], x1[s], y1[s]
     return int(np.count_nonzero(x0 + (py - y0) * (x1 - x0) / (y1 - y0) > px)) % 2 == 1
+
+
+def _in_frame_cells(cells: np.ndarray, resolution) -> bool:
+    """Does any of ``cells`` lie in the outer ring of cells of a grid with
+    ``resolution`` nodes per axis?"""
+    return bool(np.any((cells == 0) | (cells == np.asarray(resolution) - 2)))
 
 
 def band_oracle_compare(field: ScalarField, level: float, band_delta: float) -> dict:
@@ -290,10 +287,11 @@ def band_oracle_compare(field: ScalarField, level: float, band_delta: float) -> 
             issues.append(f"band component {label} matched by two contour components")
             continue
         used.add(label)
-        if straddling[label].touches_boundary != comp.crosses_window_edge_cells:
+        on_frame = _in_frame_cells(comp.cells, field.resolution)
+        if straddling[label].touches_boundary != on_frame:
             issues.append(
                 f"boundary flag mismatch on component {ci}: contour frame cells "
-                f"{comp.crosses_window_edge_cells}, band frame cells "
+                f"{on_frame}, band frame cells "
                 f"{straddling[label].touches_boundary}")
     unmatched = sorted(set(straddling) - used)
     if unmatched:

@@ -7,7 +7,7 @@ from leveltopo import (SIGMOID, Classification, Window, analyze_level, classify_
                        component_encloses, extract_components, init_weights,
                        link_components, marching_squares, network_scalar_fn,
                        region_components, sample_grid)
-from leveltopo.contours import LEVEL_NUDGE, band_oracle_compare, boundary_tol
+from leveltopo.contours import LEVEL_NUDGE, _in_frame_cells, band_oracle_compare, boundary_tol
 from leveltopo.fields import RegionComponent, RegionComponents, sample_noncritical_levels
 
 
@@ -467,7 +467,7 @@ class TestArrayPathMatchesLoopReference:
         for comp, (chain, touching, on_frame, comp_cells) in zip(got, expected):
             np.testing.assert_array_equal(bits(comp.chain), bits(chain))
             assert (classify(comp, fld) is Classification.BOUNDARY_TOUCHING) == touching
-            assert comp.crosses_window_edge_cells == on_frame
+            assert _in_frame_cells(comp.cells, fld.resolution) == on_frame
             np.testing.assert_array_equal(comp.cells, comp_cells)
             for px, py in [(0.0, 0.0), (0.55, -0.35), tuple(chain.mean(axis=0))]:
                 assert component_encloses(comp.chain, (px, py)) == loop_encloses(chain, px, py)
