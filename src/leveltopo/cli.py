@@ -158,9 +158,10 @@ def cmd_analyze(args) -> int:
             print(f"warning: level {level:g} outside achieved value range "
                   f"[{lo_v:.4g}, {hi_v:.4g}]; expect an empty component list",
                   file=sys.stderr)
+    if data is not None:
+        print(f"accuracy {accuracy(net, data):.4f} on {args.data}")
     entries = tuple(analyze_level(f, level, base_field) for level in levels)
-    outcome = SeedOutcome(seed=0, accuracy=accuracy(net, data) if data is not None else None,
-                          levels=entries, network=network_to_dict(net)).to_dict()
+    outcome = SeedOutcome(seed=0, levels=entries, network=network_to_dict(net)).to_dict()
     config = {"model": args.model, "window": _plain(window),
               "resolution": args.resolution, "levels": list(levels),
               "deterministic": args.deterministic}
@@ -238,9 +239,9 @@ def _rebuilt_seed(spec: ExperimentSpec, raw: dict, chains: list) -> dict:
 def rebuild_report(report: dict) -> dict:
     """The report that the writer's functions write from the raw members of
     ``report``: per outcome its level chains, seed and network (a reproduction's
-    ``RAW_MEMBERS``, a sweep entry's level, an analyze outcome's accuracy, whose
-    data is unnamed); the paper figure, sweep spec or analyze config;
-    ``config.deterministic``, ``versions`` and a non-zeroed ``wall_seconds``."""
+    ``RAW_MEMBERS``, a sweep entry's level); the paper figure, sweep spec or
+    analyze config; ``config.deterministic``, ``versions`` and a non-zeroed
+    ``wall_seconds``."""
     kind, outcomes = report["kind"], report["outcomes"]
     chains = [[[c["polylines"][0] for c in lv["report"]["components"]] for lv in o["levels"]]
               for o in outcomes]
@@ -264,7 +265,7 @@ def rebuild_report(report: dict) -> dict:
         levels, window = config["levels"], Window(**config["window"])
         res, wall = (config["resolution"], config["resolution"]), 0.0
         rebuilt = [SeedOutcome(
-            seed=o["seed"], network=o["network"], accuracy=o["accuracy"],
+            seed=o["seed"], network=o["network"],
             levels=tuple(level_entry(float(level), window, res, c)
                          for level, c in zip(levels, cs + [[]] * len(levels)))).to_dict()
             for o, cs in zip(outcomes, chains)]

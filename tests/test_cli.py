@@ -16,8 +16,7 @@ from leveltopo.network import Window, load_network, save_network
 from leveltopo.reports import compute_verdicts, level_entry, load_report
 from leveltopo.svgplot import outcome_svg
 from leveltopo import (SIGMOID, Layer, Network, NonSingularityReport, Optimizer, TrainConfig,
-                       init_weights,
-                       load_dataset, one_to_one_relu, train)
+                       accuracy, init_weights, load_dataset, one_to_one_relu, train)
 
 
 class TestFlagParsing:
@@ -178,6 +177,15 @@ class TestAnalyze:
         # the trained wide model closes a loop: drawn in the bounded color
         assert report["outcomes"][0]["bounded_final"] >= 1
         assert "#d62728" in svg
+
+    def test_accuracy_is_printed_not_stored(self, tmp_path, dataset, model, capsys):
+        # the config does not name the data, so the report could not check it
+        rp = tmp_path / "r.json"
+        assert main(["analyze", "--model", str(model), "--data", str(dataset),
+                     "--resolution", "41", "--report", str(rp), "--deterministic"]) == 0
+        acc = accuracy(load_network(model), load_dataset(dataset))
+        assert f"accuracy {acc:.4f} on {dataset}" in capsys.readouterr().out.splitlines()
+        assert load_report(rp)["outcomes"][0]["accuracy"] is None
 
     def test_deterministic_outputs_identical(self, tmp_path, dataset, model):
         files = []
