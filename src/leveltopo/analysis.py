@@ -79,6 +79,15 @@ def analyze_level(f, level: float, field: ScalarField) -> dict:
                        [c.chain for c in extract_components(field, level, f=f)])
 
 
+def analyze_outcome(net: Network, config: dict) -> tuple[SeedOutcome, ScalarField]:
+    """An ``analyze`` run's outcome, an entry per level of its config on the
+    config's window and resolution, and the sampling the entries read."""
+    f = network_scalar_fn(net)
+    field = sample_grid(f, Window(**config["window"]), (config["resolution"],) * 2)
+    levels = tuple(analyze_level(f, level, field) for level in config["levels"])
+    return SeedOutcome(seed=0, levels=levels, network=network_to_dict(net)), field
+
+
 # ---------------------------------------------------------------------------
 # trained-network experiments
 
@@ -148,28 +157,31 @@ class SweepResult:
 
 
 def trained_outcome(spec: ExperimentSpec, seed: int, data: Dataset, net: Network,
-                    final_loss: float, steps_run: int, chains: list) -> SeedOutcome:
-    """A trained seed's outcome from its loss, step count, network and the
-    vertex chains of each of ``spec.levels``; for a run and a rebuild alike."""
-    window, resolution = auto_window(data), (spec.resolution, spec.resolution)
-    levels = tuple(level_entry(float(level), window, resolution, level_chains)
-                   for level, level_chains in zip(spec.levels, chains))
+                    final_loss: float, steps_run: int) -> SeedOutcome:
+    """A trained seed's outcome, each of ``spec.levels`` analysed on
+    ``auto_window`` of its data; for a run and a rebuild alike."""
+    f = network_scalar_fn(net)
+    field = sample_grid(f, auto_window(data), (spec.resolution, spec.resolution))
     return SeedOutcome(seed=seed, final_loss=final_loss, steps_run=steps_run,
                        converged=final_loss <= spec.convergence_loss,
-                       accuracy=accuracy(net, data), levels=levels, network=network_to_dict(net))
+                       accuracy=accuracy(net, data), network=network_to_dict(net),
+                       levels=tuple(analyze_level(f, level, field) for level in spec.levels))
+
+
+def diverged_outcome(seed: int, error: str, final_loss: float | None,
+                     steps_run: int) -> SeedOutcome:
+    """The outcome of a seed whose training diverged: nothing is analysed."""
+    return SeedOutcome(seed=seed, error=error, final_loss=final_loss, steps_run=steps_run)
 
 
 def _seed_outcome(spec: ExperimentSpec, seed: int, data, result) -> SeedOutcome:
     """Analyze one seed's training result: (trained, loss history), or the
     TrainingDiverged it raised."""
     if isinstance(result, TrainingDiverged):
-        return SeedOutcome(seed=seed, error=str(result), steps_run=len(result.history),
-                           final_loss=float(result.history[-1]) if len(result.history) else None)
+        losses = result.history.tolist()
+        return diverged_outcome(seed, str(result), losses[-1] if losses else None, len(losses))
     trained, history = result
-    f = network_scalar_fn(trained)
-    field = sample_grid(f, auto_window(data), (spec.resolution, spec.resolution))
-    chains = [[c.chain for c in extract_components(field, level, f=f)] for level in spec.levels]
-    return trained_outcome(spec, seed, data, trained, float(history[-1]), len(history), chains)
+    return trained_outcome(spec, seed, data, trained, float(history[-1]), len(history))
 
 
 def _experiment_chunk(spec: ExperimentSpec, seeds: tuple[int, ...]) -> list[SeedOutcome]:

@@ -19,14 +19,14 @@ import numpy as np
 
 from . import __version__
 from .activations import Activation, ActivationKind
-from .analysis import (ConstructionError, ExperimentSpec, NonSingularSweepSpec, SeedOutcome,
-                       analyze_level, auto_window, reproduction_spec, run_experiment,
-                       random_nonsingular_sweep, trained_outcome)
-from .fields import network_scalar_fn, sample_grid
-from .network import Window, _plain, load_network, network_from_dict, network_to_dict, save_network
-from .nonsingular import NonSingularizationError, is_nonsingular
+from .analysis import (ConstructionError, ExperimentSpec, NonSingularSweepSpec,
+                       analyze_outcome, auto_window, diverged_outcome, reproduction_spec,
+                       run_experiment, random_nonsingular_sweep, trained_outcome)
+from .fields import network_scalar_fn
+from .network import Window, _plain, load_network, network_from_dict, save_network
+from .nonsingular import NonSingularizationError
 from .reports import (FIG_KINDS, KIND_ANALYZE, KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE,
-                      KIND_SWEEP, RAW_MEMBERS, SCHEMA_VERSION, level_entry, load_report,
+                      KIND_SWEEP, SCHEMA_VERSION, _json, dumps_report, load_report,
                       make_report, report_passed, verdict_lines, write_report)
 from .svgplot import outcome_svg, render_topology_svg
 from .training import (DECISION_CUT, Loss, Optimizer, TrainConfig, TrainingDiverged,
@@ -149,27 +149,23 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"model/window mismatch: model input dim {net.input_dim}, "
                          f"window dim {window.dim}")
 
-    levels = args.levels
-    f = network_scalar_fn(net)
-    base_field = sample_grid(f, window, (args.resolution, args.resolution))
+    config = {"model": args.model, "window": _plain(window),
+              "resolution": args.resolution, "levels": list(args.levels),
+              "deterministic": args.deterministic}
+    outcome, base_field = analyze_outcome(net, config)
     lo_v, hi_v = base_field.value_range()
-    for level in levels:
+    for level in args.levels:
         if not lo_v <= level <= hi_v:
             print(f"warning: level {level:g} outside achieved value range "
                   f"[{lo_v:.4g}, {hi_v:.4g}]; expect an empty component list",
                   file=sys.stderr)
     if data is not None:
         print(f"accuracy {accuracy(net, data):.4f} on {args.data}")
-    entries = tuple(analyze_level(f, level, base_field) for level in levels)
-    outcome = SeedOutcome(seed=0, levels=entries, network=network_to_dict(net)).to_dict()
-    config = {"model": args.model, "window": _plain(window),
-              "resolution": args.resolution, "levels": list(levels),
-              "deterministic": args.deterministic}
-    report = make_report(KIND_ANALYZE, config, [outcome], args.deterministic, 0.0)
+    report = make_report(KIND_ANALYZE, config, [outcome.to_dict()], args.deterministic, 0.0)
     if args.svg:
-        components = [c for lv in entries for c in lv["report"]["components"]]
+        components = [c for lv in outcome.levels for c in lv["report"]["components"]]
         svg = render_topology_svg(
-            window, components, levels[0], field_fn=f,
+            window, components, args.levels[0], field_fn=network_scalar_fn(net),
             points=data.points if data is not None else None,
             labels=data.labels if data is not None else None,
             deterministic=args.deterministic, title=f"analysis of {Path(args.model).name}")
@@ -223,52 +219,46 @@ def cmd_sweep_nonsingular(args) -> int:
     return _finish(report, args.report)
 
 
-def _rebuilt_seed(spec: ExperimentSpec, raw: dict, chains: list) -> dict:
-    """A reproduce outcome.  A seed stops before ``train.steps`` only at
-    ``target_loss``, with the weights of that loss; any other ran every step."""
-    if raw["error"] is not None:
-        return SeedOutcome(**raw).to_dict()
-    data, net, cfg = spec.dataset(raw["seed"]), network_from_dict(raw["network"]), spec.train
+def _rebuilt_seed(spec: ExperimentSpec, o: dict) -> dict:
+    """A reproduce outcome from its raw members.  A seed stops before ``train.steps``
+    only at ``target_loss``, with the weights of that loss; any other ran every step."""
+    if o["error"] is not None:
+        return diverged_outcome(o["seed"], o["error"], o["final_loss"], o["steps_run"]).to_dict()
+    data, net, cfg = spec.dataset(o["seed"]), network_from_dict(o["network"]), spec.train
     loss = loss_and_grad(net, data.points, data.labels, cfg.loss)[0]
-    stopped = 1 <= raw["steps_run"] < cfg.steps and loss <= cfg.target_loss
-    return trained_outcome(spec, raw["seed"], data, net, loss if stopped else raw["final_loss"],
-                           raw["steps_run"] if stopped else cfg.steps,
-                           chains + [[]] * len(spec.levels)).to_dict()
+    stopped = 1 <= o["steps_run"] < cfg.steps and loss <= cfg.target_loss
+    return trained_outcome(spec, o["seed"], data, net, loss if stopped else o["final_loss"],
+                           o["steps_run"] if stopped else cfg.steps).to_dict()
 
 
 def rebuild_report(report: dict) -> dict:
     """The report that the writer's functions write from the raw members of
-    ``report``: per outcome its level chains, seed and network (a reproduction's
-    ``RAW_MEMBERS``, a sweep entry's level); the paper figure, sweep spec or
-    analyze config; ``config.deterministic``, ``versions`` and a non-zeroed
-    ``wall_seconds``."""
+    ``report``, running all but training again: a reproduction's paper figure
+    and per seed its ``seed``, ``error``, ``final_loss``, ``steps_run`` and
+    ``network``; a sweep's spec, for as many nets as the report holds; the
+    analyze config and network; ``config.deterministic``, ``versions`` and a
+    non-zeroed ``wall_seconds``."""
     kind, outcomes = report["kind"], report["outcomes"]
-    chains = [[[c["polylines"][0] for c in lv["report"]["components"]] for lv in o["levels"]]
-              for o in outcomes]
     config, wall = report["config"], report["timings"]["wall_seconds"]
     det = config["deterministic"]
     if kind in (KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE):
-        raws = [{key: o[key] for key in RAW_MEMBERS} for o in outcomes]
         fig = config["paper_fig"]
-        spec = reproduction_spec(fig, tuple(raw["seed"] for raw in raws))
+        spec = reproduction_spec(fig, tuple(o["seed"] for o in outcomes))
         kind, config = FIG_KINDS[fig], {"paper_fig": fig, "spec": spec.to_dict(),
                                         "deterministic": det}
-        rebuilt = [_rebuilt_seed(spec, raw, c) for raw, c in zip(raws, chains)]
+        rebuilt = [_rebuilt_seed(spec, o) for o in outcomes]
     elif kind == KIND_SWEEP:
-        spec, config = config["spec"], {"spec": config["spec"], "deterministic": det}
-        window, res = Window(**spec["window"]), (spec["resolution"], spec["resolution"])
-        rebuilt = [SeedOutcome(seed=o["seed"], network=o["network"], levels=tuple(
-            level_entry(lv["level"], window, res, c) for lv, c in zip(o["levels"], cs)),
-            nonsingularity=is_nonsingular(network_from_dict(o["network"]))).to_dict()
-            for o, cs in zip(outcomes, chains)]
+        given, act = config["spec"], config["spec"]["activation"]
+        spec = NonSingularSweepSpec(
+            depths=tuple(given["depths"]), count=len(outcomes), seed=given["seed"],
+            activation=Activation(ActivationKind(act["kind"]), act["sharpness"]),
+            window=Window(**given["window"]), resolution=given["resolution"],
+            levels_per_net=given["levels_per_net"], delta=given["delta"])
+        config = {"spec": spec.to_dict(), "deterministic": det}
+        rebuilt = list(random_nonsingular_sweep(spec))
     elif kind == KIND_ANALYZE:
-        levels, window = config["levels"], Window(**config["window"])
-        res, wall = (config["resolution"], config["resolution"]), 0.0
-        rebuilt = [SeedOutcome(
-            seed=o["seed"], network=o["network"],
-            levels=tuple(level_entry(float(level), window, res, c)
-                         for level, c in zip(levels, cs + [[]] * len(levels)))).to_dict()
-            for o, cs in zip(outcomes, chains)]
+        wall = 0.0
+        rebuilt = [analyze_outcome(network_from_dict(outcomes[0]["network"]), config)[0].to_dict()]
     else:
         raise ValueError(f"unknown report kind {kind!r}")
     return {**make_report(kind, config, rebuilt, det, wall), "versions": report["versions"]}
@@ -276,8 +266,8 @@ def rebuild_report(report: dict) -> dict:
 
 def _differences(stored, rebuilt, path: str = "") -> list[str]:
     """One ``<path> is X, recomputed Y`` line per differing leaf, over the union
-    of every object's members and every list's items; leaves compare as JSON."""
-    if stored is rebuilt:
+    of every object's members and every list's items; values compare as JSON."""
+    if ABSENT not in (stored, rebuilt) and _json(stored) == _json(rebuilt):
         return []
     if type(stored) is type(rebuilt) and isinstance(stored, (dict, list)):
         items = isinstance(stored, list)
@@ -286,8 +276,6 @@ def _differences(stored, rebuilt, path: str = "") -> list[str]:
         return [line for key in sorted(stored.keys() | rebuilt.keys()) for line in _differences(
             stored.get(key, ABSENT), rebuilt.get(key, ABSENT),
             f"{path}[{key}]" if items else f"{path}.{key}" if path else key)]
-    if ABSENT not in (stored, rebuilt) and json.dumps(stored) == json.dumps(rebuilt):
-        return []
     stored, rebuilt = ("absent" if v is ABSENT else repr(v) for v in (stored, rebuilt))
     return [f"{path} is {stored}, recomputed {rebuilt}"]
 
@@ -300,7 +288,7 @@ def validate_report(report) -> list[str]:
     if report.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {report.get('schema_version')!r}")
     try:
-        return _differences(report, rebuild_report(report))
+        return _differences(report, json.loads(dumps_report(rebuild_report(report))))
     except KeyError as exc:
         raise ValueError(f"report is missing key {exc}") from None
     except (TypeError, IndexError) as exc:

@@ -25,8 +25,6 @@ KIND_REPRODUCE_WIDE = "reproduce-3b"
 KIND_SWEEP = "sweep-nonsingular"
 KIND_ANALYZE = "analyze"
 FIG_KINDS = {"3a": KIND_REPRODUCE_NARROW, "3b": KIND_REPRODUCE_WIDE}  # by ``--paper-fig``
-# the members of a reproduction's outcome that are raw data, beside its chains
-RAW_MEMBERS = ("seed", "error", "final_loss", "steps_run", "network")
 
 # reproduction pass rules, as fractions of the seed count
 MIN_CONVERGED_FRACTION = 0.5      # narrow sweep: seeds that must reach the loss bar
