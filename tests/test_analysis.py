@@ -205,6 +205,14 @@ class TestNonSingularSweep:
         assert texts["1"] == texts["2"]
         assert len(texts["1"]) == 6
 
+    def test_first_nets_do_not_depend_on_the_count(self):
+        # validate-report reruns a sweep for as many nets as its report holds
+        spec = NonSingularSweepSpec(count=5, levels_per_net=2, resolution=41, seed=2)
+        texts = [e.text for e in random_nonsingular_sweep(spec)]
+        for count in (1, 3):
+            shorter = random_nonsingular_sweep(dataclasses.replace(spec, count=count))
+            assert [e.text for e in shorter] == texts[:count]
+
     def test_count_zero(self):
         spec = NonSingularSweepSpec(count=0)
         assert random_nonsingular_sweep(spec) == ()

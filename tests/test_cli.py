@@ -12,7 +12,9 @@ import pytest
 
 from leveltopo import analysis, cli, training
 from leveltopo.cli import main, parse_activation, parse_levels, parse_window, validate_report
-from leveltopo.network import Window, load_network, save_network
+from leveltopo.contours import extract_components
+from leveltopo.fields import network_scalar_fn, sample_grid
+from leveltopo.network import Window, load_network, network_from_dict, save_network
 from leveltopo.reports import compute_verdicts, level_entry, load_report
 from leveltopo.svgplot import outcome_svg
 from leveltopo import (SIGMOID, Layer, Network, Optimizer, TrainConfig, accuracy,
@@ -921,6 +923,101 @@ def widen_windows(report):
         "verdicts.reproduce-3a.status is 'FAIL', recomputed 'PASS'"]
 
 
+@pytest.fixture(scope="module")
+def three_net_sweep_report(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sweep3") / "r.json"
+    assert main(["sweep-nonsingular", "--count", "3", "--resolution", "41",
+                 "--report", str(path), "--deterministic"]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def analyze_data_report(tmp_path_factory, model, dataset):
+    path = tmp_path_factory.mktemp("analyze") / "r.json"
+    assert main(["analyze", "--model", str(model), "--data", str(dataset),
+                 "--resolution", "41", "--report", str(path), "--deterministic"]) == 0
+    return path
+
+
+def resum(report, outcome):
+    """Recompute an outcome's level sums and the report's verdicts to match."""
+    for key in ("bounded_final", "boundary_final"):
+        outcome[key] = sum(lv[key] for lv in outcome["levels"])
+    report["verdicts"] = compute_verdicts(report)
+
+
+def move_chain_vertex(report):
+    chain = report["outcomes"][0]["levels"][0]["report"]["components"][0]["polylines"][0]
+    x = chain[3][0]
+    chain[3][0] = x + 1e-3
+    resum(report, report["outcomes"][0])
+    return [f"outcomes[0].levels[0].report.components[0].polylines[0][3][0] is "
+            f"{x + 1e-3!r}, recomputed {x!r}"]
+
+
+def nudge_converged_head_bias(report):
+    """Move converged seed 1's head bias by 1e-6: its stored chain no longer
+    comes from its network, which is raw, so the chain is recomputed from it."""
+    outcome = report["outcomes"][1]
+    outcome["network"]["layers"][-1]["bias"][0] += 1e-6
+    f = network_scalar_fn(network_from_dict(outcome["network"]))
+    window = analysis.auto_window(analysis.reproduction_spec("3a", (1,)).dataset(1))
+    [comp] = extract_components(sample_grid(f, window, (201, 201)), 0.5, f=f)
+    stored = outcome["levels"][0]["report"]["components"][0]["polylines"][0]
+    assert len(stored) == len(comp.chain)
+    return [f"outcomes[1].levels[0].report.components[0].polylines[0][{i}][{k}] is {a!r}, "
+            f"recomputed {b!r}" for i, (p, q) in enumerate(zip(stored, comp.chain.tolist()))
+            for k, (a, b) in enumerate(zip(p, q)) if a != b]
+
+
+def shift_sweep_head_bias(report):
+    """The determinants of a sweep net do not read its biases."""
+    bias = report["outcomes"][1]["network"]["layers"][2]["bias"]
+    b = bias[0]
+    bias[0] = b + 0.5
+    return [f"outcomes[1].network.layers[2].bias[0] is {b + 0.5!r}, recomputed {b!r}"]
+
+
+def drop_sweep_level(report):
+    outcome = report["outcomes"][0]
+    entry = outcome["levels"].pop()
+    resum(report, outcome)
+    assert entry["boundary_final"] == 1
+    touching = outcome["boundary_final"]
+    return [f"outcomes[0].levels[4] is absent, recomputed {entry!r}",
+            f"outcomes[0].boundary_final is {touching}, recomputed {touching + 1}"]
+
+
+def move_sweep_level(report):
+    """Replace a net's first entry with its entry at level 0.123, which the
+    net does not reach on the window, sums and verdicts to match."""
+    spec, outcome = report["config"]["spec"], report["outcomes"][0]
+    f = network_scalar_fn(network_from_dict(outcome["network"]))
+    field = sample_grid(f, Window(**spec["window"]), (spec["resolution"],) * 2)
+    stored, touching = outcome["levels"][0], outcome["boundary_final"]
+    outcome["levels"][0] = entry = json.loads(json.dumps(analysis.analyze_level(f, 0.123, field)))
+    resum(report, outcome)
+    [component] = stored["report"]["components"]
+    assert entry["report"]["components"] == []
+    return [f"outcomes[0].levels[0].level is 0.123, recomputed {stored['level']!r}",
+            f"outcomes[0].levels[0].report.level is 0.123, recomputed {stored['level']!r}",
+            "outcomes[0].levels[0].final_classifications[0] is absent, "
+            "recomputed 'boundary_touching'",
+            "outcomes[0].levels[0].boundary_final is 0, recomputed 1",
+            f"outcomes[0].levels[0].report.components[0] is absent, recomputed {component!r}",
+            f"outcomes[0].boundary_final is {touching - 1}, recomputed {touching}"]
+
+
+def inflate_sweep_count(report):
+    report["config"]["spec"]["count"] = 10 ** 9
+    return ["config.spec.count is 1000000000, recomputed 3"]
+
+
+def set_analyze_accuracy(report):
+    report["outcomes"][0]["accuracy"] = 0.01
+    return ["outcomes[0].accuracy is 0.01, recomputed None"]
+
+
 class TestEveryMemberIsRebuilt:
     """validate-report rebuilds the whole report from its raw members, so an
     edit to any other member, an extra member or a missing one exits 1 with
@@ -944,6 +1041,13 @@ class TestEveryMemberIsRebuilt:
         ("two_seed_wide_report", clear_deterministic_timing),
         ("narrow_report", raise_convergence_loss),
         ("narrow_report", widen_windows),
+        ("two_seed_wide_report", move_chain_vertex),
+        ("narrow_report", nudge_converged_head_bias),
+        ("three_net_sweep_report", shift_sweep_head_bias),
+        ("three_net_sweep_report", drop_sweep_level),
+        ("three_net_sweep_report", move_sweep_level),
+        ("three_net_sweep_report", inflate_sweep_count),
+        ("analyze_data_report", set_analyze_accuracy),
     ], ids=lambda v: v if isinstance(v, str) else v.__name__.replace("_", "-"))
     def test_tampered_report_exit_1(self, request, tmp_path, capsys, report_fixture, tamper):
         report = load_report(request.getfixturevalue(report_fixture))
