@@ -575,7 +575,7 @@ def flip_loop_with_its_counts(report):
 
 class TestValidateReportCounts:
     """validate-report recomputes every stored classification and count from
-    the stored chains."""
+    the chains it extracts again from the stored network."""
 
     def test_intact_3b_report_validates(self, wide_report, capsys):
         assert main(["validate-report", str(wide_report)]) == 0
@@ -726,7 +726,7 @@ class TestValidateReportDerivations:
     """validate-report re-derives ``converged`` from the loss and the preset,
     an early stop's ``final_loss`` and every ``accuracy`` from the stored
     network on the seed's regenerated ring data, the kind from the paper
-    figure, and a sweep's ``nonsingularity`` from the stored network; the
+    figure, and a sweep's ``nonsingularity`` from its rerun spec; the
     verdicts follow from the rebuilt outcomes."""
 
     @pytest.mark.parametrize("report_fixture,tamper,messages", [
