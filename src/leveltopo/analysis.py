@@ -19,6 +19,7 @@ on the sampled window alone.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -42,10 +43,18 @@ class ConstructionError(RuntimeError):
     """A network that was just made non-singular failed the membership check."""
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on, or the machine's where that is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
 def _worker_count(n_items: int) -> int:
     env = os.environ.get(THREADS_ENV)
     try:
-        limit = int(env) if env else (os.cpu_count() or 1)
+        limit = int(env) if env else _usable_cores()
     except ValueError:
         limit = 0
     if limit < 1:
@@ -54,7 +63,8 @@ def _worker_count(n_items: int) -> int:
 
 
 def parallel_map(fn, items):
-    """Map a pure function over items, in order, using worker processes when allowed."""
+    """Map a pure function over items, in order, using worker processes when
+    allowed; each item goes to the next worker that is free."""
     items = list(items)
     workers = _worker_count(len(items))
     if workers == 1:
@@ -184,8 +194,8 @@ def _seed_outcome(spec: ExperimentSpec, seed: int, data, result) -> SeedOutcome:
     return trained_outcome(spec, seed, data, trained, float(history[-1]), len(history))
 
 
-def _experiment_chunk(spec: ExperimentSpec, seeds: tuple[int, ...]) -> list[SeedOutcome]:
-    """Train a chunk of seeds as one stack, then analyze each seed."""
+def _experiment_stack(spec: ExperimentSpec, seeds: tuple[int, ...]) -> list[SeedOutcome]:
+    """Train a stack of seeds, then analyze each seed."""
     datasets = [spec.dataset(seed) for seed in seeds]
     nets = [init_weights(list(spec.arch), spec.activation, seed) for seed in seeds]
     cfgs = [dataclasses.replace(spec.train, seed=seed) for seed in seeds]
@@ -193,20 +203,37 @@ def _experiment_chunk(spec: ExperimentSpec, seeds: tuple[int, ...]) -> list[Seed
             in zip(seeds, datasets, train_stack(nets, datasets, cfgs))]
 
 
+STACK_SEEDS = 12  # the most seeds trained as one stack (see ``run_experiment``)
+
+
+def _seed_stacks(seeds: tuple[int, ...], workers: int) -> list[tuple[int, ...]]:
+    """Cut ``seeds`` into contiguous stacks, in seed order, whose sizes
+    differ by at most one.  Their number is the smallest multiple of
+    ``workers`` that keeps each stack at ``STACK_SEEDS`` seeds or fewer, so
+    every worker gets as many stacks; empty ones (fewer seeds than workers)
+    are left out."""
+    count = workers * max(1, math.ceil(len(seeds) / (workers * STACK_SEEDS)))
+    bounds = [len(seeds) * k // count for k in range(count + 1)]
+    return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+
+
 def run_experiment(spec: ExperimentSpec) -> SweepResult:
     """Train/analyze every seed of the sweep; training divergence is recorded
     per seed without aborting the rest.
 
-    The seeds are split into one contiguous chunk per worker, and each chunk
-    trains as one stack.  A seed's result does not depend on its stack, so
-    the outcomes are the same for any worker count.
+    The seeds are cut into stacks of at most ``STACK_SEEDS`` (``_seed_stacks``),
+    which the workers take as they free up, and each stack trains as one.
+    Small stacks keep their buffers in a core's cache (a 50-seed 3b stack's
+    (seeds, 3, 1500) float64 buffers take 1.8 MB each).  Per seed and step,
+    a 3b stack took 31-32 us at 8-12 seeds, 38 us at 20 and 45 us at 50, and
+    a 3a stack 82 us at 10 seeds and 92 us at 20 (2 cores, numpy 2.4.6).  A
+    seed's result does not depend on its stack, so the outcomes are the same
+    for any stack size and worker count.
     """
     seeds = tuple(spec.seeds)
-    workers = _worker_count(len(seeds))
-    bounds = [len(seeds) * k // workers for k in range(workers + 1)]
-    chunks = [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    outcomes = parallel_map(partial(_experiment_chunk, spec), chunks)
-    return SweepResult(tuple(o for chunk in outcomes for o in chunk))
+    stacks = _seed_stacks(seeds, _worker_count(len(seeds)))
+    outcomes = parallel_map(partial(_experiment_stack, spec), stacks)
+    return SweepResult(tuple(o for stack in outcomes for o in stack))
 
 
 def reproduction_spec(fig: str, seeds: tuple[int, ...]) -> ExperimentSpec:

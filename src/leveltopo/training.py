@@ -197,8 +197,14 @@ class _Plan:
     ``_flatten`` lays out one row) and its (pre-activation, activation)
     buffers, each (S, out, points).  ``backward`` holds, last layer first,
     the views of its gradients into ``grads``, the transposed view of its
-    weights, and the layer below's two buffers with the transposed view of
-    its activation (None for the first layer, which reads the batch).
+    weights, the product that carries its delta to the layer below, and the
+    layer below's two buffers with the transposed view of its activation
+    (None for the first layer, which reads the batch).  The product is
+    ``np.matmul``, except through a layer of width 1: there each element is
+    one product, which a broadcast ``np.multiply`` forms faster.  Only the
+    sign of a zero can differ (the matmul adds the product to +0), and each
+    gradient is a matmul or an ``np.add.reduce``, which both start from +0,
+    so the gradients keep their bits.
     ``update`` is two (S, params) buffers for the optimizer's update.  A
     step allocates no hidden layer's array (freeing and re-allocating those
     made the allocator hand pages back to the system and fault them in
@@ -215,7 +221,8 @@ class _Plan:
             b, gb = (a[:, w_end:b_end].reshape(seeds, n_out, 1) for a in (params, grads))
             z, post = np.empty((seeds, n_out, points)), np.empty((seeds, n_out, points))
             self.forward.append((w, b, z, post))
-            self.backward.insert(0, (gw, gb, w.transpose(0, 2, 1), *below))
+            product = np.multiply if n_out == 1 else np.matmul
+            self.backward.insert(0, (gw, gb, w.transpose(0, 2, 1), product, *below))
             below, start = (z, post, post.transpose(0, 2, 1)), b_end
         self.update = (np.empty_like(params), np.empty_like(params))
 
@@ -269,12 +276,12 @@ def _stack_loss_and_grad(plan: _Plan, forward, derivative, final_activation: boo
 
     # the delta of layer i lives in that layer's activation buffer, which the
     # backward pass no longer needs once it reaches layer i
-    for gw, gb, w_t, z_below, below, below_t in plan.backward:
+    for gw, gb, w_t, product, z_below, below, below_t in plan.backward:
         np.matmul(delta, x.transpose(0, 2, 1) if below is None else below_t, out=gw)
         np.add.reduce(delta, axis=2, keepdims=True, out=gb)
         if below is not None:
             deriv = derivative(below, z_below)
-            np.matmul(w_t, delta, out=below)
+            product(w_t, delta, out=below)
             below *= deriv
             delta = below
     return losses

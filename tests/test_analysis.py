@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import os
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from leveltopo import (SIGMOID, Classification, CompositionToleranceError,
                        one_to_one_relu, random_nonsingular_sweep, run_experiment,
                        sample_grid)
 from leveltopo.analysis import THREADS_ENV, auto_window, reproduction_spec
-from leveltopo import cli
+from leveltopo import analysis, cli
 from leveltopo.cli import validate_report
 from leveltopo.reports import KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE, dumps_report, make_report
 from leveltopo.training import DECISION_CUT, Dataset
@@ -133,6 +135,21 @@ class TestRunExperiment:
         monkeypatch.setenv("LEVELSET_PROBE_THREADS", "2")
         assert report_bytes() == serial
 
+    def test_outcomes_do_not_depend_on_the_stack_size(self, monkeypatch):
+        preset = reproduction_spec("3b", (4, 0, 3, 1, 2))
+        spec = dataclasses.replace(preset, train=dataclasses.replace(preset.train, steps=150),
+                                   resolution=61)
+        outcomes = {}
+        for stack_seeds in (1, analysis.STACK_SEEDS):
+            monkeypatch.setattr(analysis, "STACK_SEEDS", stack_seeds)
+            for threads in ("1", "2"):
+                monkeypatch.setenv(THREADS_ENV, threads)
+                outcomes[stack_seeds, threads] = [o.to_dict()
+                                                  for o in run_experiment(spec).outcomes]
+        first = outcomes[1, "1"]
+        assert [o["seed"] for o in first] == [4, 0, 3, 1, 2]
+        assert all(runs == first for runs in outcomes.values())
+
     def test_levels_default_to_decision_cut(self):
         assert self.tiny_spec().levels == (DECISION_CUT,) == (0.5,)
         assert self.tiny_spec().to_dict()["levels"] == [0.5]
@@ -160,6 +177,61 @@ class TestRunExperiment:
         # the report of the diverging spec, run as the 3b preset
         monkeypatch.setattr(cli, "reproduction_spec", lambda fig, seeds: diverging_spec)
         assert validate_report(report) == []
+
+
+class TestWorkerCount:
+    def test_defaults_to_the_usable_cores(self, monkeypatch):
+        monkeypatch.delenv(THREADS_ENV, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert analysis._worker_count(100) == 3
+        assert analysis._worker_count(2) == 2
+
+    def test_machine_cores_where_affinity_is_unavailable(self, monkeypatch):
+        monkeypatch.delenv(THREADS_ENV, raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert analysis._worker_count(100) == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert analysis._worker_count(100) == 1
+
+    def test_environment_caps_the_workers(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setenv(THREADS_ENV, "2")
+        assert analysis._worker_count(100) == 2
+
+
+class TestSeedStacks:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_stack_rule(self, workers):
+        for n in range(workers, 80):
+            seeds = tuple(range(100, 100 + n))
+            stacks = analysis._seed_stacks(seeds, workers)
+            sizes = [len(stack) for stack in stacks]
+            assert max(sizes) <= analysis.STACK_SEEDS, n
+            assert max(sizes) - min(sizes) <= 1, n
+            assert len(stacks) % workers == 0, n
+            # the fewest such stacks: one round of stacks fewer would overflow one
+            fewer = len(stacks) - workers
+            assert fewer == 0 or math.ceil(n / fewer) > analysis.STACK_SEEDS, n
+            # contiguous, in seed order
+            assert tuple(seed for stack in stacks for seed in stack) == seeds, n
+
+    @pytest.mark.parametrize("n,workers,sizes", [
+        (6, 2, [3, 3]),        # narrow-3a on two cores
+        (20, 2, [10, 10]),     # the acceptance sweeps
+        (100, 2, [10] * 10),   # wide-3b
+        (25, 1, [8, 8, 9]),
+    ])
+    def test_sizes(self, n, workers, sizes):
+        assert [len(s) for s in analysis._seed_stacks(tuple(range(n)), workers)] == sizes
+
+    def test_empty_seed_list(self):
+        assert analysis._seed_stacks((), 1) == []
+        assert analysis._seed_stacks((), 2) == []
+
+    def test_fewer_seeds_than_workers_leave_no_empty_stack(self):
+        assert analysis._seed_stacks((7, 8), 4) == [(7,), (8,)]
 
 
 class TestReproductionSpecs:

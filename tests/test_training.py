@@ -575,12 +575,8 @@ KERNEL_CASES = {
 class TestKernelMatchesReference:
     """Losses and gradients are bitwise those of the frozen reference."""
 
-    @pytest.mark.parametrize("activation,loss,final", KERNEL_CASES.values(),
-                             ids=KERNEL_CASES.keys())
-    @pytest.mark.parametrize("seeds", [(4,), (0, 1, 2)], ids=["stack1", "stack3"])
-    @pytest.mark.parametrize("batch", [None, 37], ids=["full", "mini"])
-    def test_losses_and_gradients(self, activation, loss, final, seeds, batch):
-        arch = [2, 3, 2, 2, 1]
+    def check_losses_and_gradients(self, arch, activation, loss, final, seeds, batch):
+        """Compares three points of a descent; returns the last plan."""
         nets = [init_weights(arch, activation, s, final_activation=final) for s in seeds]
         # move the biases off zero, so the bias terms are exercised
         rng = np.random.default_rng(len(seeds))
@@ -608,6 +604,27 @@ class TestKernelMatchesReference:
                     ref_layer_views(want_grads, shapes)):
                 assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
             params -= 0.5 * want_grads
+        return plan
+
+    @pytest.mark.parametrize("activation,loss,final", KERNEL_CASES.values(),
+                             ids=KERNEL_CASES.keys())
+    @pytest.mark.parametrize("seeds", [(4,), (0, 1, 2)], ids=["stack1", "stack3"])
+    @pytest.mark.parametrize("batch", [None, 37], ids=["full", "mini"])
+    def test_losses_and_gradients(self, activation, loss, final, seeds, batch):
+        self.check_losses_and_gradients([2, 3, 2, 2, 1], activation, loss, final, seeds, batch)
+
+    @pytest.mark.parametrize("activation,loss,final", KERNEL_CASES.values(),
+                             ids=KERNEL_CASES.keys())
+    @pytest.mark.parametrize("seeds", [(4,), (0, 1, 2)], ids=["stack1", "stack3"])
+    @pytest.mark.parametrize("batch", [None, 37], ids=["full", "mini"])
+    def test_width_one_hidden_layer(self, activation, loss, final, seeds, batch):
+        # the delta of the width-1 hidden layer reaches the first layer's
+        # buffers through the broadcast product, as the head's reaches the
+        # second hidden layer's
+        plan = self.check_losses_and_gradients([2, 2, 1, 2, 1], activation, loss, final,
+                                               seeds, batch)
+        assert [entry[3] for entry in plan.backward] == [
+            np.multiply, np.matmul, np.multiply, np.matmul]
 
     @pytest.mark.parametrize("cfg", [
         TrainConfig(steps=300, target_loss=0.0),
