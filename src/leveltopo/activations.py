@@ -51,6 +51,11 @@ class Activation:
         return self.kind is not ActivationKind.RELU
 
 
+def activation_from_dict(d: dict) -> Activation:
+    """Decode ``{"kind": ..., "sharpness": ...}``; an absent sharpness is None."""
+    return Activation(ActivationKind(d["kind"]), d.get("sharpness"))
+
+
 def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``1 / (1 + exp(-x))`` into ``out``.  exp overflows to inf for x below
     about -709, which still yields the correct limit 0.0."""
@@ -99,7 +104,7 @@ _FORMS = {
 
 def activation_forms(act: Activation):
     """``(forward, derivative)``: the one in-place form of ``act`` and of its
-    derivative, which the training kernel binds once per run.
+    derivative, which training binds once per run and ``forward_batch`` uses.
 
     ``forward(x, out)`` writes ``act(x)`` into ``out``, which may be ``x``.
     ``derivative(post, z)`` overwrites the pre-activation ``z`` with

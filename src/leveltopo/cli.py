@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .activations import Activation, ActivationKind
+from .activations import Activation, ActivationKind, activation_from_dict
 from .analysis import (ConstructionError, ExperimentSpec, NonSingularSweepSpec,
                        analyze_outcome, auto_window, diverged_outcome, reproduction_spec,
                        run_experiment, random_nonsingular_sweep, trained_outcome)
@@ -75,7 +75,10 @@ def parse_window(text: str) -> Window | None:
 
 
 def parse_levels(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+    levels = tuple(float(v) for v in text.split(","))
+    if not np.all(np.isfinite(levels)):
+        raise ValueError(f"levels must be finite, got {text!r}")
+    return levels
 
 
 def _flag_type(parse):
@@ -248,10 +251,10 @@ def rebuild_report(report: dict) -> dict:
                                         "deterministic": det}
         rebuilt = [_rebuilt_seed(spec, o) for o in outcomes]
     elif kind == KIND_SWEEP:
-        given, act = config["spec"], config["spec"]["activation"]
+        given = config["spec"]
         spec = NonSingularSweepSpec(
             depths=tuple(given["depths"]), count=len(outcomes), seed=given["seed"],
-            activation=Activation(ActivationKind(act["kind"]), act["sharpness"]),
+            activation=activation_from_dict(given["activation"]),
             window=Window(**given["window"]), resolution=given["resolution"],
             levels_per_net=given["levels_per_net"], delta=given["delta"])
         config = {"spec": spec.to_dict(), "deterministic": det}

@@ -2,7 +2,9 @@
 
 Networks are immutable once built (weight arrays are marked read-only), so
 forward evaluation is a pure function and instances can be shared freely
-across threads or worker processes.
+across threads or worker processes.  ``forward_batch`` works on the training
+kernel's (width, points) layout, one row update per input column, and runs
+the activation's in-place form, the one training binds (``activation_forms``).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .activations import Activation, ActivationKind, activation_apply
+from .activations import Activation, activation_forms, activation_from_dict
 
 
 @dataclass(frozen=True)
@@ -94,37 +96,26 @@ class Network:
         return forward_batch(self, x)
 
 
-def _affine_batch(a: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Affine map with elementwise accumulation instead of a matmul.
-
-    Each output column is built by the same left-to-right sum regardless of
-    batch size or matrix shape, so (a) a single point and a batch row give
-    bitwise-identical results, and (b) zero-padding a network appends terms
-    that are exactly 0.0 and leaves the original values untouched.  BLAS
-    kernels guarantee neither.
-    """
-    out = np.empty((a.shape[0], weights.shape[0]), dtype=np.float64)
-    for j in range(weights.shape[0]):
-        acc = a[:, 0] * weights[j, 0]
-        for k in range(1, weights.shape[1]):
-            acc = acc + a[:, k] * weights[j, k]
-        out[:, j] = acc + bias[j]
-    return out
-
-
 def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
-    """Evaluate ``net`` on a batch of points, shape (m, input_dim) -> (m, output_dim)."""
+    """Evaluate ``net`` on a batch of points, shape (m, input_dim) -> (m, output_dim),
+    into a fresh C-contiguous array.  Not a matmul: each element is the same
+    left-to-right sum whatever the batch size or matrix shape, so a single
+    point and a batch row agree bitwise, and zero-padding a network appends
+    terms that are exactly 0.0.  BLAS kernels guarantee neither."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != net.input_dim:
         raise ValueError(f"expected batch of shape (m, {net.input_dim}), got {a.shape}")
-    last = len(net.layers) - 1
+    a, last = a.T, len(net.layers) - 1
     for i, layer in enumerate(net.layers):
-        z = _affine_batch(a, layer.weights, layer.bias)
+        z = layer.weights[:, :1] * a[0]
+        for k in range(1, layer.n_in):
+            z += layer.weights[:, k:k + 1] * a[k]
+        z += layer.bias[:, None]
         if i < last or net.final_activation:
-            a = activation_apply(net.activation, z)
-        else:
-            a = z
-    return a
+            with np.errstate(over="ignore"):
+                activation_forms(net.activation)[0](z, z)
+        a = z
+    return np.ascontiguousarray(a.T)
 
 
 def scalar_output(net: Network, x: np.ndarray) -> np.ndarray:
@@ -163,8 +154,10 @@ class Window:
         hi = np.array(self.hi, dtype=np.float64)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError(f"lo/hi must be 1-d and matching, got {lo.shape} vs {hi.shape}")
-        if not np.all(lo < hi):
-            raise ValueError(f"window needs lo < hi per axis, got lo={lo}, hi={hi}")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 1e308 - -1e308
+            if not np.all((lo < hi) & np.isfinite(hi - lo)):
+                raise ValueError(f"window needs lo < hi per axis and a finite extent, "
+                                 f"got lo={lo}, hi={hi}")
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "lo", lo)
@@ -240,9 +233,7 @@ def network_from_dict(d: dict) -> Network:
                   np.asarray(spec["bias"], dtype=np.float64))
             for spec in d["layers"]
         )
-        act = d["activation"]
-        return Network(d["input_dim"], layers,
-                       Activation(ActivationKind(act["kind"]), act.get("sharpness")),
+        return Network(d["input_dim"], layers, activation_from_dict(d["activation"]),
                        d["final_activation"])
     except KeyError as exc:
         raise ValueError(f"network is missing key {exc}") from None

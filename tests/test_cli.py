@@ -420,8 +420,21 @@ class TestOptionChecks:
          "argument --arch: invalid literal for int() with base 10: 'x'"),
         (["train", "--data", "d.csv", "--arch", "2,3,1", "--activation", "swish",
           "--out", "m.json"], "argument --activation: unknown activation 'swish'"),
+        (["analyze", "--model", "m.json", "--window=-inf,4,-4,4"],
+         "argument --window: window needs lo < hi per axis and a finite extent"),
+        (["sweep-nonsingular", "--window=-4,inf,-4,4"],
+         "argument --window: window needs lo < hi per axis and a finite extent"),
+        (["sweep-nonsingular", "--window=-4,4,nan,4"],
+         "argument --window: window needs lo < hi per axis and a finite extent"),
+        (["analyze", "--model", "m.json", "--window=-1e308,1e308,-4,4"],
+         "argument --window: window needs lo < hi per axis and a finite extent"),
+        (["analyze", "--model", "m.json", "--levels", "nan"],
+         "argument --levels: levels must be finite, got 'nan'"),
+        (["analyze", "--model", "m.json", "--levels", "0.5,inf"],
+         "argument --levels: levels must be finite, got '0.5,inf'"),
     ], ids=["depths", "window-float", "window-arity", "sweep-window-auto", "sharpness",
-            "levels", "arch", "activation"])
+            "levels", "arch", "activation", "window-inf", "sweep-window-inf",
+            "sweep-window-nan", "window-extent-overflows", "levels-nan", "levels-inf"])
     def test_unparsable_flag_value_is_named_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exited:
             main(argv)
@@ -1013,6 +1026,13 @@ def inflate_sweep_count(report):
     return ["config.spec.count is 1000000000, recomputed 3"]
 
 
+def drop_sweep_sharpness(report):
+    """A sweep spec's activation decodes as a model's does: an absent
+    sharpness is None, which the rebuilt spec writes out."""
+    del report["config"]["spec"]["activation"]["sharpness"]
+    return ["config.spec.activation.sharpness is absent, recomputed None"]
+
+
 def set_analyze_accuracy(report):
     report["outcomes"][0]["accuracy"] = 0.01
     return ["outcomes[0].accuracy is 0.01, recomputed None"]
@@ -1047,6 +1067,7 @@ class TestEveryMemberIsRebuilt:
         ("three_net_sweep_report", drop_sweep_level),
         ("three_net_sweep_report", move_sweep_level),
         ("three_net_sweep_report", inflate_sweep_count),
+        ("three_net_sweep_report", drop_sweep_sharpness),
         ("analyze_data_report", set_analyze_accuracy),
     ], ids=lambda v: v if isinstance(v, str) else v.__name__.replace("_", "-"))
     def test_tampered_report_exit_1(self, request, tmp_path, capsys, report_fixture, tamper):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leveltopo import (SIGMOID, TANH, Layer, Network, Window, decompose, forward_batch,
+from leveltopo import (RELU, SIGMOID, TANH, Layer, Network, Window, decompose, forward_batch,
                        one_to_one_relu)
+from leveltopo.activations import activation_apply
 from leveltopo.network import dumps_network, load_network, loads_network, save_network
 
 
@@ -68,6 +69,63 @@ class TestForward:
         net = small_net()
         with pytest.raises(ValueError):
             net.layers[0].weights[0, 0] = 99.0
+
+
+def reference_forward(net, x):
+    """The per-output loop ``forward_batch`` replaced, kept as its bitwise
+    reference: a fresh (points, width) array per layer, each output column
+    summed left to right over the inputs, then ``activation_apply``."""
+    a = np.asarray(x, dtype=np.float64)
+    last = len(net.layers) - 1
+    for i, layer in enumerate(net.layers):
+        weights, bias = layer.weights, layer.bias
+        z = np.empty((a.shape[0], weights.shape[0]), dtype=np.float64)
+        for j in range(weights.shape[0]):
+            acc = a[:, 0] * weights[j, 0]
+            for k in range(1, weights.shape[1]):
+                acc = acc + a[:, k] * weights[j, k]
+            z[:, j] = acc + bias[j]
+        a = activation_apply(net.activation, z) if (i < last or net.final_activation) else z
+    return a
+
+
+def random_net(rng, activation, final, width):
+    """2 -> one to three hidden layers of ``width`` -> 1 or 2 outputs, with
+    weights and biases large enough to saturate sigmoid and tanh."""
+    arch = [2] + [width] * int(rng.integers(1, 4)) + [int(rng.integers(1, 3))]
+    scale = float(rng.choice([0.5, 3.0, 40.0]))
+    layers = tuple(Layer(rng.normal(scale=scale, size=(n_out, n_in)),
+                         rng.normal(scale=scale, size=n_out))
+                   for n_in, n_out in zip(arch[:-1], arch[1:]))
+    return Network(2, layers, activation, final)
+
+
+LATTICE = Window(np.array([-4.0, -4.0]), np.array([4.0, 4.0])).lattice((201, 201))
+
+
+class TestForwardMatchesReference:
+    @pytest.mark.parametrize("final", [True, False], ids=["final", "raw"])
+    @pytest.mark.parametrize("activation", [SIGMOID, TANH, RELU, one_to_one_relu(3)],
+                             ids=lambda a: a.kind.value)
+    def test_bitwise(self, activation, final):
+        rng = np.random.default_rng(24)
+        for width in (1, 2, 3, 4):
+            net = random_net(rng, activation, final, width)
+            for x in (LATTICE[20100:20101], LATTICE):
+                np.testing.assert_array_equal(forward_batch(net, x), reference_forward(net, x))
+
+    def test_fresh_output_and_untouched_input(self):
+        net = random_net(np.random.default_rng(5), TANH, True, 3)
+        for x in (LATTICE.copy(), np.asfortranarray(LATTICE), LATTICE[::-7]):
+            before = x.copy()
+            out = forward_batch(net, x)
+            np.testing.assert_array_equal(x, before)
+            assert out.shape == (len(x), net.output_dim) and out.dtype == np.float64
+            assert out.flags.c_contiguous and out.flags.writeable
+            assert not np.shares_memory(out, x)
+            for layer in net.layers:
+                assert not np.shares_memory(out, layer.weights)
+                assert not np.shares_memory(out, layer.bias)
 
 
 class TestDecompose:
@@ -138,6 +196,15 @@ class TestWindow:
     def test_validation(self):
         with pytest.raises(ValueError):
             Window(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("lo,hi", [
+        ([-math.inf, -4.0], [4.0, 4.0]), ([-4.0, -4.0], [4.0, math.nan]),
+        ([math.inf, 0.0], [math.inf, 1.0]), ([-1e308, -4.0], [1e308, 4.0])],
+        ids=["inf-lo", "nan-hi", "inf-both", "extent-overflows"])
+    def test_non_finite_bounds_or_extent_rejected(self, lo, hi):
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="a finite extent"):
+                Window(np.array(lo), np.array(hi))
 
     def test_geometry(self):
         w = Window(np.array([-2.0, -1.0]), np.array([2.0, 3.0]))
