@@ -34,7 +34,7 @@ from .network import Network, Window, _plain, network_to_dict
 from .nonsingular import is_nonsingular, make_nonsingular, pad_to_width, NonSingularityReport
 from .reports import EncodedOutcome, encode_outcome, level_entry
 from .training import (DECISION_CUT, Dataset, TrainConfig, TrainingDiverged, accuracy,
-                       gen_ring_dataset, init_weights, train_stack)
+                       gen_ring_dataset, init_weights, loss_and_grad, train_stack)
 
 THREADS_ENV = "LEVELSET_PROBE_THREADS"
 
@@ -167,31 +167,31 @@ class SweepResult:
 
 
 def trained_outcome(spec: ExperimentSpec, seed: int, data: Dataset, net: Network,
-                    final_loss: float, steps_run: int) -> SeedOutcome:
-    """A trained seed's outcome, each of ``spec.levels`` analysed on
-    ``auto_window`` of its data; for a run and a rebuild alike."""
+                    steps_run: int) -> SeedOutcome:
+    """A trained seed's outcome, for a run and a rebuild alike: the loss of
+    ``net`` on ``data``, and each of ``spec.levels`` analysed on ``auto_window``
+    of its data.  A seed stops before ``train.steps`` only at ``target_loss``,
+    with the weights of that loss; any other ran every step."""
     f = network_scalar_fn(net)
     field = sample_grid(f, auto_window(data), (spec.resolution, spec.resolution))
-    return SeedOutcome(seed=seed, final_loss=final_loss, steps_run=steps_run,
-                       converged=final_loss <= spec.convergence_loss,
+    loss = loss_and_grad(net, data.points, data.labels, spec.train.loss)[0]
+    if not (1 <= steps_run < spec.train.steps and loss <= spec.train.target_loss):
+        steps_run = spec.train.steps
+    return SeedOutcome(seed=seed, final_loss=loss, steps_run=steps_run,
+                       converged=loss <= spec.convergence_loss,
                        accuracy=accuracy(net, data), network=network_to_dict(net),
                        levels=tuple(analyze_level(f, level, field) for level in spec.levels))
 
 
-def diverged_outcome(seed: int, error: str, final_loss: float | None,
-                     steps_run: int) -> SeedOutcome:
-    """The outcome of a seed whose training diverged: nothing is analysed."""
-    return SeedOutcome(seed=seed, error=error, final_loss=final_loss, steps_run=steps_run)
-
-
 def _seed_outcome(spec: ExperimentSpec, seed: int, data, result) -> SeedOutcome:
     """Analyze one seed's training result: (trained, loss history), or the
-    TrainingDiverged it raised."""
+    TrainingDiverged it raised, whose outcome analyses nothing."""
     if isinstance(result, TrainingDiverged):
         losses = result.history.tolist()
-        return diverged_outcome(seed, str(result), losses[-1] if losses else None, len(losses))
+        return SeedOutcome(seed=seed, error=str(result), steps_run=len(losses),
+                           final_loss=losses[-1] if losses else None)
     trained, history = result
-    return trained_outcome(spec, seed, data, trained, float(history[-1]), len(history))
+    return trained_outcome(spec, seed, data, trained, len(history))
 
 
 def _experiment_stack(spec: ExperimentSpec, seeds: tuple[int, ...]) -> list[SeedOutcome]:

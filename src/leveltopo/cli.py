@@ -19,9 +19,9 @@ import numpy as np
 
 from . import __version__
 from .activations import Activation, ActivationKind, activation_from_dict
-from .analysis import (ConstructionError, ExperimentSpec, NonSingularSweepSpec,
-                       analyze_outcome, auto_window, diverged_outcome, reproduction_spec,
-                       run_experiment, random_nonsingular_sweep, trained_outcome)
+from .analysis import (ConstructionError, ExperimentSpec, NonSingularSweepSpec, SeedOutcome,
+                       analyze_outcome, auto_window, reproduction_spec, run_experiment,
+                       random_nonsingular_sweep, trained_outcome)
 from .fields import network_scalar_fn
 from .network import Window, _plain, load_network, network_from_dict, save_network
 from .nonsingular import NonSingularizationError
@@ -30,8 +30,8 @@ from .reports import (FIG_KINDS, KIND_ANALYZE, KIND_REPRODUCE_NARROW, KIND_REPRO
                       make_report, report_passed, verdict_lines, write_report)
 from .svgplot import outcome_svg, render_topology_svg
 from .training import (DECISION_CUT, Loss, Optimizer, TrainConfig, TrainingDiverged,
-                       accuracy, gen_ring_dataset, init_weights, load_dataset,
-                       loss_and_grad, save_dataset, train)
+                       accuracy, gen_ring_dataset, init_weights, load_dataset, save_dataset,
+                       train)
 
 RUNTIME_ERRORS = (TrainingDiverged, ConstructionError, NonSingularizationError,
                   OSError, MemoryError)
@@ -223,15 +223,11 @@ def cmd_sweep_nonsingular(args) -> int:
 
 
 def _rebuilt_seed(spec: ExperimentSpec, o: dict) -> dict:
-    """A reproduce outcome from its raw members.  A seed stops before ``train.steps``
-    only at ``target_loss``, with the weights of that loss; any other ran every step."""
+    """A reproduce outcome from its raw members."""
     if o["error"] is not None:
-        return diverged_outcome(o["seed"], o["error"], o["final_loss"], o["steps_run"]).to_dict()
-    data, net, cfg = spec.dataset(o["seed"]), network_from_dict(o["network"]), spec.train
-    loss = loss_and_grad(net, data.points, data.labels, cfg.loss)[0]
-    stopped = 1 <= o["steps_run"] < cfg.steps and loss <= cfg.target_loss
-    return trained_outcome(spec, o["seed"], data, net, loss if stopped else o["final_loss"],
-                           o["steps_run"] if stopped else cfg.steps).to_dict()
+        return SeedOutcome(o["seed"], o["error"], o["final_loss"], o["steps_run"]).to_dict()
+    return trained_outcome(spec, o["seed"], spec.dataset(o["seed"]),
+                           network_from_dict(o["network"]), o["steps_run"]).to_dict()
 
 
 def rebuild_report(report: dict) -> dict:

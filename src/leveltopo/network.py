@@ -154,8 +154,8 @@ class Window:
         hi = np.array(self.hi, dtype=np.float64)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError(f"lo/hi must be 1-d and matching, got {lo.shape} vs {hi.shape}")
-        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 1e308 - -1e308
-            if not np.all((lo < hi) & np.isfinite(hi - lo)):
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e308 - -1e308, its norm
+            if not (np.all(lo < hi) and np.isfinite(np.linalg.norm(hi - lo))):
                 raise ValueError(f"window needs lo < hi per axis and a finite extent, "
                                  f"got lo={lo}, hi={hi}")
         lo.setflags(write=False)

@@ -46,14 +46,13 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_topology_svg(window: Window, components: list[dict], level: float,
-                        field_fn=None, points: np.ndarray | None = None,
-                        labels: np.ndarray | None = None,
+def render_topology_svg(window: Window, components: list[dict], level: float, field_fn,
+                        points: np.ndarray | None = None, labels: np.ndarray | None = None,
                         deterministic: bool = False, title: str = "") -> str:
     """Compose the SVG document.  ``components`` are report component entries
     (``classification`` and ``polylines``, as ``level_entry`` writes them).
-    ``field_fn`` (points -> values) drives the sign-region fill; omit it to
-    skip the fill layer."""
+    ``field_fn`` (points -> values) drives the sign-region fill; the data
+    ``points`` and their ``labels`` are drawn when given."""
     t = _Transform(window)
     stamp = "1970-01-01T00:00:00Z" if deterministic else (
         datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"))
@@ -70,27 +69,25 @@ def render_topology_svg(window: Window, components: list[dict], level: float,
         parts.append(f'<title>{title}</title>')
     parts.append(f'<rect width="{CANVAS}" height="{CANVAS}" fill="white"/>')
 
-    if field_fn is not None:
-        res = FILL_RESOLUTION
-        fld = sample_grid(field_fn, window, (res, res))
-        centers = 0.25 * (fld.values[:-1, :-1] + fld.values[1:, :-1]
-                          + fld.values[:-1, 1:] + fld.values[1:, 1:])
-        xs, ys = fld.axis(0), fld.axis(1)
-        parts.append('<g shape-rendering="crispEdges">')
-        for i in range(res - 1):
-            for j in range(res - 1):
-                color = COLOR_ABOVE if centers[i, j] >= level else COLOR_BELOW
-                x0, y0 = t(xs[i], ys[j + 1])
-                w = (xs[i + 1] - xs[i]) * t.scale
-                h = (ys[j + 1] - ys[j]) * t.scale
-                parts.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(w)}" '
-                             f'height="{_fmt(h)}" fill="{color}"/>')
-        parts.append("</g>")
+    res = FILL_RESOLUTION
+    fld = sample_grid(field_fn, window, (res, res))
+    centers = 0.25 * (fld.values[:-1, :-1] + fld.values[1:, :-1]
+                      + fld.values[:-1, 1:] + fld.values[1:, 1:])
+    xs, ys = fld.axis(0), fld.axis(1)
+    parts.append('<g shape-rendering="crispEdges">')
+    for i in range(res - 1):
+        for j in range(res - 1):
+            color = COLOR_ABOVE if centers[i, j] >= level else COLOR_BELOW
+            x0, y0 = t(xs[i], ys[j + 1])
+            w = (xs[i + 1] - xs[i]) * t.scale
+            h = (ys[j + 1] - ys[j]) * t.scale
+            parts.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(w)}" '
+                         f'height="{_fmt(h)}" fill="{color}"/>')
+    parts.append("</g>")
 
     if points is not None:
         parts.append('<g stroke="none" fill-opacity="0.8">')
-        lbl = labels if labels is not None else np.zeros(len(points), dtype=int)
-        for (x, y), cls in zip(points, lbl):
+        for (x, y), cls in zip(points, labels):
             sx, sy = t(float(x), float(y))
             if not (0 <= sx <= CANVAS and 0 <= sy <= CANVAS):
                 continue

@@ -78,8 +78,15 @@ def gen_ring_dataset(seed: int, n_inner: int, n_ring: int, inner_sigma: float = 
     the kind of bounded level component narrow networks cannot produce.
     Requires ring_radius > 3 * inner_sigma so the classes barely overlap.
     """
-    if n_inner < 1 or n_ring < 1:
-        raise ValueError("class counts must be >= 1")
+    for name, flag, count in (("n_inner", "--inner", n_inner), ("n_ring", "--ring", n_ring)):
+        if count < 1:
+            raise ValueError(f"{name} ({flag}) must be >= 1, got {count}")
+    for name, flag, sigma in (("inner_sigma", "--inner-sigma", inner_sigma),
+                              ("ring_sigma", "--ring-sigma", ring_sigma)):
+        if not 0 <= sigma < math.inf:
+            raise ValueError(f"{name} ({flag}) must be finite and >= 0, got {sigma}")
+    if not math.isfinite(ring_radius):
+        raise ValueError(f"ring_radius (--ring-radius) must be finite, got {ring_radius}")
     if not ring_radius > 3.0 * inner_sigma:
         raise ValueError(
             f"classes not separable: need ring_radius > 3*inner_sigma, "

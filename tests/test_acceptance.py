@@ -203,7 +203,7 @@ def test_fixture_reports_validate(sweep_run, narrow_run, wide_run):
 # the sha256 of each fixture report's text without its `versions` member
 FIXTURE_DIGESTS = {
     KIND_SWEEP: "abb26cb63cba292b8028e53d62e68cb1b3339302063c654793a7064daffe86c3",
-    KIND_REPRODUCE_NARROW: "6ac8ac57f5c4e19999ce41779879fda4b5aab92d9b86c9dd033d60c335fa4b57",
+    KIND_REPRODUCE_NARROW: "dde8a0065daf0f94219f8604ed68b8fec96826495a3255ec568b5b1b55e7d73d",
     KIND_REPRODUCE_WIDE: "c4303d538dc5ecfcfbb7c2960599187033522832f9434c0c38b0dadb18015824",
 }
 
@@ -211,8 +211,10 @@ FIXTURE_DIGESTS = {
 def test_fixture_reports_are_pinned(sweep_run, narrow_run, wide_run):
     digests = {run.report["kind"]: report_digest(run.report)
                for run in (sweep_run, narrow_run, wide_run)}
+    changed = "; ".join(f"{kind} is now {digest}" for kind, digest in digests.items()
+                        if FIXTURE_DIGESTS.get(kind) != digest)
     assert digests == FIXTURE_DIGESTS, (
-        f"a fixture report changed; the pinned digests hold for {PINNED_ON}")
+        f"a fixture report changed ({changed}); the pinned digests hold for {PINNED_ON}")
 
 
 def test_criterion_6_contour_region_oracle_equivalence():

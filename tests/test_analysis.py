@@ -15,7 +15,8 @@ from leveltopo.analysis import THREADS_ENV, auto_window, reproduction_spec
 from leveltopo import analysis, cli
 from leveltopo.cli import validate_report
 from leveltopo.reports import KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE, dumps_report, make_report
-from leveltopo.training import DECISION_CUT, Dataset
+from leveltopo.network import network_from_dict
+from leveltopo.training import DECISION_CUT, Dataset, init_weights, loss_and_grad, train_stack
 
 
 def circle_fn(points):
@@ -149,6 +150,25 @@ class TestRunExperiment:
         first = outcomes[1, "1"]
         assert [o["seed"] for o in first] == [4, 0, 3, 1, 2]
         assert all(runs == first for runs in outcomes.values())
+
+    def test_final_loss_is_the_stored_networks_loss(self):
+        """Each trained seed stores the loss of the network it stores; a seed
+        that stopped early stores the loss it stopped at, bit for bit."""
+        preset = reproduction_spec("3b", (0, 1, 2))
+        spec = dataclasses.replace(preset, train=dataclasses.replace(preset.train, steps=300),
+                                   resolution=41)
+        histories = [history for _, history in train_stack(
+            [init_weights(list(spec.arch), spec.activation, seed) for seed in spec.seeds],
+            [spec.dataset(seed) for seed in spec.seeds],
+            [dataclasses.replace(spec.train, seed=seed) for seed in spec.seeds])]
+        outcomes = run_experiment(spec).outcomes
+        assert [len(h) for h in histories] == [169, 178, 300]
+        for o, history in zip(outcomes, histories):
+            data = spec.dataset(o.seed)
+            net = network_from_dict(o.network)
+            assert o.final_loss == loss_and_grad(net, data.points, data.labels, spec.train.loss)[0]
+            assert o.steps_run == len(history)
+        assert [o.final_loss == h[-1] for o, h in zip(outcomes, histories)] == [True, True, False]
 
     def test_levels_default_to_decision_cut(self):
         assert self.tiny_spec().levels == (DECISION_CUT,) == (0.5,)

@@ -397,6 +397,16 @@ class TestOptionChecks:
         (["sweep-nonsingular", "--window=-1,1,-1,1,-1,1"], "--window"),
         (["sweep-nonsingular", "--resolution", "1"], "--resolution"),
         (["analyze", "--model", "m.json", "--resolution", "1"], "--resolution"),
+        (["gen-data", "--inner", "0", "--out", "d.csv"], "n_inner (--inner) must be >= 1"),
+        (["gen-data", "--ring", "-1", "--out", "d.csv"], "n_ring (--ring) must be >= 1"),
+        (["gen-data", "--inner-sigma", "-1", "--out", "d.csv"],
+         "inner_sigma (--inner-sigma) must be finite and >= 0, got -1.0"),
+        (["gen-data", "--ring-sigma", "-1", "--out", "d.csv"],
+         "ring_sigma (--ring-sigma) must be finite and >= 0, got -1.0"),
+        (["gen-data", "--ring-sigma", "nan", "--out", "d.csv"],
+         "ring_sigma (--ring-sigma) must be finite and >= 0, got nan"),
+        (["gen-data", "--ring-radius", "inf", "--out", "d.csv"],
+         "ring_radius (--ring-radius) must be finite, got inf"),
     ])
     def test_vacuous_or_negative_count_exit_2(self, capsys, argv, flag):
         assert main(argv) == 2
@@ -428,13 +438,19 @@ class TestOptionChecks:
          "argument --window: window needs lo < hi per axis and a finite extent"),
         (["analyze", "--model", "m.json", "--window=-1e308,1e308,-4,4"],
          "argument --window: window needs lo < hi per axis and a finite extent"),
+        # the extent is finite, its diagonal is not
+        (["analyze", "--model", "m.json", "--window=-8e307,8e307,-4,4"],
+         "argument --window: window needs lo < hi per axis and a finite extent"),
+        (["sweep-nonsingular", "--window=-8e307,8e307,-8e307,8e307"],
+         "argument --window: window needs lo < hi per axis and a finite extent"),
         (["analyze", "--model", "m.json", "--levels", "nan"],
          "argument --levels: levels must be finite, got 'nan'"),
         (["analyze", "--model", "m.json", "--levels", "0.5,inf"],
          "argument --levels: levels must be finite, got '0.5,inf'"),
     ], ids=["depths", "window-float", "window-arity", "sweep-window-auto", "sharpness",
             "levels", "arch", "activation", "window-inf", "sweep-window-inf",
-            "sweep-window-nan", "window-extent-overflows", "levels-nan", "levels-inf"])
+            "sweep-window-nan", "window-extent-overflows", "window-diagonal-overflows",
+            "sweep-window-diagonal-overflows", "levels-nan", "levels-inf"])
     def test_unparsable_flag_value_is_named_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exited:
             main(argv)
@@ -866,6 +882,13 @@ def lower_early_stop_loss(report):
     return [f"outcomes[0].final_loss is 0.0001, recomputed {loss!r}"]
 
 
+def raise_full_run_loss(report):
+    """A 3a seed ran every step; its loss is still that of its stored network."""
+    loss = report["outcomes"][0]["final_loss"]
+    report["outcomes"][0]["final_loss"] = loss + 0.01
+    return [f"outcomes[0].final_loss is {loss + 0.01!r}, recomputed {loss!r}"]
+
+
 def widen_arch(report):
     report["config"]["spec"]["arch"][1] = 4
     return ["config.spec.arch[1] is 4, recomputed 3"]
@@ -969,18 +992,23 @@ def move_chain_vertex(report):
 
 
 def nudge_converged_head_bias(report):
-    """Move converged seed 1's head bias by 1e-6: its stored chain no longer
-    comes from its network, which is raw, so the chain is recomputed from it."""
+    """Move converged seed 1's head bias by 1e-6: its stored loss and chain no
+    longer come from its network, which is raw, so both are recomputed from it."""
     outcome = report["outcomes"][1]
     outcome["network"]["layers"][-1]["bias"][0] += 1e-6
-    f = network_scalar_fn(network_from_dict(outcome["network"]))
-    window = analysis.auto_window(analysis.reproduction_spec("3a", (1,)).dataset(1))
-    [comp] = extract_components(sample_grid(f, window, (201, 201)), 0.5, f=f)
+    net = network_from_dict(outcome["network"])
+    spec = analysis.reproduction_spec("3a", (1,))
+    data = spec.dataset(1)
+    loss = training.loss_and_grad(net, data.points, data.labels, spec.train.loss)[0]
+    assert loss != outcome["final_loss"]
+    f = network_scalar_fn(net)
+    [comp] = extract_components(sample_grid(f, analysis.auto_window(data), (201, 201)), 0.5, f=f)
     stored = outcome["levels"][0]["report"]["components"][0]["polylines"][0]
     assert len(stored) == len(comp.chain)
-    return [f"outcomes[1].levels[0].report.components[0].polylines[0][{i}][{k}] is {a!r}, "
-            f"recomputed {b!r}" for i, (p, q) in enumerate(zip(stored, comp.chain.tolist()))
-            for k, (a, b) in enumerate(zip(p, q)) if a != b]
+    return [f"outcomes[1].final_loss is {outcome['final_loss']!r}, recomputed {loss!r}"] + [
+        f"outcomes[1].levels[0].report.components[0].polylines[0][{i}][{k}] is {a!r}, "
+        f"recomputed {b!r}" for i, (p, q) in enumerate(zip(stored, comp.chain.tolist()))
+        for k, (a, b) in enumerate(zip(p, q)) if a != b]
 
 
 def shift_sweep_head_bias(report):
@@ -1054,6 +1082,7 @@ class TestEveryMemberIsRebuilt:
         ("narrow_report", stop_at_step_one),
         ("two_seed_wide_report", run_past_the_spec),
         ("two_seed_wide_report", lower_early_stop_loss),
+        ("narrow_report", raise_full_run_loss),
         ("two_seed_wide_report", widen_arch),
         ("two_seed_wide_report", relabel_regime),
         ("two_seed_wide_report", shorten_training),

@@ -199,8 +199,9 @@ class TestWindow:
 
     @pytest.mark.parametrize("lo,hi", [
         ([-math.inf, -4.0], [4.0, 4.0]), ([-4.0, -4.0], [4.0, math.nan]),
-        ([math.inf, 0.0], [math.inf, 1.0]), ([-1e308, -4.0], [1e308, 4.0])],
-        ids=["inf-lo", "nan-hi", "inf-both", "extent-overflows"])
+        ([math.inf, 0.0], [math.inf, 1.0]), ([-1e308, -4.0], [1e308, 4.0]),
+        ([-8e307, -4.0], [8e307, 4.0])],
+        ids=["inf-lo", "nan-hi", "inf-both", "extent-overflows", "diagonal-overflows"])
     def test_non_finite_bounds_or_extent_rejected(self, lo, hi):
         with np.errstate(all="raise"):
             with pytest.raises(ValueError, match="a finite extent"):

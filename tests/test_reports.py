@@ -27,8 +27,10 @@ def test_deterministic_wide_report_is_pinned(tmp_path):
     rp = tmp_path / "r.json"
     assert main(["reproduce", "--paper-fig", "3b", "--seeds", "4", "--report", str(rp),
                  "--deterministic"]) == 0
-    assert report_digest(load_report(rp)) == WIDE_4_SEEDS_DIGEST, (
-        f"the 4-seed 3b report changed; its digest holds for {PINNED_ON}")
+    digest = report_digest(load_report(rp))
+    assert digest == WIDE_4_SEEDS_DIGEST, (
+        f"the 4-seed 3b report changed (reproduce-3b is now {digest}); "
+        f"its digest holds for {PINNED_ON}")
 
 
 def plain_json(report: dict) -> str:
