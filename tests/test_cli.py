@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -19,6 +20,7 @@ from leveltopo.reports import compute_verdicts, level_entry, load_report
 from leveltopo.svgplot import outcome_svg
 from leveltopo import (SIGMOID, Layer, Network, Optimizer, TrainConfig, accuracy,
                        init_weights, load_dataset, one_to_one_relu, train)
+from test_reports import PINNED_ON
 
 
 class TestFlagParsing:
@@ -116,6 +118,36 @@ class TestTrain:
         _, history = train(init_weights([2, 2, 1], SIGMOID, 0), load_dataset(dataset), cfg)
         assert hist_path.read_text().splitlines() == (
             ["step,loss"] + [f"{k},{loss!r}" for k, loss in enumerate(history.tolist(), 1)])
+
+    # The sha256 of each file the commands write, pinned like the report
+    # digests in test_reports.  A mini-batch run's bits depend on the order
+    # its batches are drawn in, which test_history_rows_are_the_training_losses
+    # cannot see: the CLI and train() draw it with the same code.
+    MINI_BATCH_PINS = [
+        (["--arch", "2,3,1", "--steps", "400", "--batch-size", "64", "--optimizer", "sgd",
+          "--lr", "0.5", "--seed", "9"],
+         "f7f63d1c36b81774e49f2775001f66039b6361c551abb8d23e6b5d120b618125",
+         "03782dddeb7a979be7b404a9ccc82002cee56abca2c1f929c2ddba297edfdf4c"),
+        (["--arch", "2,2,2,1", "--steps", "300", "--batch-size", "100", "--seed", "4"],
+         "d0356224e0a318c08a57cbaa8aa8b5253b2abfb0205a27ad6a3fe40b064f7f90",
+         "dd3c364a25c57fc0b6de10a5ee0057799b90ee14fc128051383897db122b6e94"),
+    ]
+
+    def test_mini_batch_outputs_are_pinned(self, tmp_path):
+        def digest(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        data = tmp_path / "d.csv"
+        assert main(["gen-data", "--seed", "3", "--inner", "500", "--ring", "1000",
+                     "--out", str(data)]) == 0
+        assert digest(data) == (
+            "e3e6ffd4ca4b888ce3c82df5759f7fa9639867b7810ebf4294baa1170b1a1317"), PINNED_ON
+        for k, (flags, model_digest, history_digest) in enumerate(self.MINI_BATCH_PINS):
+            model_path, hist_path = tmp_path / f"m{k}.json", tmp_path / f"h{k}.csv"
+            assert main(["train", "--data", str(data), "--out", str(model_path),
+                         "--history", str(hist_path), *flags]) == 0
+            assert (digest(model_path), digest(hist_path)) == (
+                model_digest, history_digest), f"{flags} (pinned on {PINNED_ON})"
 
     def test_history_too_large_for_memory_exit_3(self, tmp_path, dataset, monkeypatch,
                                                   capsys):
