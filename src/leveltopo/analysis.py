@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .activations import SIGMOID, Activation
+from .activations import SIGMOID, Activation, activation_from_dict
 from .contours import extract_components
 from .fields import ScalarField, network_scalar_fn, sample_grid
 from .network import Network, Window, _plain, network_to_dict
@@ -198,9 +198,8 @@ def _experiment_stack(spec: ExperimentSpec, seeds: tuple[int, ...]) -> list[Seed
     """Train a stack of seeds, then analyze each seed."""
     datasets = [spec.dataset(seed) for seed in seeds]
     nets = [init_weights(list(spec.arch), spec.activation, seed) for seed in seeds]
-    cfgs = [dataclasses.replace(spec.train, seed=seed) for seed in seeds]
     return [_seed_outcome(spec, seed, data, result) for seed, data, result
-            in zip(seeds, datasets, train_stack(nets, datasets, cfgs))]
+            in zip(seeds, datasets, train_stack(nets, datasets, spec.train))]
 
 
 STACK_SEEDS = 12  # the most seeds trained as one stack (see ``run_experiment``)
@@ -293,6 +292,14 @@ class NonSingularSweepSpec:
 
     def to_dict(self) -> dict:
         return {**_plain(self), "n": SWEEP_DIM}
+
+    @classmethod
+    def from_dict(cls, d: dict, **given) -> NonSingularSweepSpec:
+        """The spec whose ``to_dict`` is ``d``, with the fields in ``given`` set instead."""
+        decode = {"tuple[int, ...]": tuple, "Activation": activation_from_dict,
+                  "Window": lambda w: Window(**w)}
+        return cls(**given, **{f.name: decode.get(f.type, lambda v: v)(d[f.name])
+                               for f in dataclasses.fields(cls) if f.name not in given})
 
 
 def build_random_nonsingular(spec: NonSingularSweepSpec, index: int,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .activations import Activation, ActivationKind, activation_from_dict
+from .activations import Activation, ActivationKind
 from .analysis import (ConstructionError, ExperimentSpec, NonSingularSweepSpec, SeedOutcome,
                        analyze_outcome, auto_window, reproduction_spec, run_experiment,
                        random_nonsingular_sweep, trained_outcome)
@@ -247,12 +247,7 @@ def rebuild_report(report: dict) -> dict:
                                         "deterministic": det}
         rebuilt = [_rebuilt_seed(spec, o) for o in outcomes]
     elif kind == KIND_SWEEP:
-        given = config["spec"]
-        spec = NonSingularSweepSpec(
-            depths=tuple(given["depths"]), count=len(outcomes), seed=given["seed"],
-            activation=activation_from_dict(given["activation"]),
-            window=Window(**given["window"]), resolution=given["resolution"],
-            levels_per_net=given["levels_per_net"], delta=given["delta"])
+        spec = NonSingularSweepSpec.from_dict(config["spec"], count=len(outcomes))
         config = {"spec": spec.to_dict(), "deterministic": det}
         rebuilt = list(random_nonsingular_sweep(spec))
     elif kind == KIND_ANALYZE:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -252,6 +253,15 @@ def loads_network(text: str) -> Network:
     return network_from_dict(json.loads(text))
 
 
+@contextmanager
+def errors_named(where):
+    """Prefix a ValueError's message with ``where``, the file (or file:line) read."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def save_network(net: Network, path) -> None:
     with open(path, "w") as fh:
         fh.write(dumps_network(net))
@@ -259,5 +269,5 @@ def save_network(net: Network, path) -> None:
 
 
 def load_network(path) -> Network:
-    with open(path) as fh:
+    with errors_named(path), open(path) as fh:
         return loads_network(fh.read())

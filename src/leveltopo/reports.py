@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contours import Classification, boundary_tol, classify_component, component_encloses
-from .network import Window, _plain
+from .network import Window, _plain, errors_named
 
 SCHEMA_VERSION = 1
 
@@ -95,7 +95,7 @@ def write_report(report: dict, path) -> None:
 
 
 def load_report(path) -> dict:
-    with open(path) as fh:
+    with errors_named(path), open(path) as fh:
         return json.load(fh)
 
 

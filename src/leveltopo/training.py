@@ -8,7 +8,6 @@ sweeps can be reproduced bitwise from their seeds.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import json
 import math
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .activations import Activation, ActivationKind, activation_forms
-from .network import Layer, Network, scalar_output
+from .network import Layer, Network, errors_named, scalar_output
 
 FULL_BATCH_LIMIT = 4096
 DEFAULT_MINI_BATCH = 1024
@@ -116,17 +115,23 @@ def save_dataset(data: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    path = Path(path)
+    """Read what ``save_dataset`` writes; an error names the file and a bad row's line."""
+    path, sidecar = Path(path), Path(str(path) + ".meta.json")
+    with errors_named(sidecar):
+        meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
     points, labels = [], []
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        points.append([float(c) for c in cells[:-1]])
-        labels.append(int(cells[-1]))
-    sidecar = Path(str(path) + ".meta.json")
-    meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
-    return Dataset(np.asarray(points), np.asarray(labels), meta)
+    with errors_named(path):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if not line.strip():
+                continue
+            *row, label = line.split(",")
+            with errors_named(f"line {number}"):
+                if points and len(row) != len(points[0]):
+                    raise ValueError(f"expected {len(points[0])} values before the label, "
+                                     f"as the first row has, got {len(row)}")
+                points.append([float(c) for c in row])
+                labels.append(int(label))
+        return Dataset(np.asarray(points), np.asarray(labels), meta)
 
 
 class Optimizer(enum.Enum):
@@ -327,12 +332,14 @@ def loss_and_grad(net: Network, points: np.ndarray, labels: np.ndarray,
     return float(losses[0]), [(gw[0], gb[0, :, 0]) for gw, gb, *_ in reversed(plan.backward)]
 
 
-def _check_stack(nets: list[Network], datasets: list[Dataset],
-                 cfgs: list[TrainConfig]) -> None:
-    if not len(nets) == len(datasets) == len(cfgs):
-        raise ValueError(f"stack needs one dataset and one config per network, got "
-                         f"{len(nets)} networks, {len(datasets)} datasets, {len(cfgs)} configs")
-    first, cfg = nets[0], cfgs[0]
+def _check_stack(nets: list[Network], datasets: list[Dataset], cfg: TrainConfig) -> None:
+    if len(nets) != len(datasets):
+        raise ValueError(f"stack needs one dataset per network, got "
+                         f"{len(nets)} networks and {len(datasets)} datasets")
+    first = nets[0]
+    if first.output_dim != 1:
+        raise ValueError(f"output width (the last --arch width) must be 1, one output per "
+                         f"label, got {first.output_dim}")
     for net in nets:
         if (net.widths != first.widths or net.activation != first.activation
                 or net.final_activation != first.final_activation):
@@ -344,9 +351,6 @@ def _check_stack(nets: list[Network], datasets: list[Dataset],
         if len(data) != len(datasets[0]):
             raise ValueError(f"stacked datasets must have one size, got {len(data)} "
                              f"and {len(datasets[0])} points")
-    for other in cfgs:
-        if dataclasses.replace(other, seed=cfg.seed) != cfg:
-            raise ValueError("stacked configs may differ only in their seed")
 
 
 def _network_at(template: Network, plan: _Plan, row: int) -> Network:
@@ -384,29 +388,29 @@ def _update(plan: _Plan, params, grads, moments, cfg: TrainConfig, step: int) ->
     params -= t1
 
 
-def train_stack(nets, datasets, cfgs) -> list:
-    """Train a stack of seeds at once: net i on datasets[i] under cfgs[i].
+def train_stack(nets, datasets, cfg: TrainConfig) -> list:
+    """Train a stack of seeds at once: net i on datasets[i], all under ``cfg``.
 
-    The networks share their widths and activations, the datasets their
-    size, and the configs everything but ``seed``, which picks each seed's
-    mini-batches.  Returns, in input order, ``(trained, history)`` per seed,
-    or the ``TrainingDiverged`` that seed raised.  A seed leaves the stack
-    when its loss reaches ``target_loss`` (keeping the weights that loss was
-    computed with) or stops being finite, and the arrays of the others are
-    compacted and their ``_Plan`` rebuilt; the (seeds, steps) loss buffer is
-    not, and a result gets a copy of its row's prefix.  Every seed's result
-    is bitwise what it gets trained alone.
+    The networks share their widths and activations and the datasets their
+    size; mini-batches take the same points of every dataset, in the order
+    ``cfg.seed`` draws.  Returns, in input order, ``(trained, history)`` per
+    seed, or the ``TrainingDiverged`` that seed raised.  A seed leaves the
+    stack when its loss reaches ``target_loss`` (keeping the weights that
+    loss was computed with) or stops being finite, and the arrays of the
+    others are compacted and their ``_Plan`` rebuilt; the (seeds, steps)
+    loss buffer is not, and a result gets a copy of its row's prefix.  Every
+    seed's result is bitwise what ``train`` gives it alone.
     """
-    nets, datasets, cfgs = list(nets), list(datasets), list(cfgs)
+    nets, datasets = list(nets), list(datasets)
     if not nets:
         return []
-    _check_stack(nets, datasets, cfgs)
-    template, cfg = nets[0], cfgs[0]
+    _check_stack(nets, datasets, cfg)
+    template = nets[0]
     forward, derivative = activation_forms(template.activation)
     shapes = [layer.weights.shape for layer in template.layers]
     n = len(datasets[0])
     batch = cfg.resolve_batch_size(n)
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    rng = np.random.default_rng(cfg.seed)
 
     x = np.stack([d.points.T for d in datasets])                      # (S, in, N)
     y = np.stack([d.labels.astype(np.float64)[None, :] for d in datasets])  # (S, 1, N)
@@ -419,7 +423,6 @@ def train_stack(nets, datasets, cfgs) -> list:
     results: list = [None] * len(nets)
 
     plan = _Plan(params, grads, shapes, batch)
-    orders = None
     cursor = n  # forces a shuffle before the first mini-batch
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, cfg.steps + 1):
@@ -427,12 +430,12 @@ def train_stack(nets, datasets, cfgs) -> list:
                 bx, by = x, y
             else:
                 if cursor + batch > n:
-                    orders = np.stack([rng.permutation(n) for rng in rngs])
+                    order = rng.permutation(n)
                     cursor = 0
-                sel = orders[:, None, cursor:cursor + batch]
+                sel = order[cursor:cursor + batch]
                 cursor += batch
-                bx = np.take_along_axis(x, sel, axis=2)
-                by = np.take_along_axis(y, sel, axis=2)
+                # a C-contiguous copy, as a full batch is: the matmuls keep their bits
+                bx, by = x.take(sel, axis=2), y.take(sel, axis=2)
 
             losses = _stack_loss_and_grad(plan, forward, derivative,
                                           template.final_activation, bx, by, cfg.loss)
@@ -450,11 +453,8 @@ def train_stack(nets, datasets, cfgs) -> list:
                 if not keep.size:
                     break
                 ids = ids[keep]
-                rngs = [rngs[row] for row in keep.tolist()]
                 params, grads, x, y = params[keep], grads[keep], x[keep], y[keep]
                 moments = tuple(state[keep] for state in moments)
-                if orders is not None:
-                    orders = orders[keep]
                 plan = _Plan(params, grads, shapes, batch)
 
             _update(plan, params, grads, moments, cfg, step)
@@ -473,7 +473,7 @@ def train(net: Network, data: Dataset, cfg: TrainConfig) -> tuple[Network, np.nd
     (NaN/inf loss) raises TrainingDiverged carrying the finite history
     before it.  Trains a stack of one.
     """
-    (result,) = train_stack([net], [data], [cfg])
+    (result,) = train_stack([net], [data], cfg)
     if isinstance(result, TrainingDiverged):
         raise result
     return result

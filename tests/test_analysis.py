@@ -160,7 +160,7 @@ class TestRunExperiment:
         histories = [history for _, history in train_stack(
             [init_weights(list(spec.arch), spec.activation, seed) for seed in spec.seeds],
             [spec.dataset(seed) for seed in spec.seeds],
-            [dataclasses.replace(spec.train, seed=seed) for seed in spec.seeds])]
+            spec.train)]
         outcomes = run_experiment(spec).outcomes
         assert [len(h) for h in histories] == [169, 178, 300]
         for o, history in zip(outcomes, histories):
@@ -387,6 +387,20 @@ class TestCompositionTolerance:
         with pytest.raises(CompositionToleranceError):
             composition_tolerance_check([feed, step], win, eps=0.1, trials=200,
                                         seed=0)
+
+    @pytest.mark.parametrize("chain,window,eps,message", [
+        ([FunctionLink(lambda x: x, 1, 1)], Window(np.array([0.0]), np.array([1.0])), 0.0,
+         "eps must be positive"),
+        ([FunctionLink(lambda x: x, 1, 1)], Window(np.array([0.0]), np.array([1.0])), -0.1,
+         "eps must be positive"),
+        ([], Window(np.array([0.0]), np.array([1.0])), 0.1,
+         "chain must contain at least one link"),
+        ([FunctionLink(lambda x: x, 1, 1)], window2(), 0.1,
+         "window dimension does not match the first link"),
+    ], ids=["eps-zero", "eps-negative", "empty-chain", "window-dim"])
+    def test_bad_arguments_rejected(self, chain, window, eps, message):
+        with pytest.raises(ValueError, match=message):
+            composition_tolerance_check(chain, window, eps=eps, trials=1, seed=0)
 
     def test_incomposable_chain_rejected(self):
         win = window2()

@@ -87,6 +87,14 @@ def model(tmp_path_factory, dataset):
     return path
 
 
+# a data file's second row, and the error it gives after "<file>: line 2: "
+BAD_ROWS = {
+    "short-row": ("1.0,1", "expected 2 values before the label, as the first row has, got 1"),
+    "not-a-number": ("abc,1.0,1", "could not convert string to float: 'abc'"),
+    "fractional-label": ("1.0,1.0,0.5", "invalid literal for int() with base 10: '0.5'"),
+}
+
+
 class TestTrain:
     def test_steps_zero_usage_error(self, tmp_path, dataset):
         code = main(["train", "--data", str(dataset), "--arch", "2,3,1",
@@ -165,7 +173,17 @@ class TestTrain:
         path.write_text(f"0.0,0.0,0\n1.0,1.0,{label}\n2.0,0.5,1\n")
         assert main(["train", "--data", str(path), "--arch", "2,3,1", "--steps", "5",
                      "--out", str(tmp_path / "m.json")]) == 2
-        assert f"dataset labels must be 0 or 1, got {label}" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {path}: dataset labels must be 0 or 1, got {label}\n")
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("row,message", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+    def test_bad_data_row_names_file_and_line_exit_2(self, tmp_path, capsys, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0.0,0.0,0\n{row}\n2.0,0.5,1\n")
+        assert main(["train", "--data", str(path), "--arch", "2,3,1", "--steps", "5",
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 2: {message}\n"
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("flags,message", [
@@ -184,7 +202,9 @@ class TestTrain:
         (["--batch-size", "0"], "batch_size (--batch-size) must be >= 1, got 0"),
         (["--batch-size", "99999"],
          "batch_size (--batch-size) must be at most the dataset size 180, got 99999"),
-    ], ids=["steps-zero", "batch-size-zero", "batch-size-too-large"])
+        (["--arch", "2,3,2"], "output width (the last --arch width) must be 1, "
+                              "one output per label, got 2"),
+    ], ids=["steps-zero", "batch-size-zero", "batch-size-too-large", "two-outputs"])
     def test_bad_count_names_its_flag_exit_2(self, tmp_path, dataset, capsys, flags, message):
         assert main(["train", "--data", str(dataset), "--arch", "2,3,1", "--steps", "5",
                      "--out", str(tmp_path / "m.json"), *flags]) == 2
@@ -250,6 +270,34 @@ class TestAnalyze:
             assert exited.value.code == 2
             assert (f"argument --levels: could not convert string to float: {text!r}"
                     in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("row,message", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+    def test_bad_data_row_names_file_and_line_exit_2(self, tmp_path, model, capsys, row,
+                                                     message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0.0,0.0,0\n{row}\n2.0,0.5,1\n")
+        assert main(["analyze", "--model", str(model), "--data", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 2: {message}\n"
+
+    @pytest.mark.parametrize("net,window,message", [
+        (Network(2, (Layer(np.ones((2, 2)), np.zeros(2)),), SIGMOID), "-1,1,-1,1",
+         "analysis needs a scalar-valued model"),
+        (Network(2, (Layer(np.ones((1, 2)), np.zeros(1)),), SIGMOID), "-1,1,-1,1,-1,1",
+         "model/window mismatch: model input dim 2, window dim 3"),
+    ], ids=["two-outputs", "window-dim"])
+    def test_model_that_cannot_be_analyzed_exit_2(self, tmp_path, capsys, net, window,
+                                                  message):
+        path = tmp_path / "m.json"
+        save_network(net, path)
+        assert main(["analyze", "--model", str(path), f"--window={window}"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_model_that_is_not_json_names_its_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text("not json\n")
+        assert main(["analyze", "--model", str(path), "--window=-1,1,-1,1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: Expecting value: line 1 column 1 (char 0)\n")
 
     def test_model_missing_layers_exit_2(self, tmp_path, capsys):
         path = tmp_path / "m.json"
@@ -558,12 +606,29 @@ class TestValidateReportCommand:
                      "resolution": 5, "levels": [0.5], "deterministic": True},
           "timings": {"wall_seconds": 0.0, "deterministic": True}},
          "malformed report: list index out of range"),
+        ({"schema_version": 2}, "unsupported schema_version 2"),
+        ({"schema_version": 1, "kind": "bogus", "outcomes": [],
+          "config": {"deterministic": True}, "timings": {"wall_seconds": 0.0}},
+         "unknown report kind 'bogus'"),
+        # text that is not JSON: the error names the file
+        ("not json\n", "r.json: Expecting value: line 1 column 1 (char 0)"),
     ])
     def test_malformed_report_exit_2(self, tmp_path, capsys, content, message):
         rp = tmp_path / "r.json"
-        rp.write_text(json.dumps(content))
+        rp.write_text(content if isinstance(content, str) else json.dumps(content))
         assert main(["validate-report", str(rp)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_sweep_spec_without_a_member_exit_2(self, tmp_path, capsys):
+        rp = tmp_path / "r.json"
+        assert main(["sweep-nonsingular", "--count", "1", "--levels-per-net", "1",
+                     "--resolution", "41", "--report", str(rp),
+                     "--deterministic"]) == 0
+        report = load_report(rp)
+        del report["config"]["spec"]["resolution"]
+        rp.write_text(json.dumps(report))
+        assert main(["validate-report", str(rp)]) == 2
+        assert "report is missing key 'resolution'" in capsys.readouterr().err
 
     def test_outcome_without_bounded_final_exit_1(self, tmp_path, capsys):
         # a derived member that is missing is a mismatch like any other

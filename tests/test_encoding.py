@@ -5,6 +5,9 @@ Each expected dict is a literal: a change to how a value object is written
 shows here, not only as a report that differs from an earlier run.
 """
 
+import dataclasses
+import json
+
 import numpy as np
 
 from leveltopo import Layer, Network, Window, is_nonsingular, one_to_one_relu
@@ -117,3 +120,18 @@ def test_network_round_trip():
     net = network_from_dict(RELU3_NET_FORM)
     assert net.activation == one_to_one_relu(3) and not net.final_activation
     assert network_to_dict(net) == RELU3_NET_FORM
+
+
+def test_sweep_spec_round_trip():
+    spec = NonSingularSweepSpec(
+        depths=(2, 0, 3), activation=one_to_one_relu(4), count=7, levels_per_net=2,
+        window=Window(np.array([-1.0, -2.5]), np.array([0.5, 3.0])), resolution=61,
+        seed=5, delta=0.01)
+    form = json.loads(json.dumps(spec.to_dict()))
+    default = NonSingularSweepSpec().to_dict()
+    # every field differs from its default, so a decoder that skipped one shows
+    assert [f.name for f in dataclasses.fields(spec) if form[f.name] == default[f.name]] == []
+    # compared as JSON forms: a Window holds arrays, which dataclass == cannot compare
+    assert NonSingularSweepSpec.from_dict(form).to_dict() == spec.to_dict()
+    assert (NonSingularSweepSpec.from_dict(form, count=3).to_dict()
+            == dataclasses.replace(spec, count=3).to_dict())

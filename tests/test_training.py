@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import pickle
 
@@ -348,13 +347,12 @@ def assert_same_training(got, want):
 class TestTrainStack:
     """A seed trained inside a stack gives bitwise what it gets trained alone."""
 
-    def stack_and_solo(self, nets, datasets, cfg, seeds):
-        cfgs = [dataclasses.replace(cfg, seed=s) for s in seeds]
-        stacked = train_stack(nets, datasets, cfgs)
+    def stack_and_solo(self, nets, datasets, cfg):
+        stacked = train_stack(nets, datasets, cfg)
         solo = []
-        for net, data, c in zip(nets, datasets, cfgs):
+        for net, data in zip(nets, datasets):
             try:
-                solo.append(train(net, data, c))
+                solo.append(train(net, data, cfg))
             except TrainingDiverged as exc:
                 solo.append(exc)
         return stacked, solo
@@ -363,7 +361,7 @@ class TestTrainStack:
         seeds = (0, 1, 2, 3)
         nets = [init_weights([2, 2, 2, 2, 2, 2, 2, 1], SIGMOID, s) for s in seeds]
         datasets = [gen_ring_dataset(s, 500, 1000) for s in seeds]
-        stacked, solo = self.stack_and_solo(nets, datasets, TrainConfig(steps=300), seeds)
+        stacked, solo = self.stack_and_solo(nets, datasets, TrainConfig(steps=300))
         for got, want in zip(stacked, solo):
             assert len(got[1]) == 300
             assert_same_training(got, want)
@@ -373,7 +371,7 @@ class TestTrainStack:
         nets = [init_weights([2, 3, 1], SIGMOID, s) for s in seeds]
         datasets = [gen_ring_dataset(s, 500, 1000) for s in seeds]
         cfg = TrainConfig(steps=5000, target_loss=0.05)
-        stacked, solo = self.stack_and_solo(nets, datasets, cfg, seeds)
+        stacked, solo = self.stack_and_solo(nets, datasets, cfg)
         lengths = [len(hist) for _, hist in stacked]
         assert len(set(lengths)) == len(seeds) and max(lengths) < cfg.steps
         for data, got, want in zip(datasets, stacked, solo):
@@ -383,17 +381,17 @@ class TestTrainStack:
             final = loss_and_grad(trained, data.points, data.labels, Loss.BCE)[0]
             assert final == history[-1] <= cfg.target_loss
 
-    def test_minibatches_follow_each_seeds_config(self):
-        # same net and data for every seed: only cfg.seed tells them apart
-        seeds = (5, 6, 7)
-        net = init_weights([2, 3, 1], SIGMOID, 0)
+    def test_minibatches_share_the_configs_order(self):
+        # three nets on one dataset, drawing their mini-batches in the order
+        # of the one cfg.seed
+        nets = [init_weights([2, 3, 1], SIGMOID, s) for s in (0, 1, 2)]
         data = gen_ring_dataset(0, 30, 60)
-        cfg = TrainConfig(steps=400, batch_size=16, target_loss=0.2)
-        stacked, solo = self.stack_and_solo([net] * 3, [data] * 3, cfg, seeds)
+        cfg = TrainConfig(steps=400, batch_size=16, seed=3, target_loss=0.2)
+        stacked, solo = self.stack_and_solo(nets, [data] * 3, cfg)
         for got, want in zip(stacked, solo):
             assert_same_training(got, want)
         # the seeds stop at different steps, so the stack shrinks mid-epoch
-        assert len({len(hist) for _, hist in stacked}) == len(seeds)
+        assert len({len(hist) for _, hist in stacked}) == len(nets)
 
     def test_diverged_seed_leaves_the_stack(self):
         # plain least squares under SGD: stable on the ring data, divergent on
@@ -403,7 +401,7 @@ class TestTrainStack:
         nets = [init_weights([2, 1], SIGMOID, s, final_activation=False) for s in range(4)]
         cfg = TrainConfig(optimizer=Optimizer.SGD, learning_rate=0.1, steps=300,
                           loss=Loss.MSE, target_loss=0.0)
-        stacked, solo = self.stack_and_solo(nets, datasets, cfg, range(4))
+        stacked, solo = self.stack_and_solo(nets, datasets, cfg)
         diverged = stacked[2]
         assert isinstance(diverged, TrainingDiverged)
         assert isinstance(solo[2], TrainingDiverged)
@@ -418,19 +416,18 @@ class TestTrainStack:
     def test_dataset_sizes_must_match(self):
         nets = [init_weights([2, 2, 1], SIGMOID, s) for s in (0, 1)]
         datasets = [gen_ring_dataset(0, 30, 60), gen_ring_dataset(1, 30, 61)]
-        cfgs = [TrainConfig(steps=5, seed=s) for s in (0, 1)]
         with pytest.raises(ValueError, match="size"):
-            train_stack(nets, datasets, cfgs)
+            train_stack(nets, datasets, TrainConfig(steps=5))
 
-    def test_configs_may_differ_only_in_seed(self):
-        nets = [init_weights([2, 2, 1], SIGMOID, s) for s in (0, 1)]
-        datasets = [gen_ring_dataset(s, 30, 60) for s in (0, 1)]
-        cfgs = [TrainConfig(steps=5, seed=0), TrainConfig(steps=6, seed=1)]
-        with pytest.raises(ValueError, match="seed"):
-            train_stack(nets, datasets, cfgs)
+    def test_output_width_must_be_one(self):
+        # one label per point: a 2-output net would fail inside the kernel
+        nets = [init_weights([2, 3, 2], SIGMOID, 0)]
+        with pytest.raises(ValueError, match=r"output width \(the last --arch width\) "
+                                             r"must be 1, one output per label, got 2"):
+            train_stack(nets, [gen_ring_dataset(0, 30, 60)], TrainConfig(steps=5))
 
     def test_empty_stack(self):
-        assert train_stack([], [], []) == []
+        assert train_stack([], [], TrainConfig()) == []
 
 
 # A frozen reference of the training arithmetic: the kernel as it stood
@@ -635,8 +632,8 @@ class TestKernelMatchesReference:
         seeds = (0, 1, 2)
         nets = [init_weights([2, 2, 2, 2, 2, 2, 2, 1], SIGMOID, s) for s in seeds]
         datasets = [gen_ring_dataset(s, 50, 100) for s in seeds]
-        stacked = train_stack(nets, datasets, [dataclasses.replace(cfg, seed=s) for s in seeds])
-        params, history = ref_train(nets, datasets, cfg, seeds)
+        stacked = train_stack(nets, datasets, cfg)
+        params, history = ref_train(nets, datasets, cfg, [cfg.seed] * 3)
         for row, (trained, hist) in enumerate(stacked):
             assert hist.tobytes() == history[row].tobytes()
             assert training._flatten(trained).tobytes() == params[row].tobytes()
