@@ -104,7 +104,7 @@ def analyze_outcome(net: Network, config: dict) -> tuple[SeedOutcome, ScalarFiel
 
 def auto_window(data: Dataset) -> Window:
     """The bounding box of the data, doubled about its center."""
-    lo, hi = data.bounding_box()
+    lo, hi = data.points.min(axis=0), data.points.max(axis=0)
     center, extent = 0.5 * (lo + hi), hi - lo
     return Window(center - extent, center + extent)
 
@@ -358,11 +358,11 @@ class CompositionToleranceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FunctionLink:
-    """Adapter giving a plain callable the (in_dim, out_dim) link interface."""
+    """Adapter giving a plain callable a Network's (input_dim, output_dim) link interface."""
 
     fn: object
-    in_dim: int
-    out_dim: int
+    input_dim: int
+    output_dim: int
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.fn(x)
@@ -422,9 +422,9 @@ def composition_tolerance_check(chain, window: Window, eps: float, trials: int,
     if not chain:
         raise ValueError("chain must contain at least one link")
     for a, b in zip(chain[:-1], chain[1:]):
-        if a.out_dim != b.in_dim:
-            raise ValueError(f"chain links do not compose: {a.out_dim} -> {b.in_dim}")
-    if window.dim != chain[0].in_dim:
+        if a.output_dim != b.input_dim:
+            raise ValueError(f"chain links do not compose: {a.output_dim} -> {b.input_dim}")
+    if window.dim != chain[0].input_dim:
         raise ValueError("window dimension does not match the first link")
 
     points = window.lattice((COMPOSITION_GRID_PER_AXIS,) * window.dim)
@@ -448,7 +448,7 @@ def composition_tolerance_check(chain, window: Window, eps: float, trials: int,
             for link, dom in zip(chain, link_domains):
                 center = rng.uniform(dom.lo, dom.hi)
                 width = dom.extent * rng.uniform(0.2, 0.6, size=dom.dim)
-                direction = rng.normal(size=link.out_dim)
+                direction = rng.normal(size=link.output_dim)
                 direction /= np.linalg.norm(direction)
                 amplitude = delta * rng.uniform(0.5, 1.0)
                 bumps.append(Bump(center, np.maximum(width, 1e-9), amplitude, direction))

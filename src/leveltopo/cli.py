@@ -110,6 +110,11 @@ def cmd_gen_data(args) -> int:
     data = gen_ring_dataset(args.seed, args.inner, args.ring, args.inner_sigma,
                             args.ring_radius, args.ring_sigma)
     save_dataset(data, args.out)
+    # the generator's settings, for the reader only: no command opens this file
+    meta = {"generator": "ring", "seed": args.seed, "n_inner": args.inner, "n_ring": args.ring,
+            "inner_sigma": args.inner_sigma, "ring_radius": args.ring_radius,
+            "ring_sigma": args.ring_sigma}
+    Path(f"{args.out}.meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(data)} points to {args.out} (+ sidecar {args.out}.meta.json)")
     return 0
 
@@ -139,6 +144,9 @@ def cmd_analyze(args) -> int:
     net = load_network(args.model)
     if net.output_dim != 1:
         raise ValueError("analysis needs a scalar-valued model")
+    if net.input_dim != 2:
+        raise ValueError(f"analysis needs a 2-input model, got input dim {net.input_dim} "
+                         f"from --model {args.model}")
     data = load_dataset(args.data) if args.data else None
     if data is not None and data.dim != net.input_dim:
         raise ValueError(f"model/data mismatch: model input dim {net.input_dim}, "
@@ -165,6 +173,7 @@ def cmd_analyze(args) -> int:
     if data is not None:
         print(f"accuracy {accuracy(net, data):.4f} on {args.data}")
     report = make_report(KIND_ANALYZE, config, [outcome.to_dict()], args.deterministic, 0.0)
+    code = _finish(report, args.report)  # written first, so a bad --svg path costs no report
     if args.svg:
         components = [c for lv in outcome.levels for c in lv["report"]["components"]]
         svg = render_topology_svg(
@@ -174,7 +183,7 @@ def cmd_analyze(args) -> int:
             deterministic=args.deterministic, title=f"analysis of {Path(args.model).name}")
         Path(args.svg).write_text(svg)
         print(f"svg -> {args.svg}")
-    return _finish(report, args.report)
+    return code
 
 
 def cmd_reproduce(args) -> int:

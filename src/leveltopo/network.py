@@ -84,15 +84,6 @@ class Network:
     def hidden_widths(self) -> tuple[int, ...]:
         return tuple(layer.n_out for layer in self.layers[:-1])
 
-    # the analysis code treats networks as evaluatable maps
-    @property
-    def in_dim(self) -> int:
-        return self.input_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.output_dim
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return forward_batch(self, x)
 

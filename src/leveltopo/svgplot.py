@@ -27,21 +27,6 @@ COLOR_CLASS0 = "#3b6fb0"
 COLOR_CLASS1 = "#e58a2e"
 
 
-class _Transform:
-    """Window coordinates to SVG pixels; y axis flipped."""
-
-    def __init__(self, window: Window):
-        self.window = window
-        extent = window.extent
-        self.scale = (CANVAS - 2 * MARGIN) / float(max(extent))
-        self.lo = window.lo
-
-    def __call__(self, x: float, y: float) -> tuple[float, float]:
-        sx = MARGIN + (x - self.lo[0]) * self.scale
-        sy = CANVAS - MARGIN - (y - self.lo[1]) * self.scale
-        return sx, sy
-
-
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
@@ -53,7 +38,13 @@ def render_topology_svg(window: Window, components: list[dict], level: float, fi
     (``classification`` and ``polylines``, as ``level_entry`` writes them).
     ``field_fn`` (points -> values) drives the sign-region fill; the data
     ``points`` and their ``labels`` are drawn when given."""
-    t = _Transform(window)
+    scale = (CANVAS - 2 * MARGIN) / float(max(window.extent))
+
+    def t(x: float, y: float) -> tuple[float, float]:
+        """Window coordinates to SVG pixels; y axis flipped."""
+        return (MARGIN + (x - window.lo[0]) * scale,
+                CANVAS - MARGIN - (y - window.lo[1]) * scale)
+
     stamp = "1970-01-01T00:00:00Z" if deterministic else (
         datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"))
     parts = [
@@ -63,7 +54,7 @@ def render_topology_svg(window: Window, components: list[dict], level: float, fi
         f"<!-- generated {stamp} -->",
         "<!-- transform: sx = {m} + (x - {x0:g}) * {s:.6g}; "
         "sy = {c} - {m} - (y - {y0:g}) * {s:.6g} -->".format(
-            m=MARGIN, c=CANVAS, x0=window.lo[0], y0=window.lo[1], s=t.scale),
+            m=MARGIN, c=CANVAS, x0=window.lo[0], y0=window.lo[1], s=scale),
     ]
     if title:
         parts.append(f'<title>{title}</title>')
@@ -79,8 +70,8 @@ def render_topology_svg(window: Window, components: list[dict], level: float, fi
         for j in range(res - 1):
             color = COLOR_ABOVE if centers[i, j] >= level else COLOR_BELOW
             x0, y0 = t(xs[i], ys[j + 1])
-            w = (xs[i + 1] - xs[i]) * t.scale
-            h = (ys[j + 1] - ys[j]) * t.scale
+            w = (xs[i + 1] - xs[i]) * scale
+            h = (ys[j + 1] - ys[j]) * scale
             parts.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(w)}" '
                          f'height="{_fmt(h)}" fill="{color}"/>')
     parts.append("</g>")

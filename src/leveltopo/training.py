@@ -9,9 +9,8 @@ sweeps can be reproduced bitwise from their seeds.
 from __future__ import annotations
 
 import enum
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,6 @@ class Dataset:
 
     points: np.ndarray
     labels: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)
@@ -63,9 +61,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.points.min(axis=0), self.points.max(axis=0)
 
 
 def gen_ring_dataset(seed: int, n_inner: int, n_ring: int, inner_sigma: float = 0.5,
@@ -98,28 +93,21 @@ def gen_ring_dataset(seed: int, n_inner: int, n_ring: int, inner_sigma: float = 
     points = np.concatenate([inner, ring], axis=0)
     labels = np.concatenate([np.zeros(n_inner, dtype=np.int64),
                              np.ones(n_ring, dtype=np.int64)])
-    meta = {"generator": "ring", "seed": seed, "n_inner": n_inner, "n_ring": n_ring,
-            "inner_sigma": inner_sigma, "ring_radius": ring_radius, "ring_sigma": ring_sigma}
-    return Dataset(points, labels, meta)
+    return Dataset(points, labels)
 
 
 def save_dataset(data: Dataset, path) -> None:
-    """Write ``x1,...,xn,label`` lines plus a JSON metadata sidecar."""
+    """Write ``x1,...,xn,label`` lines."""
     path = Path(path)
     lines = []
     for row, label in zip(data.points, data.labels):
         lines.append(",".join(repr(float(v)) for v in row) + f",{int(label)}")
     path.write_text("\n".join(lines) + "\n")
-    Path(str(path) + ".meta.json").write_text(
-        json.dumps(data.metadata, indent=2, sort_keys=True) + "\n")
 
 
 def load_dataset(path) -> Dataset:
     """Read what ``save_dataset`` writes; an error names the file and a bad row's line."""
-    path, sidecar = Path(path), Path(str(path) + ".meta.json")
-    with errors_named(sidecar):
-        meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
-    points, labels = [], []
+    path, points, labels = Path(path), [], []
     with errors_named(path):
         for number, line in enumerate(path.read_text().splitlines(), 1):
             if not line.strip():
@@ -131,7 +119,7 @@ def load_dataset(path) -> Dataset:
                                      f"as the first row has, got {len(row)}")
                 points.append([float(c) for c in row])
                 labels.append(int(label))
-        return Dataset(np.asarray(points), np.asarray(labels), meta)
+        return Dataset(np.asarray(points), np.asarray(labels))
 
 
 class Optimizer(enum.Enum):

@@ -58,6 +58,16 @@ class TestGenData:
         meta = json.loads((tmp_path / "d.csv.meta.json").read_text())
         assert meta["seed"] == 7 and meta["generator"] == "ring"
 
+    @pytest.mark.parametrize("command", ["train", "analyze"])
+    def test_malformed_sidecar_is_not_read(self, tmp_path, dataset, model, command):
+        # the sidecar is for the reader; no command opens it
+        data = tmp_path / "d.csv"
+        data.write_bytes(dataset.read_bytes())
+        Path(f"{data}.meta.json").write_text("{bad\n")
+        flags = {"train": ["--arch", "2,3,1", "--steps", "5", "--out", str(tmp_path / "m.json")],
+                 "analyze": ["--model", str(model), "--resolution", "21"]}[command]
+        assert main([command, "--data", str(data), *flags]) == 0
+
     def test_rerun_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["gen-data", "--seed", "3", "--inner", "40", "--ring", "60", "--out"]
@@ -150,12 +160,20 @@ class TestTrain:
                      "--out", str(data)]) == 0
         assert digest(data) == (
             "e3e6ffd4ca4b888ce3c82df5759f7fa9639867b7810ebf4294baa1170b1a1317"), PINNED_ON
+        assert digest(tmp_path / "d.csv.meta.json") == (
+            "9e367165484ebeab25119666cdc62d2d5f7aa243aed35c30c02238a7352a1d9d"), PINNED_ON
         for k, (flags, model_digest, history_digest) in enumerate(self.MINI_BATCH_PINS):
             model_path, hist_path = tmp_path / f"m{k}.json", tmp_path / f"h{k}.csv"
             assert main(["train", "--data", str(data), "--out", str(model_path),
                          "--history", str(hist_path), *flags]) == 0
             assert (digest(model_path), digest(hist_path)) == (
                 model_digest, history_digest), f"{flags} (pinned on {PINNED_ON})"
+        # the SVG's title names the model file, so the pin holds for m0.json only
+        svg = tmp_path / "a.svg"
+        assert main(["analyze", "--model", str(tmp_path / "m0.json"), "--data", str(data),
+                     "--levels", "0.5,0.3", "--svg", str(svg), "--deterministic"]) == 0
+        assert digest(svg) == (
+            "5d5a693f0143424b8f29782ea944d71ca2042c43cfac2d88e6ade6c9bc4a9f0d"), PINNED_ON
 
     def test_history_too_large_for_memory_exit_3(self, tmp_path, dataset, monkeypatch,
                                                   capsys):
@@ -284,13 +302,22 @@ class TestAnalyze:
          "analysis needs a scalar-valued model"),
         (Network(2, (Layer(np.ones((1, 2)), np.zeros(1)),), SIGMOID), "-1,1,-1,1,-1,1",
          "model/window mismatch: model input dim 2, window dim 3"),
-    ], ids=["two-outputs", "window-dim"])
+        (Network(3, (Layer(np.ones((1, 3)), np.zeros(1)),), SIGMOID), "-1,1,-1,1,-1,1",
+         "analysis needs a 2-input model, got input dim 3 from --model {path}"),
+    ], ids=["two-outputs", "window-dim", "three-inputs"])
     def test_model_that_cannot_be_analyzed_exit_2(self, tmp_path, capsys, net, window,
                                                   message):
         path = tmp_path / "m.json"
         save_network(net, path)
         assert main(["analyze", "--model", str(path), f"--window={window}"]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+    def test_unwritable_svg_still_writes_the_report_exit_3(self, tmp_path, model, capsys):
+        rp, svg = tmp_path / "r.json", tmp_path / "missing" / "x.svg"
+        assert main(["analyze", "--model", str(model), "--window=-1,1,-1,1",
+                     "--resolution", "21", "--svg", str(svg), "--report", str(rp)]) == 3
+        assert "No such file or directory" in capsys.readouterr().err
+        assert validate_report(load_report(rp)) == []
 
     def test_model_that_is_not_json_names_its_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "m.json"
@@ -415,6 +442,11 @@ class TestReproduceCommand:
         for o in outcomes:
             assert outcome_svg(o, deterministic=True) == \
                 (svg_dir / f"seed{o['seed']:03d}.svg").read_text()
+        # the sha256 of each SVG, pinned like the report digests in test_reports
+        assert [hashlib.sha256((svg_dir / f"seed{s:03d}.svg").read_bytes()).hexdigest()
+                for s in (0, 1)] == [
+            "3bba5c25e348e483355dae83e1ddbe490c342787f2813b1c21442acf03fdf354",
+            "2880f3e4c09ddda9e196912599addeb6be1568e173fcf84094fda1a0dc4ef5dd"], PINNED_ON
 
     def test_seeds_zero_untested(self, capsys):
         assert main(["reproduce", "--paper-fig", "3b", "--seeds", "0"]) == 0

@@ -132,7 +132,6 @@ class TestRingDataset:
         clone = load_dataset(path)
         np.testing.assert_array_equal(clone.points, data.points)
         np.testing.assert_array_equal(clone.labels, data.labels)
-        assert clone.metadata == data.metadata
 
     @pytest.mark.parametrize("labels,bad", [
         ([0, 1, 2, 7], "2"), ([0, 0.7, 1, 1], "0.7"), ([0, 1, -1, 1], "-1"),
