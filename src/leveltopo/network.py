@@ -170,9 +170,13 @@ class Window:
     def lattice(self, resolution: tuple[int, ...]) -> np.ndarray:
         """The (prod(resolution), dim) corner lattice, ``resolution[d]`` evenly
         spaced points on axis d from lo to hi; axis 0 varies slowest."""
-        axes = [np.linspace(lo, hi, r) for lo, hi, r in zip(self.lo, self.hi, resolution)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        points = np.empty((int(np.prod(resolution)), self.dim))
+        grid = points.reshape(*resolution, self.dim)  # a view: point (i, j, ...) of the grid
+        for d, (lo, hi, r) in enumerate(zip(self.lo, self.hi, resolution)):
+            along_d = [1] * len(resolution)
+            along_d[d] = r
+            grid[..., d] = np.linspace(lo, hi, r).reshape(along_d)
+        return points
 
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:
         """Distance from each point (m, dim) to the nearest face of the box."""

@@ -25,6 +25,8 @@ TOL_DET = 1e-9
 MAX_ATTEMPTS = 64
 # output-space cell width used to find candidate collisions
 INJECTIVITY_QUANT = 1e-12
+# odd multiplier of the key mix (Knuth's MMIX LCG constant)
+_KEY_MIX = np.int64(6364136223846793005)
 # relative-separation floor: a pair of grid points may contract by
 # at most this factor of (input separation / window diagonal) * image scale.
 # True collapses (bugs) produce exactly coincident outputs and always fail;
@@ -165,6 +167,17 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None]).ravel())
 
 
+def _mix_keys(keys: list) -> np.ndarray:
+    """One int64 per point from its per-axis int64 keys: ``k0 * _KEY_MIX ^ k1``,
+    then the same with each further axis, wrapping on overflow.  Equal keys
+    mix equally; different keys may collide, which the caller filters out."""
+    mix = keys[0].copy()
+    for axis_keys in keys[1:]:
+        mix *= _KEY_MIX
+        mix ^= axis_keys
+    return mix
+
+
 def check_injective_on_grid(trunk: Network, window: Window, resolution: int) -> bool:
     """Grid-scale injectivity witness for a trunk.
 
@@ -184,10 +197,18 @@ def check_injective_on_grid(trunk: Network, window: Window, resolution: int) -> 
     box diagonal is at most 1, because a failing pair is then closer than one
     cell.  Otherwise the witness only checks near-coincident
     outputs.  Two quantized outputs are that close exactly when they share
-    a cell of one of the 2^d grids ``(q + s) // 2``, ``s`` in {0, 1}^d; for
-    each grid the keys are sorted, and equal keys are compared at lag 1, 2,
-    ... in sorted order until a lag has no equal pair.  This is evidence
-    against construction bugs, not a proof of injectivity.
+    a cell of one of the 2^d grids ``(q + s) >> 1``, ``s`` in {0, 1}^d.
+
+    For each grid the d keys of a point are mixed into one int64
+    (``_mix_keys``) and sorted with one unstable sort.  Equal keys mix
+    equally, so each run of equal keys lies inside a run of equal mixes;
+    positions are compared at lag 1, 2, ... in sorted order until a lag has
+    no equal mix, which enumerates every pair inside every equal-mix run.
+    Different keys that mix equally (a collision) only put extra pairs in
+    a run: an exact per-axis key test drops them before any distance is
+    taken.  So the pairs checked, and the verdict, depend neither on the
+    mix nor on how the sort orders ties.  This is evidence against
+    construction bugs, not a proof of injectivity.
 
     Raises ValueError when an output is NaN or infinite, or too large to
     quantize in int64 cells.
@@ -197,36 +218,37 @@ def check_injective_on_grid(trunk: Network, window: Window, resolution: int) -> 
     if trunk.input_dim != window.dim:
         raise ValueError(f"trunk input dim {trunk.input_dim} != window dim {window.dim}")
     points = window.lattice((resolution,) * window.dim)
-    outputs = forward_batch(trunk, points)
-    if not np.all(np.isfinite(outputs)):
+    rows = np.ascontiguousarray(forward_batch(trunk, points).T)  # one row per output axis
+    if not np.all(np.isfinite(rows)):
         raise ValueError("trunk output is NaN or infinite on the grid; cannot quantize it")
-    scaled = outputs / INJECTIVITY_QUANT
-    if np.any(np.abs(scaled) >= 2.0 ** 63):
+    hi, lo = rows.max(axis=1), rows.min(axis=1)
+    # dividing is monotone, so the largest |output / quant| is that of max(hi, -lo)
+    if np.max(np.maximum(hi, -lo)) / INJECTIVITY_QUANT >= 2.0 ** 63:
         raise ValueError(f"trunk output beyond +-{2.0 ** 63 * INJECTIVITY_QUANT:.3g} on the "
                          f"grid; cannot quantize it in int64 cells of {INJECTIVITY_QUANT}")
 
-    out_extent = outputs.max(axis=0) - outputs.min(axis=0)
-    scale = max(float(np.linalg.norm(out_extent)), INJECTIVITY_QUANT)
+    scale = max(float(np.linalg.norm(hi - lo)), INJECTIVITY_QUANT)
     diag = window.diagonal
-    cells = np.floor(scaled).astype(np.int64).T  # one row of cell indices per axis
+    cells = np.floor(rows / INJECTIVITY_QUANT).astype(np.int64)
     n = len(points)
 
     for shift in np.ndindex(*(2,) * len(cells)):
-        keys = (cells + np.array(shift)[:, None]) // 2
-        order = np.lexsort(keys)
-        keys = np.take(keys, order, axis=1)
-        run = np.arange(n)  # sorted positions whose key equals the one `lag` on
+        keys = [(axis_cells + s) >> 1 for axis_cells, s in zip(cells, shift)]
+        mix = _mix_keys(keys)
+        order = np.argsort(mix)
+        mix = mix[order]
+        # sorted positions whose mix equals the one `lag` on
+        run = np.flatnonzero(mix[1:] == mix[:-1])
         lag = 1
-        while True:
-            run = run[run + lag < n]
-            for axis_keys in keys:
-                run = run[axis_keys[run] == axis_keys[run + lag]]
-            if run.size == 0:
-                break
+        while run.size:
             i, j = order[run], order[run + lag]
-            d_out = _row_norms(outputs[i] - outputs[j])
+            same = np.logical_and.reduce([axis_keys[i] == axis_keys[j] for axis_keys in keys])
+            i, j = i[same], j[same]
+            d_out = _row_norms(np.stack([row[i] - row[j] for row in rows], axis=1))
             d_in = _row_norms(points[i] - points[j])
             if np.any(d_out < DEFAULT_MIN_SEP * (d_in / diag) * scale):
                 return False
             lag += 1
+            run = run[run + lag < n]
+            run = run[mix[run] == mix[run + lag]]
     return True

@@ -73,25 +73,40 @@ def encode_outcome(outcome: dict) -> EncodedOutcome:
     return EncodedOutcome(summary, _json(outcome))
 
 
+def _report_pieces(report: dict):
+    """The texts whose concatenation is ``dumps_report(report)``, in order.
+
+    Each outcome is encoded on its own and yielded between the ``outcomes``
+    array's brackets; an ``EncodedOutcome`` brings the text its worker
+    encoded.  No piece holds more than one outcome, so a writer that
+    streams them never holds the report's whole text."""
+    yield "{"
+    for n, (key, value) in enumerate(sorted(report.items())):
+        yield f"{',' if n else ''}{_json(key)}:"
+        if key != "outcomes":
+            yield _json(value)
+            continue
+        yield "["
+        for m, o in enumerate(value):
+            if m:
+                yield ","
+            yield o.text if isinstance(o, EncodedOutcome) else _json(o)
+        yield "]"
+    yield "}\n"
+
+
 def dumps_report(report: dict) -> str:
     """One line of compact, sorted-key JSON: a sweep report's polylines hold
     hundreds of thousands of coordinates, and indenting puts each on a line
-    of its own.
-
-    Each outcome is encoded on its own and spliced into the ``outcomes``
-    array; an ``EncodedOutcome`` brings the text its worker encoded.  The
-    bytes are those of encoding the plain-dict report in one call."""
-    def member(key, value) -> str:
-        if key != "outcomes":
-            return f"{_json(key)}:{_json(value)}"
-        texts = (o.text if isinstance(o, EncodedOutcome) else _json(o) for o in value)
-        return f"{_json(key)}:[{','.join(texts)}]"
-    return "{" + ",".join(member(k, v) for k, v in sorted(report.items())) + "}\n"
+    of its own.  The bytes are those of encoding the plain-dict report in
+    one call."""
+    return "".join(_report_pieces(report))
 
 
 def write_report(report: dict, path) -> None:
+    """Write ``dumps_report(report)`` to ``path`` piece by piece."""
     with open(path, "w") as fh:
-        fh.write(dumps_report(report))
+        fh.writelines(_report_pieces(report))
 
 
 def load_report(path) -> dict:

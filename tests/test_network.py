@@ -217,3 +217,16 @@ class TestWindow:
         w = Window(np.array([0.0, 0.0]), np.array([4.0, 2.0]))
         d = w.boundary_distance(np.array([[1.0, 1.0], [0.0, 1.0], [3.9, 1.9]]))
         np.testing.assert_allclose(d, [1.0, 0.0, 0.1])
+
+    @pytest.mark.parametrize("lo, hi, resolution", [
+        ([-4.0], [4.0], (31,)), ([-4.0, -3.0], [4.0, 2.5], (201, 201)),
+        ([-4.0, -3.0], [4.0, 2.5], (20, 7)), ([-1.0, -2.0, -3.0], [1.0, 2.0, 3.0], (11, 5, 7))],
+        ids=["1d", "2d-201", "2d-20x7", "3d"])
+    def test_lattice_matches_meshgrid(self, lo, hi, resolution):
+        w = Window(np.array(lo), np.array(hi))
+        axes = [np.linspace(a, b, r) for a, b, r in zip(w.lo, w.hi, resolution)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        expected = np.stack([m.ravel() for m in mesh], axis=1)
+        points = w.lattice(resolution)
+        assert points.flags.c_contiguous and points.dtype == np.float64
+        np.testing.assert_array_equal(points, expected)

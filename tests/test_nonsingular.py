@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import leveltopo.nonsingular as nonsingular
 from leveltopo import (RELU, SIGMOID, Layer, Network, Window, check_injective_on_grid,
                        decompose, forward_batch, init_weights, is_nonsingular,
                        make_nonsingular, one_to_one_relu, pad_to_width, scaled_det)
-from leveltopo.nonsingular import (DEFAULT_MIN_SEP, INJECTIVITY_QUANT,
-                                   NonSingularizationError)
+from leveltopo.nonsingular import (_KEY_MIX, DEFAULT_MIN_SEP, INJECTIVITY_QUANT,
+                                   NonSingularizationError, _mix_keys, _row_norms)
 
 
 def narrow_net(widths=(2, 1, 2, 1), activation=SIGMOID, seed=11):
@@ -286,6 +287,65 @@ def reference_injective(trunk, window, resolution, min_sep=DEFAULT_MIN_SEP):
         for i, j in zip(first[near], second[near]))
 
 
+def lexsort_injective(trunk, window, resolution):
+    """The witness's candidate search before keys were mixed: per shifted
+    grid one ``np.lexsort`` of the per-axis keys, then equal keys compared at
+    lag 1, 2, ... in sorted order.  It reaches 201^2, where the brute force
+    cannot."""
+    points = window.lattice((resolution,) * window.dim)
+    outputs = forward_batch(trunk, points)
+    extent = outputs.max(axis=0) - outputs.min(axis=0)
+    scale = max(float(np.linalg.norm(extent)), INJECTIVITY_QUANT)
+    cells = np.floor(outputs / INJECTIVITY_QUANT).astype(np.int64).T
+    n = len(points)
+    for shift in np.ndindex(*(2,) * len(cells)):
+        keys = (cells + np.array(shift)[:, None]) // 2
+        order = np.lexsort(keys)
+        keys = np.take(keys, order, axis=1)
+        run = np.arange(n)
+        lag = 1
+        while True:
+            run = run[run + lag < n]
+            for axis_keys in keys:
+                run = run[axis_keys[run] == axis_keys[run + lag]]
+            if run.size == 0:
+                break
+            i, j = order[run], order[run + lag]
+            d_out = _row_norms(outputs[i] - outputs[j])
+            d_in = _row_norms(points[i] - points[j])
+            if np.any(d_out < DEFAULT_MIN_SEP * (d_in / window.diagonal) * scale):
+                return False
+            lag += 1
+    return True
+
+
+def tight_trunks():
+    """Non-singular trunks that the witness rejects at 201^2 on [-4, 4]^2
+    and accepts at 11, 20 and 31: a pair falls under the separation floor."""
+    return [(f"tight-{init_seed}", construction_trunk(arch, activation, init_seed, perturb_seed))
+            for arch, activation, init_seed, perturb_seed in [
+                ((2, 2, 1, 1, 1, 1, 1, 1), one_to_one_relu(4), 1571591827, 602593144),
+                ((2, 2, 2, 2, 2, 1, 2, 1), one_to_one_relu(6), 539028366, 502887052),
+                ((2, 1, 1, 1, 1, 1, 2, 1), SIGMOID, 669710604, 315022845)]]
+
+
+def audit_construct_trunks():
+    """Trunks built as the oracle-audit benchmark builds them (sigmoid,
+    depth 1-6, hidden width 2 but for one width-1 layer), each followed by
+    its copy with the first layer zeroed, which maps every point to one
+    output."""
+    rng = np.random.default_rng(728)
+    trunks = []
+    for k in range(6):
+        depth = int(rng.integers(1, 7))
+        hidden = [2] * depth
+        hidden[int(rng.integers(depth))] = 1
+        trunk = construction_trunk([2, *hidden, 1], SIGMOID, int(rng.integers(2 ** 31)),
+                                   int(rng.integers(2 ** 31)))
+        trunks += [(f"construct-{k}", trunk), (f"construct-{k}-zeroed", zeroed_first_layer(trunk))]
+    return trunks
+
+
 def equivalence_trunks():
     rng = np.random.default_rng(515)
     trunks = []
@@ -305,14 +365,7 @@ def equivalence_trunks():
     # squashes y so that at 11^2 each failing pair straddles two adjacent cells
     trunks.append(("cross-cell-squash", affine_trunk(np.diag([2.0, 1.25e-12]),
                                                      [0.0, 0.5e-12])))
-    # non-singular trunks that the witness rejects at 201^2 on [-4, 4]^2
-    for arch, activation, init_seed, perturb_seed in [
-            ((2, 2, 1, 1, 1, 1, 1, 1), one_to_one_relu(4), 1571591827, 602593144),
-            ((2, 2, 2, 2, 2, 1, 2, 1), one_to_one_relu(6), 539028366, 502887052),
-            ((2, 1, 1, 1, 1, 1, 2, 1), SIGMOID, 669710604, 315022845)]:
-        trunks.append((f"tight-{init_seed}",
-                       construction_trunk(arch, activation, init_seed, perturb_seed)))
-    return trunks
+    return trunks + tight_trunks()
 
 
 @pytest.mark.parametrize("resolution", [11, 20, 31])
@@ -333,3 +386,63 @@ def test_witness_matches_brute_force_other_dims(dim, resolution, weights):
     trunk = affine_trunk(matrix, np.linspace(-0.3e-12, 0.5e-12, dim))
     assert (check_injective_on_grid(trunk, window, resolution)
             == reference_injective(trunk, window, resolution))
+
+
+@pytest.mark.parametrize("trunk, must_reject", [
+    pytest.param(trunk, name.endswith("-zeroed") or name.startswith("tight-"), id=name)
+    for name, trunk in audit_construct_trunks() + tight_trunks()])
+def test_witness_matches_lexsort_reference_at_201(trunk, must_reject):
+    window = Window(np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
+    verdict = check_injective_on_grid(trunk, window, 201)
+    assert verdict == lexsort_injective(trunk, window, 201)
+    if must_reject:
+        assert not verdict
+
+
+def quantized_to(cell):
+    """A float whose ``floor(value / INJECTIVITY_QUANT)`` is ``cell``."""
+    value = cell * INJECTIVITY_QUANT
+    while np.floor(value / INJECTIVITY_QUANT) > cell:
+        value = np.nextafter(value, -np.inf)
+    while np.floor(value / INJECTIVITY_QUANT) < cell:
+        value = np.nextafter(value, np.inf)
+    return value
+
+
+@pytest.mark.parametrize("folded", [False, True])
+def test_colliding_mixed_keys_are_filtered(folded, monkeypatch):
+    # keys (0, 0) and (2^49, k) with k = 2^49 * _KEY_MIX, wrapped to int64,
+    # differ but mix to the same int64, k0 * _KEY_MIX ^ k1, on every shifted
+    # grid, since their cells (0, 0) and (2^50, 2k) are even
+    wrapped = 2 ** 49 * int(_KEY_MIX) % 2 ** 64
+    k = wrapped - 2 ** 64 if wrapped >= 2 ** 63 else wrapped
+    assert abs(k) < 2 ** 62  # so the cell 2k can be quantized
+    keys = [np.array([0, 2 ** 49]), np.array([0, k])]
+    mix = _mix_keys(keys)
+    assert mix[0] == mix[1]
+    far = np.array([quantized_to(2 ** 50), quantized_to(2 * k)])
+    window = Window(np.array([-1.0]), np.array([1.0]))
+    if folded:
+        # x = -1 and x = 1 both map to `far`, x = 0 to the origin: a run of
+        # three equal mixes, in whichever order the sort puts them, holds a
+        # coincident pair and one colliding pair on each side of it
+        trunk = Network(1, (Layer(np.array([[1.0], [-1.0]]), np.zeros(2)),
+                            Layer(np.stack([far, far], axis=1), np.zeros(2))),
+                        RELU, final_activation=False)
+        resolution = 3
+    else:
+        # x = -1 maps to the origin and x = 1 to `far`: only a colliding pair
+        trunk = affine_trunk((far / 2)[:, None], far / 2)
+        resolution = 2
+    cells = np.floor(forward_batch(trunk, window.lattice((resolution,))) / INJECTIVITY_QUANT)
+    far_cells, origin_cells = [2 ** 50, 2 * k], [0, 0]
+    assert cells.astype(np.int64).tolist() == ([far_cells, origin_cells, far_cells] if folded
+                                               else [origin_cells, far_cells])
+    # only the coincident pair reaches a distance, one row for outputs and
+    # one for inputs; the colliding pairs are dropped on their keys
+    rows_measured = []
+    monkeypatch.setattr(nonsingular, "_row_norms",
+                        lambda v: rows_measured.append(len(v)) or _row_norms(v))
+    assert check_injective_on_grid(trunk, window, resolution) is not folded
+    assert sum(rows_measured) == (2 if folded else 0)
+    assert reference_injective(trunk, window, resolution) is not folded

@@ -8,7 +8,7 @@ from leveltopo.analysis import THREADS_ENV, random_nonsingular_sweep
 from leveltopo.cli import main
 from leveltopo.reports import (KIND_ANALYZE, KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE,
                                KIND_SWEEP, dumps_report, encode_outcome, load_report,
-                               make_report, report_passed, verdict_lines)
+                               make_report, report_passed, verdict_lines, write_report)
 
 # The sha256 of a deterministic report's text without its `versions` member.
 # Float bits, and so these digests, hold for the numpy and CPU they were taken
@@ -118,16 +118,21 @@ def test_verdict_lines(kind, outcomes, lines, passed):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("count", [0, 1, 6])
-def test_worker_encoded_sweep_report_is_the_plain_encoding(monkeypatch, count, threads):
+def test_worker_encoded_sweep_report_is_the_plain_encoding(monkeypatch, tmp_path, count,
+                                                           threads):
     monkeypatch.setenv(THREADS_ENV, threads)
     spec = NonSingularSweepSpec(count=count)
     entries = random_nonsingular_sweep(spec)
     dicts = [json.loads(e.text) for e in entries]
     assert [e.summary for e in entries] == [encode_outcome(d).summary for d in dicts]
     config = {"spec": spec.to_dict(), "deterministic": True}
-    spliced = dumps_report(make_report(KIND_SWEEP, config, list(entries), True, 0.0))
+    report = make_report(KIND_SWEEP, config, list(entries), True, 0.0)
+    spliced = dumps_report(report)
     assert spliced == plain_json(make_report(KIND_SWEEP, config, dicts, True, 0.0))
     assert ('"outcomes":[]' in spliced) is (count == 0)
+    # the writer streams the same text
+    write_report(report, tmp_path / "r.json")
+    assert (tmp_path / "r.json").read_text() == spliced
 
 
 def test_only_the_top_level_outcomes_are_spliced(tmp_path):
