@@ -56,13 +56,23 @@ def activation_from_dict(d: dict) -> Activation:
     return Activation(ActivationKind(d["kind"]), d.get("sharpness"))
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-x))`` into ``out``.  exp overflows to inf for x below
-    about -709, which still yields the correct limit 0.0."""
-    np.negative(x, out=out)
-    np.exp(out, out=out)
+def sigmoid_of_negated(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(u))``, the sigmoid of ``-u``, into ``out``, which may
+    be ``u``.  exp overflows to inf for u above about 709, which still
+    yields the correct limit 0.0.  ``np.reciprocal`` is the same IEEE
+    division as ``np.divide(1.0, .)``.
+
+    Training hands it ``(-b) - W a``: negation is exact and round-to-nearest
+    is symmetric, so that is bitwise ``-(W a + b)`` up to the sign of a
+    zero, which exp ignores, and the result is bitwise the sigmoid of
+    ``W a + b``."""
+    np.exp(u, out=out)
     out += 1.0
-    return np.divide(1.0, out, out=out)
+    return np.reciprocal(out, out=out)
+
+
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return sigmoid_of_negated(np.negative(x, out=out), out)
 
 
 def _sigmoid_derivative(post: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -208,7 +208,9 @@ def check_injective_on_grid(trunk: Network, window: Window, resolution: int) -> 
     a run: an exact per-axis key test drops them before any distance is
     taken.  So the pairs checked, and the verdict, depend neither on the
     mix nor on how the sort orders ties.  This is evidence against
-    construction bugs, not a proof of injectivity.
+    construction bugs, not a proof of injectivity.  A non-singular trunk
+    that contracts below float64 resolution fails it: two lattice points
+    can map to one float64 output.
 
     Raises ValueError when an output is NaN or infinite, or too large to
     quantize in int64 cells.

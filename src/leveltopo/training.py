@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import enum
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .activations import Activation, ActivationKind, activation_forms
+from .activations import Activation, ActivationKind, activation_forms, sigmoid_of_negated
 from .network import Layer, Network, errors_named, scalar_output
 
 FULL_BATCH_LIMIT = 4096
@@ -188,68 +189,126 @@ def _flatten(net: Network) -> np.ndarray:
                            for layer in net.layers])
 
 
+def _width_one_product(w_t: np.ndarray, delta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``w_t @ delta`` for a (S, n, 1) ``w_t``: each element is one product."""
+    return np.einsum("srk,skp->srp", w_t, delta, out=out)
+
+
 class _Plan:
-    """The arrays a step of a stack of S seeds touches, built when the stack
-    is built and again each time it is compacted.
+    """The arrays a step of a stack of S seeds of ``template``'s widths and
+    activation touches, built when the stack is built and again each time
+    it is compacted.
 
     ``forward`` holds, per layer, views of its weights (S, out, in) and bias
     (S, out, 1) into the (S, params) array ``params`` (laid out as
-    ``_flatten`` lays out one row) and its (pre-activation, activation)
-    buffers, each (S, out, points).  ``backward`` holds, last layer first,
+    ``_flatten`` lays out one row), the view of its negated bias or None, its
+    (pre-activation, activation) buffers, each (S, out, points), and its
+    activation's in-place form (None for a raw output layer).  Only a
+    sigmoid hidden layer has a negated bias, a view into ``negated``, which
+    the kernel refreshes from ``params`` with one ``np.negative`` per step.
+    It forms ``(-b) - W a``, bitwise ``-(W a + b)`` up to the sign of a
+    zero, and hands it to ``sigmoid_of_negated``, which saves the pass that
+    would negate it; sigmoid's derivative reads only the activation.  The
+    output layer keeps its bias (the BCE loss reads its pre-activation), and
+    so do relu and one_to_one_relu (their derivatives read it) and tanh (it
+    has no negation to save).  ``backward`` holds, last layer first,
     the views of its gradients into ``grads``, the transposed view of its
     weights, the product that carries its delta to the layer below, and the
     layer below's two buffers with the transposed view of its activation
     (None for the first layer, which reads the batch).  The product is
     ``np.matmul``, except through a layer of width 1: there each element is
-    one product, which a broadcast ``np.multiply`` forms faster.  Only the
-    sign of a zero can differ (the matmul adds the product to +0), and each
-    gradient is a matmul or an ``np.add.reduce``, which both start from +0,
-    so the gradients keep their bits.
+    one product, which ``_width_one_product`` forms faster.  Only the sign
+    of a zero can differ, and each gradient is a matmul or an
+    ``np.add.reduce``, which both start from +0, so the gradients keep
+    their bits.
     ``update`` is two (S, params) buffers for the optimizer's update.  A
     step allocates no hidden layer's array (freeing and re-allocating those
     made the allocator hand pages back to the system and fault them in
     again, every step), only the per-point loss of the output layer.
     """
 
-    def __init__(self, params: np.ndarray, grads: np.ndarray, shapes, points: int):
+    def __init__(self, template: Network, params: np.ndarray, grads: np.ndarray, points: int):
         seeds = params.shape[0]
+        self.template = template
+        forward, self.derivative = activation_forms(template.activation)
+        fold = template.activation.kind is ActivationKind.SIGMOID and len(template.layers) > 1
+        self.params, self.negated = params, (np.empty_like(params) if fold else None)
         self.forward, self.backward = [], []
-        below, start = (None, None, None), 0
-        for n_out, n_in in shapes:
+        below, start, last = (None, None, None), 0, len(template.layers) - 1
+        for i, layer in enumerate(template.layers):
+            n_out, n_in = layer.weights.shape
             w_end, b_end = start + n_out * n_in, start + n_out * n_in + n_out
             w, gw = (a[:, start:w_end].reshape(seeds, n_out, n_in) for a in (params, grads))
             b, gb = (a[:, w_end:b_end].reshape(seeds, n_out, 1) for a in (params, grads))
             z, post = np.empty((seeds, n_out, points)), np.empty((seeds, n_out, points))
-            self.forward.append((w, b, z, post))
-            product = np.multiply if n_out == 1 else np.matmul
+            if i < last:
+                neg_b, act = ((self.negated[:, w_end:b_end].reshape(seeds, n_out, 1),
+                               sigmoid_of_negated) if fold else (None, forward))
+            else:
+                neg_b, act = None, (forward if template.final_activation else None)
+            self.forward.append((w, b, neg_b, z, post, act))
+            product = _width_one_product if n_out == 1 else np.matmul
             self.backward.insert(0, (gw, gb, w.transpose(0, 2, 1), product, *below))
             below, start = (z, post, post.transpose(0, 2, 1)), b_end
         self.update = (np.empty_like(params), np.empty_like(params))
 
+    def network(self, row: int) -> Network:
+        """The network of stack row ``row``, with the template's activation."""
+        return Network(self.template.input_dim,
+                       tuple(Layer(w[row], b[row, :, 0]) for w, b, *_ in self.forward),
+                       self.template.activation, self.template.final_activation)
 
-def _stack_loss_and_grad(plan: _Plan, forward, derivative, final_activation: bool,
-                         x: np.ndarray, y: np.ndarray, loss: Loss) -> np.ndarray:
+
+# numpy's ufunc buffer size while the kernel runs, in elements
+_KERNEL_BUFSIZE = 256
+
+
+@contextmanager
+def _kernel_numpy_state():
+    """The numpy state the kernel runs under, restored on exit.
+
+    Overflow and invalid operations raise no warning: a non-finite loss is
+    the divergence signal.  The ufunc buffer is ``_KERNEL_BUFSIZE`` elements,
+    not numpy's default 8192: at the default, numpy 2.4 buffers a bias add
+    that broadcasts over rows shorter than that buffer, which takes 2-3
+    times the time of the pass itself (8.8 against 3.2 µs at 3 seeds x 2
+    rows x 1,500 points).  An elementwise result does not depend on how
+    numpy splits its loop, and the kernel's reductions run along contiguous
+    rows, which numpy reduces without a buffer, so the buffer size moves no
+    bit: the pinned digests and the reference tests check that."""
+    size = np.getbufsize()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.setbufsize(_KERNEL_BUFSIZE)
+            yield
+    finally:
+        np.setbufsize(size)
+
+
+def _stack_loss_and_grad(plan: _Plan, x: np.ndarray, y: np.ndarray, loss: Loss) -> np.ndarray:
     """Forward and reverse-mode pass for a stack of seeds; the training hot loop.
 
-    ``x`` is (S, in, points) and ``y`` is (S, out, points); ``forward`` and
-    ``derivative`` are the activation's in-place forms (``activation_forms``).
-    Writes every seed's gradient into the plan's gradient views and returns
-    its mean loss, shape (S,).  Each seed's numbers come from its own
-    matrices and rows, so a seed gives the same bits alone and inside any
-    stack.  The caller runs it under ``np.errstate(over="ignore",
-    invalid="ignore")`` and decides what to do with overflow: a non-finite
-    loss is the divergence signal.
+    ``x`` is (S, in, points) and ``y`` is (S, out, points).  Writes every
+    seed's gradient into the plan's gradient views and returns its mean
+    loss, shape (S,).  Each seed's numbers come from its own matrices and
+    rows, so a seed gives the same bits alone and inside any stack.  The
+    caller runs it under ``_kernel_numpy_state()`` and decides what to do
+    with overflow: a non-finite loss is the divergence signal.
     """
-    last = len(plan.forward) - 1
+    if plan.negated is not None:
+        np.negative(plan.params, out=plan.negated)
     a = x
-    for i, (w, b, z, post) in enumerate(plan.forward):
+    for w, b, neg_b, z, post, act in plan.forward:
         np.matmul(w, a, out=z)
-        z += b
-        a = forward(z, post) if (i < last or final_activation) else z
+        if neg_b is None:
+            z += b
+        else:
+            np.subtract(neg_b, z, out=z)
+        a = z if act is None else act(z, post)
 
     seeds = x.shape[0]
     count = y.shape[1] * y.shape[2]
-    z, delta = plan.forward[last][2:]
+    z, delta, head_act = plan.forward[-1][3:]
     if loss is Loss.BCE:
         # softplus(z) - y z, softplus(z) = max(z, 0) + log1p(exp(-|z|)): finite
         # even where the sigmoid saturates
@@ -263,13 +322,13 @@ def _stack_loss_and_grad(plan: _Plan, forward, derivative, final_activation: boo
         np.subtract(a, y, out=delta)
         delta /= count
     else:
-        if final_activation:
-            deriv = derivative(a, z)
+        if head_act is not None:
+            deriv = plan.derivative(a, z)
         np.subtract(a, y, out=delta)
         total = np.multiply(delta, delta)
         delta *= 2.0
         delta /= count
-        if final_activation:
+        if head_act is not None:
             delta *= deriv
     losses = np.add.reduce(total.reshape(seeds, count), axis=1)
     losses /= count  # what np.mean computes, bit for bit
@@ -280,7 +339,7 @@ def _stack_loss_and_grad(plan: _Plan, forward, derivative, final_activation: boo
         np.matmul(delta, x.transpose(0, 2, 1) if below is None else below_t, out=gw)
         np.add.reduce(delta, axis=2, keepdims=True, out=gb)
         if below is not None:
-            deriv = derivative(below, z_below)
+            deriv = plan.derivative(below, z_below)
             product(w_t, delta, out=below)
             below *= deriv
             delta = below
@@ -309,13 +368,11 @@ def loss_and_grad(net: Network, points: np.ndarray, labels: np.ndarray,
     if x.shape[1] != net.input_dim:
         raise ValueError(f"batch dim {x.shape[1]} != network input dim {net.input_dim}")
     _check_loss_fits(net, loss)
-    shapes = [layer.weights.shape for layer in net.layers]
     params = _flatten(net)[None, :]
-    plan = _Plan(params, np.empty_like(params), shapes, x.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
+    plan = _Plan(net, params, np.empty_like(params), x.shape[0])
+    with _kernel_numpy_state():
         losses = _stack_loss_and_grad(
-            plan, *activation_forms(net.activation), net.final_activation,
-            np.ascontiguousarray(x.T)[None],
+            plan, np.ascontiguousarray(x.T)[None],
             np.ascontiguousarray(y.reshape(x.shape[0], -1).T)[None], loss)
     return float(losses[0]), [(gw[0], gb[0, :, 0]) for gw, gb, *_ in reversed(plan.backward)]
 
@@ -339,13 +396,6 @@ def _check_stack(nets: list[Network], datasets: list[Dataset], cfg: TrainConfig)
         if len(data) != len(datasets[0]):
             raise ValueError(f"stacked datasets must have one size, got {len(data)} "
                              f"and {len(datasets[0])} points")
-
-
-def _network_at(template: Network, plan: _Plan, row: int) -> Network:
-    """The network of stack row ``row``, with ``template``'s activation."""
-    return Network(template.input_dim,
-                   tuple(Layer(w[row], b[row, :, 0]) for w, b, _, _ in plan.forward),
-                   template.activation, template.final_activation)
 
 
 def _update(plan: _Plan, params, grads, moments, cfg: TrainConfig, step: int) -> None:
@@ -394,8 +444,6 @@ def train_stack(nets, datasets, cfg: TrainConfig) -> list:
         return []
     _check_stack(nets, datasets, cfg)
     template = nets[0]
-    forward, derivative = activation_forms(template.activation)
-    shapes = [layer.weights.shape for layer in template.layers]
     n = len(datasets[0])
     batch = cfg.resolve_batch_size(n)
     rng = np.random.default_rng(cfg.seed)
@@ -410,9 +458,9 @@ def train_stack(nets, datasets, cfg: TrainConfig) -> list:
     history = np.empty((len(nets), cfg.steps))
     results: list = [None] * len(nets)
 
-    plan = _Plan(params, grads, shapes, batch)
+    plan = _Plan(template, params, grads, batch)
     cursor = n  # forces a shuffle before the first mini-batch
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _kernel_numpy_state():
         for step in range(1, cfg.steps + 1):
             if batch == n:
                 bx, by = x, y
@@ -425,15 +473,14 @@ def train_stack(nets, datasets, cfg: TrainConfig) -> list:
                 # a C-contiguous copy, as a full batch is: the matmuls keep their bits
                 bx, by = x.take(sel, axis=2), y.take(sel, axis=2)
 
-            losses = _stack_loss_and_grad(plan, forward, derivative,
-                                          template.final_activation, bx, by, cfg.loss)
+            losses = _stack_loss_and_grad(plan, bx, by, cfg.loss)
             history[ids, step - 1] = losses
             stay = (losses > cfg.target_loss) & (losses < math.inf)  # NaN fails both
             if not stay.all():
                 for row in np.flatnonzero(~stay).tolist():
                     seed = ids[row]
                     if math.isfinite(losses[row]):
-                        results[seed] = (_network_at(template, plan, row),
+                        results[seed] = (plan.network(row),
                                          history[seed, :step].copy())
                     else:
                         results[seed] = TrainingDiverged(history[seed, :step - 1].copy())
@@ -443,12 +490,12 @@ def train_stack(nets, datasets, cfg: TrainConfig) -> list:
                 ids = ids[keep]
                 params, grads, x, y = params[keep], grads[keep], x[keep], y[keep]
                 moments = tuple(state[keep] for state in moments)
-                plan = _Plan(params, grads, shapes, batch)
+                plan = _Plan(template, params, grads, batch)
 
             _update(plan, params, grads, moments, cfg, step)
     for row, seed in enumerate(ids.tolist()):
         if results[seed] is None:  # trained for all its steps
-            results[seed] = (_network_at(template, plan, row), history[seed].copy())
+            results[seed] = (plan.network(row), history[seed].copy())
     return results
 
 

@@ -152,6 +152,7 @@ def test_criterion_3_nonsingular_level_sets(sweep_run):
     assert sweep_run.seconds < 60.0
 
 
+@pytest.mark.slow
 def test_criterion_4_narrow_reproduction(narrow_run):
     outcomes = narrow_run.report["outcomes"]
     converged = [o for o in outcomes if o["error"] is None and o["converged"]]
@@ -193,6 +194,7 @@ def test_wide_reproduction_origin_loop_on_every_seed(wide_run):
     assert len(outcomes) == 20
 
 
+@pytest.mark.slow
 def test_fixture_reports_validate(sweep_run, narrow_run, wide_run):
     # every member is raw data or follows from it; the sweep's outcomes are
     # worker-encoded entries, so its written text is decoded
@@ -208,6 +210,7 @@ FIXTURE_DIGESTS = {
 }
 
 
+@pytest.mark.slow
 def test_fixture_reports_are_pinned(sweep_run, narrow_run, wide_run):
     digests = {run.report["kind"]: report_digest(run.report)
                for run in (sweep_run, narrow_run, wide_run)}
@@ -313,6 +316,7 @@ def test_criterion_8_composition_tolerance():
     assert all(m < 0.1 for m in max_devs)
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism(sweep_run, narrow_run, wide_run):
     t0 = time.perf_counter()
     rebuilt_sweep = build_report(KIND_SWEEP)

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from leveltopo import (RELU, SIGMOID, TANH, Activation, ActivationKind,
                        activation_apply, one_to_one_relu, one_to_one_relu_bound,
                        uniform_deviation)
-from leveltopo.activations import activation_forms
+from leveltopo.activations import _sigmoid, activation_forms, sigmoid_of_negated
+from leveltopo.training import _width_one_product
 
 
 def derivative(act, x):
@@ -100,6 +101,80 @@ class TestClassicActivations:
         got = forward(x, x)
         assert got is x
         np.testing.assert_array_equal(got, expected)
+
+
+# Values where the identities the training kernel rests on are most
+# fragile: signed zeros, subnormals, the edges of exp's range and overflow.
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, -2.2250738585072e-308,
+         709.78, -709.78, 745.2, -745.2, 1e308, -1e308, math.inf, -math.inf]
+edge_or_float = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False))
+float_arrays = st.lists(edge_or_float, min_size=1, max_size=16).map(np.array)
+
+
+def same_bits(a, b):
+    """Bitwise equal, where a NaN matches any NaN."""
+    both_nan = np.isnan(a) & np.isnan(b)
+    return bool(np.all((a.view(np.int64) == b.view(np.int64)) | both_nan))
+
+
+def wide_floats(rng, size):
+    """Floats of every sign and binary exponent, subnormals included."""
+    return rng.choice([-1.0, 1.0], size) * np.exp2(rng.uniform(-1074.0, 1024.0, size))
+
+
+class TestKernelIdentities:
+    """The training kernel computes three things in another form than the
+    plain one; each is compared bitwise here, so a numpy that broke one
+    fails this rather than a digest."""
+
+    def check_fold(self, m, b):
+        # a sigmoid hidden layer hands (-b) - W a to the helper, not W a + b
+        with np.errstate(over="ignore", invalid="ignore"):
+            folded = sigmoid_of_negated(np.subtract(np.negative(b), m), np.empty_like(m))
+            plain = _sigmoid(m + b, np.empty_like(m))
+        assert same_bits(folded, plain)
+
+    def check_reciprocal(self, x):
+        with np.errstate(divide="ignore", over="ignore"):
+            assert same_bits(np.reciprocal(x), np.divide(1.0, x))
+
+    def check_width_one_product(self, w, delta):
+        # (S, n, 1) weights times an (S, 1, points) delta: one product an
+        # element, up to the sign of a zero (einsum adds it to +0)
+        w_t, delta = w.reshape(1, -1, 1), delta.reshape(1, 1, -1)
+        out = np.empty((1, w_t.shape[1], delta.shape[2]))
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            got = _width_one_product(w_t, delta, out)
+            want = np.multiply(w_t, delta)
+        assert got is out
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @given(float_arrays, float_arrays)
+    def test_fold_hypothesis(self, m, b):
+        n = min(len(m), len(b))
+        self.check_fold(m[:n], b[:n])
+
+    @given(float_arrays)
+    def test_reciprocal_hypothesis(self, x):
+        self.check_reciprocal(x)
+
+    @given(float_arrays, float_arrays)
+    def test_width_one_product_hypothesis(self, w, delta):
+        self.check_width_one_product(w, delta)
+
+    def test_edges_and_random_values(self):
+        rng = np.random.default_rng(29)
+        edges = np.array(EDGES)
+        m, b = np.meshgrid(edges, edges)
+        self.check_fold(m.ravel(), b.ravel())
+        self.check_reciprocal(edges)
+        self.check_width_one_product(edges, edges)
+        # pre-activations as training meets them, and the whole float range
+        for scale in (1.0, 40.0, 800.0):
+            self.check_fold(rng.normal(0.0, scale, 100_000), rng.normal(0.0, scale, 100_000))
+        self.check_fold(wide_floats(rng, 100_000), wide_floats(rng, 100_000))
+        self.check_reciprocal(wide_floats(rng, 100_000))
+        self.check_width_one_product(wide_floats(rng, 50), wide_floats(rng, 2000))
 
 
 class TestUniformDeviation:

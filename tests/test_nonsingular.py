@@ -321,12 +321,26 @@ def lexsort_injective(trunk, window, resolution):
 
 def tight_trunks():
     """Non-singular trunks that the witness rejects at 201^2 on [-4, 4]^2
-    and accepts at 11, 20 and 31: a pair falls under the separation floor."""
+    and accepts at 11, 20 and 31.  In the two one_to_one_relu trunks every
+    output is distinct but a pair falls under the separation floor; the
+    sigmoid trunk contracts below float64 resolution and maps two lattice
+    points to bitwise-equal outputs (``test_tight_trunk_outputs``)."""
     return [(f"tight-{init_seed}", construction_trunk(arch, activation, init_seed, perturb_seed))
             for arch, activation, init_seed, perturb_seed in [
                 ((2, 2, 1, 1, 1, 1, 1, 1), one_to_one_relu(4), 1571591827, 602593144),
                 ((2, 2, 2, 2, 2, 1, 2, 1), one_to_one_relu(6), 539028366, 502887052),
                 ((2, 1, 1, 1, 1, 1, 2, 1), SIGMOID, 669710604, 315022845)]]
+
+
+@pytest.mark.parametrize("index, distinct", [(0, 201 ** 2), (1, 201 ** 2), (2, 201 ** 2 - 1)],
+                         ids=["one_to_one_relu4", "one_to_one_relu6", "sigmoid"])
+def test_tight_trunk_outputs(index, distinct):
+    # two lattice points share one float64 output under the sigmoid trunk,
+    # so rejecting it is right in float64 at any separation floor
+    _, trunk = tight_trunks()[index]
+    window = Window(np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
+    outputs = forward_batch(trunk, window.lattice((201, 201)))
+    assert len(np.unique(outputs, axis=0)) == distinct
 
 
 def audit_construct_trunks():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -9,7 +10,6 @@ from leveltopo import (RELU, SIGMOID, TANH, ActivationKind, Dataset, Layer, Loss
                        Optimizer, TrainConfig, TrainingDiverged, accuracy, gen_ring_dataset,
                        init_weights, load_dataset, loss_and_grad, one_to_one_relu,
                        save_dataset, train, train_stack, training)
-from leveltopo.activations import activation_forms
 
 
 def fd_loss_gradient(net, points, labels, loss, h=1e-5):
@@ -320,6 +320,14 @@ class TestTrain:
         _, history = train(net, data, cfg)
         assert history[-1] < history[0]
 
+    def test_numpy_state_restored(self):
+        # the kernel's error state and ufunc buffer size do not leak
+        before = (np.geterr(), np.getbufsize())
+        net, data = init_weights([2, 2, 1], SIGMOID, 0), gen_ring_dataset(0, 10, 20)
+        train(net, data, TrainConfig(steps=3))
+        loss_and_grad(net, data.points, data.labels, Loss.BCE)
+        assert (np.geterr(), np.getbufsize()) == before
+
     def test_history_owns_its_data(self):
         data = self.small_data()
         net = init_weights([2, 3, 1], SIGMOID, 0)
@@ -591,9 +599,8 @@ class TestKernelMatchesReference:
                 want = ref_loss_and_grad(params, want_grads, shapes, activation, final,
                                          x, y, loss)
                 got_grads = np.full_like(params, np.nan)
-                plan = training._Plan(params.copy(), got_grads, shapes, x.shape[2])
-                got = training._stack_loss_and_grad(plan, *activation_forms(activation),
-                                                    final, x, y, loss)
+                plan = training._Plan(nets[0], params.copy(), got_grads, x.shape[2])
+                got = training._stack_loss_and_grad(plan, x, y, loss)
             assert got.tobytes() == want.tobytes()
             for (gw, gb), (rw, rb) in zip(
                     [entry[:2] for entry in reversed(plan.backward)],
@@ -615,12 +622,12 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("batch", [None, 37], ids=["full", "mini"])
     def test_width_one_hidden_layer(self, activation, loss, final, seeds, batch):
         # the delta of the width-1 hidden layer reaches the first layer's
-        # buffers through the broadcast product, as the head's reaches the
+        # buffers through the width-1 product, as the head's reaches the
         # second hidden layer's
         plan = self.check_losses_and_gradients([2, 2, 1, 2, 1], activation, loss, final,
                                                seeds, batch)
         assert [entry[3] for entry in plan.backward] == [
-            np.multiply, np.matmul, np.multiply, np.matmul]
+            training._width_one_product, np.matmul, training._width_one_product, np.matmul]
 
     @pytest.mark.parametrize("cfg", [
         TrainConfig(steps=300, target_loss=0.0),
@@ -636,6 +643,24 @@ class TestKernelMatchesReference:
         for row, (trained, hist) in enumerate(stacked):
             assert hist.tobytes() == history[row].tobytes()
             assert training._flatten(trained).tobytes() == params[row].tobytes()
+
+    def test_shrinking_stack_matches_reference_loop(self):
+        # seeds leave the stack at different steps, so its plan (and the
+        # negated biases of its sigmoid layers) is rebuilt mid-run; each seed
+        # stops with the weights its last loss was computed with
+        seeds = (0, 1, 2)
+        nets = [init_weights([2, 3, 1], SIGMOID, s) for s in seeds]
+        datasets = [gen_ring_dataset(s, 500, 1000) for s in seeds]
+        cfg = TrainConfig(steps=5000, target_loss=0.05)
+        stacked = train_stack(nets, datasets, cfg)
+        steps = [len(hist) for _, hist in stacked]
+        assert len(set(steps)) == len(seeds) and max(steps) < cfg.steps
+        for net, data, (trained, hist), k in zip(nets, datasets, stacked, steps):
+            _, history = ref_train([net], [data], dataclasses.replace(cfg, steps=k), [cfg.seed])
+            params, _ = ref_train([net], [data], dataclasses.replace(cfg, steps=k - 1),
+                                  [cfg.seed])
+            assert hist.tobytes() == history[0].tobytes()
+            assert training._flatten(trained).tobytes() == params[0].tobytes()
 
 
 class TestAccuracy:
