@@ -54,6 +54,13 @@ def parse_activation(text: str) -> Activation:
     return Activation(kind)
 
 
+def parse_seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
@@ -316,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate the two-class ring dataset")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_flag_type(parse_seed), default=0)
     p.add_argument("--inner", type=int, default=ExperimentSpec.n_inner,
                    help="points in the origin blob")
     p.add_argument("--ring", type=int, default=ExperimentSpec.n_ring,
@@ -338,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--loss", choices=[l.value for l in Loss], default="bce")
     p.add_argument("--target-loss", type=float, default=TrainConfig.target_loss)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_flag_type(parse_seed), default=0)
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--history", default=None, help="optional loss history CSV")
     p.set_defaults(func=cmd_train)
@@ -373,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_flag_type(parse_box), default=None,
                    help="x_lo,x_hi,y_lo,y_hi")
     p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_flag_type(parse_seed), default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--activation", type=_flag_type(parse_activation), default=None)
     p.add_argument("--report", default=None)

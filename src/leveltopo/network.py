@@ -88,26 +88,39 @@ class Network:
         return forward_batch(self, x)
 
 
+# Points per block of ``forward_batch``, fastest of 4,096-16,384 on 201^2 and
+# 401^2 grids.  A layer's temporaries for one block are small enough that the
+# allocator reuses the memory the last block freed; a whole 201^2 lattice at
+# once allocates arrays whose pages go back to the system when freed and are
+# faulted in again on the next call.
+FORWARD_BLOCK = 8192
+
+
 def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
     """Evaluate ``net`` on a batch of points, shape (m, input_dim) -> (m, output_dim),
-    into a fresh C-contiguous array.  Not a matmul: each element is the same
-    left-to-right sum whatever the batch size or matrix shape, so a single
-    point and a batch row agree bitwise, and zero-padding a network appends
-    terms that are exactly 0.0.  BLAS kernels guarantee neither."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != net.input_dim:
-        raise ValueError(f"expected batch of shape (m, {net.input_dim}), got {a.shape}")
-    a, last = a.T, len(net.layers) - 1
-    for i, layer in enumerate(net.layers):
-        z = layer.weights[:, :1] * a[0]
-        for k in range(1, layer.n_in):
-            z += layer.weights[:, k:k + 1] * a[k]
-        z += layer.bias[:, None]
-        if i < last or net.final_activation:
-            with np.errstate(over="ignore"):
-                activation_forms(net.activation)[0](z, z)
-        a = z
-    return np.ascontiguousarray(a.T)
+    into a fresh C-contiguous array, FORWARD_BLOCK points at a time.  Not a
+    matmul: each element is the same left-to-right sum whatever the batch or
+    block size or matrix shape, so a single point and a batch row agree
+    bitwise, and zero-padding a network appends terms that are exactly 0.0.
+    BLAS kernels guarantee neither."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != net.input_dim:
+        raise ValueError(f"expected batch of shape (m, {net.input_dim}), got {x.shape}")
+    out = np.empty((len(x), net.output_dim))
+    last = len(net.layers) - 1
+    for start in range(0, len(x), FORWARD_BLOCK):
+        a = x[start:start + FORWARD_BLOCK].T
+        for i, layer in enumerate(net.layers):
+            z = layer.weights[:, :1] * a[0]
+            for k in range(1, layer.n_in):
+                z += layer.weights[:, k:k + 1] * a[k]
+            z += layer.bias[:, None]
+            if i < last or net.final_activation:
+                with np.errstate(over="ignore"):
+                    activation_forms(net.activation)[0](z, z)
+            a = z
+        out[start:start + FORWARD_BLOCK] = a.T
+    return out
 
 
 def scalar_output(net: Network, x: np.ndarray) -> np.ndarray:

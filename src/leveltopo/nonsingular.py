@@ -27,6 +27,9 @@ MAX_ATTEMPTS = 64
 INJECTIVITY_QUANT = 1e-12
 # odd multiplier of the key mix (Knuth's MMIX LCG constant)
 _KEY_MIX = np.int64(6364136223846793005)
+# candidate pairs measured at once; a lag's pairs stop at the first block
+# that holds a failing pair
+PAIR_BLOCK = 4096
 # relative-separation floor: a pair of grid points may contract by
 # at most this factor of (input separation / window diagonal) * image scale.
 # True collapses (bugs) produce exactly coincident outputs and always fail;
@@ -200,17 +203,21 @@ def check_injective_on_grid(trunk: Network, window: Window, resolution: int) -> 
     a cell of one of the 2^d grids ``(q + s) >> 1``, ``s`` in {0, 1}^d.
 
     For each grid the d keys of a point are mixed into one int64
-    (``_mix_keys``) and sorted with one unstable sort.  Equal keys mix
-    equally, so each run of equal keys lies inside a run of equal mixes;
-    positions are compared at lag 1, 2, ... in sorted order until a lag has
-    no equal mix, which enumerates every pair inside every equal-mix run.
-    Different keys that mix equally (a collision) only put extra pairs in
-    a run: an exact per-axis key test drops them before any distance is
-    taken.  So the pairs checked, and the verdict, depend neither on the
-    mix nor on how the sort orders ties.  This is evidence against
-    construction bugs, not a proof of injectivity.  A non-singular trunk
-    that contracts below float64 resolution fails it: two lattice points
-    can map to one float64 output.
+    (``_mix_keys``): a value sort, then positions only on a repeat.
+    ``np.sort`` of the mixes shows whether any two are equal; a grid with no
+    repeat holds no pair and is done.  Otherwise one unstable ``np.argsort``
+    gives the sorted positions.  Equal keys mix equally, so each run of
+    equal keys lies inside a run of equal mixes; positions are compared at
+    lag 1, 2, ... in sorted order until a lag has no equal mix, which
+    enumerates every pair inside every equal-mix run.  A lag's pairs are
+    measured PAIR_BLOCK at a time, and the first block that holds a failing
+    pair ends the search.  Different keys that mix equally (a collision)
+    only put extra pairs in a run: an exact per-axis key test drops them
+    before any distance is taken.  So the pairs checked up to a failure,
+    and the verdict, depend neither on the mix nor on how the sort orders
+    ties.  This is evidence against construction bugs, not a proof of
+    injectivity.  A non-singular trunk that contracts below float64
+    resolution fails it: two lattice points can map to one float64 output.
 
     Raises ValueError when an output is NaN or infinite, or too large to
     quantize in int64 cells.
@@ -237,20 +244,26 @@ def check_injective_on_grid(trunk: Network, window: Window, resolution: int) -> 
     for shift in np.ndindex(*(2,) * len(cells)):
         keys = [(axis_cells + s) >> 1 for axis_cells, s in zip(cells, shift)]
         mix = _mix_keys(keys)
-        order = np.argsort(mix)
-        mix = mix[order]
+        sorted_mix = np.sort(mix)
+        repeats = sorted_mix[1:] == sorted_mix[:-1]
+        if not repeats.any():
+            continue
+        order = np.argsort(mix)  # sorted_mix is mix[order]
         # sorted positions whose mix equals the one `lag` on
-        run = np.flatnonzero(mix[1:] == mix[:-1])
+        run = np.flatnonzero(repeats)
         lag = 1
         while run.size:
-            i, j = order[run], order[run + lag]
-            same = np.logical_and.reduce([axis_keys[i] == axis_keys[j] for axis_keys in keys])
-            i, j = i[same], j[same]
-            d_out = _row_norms(np.stack([row[i] - row[j] for row in rows], axis=1))
-            d_in = _row_norms(points[i] - points[j])
-            if np.any(d_out < DEFAULT_MIN_SEP * (d_in / diag) * scale):
-                return False
+            for start in range(0, run.size, PAIR_BLOCK):
+                block = run[start:start + PAIR_BLOCK]
+                i, j = order[block], order[block + lag]
+                same = np.logical_and.reduce([axis_keys[i] == axis_keys[j]
+                                              for axis_keys in keys])
+                i, j = i[same], j[same]
+                d_out = _row_norms(np.stack([row[i] - row[j] for row in rows], axis=1))
+                d_in = _row_norms(points[i] - points[j])
+                if np.any(d_out < DEFAULT_MIN_SEP * (d_in / diag) * scale):
+                    return False
             lag += 1
             run = run[run + lag < n]
-            run = run[mix[run] == mix[run + lag]]
+            run = run[sorted_mix[run] == sorted_mix[run + lag]]
     return True

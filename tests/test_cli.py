@@ -569,6 +569,18 @@ class TestOptionChecks:
         assert exited.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,seed", [
+        (["gen-data", "--seed", "-1", "--out", "d.csv"], -1),
+        (["train", "--data", "d.csv", "--arch", "2,3,1", "--seed", "-1", "--out", "m.json"], -1),
+        (["sweep-nonsingular", "--seed", "-3"], -3),
+    ], ids=["gen-data", "train", "sweep-nonsingular"])
+    def test_negative_seed_is_named_exit_2(self, capsys, argv, seed):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert (f"argument --seed: must be a non-negative integer, got {seed}"
+                in capsys.readouterr().err)
+
 
 class Built(Exception):
     """Carries the spec a command would run."""

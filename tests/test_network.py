@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from leveltopo import (RELU, SIGMOID, TANH, Layer, Network, Window, decompose, forward_batch,
                        one_to_one_relu)
 from leveltopo.activations import activation_apply
-from leveltopo.network import dumps_network, load_network, loads_network, save_network
+from leveltopo.network import (FORWARD_BLOCK, dumps_network, load_network, loads_network,
+                              save_network)
 
 
 def small_net(activation=SIGMOID, final=True):
@@ -113,6 +114,19 @@ class TestForwardMatchesReference:
             net = random_net(rng, activation, final, width)
             for x in (LATTICE[20100:20101], LATTICE):
                 np.testing.assert_array_equal(forward_batch(net, x), reference_forward(net, x))
+
+    @pytest.mark.parametrize("final", [True, False], ids=["final", "raw"])
+    @pytest.mark.parametrize("activation", [SIGMOID, TANH, RELU, one_to_one_relu(3)],
+                             ids=lambda a: a.kind.value)
+    def test_bitwise_across_block_boundaries(self, activation, final):
+        block = FORWARD_BLOCK
+        x = np.random.default_rng(31).uniform(-6.0, 6.0, size=(5 * block // 2, 2))
+        for seed in (32, 39):  # one output, then two
+            net = random_net(np.random.default_rng(seed), activation, final, 3)
+            for m in (0, 1, block - 1, block, block + 1, 5 * block // 2):
+                out = forward_batch(net, x[:m])
+                assert out.shape == (m, net.output_dim) and out.flags.c_contiguous
+                np.testing.assert_array_equal(out, reference_forward(net, x[:m]))
 
     def test_fresh_output_and_untouched_input(self):
         net = random_net(np.random.default_rng(5), TANH, True, 3)

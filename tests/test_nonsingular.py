@@ -236,6 +236,23 @@ class TestInjectivityOnGrid:
         assert not check_injective_on_grid(fold, window, 11)
         assert not reference_injective(fold, window, 11)
 
+    @pytest.mark.parametrize("flat", [True, False], ids=["flat-pair", "increasing"])
+    def test_failing_pair_past_the_first_block_fails(self, flat):
+        # on the integer lattice 0, 1, ..., n - 1, f(x) = 2^-40 * (x - relu(x - k)
+        # + relu(x - k - 1)) is exact: it rises by 2^-40 per point, about 0.9
+        # quantization cells, except that k and k + 1 share one output.  Each
+        # lag-1 run pairs two or three points, so about 0.55 k candidate
+        # pairs of equal mix sort before the failing one
+        n = 4 * nonsingular.PAIR_BLOCK
+        k = 3 * nonsingular.PAIR_BLOCK if flat else n
+        trunk = Network(1, (Layer(np.ones((3, 1)), np.array([0.0, -k, -k - 1.0])),
+                            Layer(2.0 ** -40 * np.array([[1.0, -1.0, 1.0]]), np.zeros(1))),
+                        RELU, final_activation=False)
+        window = Window(np.array([0.0]), np.array([n - 1.0]))
+        outputs = forward_batch(trunk, window.lattice((n,)))[:, 0]
+        assert np.count_nonzero(np.diff(outputs) == 0.0) == flat
+        assert check_injective_on_grid(trunk, window, n) is not flat
+
     @pytest.mark.parametrize("weights, bias, cause", [
         (np.eye(2), [np.nan, 0.0], "NaN or infinite"),
         (np.eye(2), [np.inf, 0.0], "NaN or infinite"),
