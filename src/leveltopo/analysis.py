@@ -390,10 +390,8 @@ class Bump:
 
 @dataclass(frozen=True)
 class CompositionReport:
-    eps: float
     delta: float
     max_deviation: float
-    trials: int
     untested: bool
     domains: tuple[Window, ...]
     attempts: tuple[dict, ...]
@@ -462,8 +460,7 @@ def composition_tolerance_check(chain, window: Window, eps: float, trials: int,
                 break
         attempts.append({"delta": delta, "passed": not failed, "max_deviation": worst})
         if not failed:
-            return CompositionReport(eps, delta, worst, trials, trials == 0,
-                                     tuple(domains), tuple(attempts))
+            return CompositionReport(delta, worst, trials == 0, tuple(domains), tuple(attempts))
         delta /= 2.0
     raise CompositionToleranceError(
         f"no delta above {DELTA_FLOOR} keeps the composition within {eps}; "

@@ -292,13 +292,17 @@ def _differences(stored, rebuilt, path: str = "") -> list[str]:
 
 def validate_report(report) -> list[str]:
     """Where ``report`` differs from ``rebuild_report(report)``, one line per
-    member; a report that lacks a raw member or mistypes one raises ValueError."""
+    member, walked only when the two texts differ; a report that lacks a raw
+    member or mistypes one raises ValueError."""
     if not isinstance(report, dict):
         raise ValueError(f"a report is a JSON object, got {type(report).__name__}")
     if report.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {report.get('schema_version')!r}")
     try:
-        return _differences(report, json.loads(dumps_report(rebuild_report(report))))
+        rebuilt = dumps_report(rebuild_report(report))
+        if rebuilt == dumps_report(report):
+            return []
+        return _differences(report, json.loads(rebuilt))
     except KeyError as exc:
         raise ValueError(f"report is missing key {exc}") from None
     except (TypeError, IndexError) as exc:

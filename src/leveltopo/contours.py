@@ -271,7 +271,7 @@ def band_oracle_compare(field: ScalarField, level: float, band_delta: float) -> 
     """
     comps = extract_components(field, level)
     regions = region_components(field, (level - band_delta, level + band_delta))
-    straddling = {rc.label: rc for rc in regions.components if rc.straddles_mid}
+    straddling = {label: rc for label, rc in enumerate(regions.components) if rc.straddles_mid}
     issues: list[str] = []
     used: set[int] = set()
     for ci, comp in enumerate(comps):

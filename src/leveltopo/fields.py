@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network, Window, scalar_output
+from .network import Network, Window, forward_batch
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,14 @@ def sample_grid(f, window: Window, resolution: tuple[int, ...]) -> ScalarField:
 
 
 def network_scalar_fn(net: Network):
-    """Adapter: scalar-valued network -> field evaluation callable."""
-    return lambda points: scalar_output(net, points)
+    """Adapter: scalar-valued network -> field evaluation callable, (m, n) -> (m,)."""
+    if net.output_dim != 1:
+        raise ValueError(f"expected scalar output, network has output_dim {net.output_dim}")
+    return lambda points: forward_batch(net, points)[:, 0]
 
 
 @dataclass(frozen=True)
 class RegionComponent:
-    label: int
     cell_count: int
     touches_boundary: bool
     # True when some cell of the component straddles the interval midpoint;
@@ -106,17 +107,12 @@ class RegionComponents:
     """Cell-level connected components of a band preimage.
 
     ``label_grid`` has one entry per grid cell (resolution minus one per
-    axis); -1 marks cells outside the band.  Components use edge
-    connectivity: 4 neighbors in 2-d, 6 in 3-d.
+    axis); -1 marks cells outside the band, and label k is ``components[k]``.
+    Components use edge connectivity: 4 neighbors in 2-d, 6 in 3-d.
     """
 
-    interval: tuple[float, float]
     label_grid: np.ndarray
     components: tuple[RegionComponent, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.components)
 
 
 def _cell_min_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,11 +193,9 @@ def region_components(fld: ScalarField, interval: tuple[float, float]) -> Region
     cell_count = np.bincount(number, minlength=k)
     touches = np.bincount(number[on_frame], minlength=k) > 0
     straddles = np.bincount(number[straddle_mask.ravel()[cells]], minlength=k) > 0
-    components = tuple(
-        RegionComponent(label, count, touch, straddle)
-        for label, (count, touch, straddle)
-        in enumerate(zip(cell_count.tolist(), touches.tolist(), straddles.tolist())))
-    return RegionComponents((lo, hi), labels, components)
+    components = tuple(map(RegionComponent, cell_count.tolist(), touches.tolist(),
+                           straddles.tolist()))
+    return RegionComponents(labels, components)
 
 
 def sample_noncritical_levels(fld: ScalarField, count: int, rng) -> np.ndarray:

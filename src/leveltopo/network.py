@@ -123,13 +123,6 @@ def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def scalar_output(net: Network, x: np.ndarray) -> np.ndarray:
-    """Batch evaluation of a scalar-valued network, (m, n) -> (m,)."""
-    if net.output_dim != 1:
-        raise ValueError(f"expected scalar output, network has output_dim {net.output_dim}")
-    return forward_batch(net, x)[:, 0]
-
-
 def decompose(net: Network) -> tuple[Network, Network]:
     """Split into (trunk, head): trunk = all but the last layer, head = the last.
 
@@ -263,11 +256,14 @@ def loads_network(text: str) -> Network:
 
 @contextmanager
 def errors_named(where):
-    """Prefix a ValueError's message with ``where``, the file (or file:line) read."""
+    """Prefix a ValueError's message with ``where``, the file (or file:line) read;
+    a file that cannot be opened or read is a ValueError too."""
     try:
         yield
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
+    except OSError as exc:
+        raise ValueError(f"{where}: {exc.strerror or exc}") from None
 
 
 def save_network(net: Network, path) -> None:

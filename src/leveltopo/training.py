@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .activations import Activation, ActivationKind, activation_forms, sigmoid_of_negated
-from .network import Layer, Network, errors_named, scalar_output
+from .fields import network_scalar_fn
+from .network import Layer, Network, errors_named
 
 FULL_BATCH_LIMIT = 4096
 DEFAULT_MINI_BATCH = 1024
@@ -520,6 +521,5 @@ DECISION_CUT = 0.5
 
 def accuracy(net: Network, data: Dataset) -> float:
     """Fraction of points whose output, cut at DECISION_CUT, matches the label."""
-    outputs = scalar_output(net, data.points)
-    predicted = outputs >= DECISION_CUT
+    predicted = network_scalar_fn(net)(data.points) >= DECISION_CUT
     return float(np.mean(predicted == (data.labels == 1)))

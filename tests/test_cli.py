@@ -16,7 +16,7 @@ from leveltopo.cli import main, parse_activation, parse_levels, parse_window, va
 from leveltopo.contours import extract_components
 from leveltopo.fields import network_scalar_fn, sample_grid
 from leveltopo.network import Window, load_network, network_from_dict, save_network
-from leveltopo.reports import compute_verdicts, level_entry, load_report
+from leveltopo.reports import compute_verdicts, dumps_report, level_entry, load_report
 from leveltopo.svgplot import outcome_svg
 from leveltopo import (SIGMOID, Layer, Network, Optimizer, TrainConfig, accuracy,
                        init_weights, load_dataset, one_to_one_relu, train)
@@ -581,6 +581,24 @@ class TestOptionChecks:
         assert (f"argument --seed: must be a non-negative integer, got {seed}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--model", "{path}", "--window=-1,1,-1,1"],
+        ["train", "--data", "{path}", "--arch", "2,3,1", "--out", "{tmp}/m.json"],
+        ["analyze", "--model", "{model}", "--data", "{path}"],
+        ["validate-report", "{path}"],
+    ], ids=["analyze-model", "train-data", "analyze-data", "validate-report"])
+    @pytest.mark.parametrize("kind,reason", [
+        ("missing", "No such file or directory"), ("directory", "Is a directory")])
+    def test_input_that_cannot_be_read_names_its_path_exit_2(self, tmp_path, model, capsys,
+                                                             argv, kind, reason):
+        path = tmp_path / kind
+        if kind == "directory":
+            path.mkdir()
+        argv = [a.format(path=path, tmp=tmp_path, model=model) for a in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+        assert not (tmp_path / "m.json").exists()
+
 
 class Built(Exception):
     """Carries the spec a command would run."""
@@ -693,6 +711,28 @@ class TestValidateReportCommand:
                      "--resolution", "41", "--report", str(rp),
                      "--deterministic"]) == 0
         assert main(["validate-report", str(rp)]) == 0
+
+    def test_the_file_layout_does_not_matter(self, tmp_path, capsys):
+        rp = tmp_path / "r.json"
+        assert main(["sweep-nonsingular", "--count", "1", "--levels-per-net", "1",
+                     "--resolution", "41", "--report", str(rp),
+                     "--deterministic"]) == 0
+        report = load_report(rp)
+        pretty = tmp_path / "pretty.json"
+        pretty.write_text(json.dumps(report, indent=2))
+        capsys.readouterr()
+        assert main(["validate-report", str(pretty)]) == 0
+        assert capsys.readouterr().err == ""
+
+        report["outcomes"][0]["bounded_final"] = 5
+        report["verdicts"]["sweep-nonsingular"]["bounded_components"] = 5
+        lines = {}
+        for name, text in [("compact", dumps_report(report)),
+                           ("pretty", json.dumps(report, indent=2))]:
+            (tmp_path / name).write_text(text)
+            assert main(["validate-report", str(tmp_path / name)]) == 1
+            lines[name] = capsys.readouterr().err.splitlines()
+        assert len(lines["compact"]) == 2 and lines["pretty"] == lines["compact"]
 
 
 @pytest.fixture(scope="module")

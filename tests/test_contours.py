@@ -296,7 +296,7 @@ class TestOracleIssues:
         def region_components_edited(fld, interval):
             regions = region_components(fld, interval)
             labels, comps = edit(regions.label_grid.copy(), list(regions.components))
-            return RegionComponents(regions.interval, labels, tuple(comps))
+            return RegionComponents(labels, tuple(comps))
 
         monkeypatch.setattr(contours, "region_components", region_components_edited)
 
@@ -304,7 +304,7 @@ class TestOracleIssues:
         def split(labels, comps):
             right = labels[:, 60:]
             right[right >= 0] = 1
-            return labels, comps + [RegionComponent(1, 10, False, True)]
+            return labels, comps + [RegionComponent(10, False, True)]
 
         self.relabelled(monkeypatch, split)
         fld = circle_field(res=121)
@@ -315,8 +315,8 @@ class TestOracleIssues:
 
     def test_contour_in_a_grazing_band_component(self, monkeypatch):
         def graze(labels, comps):
-            return labels, [RegionComponent(0, comps[0].cell_count, False, False),
-                            RegionComponent(1, 10, True, True)]
+            return labels, [RegionComponent(comps[0].cell_count, False, False),
+                            RegionComponent(10, True, True)]
 
         self.relabelled(monkeypatch, graze)
         fld = circle_field(res=121)

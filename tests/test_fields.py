@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from leveltopo import (SIGMOID, Window, init_weights, network_scalar_fn, region_components,
-                       sample_grid)
+from leveltopo import (SIGMOID, Window, accuracy, gen_ring_dataset, init_weights,
+                       network_scalar_fn, region_components, sample_grid)
 from leveltopo.fields import (RegionComponent, RegionComponents, ScalarField, _cell_min_max,
                               sample_noncritical_levels)
 
@@ -48,6 +48,13 @@ class TestSampleGrid:
         with pytest.raises(ValueError):
             sample_grid(paraboloid, window2(), (5,))
 
+    def test_two_output_network_is_no_scalar_field(self):
+        net = init_weights([2, 3, 2], SIGMOID, 0)
+        with pytest.raises(ValueError, match="expected scalar output"):
+            sample_grid(network_scalar_fn(net), window2(), (5, 5))
+        with pytest.raises(ValueError, match="expected scalar output"):
+            accuracy(net, gen_ring_dataset(0, 10, 10))
+
     def test_3d_sampling(self):
         win = Window(-np.ones(3), np.ones(3))
         fld = sample_grid(lambda p: np.linalg.norm(p, axis=1), win, (5, 5, 5))
@@ -63,18 +70,18 @@ class TestRegionComponents:
     def test_annulus_single_component(self):
         fld = sample_grid(paraboloid, window2(), (101, 101))
         regions = region_components(fld, (0.5, 1.5))
-        assert regions.count == 1
+        assert len(regions.components) == 1
         assert not regions.components[0].touches_boundary
         assert regions.components[0].straddles_mid
 
     def test_interval_below_min_is_empty(self):
         fld = sample_grid(paraboloid, window2(), (51, 51))
-        assert region_components(fld, (-2.0, -0.5)).count == 0
+        assert region_components(fld, (-2.0, -0.5)).components == ()
 
     def test_halfplane_strip_touches_boundary(self):
         fld = sample_grid(lambda p: p[:, 0], window2(), (51, 51))
         regions = region_components(fld, (-0.1, 0.1))
-        assert regions.count == 1
+        assert len(regions.components) == 1
         assert regions.components[0].touches_boundary
 
     def test_two_wells(self):
@@ -85,7 +92,7 @@ class TestRegionComponents:
 
         fld = sample_grid(two_wells, window2(), (101, 101))
         regions = region_components(fld, (-0.01, 0.2))
-        assert regions.count == 2
+        assert len(regions.components) == 2
 
     def test_labels_partition_band_cells(self):
         fld = sample_grid(paraboloid, window2(), (41, 41))
@@ -97,7 +104,7 @@ class TestRegionComponents:
         win = Window(-2 * np.ones(3), 2 * np.ones(3))
         fld = sample_grid(lambda p: np.sum(p * p, axis=1), win, (21, 21, 21))
         regions = region_components(fld, (-0.1, 1.0))
-        assert regions.count == 1
+        assert len(regions.components) == 1
         assert not regions.components[0].touches_boundary
 
     def test_interval_validated(self):
@@ -151,14 +158,13 @@ def bfs_region_components(fld, interval):
                 if mask[nb] and labels[nb] == -1:
                     labels[nb] = label
                     queue.append(nb)
-        components.append(RegionComponent(label, cell_count, touches, straddles_mid))
-    return RegionComponents((lo, hi), labels, tuple(components))
+        components.append(RegionComponent(cell_count, touches, straddles_mid))
+    return RegionComponents(labels, tuple(components))
 
 
 def assert_matches_bfs(fld, interval):
     got = region_components(fld, interval)
     want = bfs_region_components(fld, interval)
-    assert got.interval == want.interval
     assert got.label_grid.dtype == want.label_grid.dtype
     assert got.label_grid.shape == want.label_grid.shape
     assert got.label_grid.tobytes() == want.label_grid.tobytes()
@@ -245,12 +251,12 @@ class TestRegionComponentsMatchBfs:
         nodes[[0, 0, -1, -1], [0, -1, 0, -1]] = 1
         regions = assert_matches_bfs(node_field(nodes), NODE_BAND)
         sizes = [c.cell_count for c in regions.components]
-        assert regions.count > 50
+        assert len(regions.components) > 50
         assert sizes.count(1) >= 4 and max(sizes) <= 40
 
         noise = ScalarField(window2(), np.random.default_rng(4).standard_normal((80, 70)))
         regions = assert_matches_bfs(noise, (2.2, 9.0))
-        assert regions.count > 20
+        assert len(regions.components) > 20
 
     def test_diagonal_contact_does_not_join(self):
         nodes = np.zeros((9, 9))
@@ -277,25 +283,25 @@ class TestRegionComponentsMatchBfs:
     def test_band_covering_the_whole_grid(self):
         fld = sample_grid(paraboloid, window2(), (31, 23))
         regions = assert_matches_bfs(fld, (-1.0, 9.0))
-        assert regions.count == 1
+        assert len(regions.components) == 1
         assert regions.components[0].cell_count == 30 * 22
         assert np.all(regions.label_grid == 0)
 
     def test_empty_band(self):
         fld = sample_grid(paraboloid, window2(), (31, 23))
         regions = assert_matches_bfs(fld, (-2.0, -1.0))
-        assert regions.count == 0
+        assert len(regions.components) == 0
         assert np.all(regions.label_grid == -1)
         win = Window(-np.ones(3), np.ones(3))
         assert assert_matches_bfs(sample_grid(paraboloid, win, (5, 6, 7)),
-                                  (-2.0, -1.0)).count == 0
+                                  (-2.0, -1.0)).components == ()
 
     @pytest.mark.parametrize("nodes", [serpentine_nodes(100, 101), spiral_nodes(90),
                                        serpentine_nodes(100, 101).T],
                              ids=["serpentine", "spiral", "serpentine-rows"])
     def test_long_band_walking_against_c_order(self, nodes):
         regions = assert_matches_bfs(node_field(nodes), NODE_BAND)
-        assert regions.count == 1
+        assert len(regions.components) == 1
         assert regions.components[0].cell_count > 3000
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
