@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -69,6 +68,9 @@ def parallel_map(fn, items):
     workers = _worker_count(len(items))
     if workers == 1:
         return [fn(x) for x in items]
+    # imported here, so that a process that never starts workers does not
+    # load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -38,7 +38,7 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.array(self.values, dtype=np.float64)  # the caller keeps its own array
         if v.ndim != self.window.dim or v.ndim not in (2, 3):
             raise ValueError(f"values must match the window dimension, got shape {v.shape} "
                              f"for a {self.window.dim}-d window")
@@ -115,18 +115,29 @@ class RegionComponents:
     components: tuple[RegionComponent, ...]
 
 
+def _over_corners(nodes: np.ndarray, ufunc) -> np.ndarray:
+    """``ufunc`` reduced over the 2^dim corners of every cell."""
+    for axis in range(nodes.ndim):
+        lower = [slice(None)] * nodes.ndim
+        upper = [slice(None)] * nodes.ndim
+        lower[axis] = slice(None, -1)
+        upper[axis] = slice(1, None)
+        nodes = ufunc(nodes[tuple(lower)], nodes[tuple(upper)])
+    return nodes
+
+
 def _cell_min_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Min/max over the 2^dim corners of every cell."""
-    lo = values
-    hi = values
-    for axis in range(values.ndim):
-        sl_a = [slice(None)] * values.ndim
-        sl_b = [slice(None)] * values.ndim
-        sl_a[axis] = slice(None, -1)
-        sl_b[axis] = slice(1, None)
-        lo = np.minimum(lo[tuple(sl_a)], lo[tuple(sl_b)])
-        hi = np.maximum(hi[tuple(sl_a)], hi[tuple(sl_b)])
-    return lo, hi
+    """Min/max over the 2^dim corners of every cell (the breadth-first
+    reference in ``tests/test_fields.py`` builds its band from these)."""
+    return _over_corners(values, np.minimum), _over_corners(values, np.maximum)
+
+
+def _cells_between(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Cells with a corner value below ``hi`` and one above ``lo``: for
+    lo < hi those whose corner-value span meets (lo, hi), for lo == hi those
+    that straddle it.  Works on booleans, not on the corner min and max."""
+    return (_over_corners(values < hi, np.logical_or)
+            & _over_corners(values > lo, np.logical_or))
 
 
 def region_components(fld: ScalarField, interval: tuple[float, float]) -> RegionComponents:
@@ -141,24 +152,25 @@ def region_components(fld: ScalarField, interval: tuple[float, float]) -> Region
     lo, hi = interval
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {interval}")
-    cell_lo, cell_hi = _cell_min_max(fld.values)
-    mask = (cell_lo < hi) & (cell_hi > lo)
-    mid = 0.5 * (lo + hi)
-    straddle_mask = (cell_lo < mid) & (cell_hi > mid)
+    mask = _cells_between(fld.values, lo, hi)
 
     shape = mask.shape
     cells = np.flatnonzero(mask)
     n = cells.size
-    index = np.full(shape, -1, dtype=np.int64)
-    index.flat[cells] = np.arange(n)
-    # pairs of band cells adjacent along one axis, as positions in ``cells``
+    labels = np.full(shape, -1, dtype=np.int64)
+    flat = labels.ravel()  # a view; until numbering, a band cell's position in ``cells``
+    flat[cells] = np.arange(n)
+    coords = np.unravel_index(cells, shape)
+    # pairs of band cells adjacent along one axis, as positions in ``cells``:
+    # each band cell short of the last layer along an axis, and its band
+    # neighbour one stride on
     us, vs = [], []
-    for axis in range(mask.ndim):
-        along = np.moveaxis(index, axis, 0)
-        a, b = along[:-1], along[1:]
-        both = (a >= 0) & (b >= 0)
-        us.append(a[both])
-        vs.append(b[both])
+    for axis, stride in enumerate(labels.strides):
+        u = np.flatnonzero(coords[axis] < shape[axis] - 1)
+        v = flat[cells[u] + stride // labels.itemsize]
+        both = v >= 0
+        us.append(u[both])
+        vs.append(v[both])
     u = np.concatenate(us)
     v = np.concatenate(vs)
 
@@ -184,15 +196,15 @@ def region_components(fld: ScalarField, interval: tuple[float, float]) -> Region
     is_root = parent == np.arange(n)
     number = (np.cumsum(is_root) - 1)[parent]
     k = int(np.count_nonzero(is_root))
-    labels = np.full(shape, -1, dtype=np.int64)
-    labels.flat[cells] = number
-    coords = np.unravel_index(cells, shape)
+    flat[cells] = number
     on_frame = np.zeros(n, dtype=bool)
     for d, c in enumerate(coords):
         on_frame |= (c == 0) | (c == shape[d] - 1)
     cell_count = np.bincount(number, minlength=k)
     touches = np.bincount(number[on_frame], minlength=k) > 0
-    straddles = np.bincount(number[straddle_mask.ravel()[cells]], minlength=k) > 0
+    mid = 0.5 * (lo + hi)
+    straddle = _cells_between(fld.values, mid, mid).ravel()[cells]
+    straddles = np.bincount(number[straddle], minlength=k) > 0
     components = tuple(map(RegionComponent, cell_count.tolist(), touches.tolist(),
                            straddles.tolist()))
     return RegionComponents(labels, components)

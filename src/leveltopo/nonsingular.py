@@ -27,8 +27,11 @@ MAX_ATTEMPTS = 64
 INJECTIVITY_QUANT = 1e-12
 # odd multiplier of the key mix (Knuth's MMIX LCG constant)
 _KEY_MIX = np.int64(6364136223846793005)
-# candidate pairs measured at once; a lag's pairs stop at the first block
-# that holds a failing pair
+# candidate pairs measured at once: a lag's first block holds
+# FIRST_PAIR_BLOCK pairs and each later one twice as many, up to PAIR_BLOCK;
+# a lag's pairs stop at the first block that holds a failing pair, so a
+# collapsed trunk is rejected after a few pairs
+FIRST_PAIR_BLOCK = 64
 PAIR_BLOCK = 4096
 # relative-separation floor: a pair of grid points may contract by
 # at most this factor of (input separation / window diagonal) * image scale.
@@ -202,20 +205,23 @@ def check_injective_on_grid(trunk: Network, window: Window, resolution: int) -> 
     outputs.  Two quantized outputs are that close exactly when they share
     a cell of one of the 2^d grids ``(q + s) >> 1``, ``s`` in {0, 1}^d.
 
-    For each grid the d keys of a point are mixed into one int64
-    (``_mix_keys``): a value sort, then positions only on a repeat.
-    ``np.sort`` of the mixes shows whether any two are equal; a grid with no
-    repeat holds no pair and is done.  Otherwise one unstable ``np.argsort``
-    gives the sorted positions.  Equal keys mix equally, so each run of
-    equal keys lies inside a run of equal mixes; positions are compared at
-    lag 1, 2, ... in sorted order until a lag has no equal mix, which
-    enumerates every pair inside every equal-mix run.  A lag's pairs are
-    measured PAIR_BLOCK at a time, and the first block that holds a failing
-    pair ends the search.  Different keys that mix equally (a collision)
-    only put extra pairs in a run: an exact per-axis key test drops them
-    before any distance is taken.  So the pairs checked up to a failure,
-    and the verdict, depend neither on the mix nor on how the sort orders
-    ties.  This is evidence against construction bugs, not a proof of
+    When some output axis has its sorted cells all at least two apart, no
+    pair is that close on it, so there is no pair to check and the trunk
+    passes before any key is built.  Otherwise, for each grid, the d keys of
+    a point are mixed into one int64 (``_mix_keys``): a value sort, then
+    positions only on a repeat.  ``np.sort`` of the mixes shows whether any
+    two are equal; a grid with no repeat holds no pair and is done.
+    Otherwise one unstable ``np.argsort`` gives the sorted positions.  Equal
+    keys mix equally, so each run of equal keys lies inside a run of equal
+    mixes; positions are compared at lag 1, 2, ... in sorted order until a
+    lag has no equal mix, which enumerates every pair inside every equal-mix
+    run.  A lag's pairs are measured in blocks of FIRST_PAIR_BLOCK, then
+    twice as many each time up to PAIR_BLOCK, and the first block that holds
+    a failing pair ends the search.  Different keys that mix equally (a
+    collision) only put extra pairs in a run: an exact per-axis key test
+    drops them before any distance is taken.  So the pairs checked up to a
+    failure, and the verdict, depend neither on the mix nor on how the sort
+    orders ties.  This is evidence against construction bugs, not a proof of
     injectivity.  A non-singular trunk that contracts below float64
     resolution fails it: two lattice points can map to one float64 output.
 
@@ -236,6 +242,11 @@ def check_injective_on_grid(trunk: Network, window: Window, resolution: int) -> 
         raise ValueError(f"trunk output beyond +-{2.0 ** 63 * INJECTIVITY_QUANT:.3g} on the "
                          f"grid; cannot quantize it in int64 cells of {INJECTIVITY_QUANT}")
 
+    # floor(x / quant) is monotone, so it keeps the sorted order
+    for row in rows:
+        if np.all(np.diff(np.floor(np.sort(row) / INJECTIVITY_QUANT)) >= 2.0):
+            return True
+
     scale = max(float(np.linalg.norm(hi - lo)), INJECTIVITY_QUANT)
     diag = window.diagonal
     cells = np.floor(rows / INJECTIVITY_QUANT).astype(np.int64)
@@ -253,8 +264,10 @@ def check_injective_on_grid(trunk: Network, window: Window, resolution: int) -> 
         run = np.flatnonzero(repeats)
         lag = 1
         while run.size:
-            for start in range(0, run.size, PAIR_BLOCK):
-                block = run[start:start + PAIR_BLOCK]
+            start, size = 0, FIRST_PAIR_BLOCK
+            while start < run.size:
+                block = run[start:start + size]
+                start, size = start + size, min(2 * size, PAIR_BLOCK)
                 i, j = order[block], order[block + lag]
                 same = np.logical_and.reduce([axis_keys[i] == axis_keys[j]
                                               for axis_keys in keys])

@@ -1311,6 +1311,20 @@ def test_module_entry_point_runs_from_a_checkout(tmp_path):
     assert "a report is a JSON object" in done.stderr
 
 
+def test_import_loads_no_process_pool(tmp_path):
+    """Worker processes start only inside ``parallel_map``, so importing the
+    package, even its command line, loads no process-pool machinery."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys, leveltopo, leveltopo.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_two_worker_sweep_report_validates(tmp_path):
     """The report of a sweep whose outcomes were encoded in worker processes."""
     src = Path(__file__).resolve().parent.parent / "src"

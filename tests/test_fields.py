@@ -66,6 +66,15 @@ class TestSampleGrid:
         np.testing.assert_allclose(fld.spacing, [1.0, 0.5])
 
 
+class TestScalarField:
+    def test_caller_array_stays_writable_and_apart(self):
+        values = np.arange(12.0).reshape(3, 4)
+        fld = ScalarField(window2(), values)
+        values[0, 0] = 100.0
+        assert fld.values[0, 0] == 0.0
+        assert not fld.values.flags.writeable
+
+
 class TestRegionComponents:
     def test_annulus_single_component(self):
         fld = sample_grid(paraboloid, window2(), (101, 101))
@@ -310,6 +319,36 @@ class TestRegionComponentsMatchBfs:
         fld = ScalarField(Window(np.zeros(3), np.ones(3)), values)
         for interval in [(-3.0, -1.5), (-1.0, -0.9), (-0.2, 0.1), (0.5, 0.6), (1.8, 4.0)]:
             assert_matches_bfs(fld, interval)
+
+    @pytest.mark.parametrize("arch, init_seed", [
+        ([2, 3, 1], 5), ([2, 2, 3, 1], 17), ([2, 3, 2, 3, 1], 29)])
+    def test_narrow_bands_of_sigmoid_nets_at_201(self, arch, init_seed):
+        # as the oracle audit probes a net: 5 levels away from critical
+        # values, each with a band of +-1e-3 of the value range
+        net = init_weights(arch, SIGMOID, init_seed)
+        fld = sample_grid(network_scalar_fn(net), window2(-3.0, 3.0), (201, 201))
+        lo, hi = fld.value_range()
+        delta = 1e-3 * (hi - lo)
+        levels = sample_noncritical_levels(fld, 5, np.random.default_rng(init_seed))
+        for level in levels:
+            regions = assert_matches_bfs(fld, (level - delta, level + delta))
+            assert 0 < np.count_nonzero(regions.label_grid >= 0) < 0.05 * 200 * 200
+
+    def test_band_touching_all_four_frame_edges(self):
+        fld = sample_grid(lambda p: p[:, 0] * p[:, 1], window2(), (61, 47))
+        regions = assert_matches_bfs(fld, (-0.05, 0.05))
+        grid = regions.label_grid
+        assert len(regions.components) == 1 and regions.components[0].touches_boundary
+        assert all(np.any(edge == 0) for edge in (grid[0], grid[-1], grid[:, 0], grid[:, -1]))
+
+    def test_narrow_band_of_a_3d_sigmoid_net(self):
+        net = init_weights([3, 3, 1], SIGMOID, 7)
+        fld = sample_grid(network_scalar_fn(net), Window(-3 * np.ones(3), 3 * np.ones(3)),
+                          (31, 29, 27))
+        lo, hi = fld.value_range()
+        level = float(np.median(fld.values))
+        regions = assert_matches_bfs(fld, (level - 1e-3 * (hi - lo), level + 1e-3 * (hi - lo)))
+        assert regions.components
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 3).flatmap(lambda dim: arrays(

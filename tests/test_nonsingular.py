@@ -226,6 +226,16 @@ class TestInjectivityOnGrid:
         assert not check_injective_on_grid(trunk, window, 2)
         assert not reference_injective(trunk, window, 2)
 
+    def test_pair_in_adjacent_cells_of_one_axis_fails(self):
+        # the only output axis has distinct cells, 0 and 1: one apart is not
+        # far enough to rule the pair out, and the pair is far too close
+        trunk = affine_trunk([[1e-27]], [INJECTIVITY_QUANT])
+        window = Window(np.array([-1.0]), np.array([1.0]))
+        outputs = forward_batch(trunk, window.lattice((2,)))
+        assert np.floor(outputs / INJECTIVITY_QUANT).ravel().tolist() == [0.0, 1.0]
+        assert not check_injective_on_grid(trunk, window, 2)
+        assert not reference_injective(trunk, window, 2)
+
     def test_fold_fails_beyond_lag_one(self):
         # 1e-13 * |x| puts the whole line in one cell; neighbours in sorted
         # order pass, mirrored points (lag 2 and more) coincide
@@ -428,6 +438,55 @@ def test_witness_matches_lexsort_reference_at_201(trunk, must_reject):
     assert verdict == lexsort_injective(trunk, window, 201)
     if must_reject:
         assert not verdict
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``nonsingular.<name>`` so each call records its first argument's length."""
+    seen = []
+    real = getattr(nonsingular, name)
+    monkeypatch.setattr(nonsingular, name, lambda v: seen.append(len(v)) or real(v))
+    return seen
+
+
+BOX4 = Window(np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
+
+
+@pytest.mark.parametrize("trunk, window, resolution", [
+    pytest.param(dict(audit_construct_trunks())["construct-1"], BOX4, 201, id="construct-1"),
+    pytest.param(dict(audit_construct_trunks())["construct-5"], BOX4, 201, id="construct-5"),
+    pytest.param(constant_first_output_trunk(), BOX4, 201, id="constant-first-output"),
+    pytest.param(affine_trunk(np.eye(1)), Window(np.array([-3.0]), np.array([3.0])), 41,
+                 id="identity-1d"),
+])
+def test_spread_axis_passes_without_keys(trunk, window, resolution, monkeypatch):
+    # some output axis has its sorted cells all at least two apart: no pair
+    # is within one cell on it, so no shifted grid is keyed
+    mixed = count_calls(monkeypatch, "_mix_keys")
+    assert check_injective_on_grid(trunk, window, resolution)
+    assert mixed == []
+
+
+@pytest.mark.parametrize("trunk, verdict", [
+    # rows of equal x share a cell on the first output axis, columns on the
+    # second, but no two points share one on both
+    pytest.param(affine_trunk([[1.0, 1e-14], [1e-14, 1.0]]), True, id="close-per-axis"),
+    pytest.param(affine_trunk(np.diag([2.0, 1.25e-12]), [0.0, 0.5e-12]), False,
+                 id="cross-cell-squash"),
+])
+def test_unspread_trunks_reach_the_shifted_grids(trunk, verdict, monkeypatch):
+    mixed = count_calls(monkeypatch, "_mix_keys")
+    assert check_injective_on_grid(trunk, BOX4, 11) is verdict
+    assert mixed
+    assert reference_injective(trunk, BOX4, 11) is verdict
+
+
+def test_collapsed_trunk_fails_on_its_first_block(monkeypatch):
+    # every lattice point maps to one output, so the first 64 pairs already
+    # fail and no larger block is measured
+    trunk = zeroed_first_layer(dict(audit_construct_trunks())["construct-0"])
+    measured = count_calls(monkeypatch, "_row_norms")
+    assert not check_injective_on_grid(trunk, BOX4, 201)
+    assert measured == [64, 64]  # output distances, then input distances
 
 
 def quantized_to(cell):
