@@ -79,24 +79,23 @@ def parallel_map(fn, items):
 # per-level analysis
 
 
-def analyze_level(f, level: float, field: ScalarField) -> dict:
+def analyze_level(level: float, field: ScalarField) -> dict:
     """The report entry (``level_entry``) of the level components of
-    ``field``, a sampling of ``f``, classified on the window.
+    ``field``, classified on the window.
 
-    Only the centres of saddle cells sample ``f`` (``None`` splits them by
-    the corner average), so callers probing several levels sample the
-    window once.
+    Only the centres of saddle cells call ``field.fn``, so callers probing
+    several levels sample the window once.
     """
     return level_entry(float(level), field.window, field.resolution,
-                       [c.chain for c in extract_components(field, level, f=f)])
+                       [c.chain for c in extract_components(field, level)])
 
 
 def analyze_outcome(net: Network, config: dict) -> tuple[SeedOutcome, ScalarField]:
     """An ``analyze`` run's outcome, an entry per level of its config on the
     config's window and resolution, and the sampling the entries read."""
-    f = network_scalar_fn(net)
-    field = sample_grid(f, Window(**config["window"]), (config["resolution"],) * 2)
-    levels = tuple(analyze_level(f, level, field) for level in config["levels"])
+    field = sample_grid(network_scalar_fn(net), Window(**config["window"]),
+                        (config["resolution"],) * 2)
+    levels = tuple(analyze_level(level, field) for level in config["levels"])
     return SeedOutcome(seed=0, levels=levels, network=network_to_dict(net)), field
 
 
@@ -174,15 +173,15 @@ def trained_outcome(spec: ExperimentSpec, seed: int, data: Dataset, net: Network
     ``net`` on ``data``, and each of ``spec.levels`` analysed on ``auto_window``
     of its data.  A seed stops before ``train.steps`` only at ``target_loss``,
     with the weights of that loss; any other ran every step."""
-    f = network_scalar_fn(net)
-    field = sample_grid(f, auto_window(data), (spec.resolution, spec.resolution))
+    field = sample_grid(network_scalar_fn(net), auto_window(data),
+                        (spec.resolution, spec.resolution))
     loss = loss_and_grad(net, data.points, data.labels, spec.train.loss)[0]
     if not (1 <= steps_run < spec.train.steps and loss <= spec.train.target_loss):
         steps_run = spec.train.steps
     return SeedOutcome(seed=seed, final_loss=loss, steps_run=steps_run,
                        converged=loss <= spec.convergence_loss,
                        accuracy=accuracy(net, data), network=network_to_dict(net),
-                       levels=tuple(analyze_level(f, level, field) for level in spec.levels))
+                       levels=tuple(analyze_level(level, field) for level in spec.levels))
 
 
 def _seed_outcome(spec: ExperimentSpec, seed: int, data, result) -> SeedOutcome:
@@ -327,11 +326,10 @@ def _sweep_net(spec: NonSingularSweepSpec, job: tuple[int, int]) -> EncodedOutco
     if not report.verdict:
         raise ConstructionError(
             f"net {index}: construction produced a singular network: {report}")
-    f = network_scalar_fn(net)
-    fld = sample_grid(f, spec.window, (spec.resolution, spec.resolution))
+    fld = sample_grid(network_scalar_fn(net), spec.window, (spec.resolution, spec.resolution))
     p5, p95 = np.percentile(fld.values, [5.0, 95.0])
     levels = rng.uniform(p5, p95, spec.levels_per_net)
-    entries = tuple(analyze_level(f, level, fld) for level in levels)
+    entries = tuple(analyze_level(level, fld) for level in levels)
     return encode_outcome(SeedOutcome(seed=index, levels=entries, nonsingularity=report,
                                       network=network_to_dict(net)).to_dict())
 
@@ -368,26 +366,6 @@ class FunctionLink:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.fn(x)
-
-
-@dataclass(frozen=True)
-class Bump:
-    """Compactly supported bump b(x) = amplitude * (1 - |(x-c)/w|^2)^2 * direction.
-
-    The Euclidean sup norm is |amplitude|, so a bump with amplitude <= delta
-    is a valid delta-perturbation of a link on all of its domain.
-    """
-
-    center: np.ndarray
-    width: np.ndarray
-    amplitude: float
-    direction: np.ndarray
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        u = (x - self.center) / self.width
-        r2 = np.sum(u * u, axis=1)
-        profile = np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 2, 0.0)
-        return self.amplitude * profile[:, None] * self.direction
 
 
 @dataclass(frozen=True)
@@ -444,17 +422,18 @@ def composition_tolerance_check(chain, window: Window, eps: float, trials: int,
         worst = 0.0
         failed = False
         for _ in range(trials):
-            bumps = []
+            y = points
             for link, dom in zip(chain, link_domains):
                 center = rng.uniform(dom.lo, dom.hi)
-                width = dom.extent * rng.uniform(0.2, 0.6, size=dom.dim)
+                width = np.maximum(dom.extent * rng.uniform(0.2, 0.6, size=dom.dim), 1e-9)
                 direction = rng.normal(size=link.output_dim)
                 direction /= np.linalg.norm(direction)
                 amplitude = delta * rng.uniform(0.5, 1.0)
-                bumps.append(Bump(center, np.maximum(width, 1e-9), amplitude, direction))
-            y = points
-            for link, bump in zip(chain, bumps):
-                y = np.asarray(link(y), dtype=np.float64) + bump(y)
+                # the bump amplitude (1 - |u|^2)^2 direction has sup norm amplitude <= delta
+                u = (y - center) / width
+                r2 = np.sum(u * u, axis=1)
+                profile = np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 2, 0.0)
+                y = np.asarray(link(y), dtype=np.float64) + amplitude * profile[:, None] * direction
             deviation = float(np.max(np.linalg.norm(y - baseline, axis=1)))
             worst = max(worst, deviation)
             if deviation >= eps:

@@ -22,7 +22,6 @@ from .activations import Activation, ActivationKind
 from .analysis import (ConstructionError, ExperimentSpec, NonSingularSweepSpec, SeedOutcome,
                        analyze_outcome, auto_window, reproduction_spec, run_experiment,
                        random_nonsingular_sweep, trained_outcome)
-from .fields import network_scalar_fn
 from .network import Window, _plain, load_network, network_from_dict, save_network
 from .nonsingular import NonSingularizationError
 from .reports import (FIG_KINDS, KIND_ANALYZE, KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE,
@@ -184,7 +183,7 @@ def cmd_analyze(args) -> int:
     if args.svg:
         components = [c for lv in outcome.levels for c in lv["report"]["components"]]
         svg = render_topology_svg(
-            window, components, args.levels[0], field_fn=network_scalar_fn(net),
+            window, components, args.levels[0], field_fn=base_field.fn,
             points=data.points if data is not None else None,
             labels=data.labels if data is not None else None,
             deterministic=args.deterministic, title=f"analysis of {Path(args.model).name}")

@@ -8,10 +8,10 @@ shared exactly and components can be linked by vertex identity with no
 coordinate tolerance.  An active cell lists its edge ids in the order
 bottom, right, top, left: a plain cell joins its two crossed edges, a
 saddle cell (two opposite corners above the level) emits two segments.
-Which pair of corners a saddle cell joins follows its centre value: the
-sampled function at the centre when the caller passes it, the average of
-the four corners for a bare field.  The average reads a ridge along the
-cell diagonal as a dip, and so closes false loops around single nodes.
+Which pair of corners a saddle cell joins follows the sampled function
+(``ScalarField.fn``) at the cell centre.  The average of the four corners
+would read a ridge along the cell diagonal as a dip, and so close false
+loops around single nodes; a field with no function cannot split a saddle.
 
 Linking is pointer jumping over half-edges: each vertex has one or two
 segments, so every component is a chain or a loop, its label is the lowest
@@ -68,13 +68,11 @@ class SegmentSoup:
     segment_cells: np.ndarray  # (S, 2) int
 
 
-def marching_squares(field: ScalarField, level: float, f=None) -> SegmentSoup:
+def marching_squares(field: ScalarField, level: float) -> SegmentSoup:
     """Extract the level-``level`` isocontour of a 2-d field as line segments.
 
-    ``f``, when given, is the function the field samples: each saddle cell
-    is then split by the value of ``f`` at its centre, evaluated in one call
-    for all saddle cells of the level.  Without it the centre value is the
-    average of the four corners.
+    Each saddle cell is split by the value of ``field.fn`` at its centre,
+    evaluated in one call for all saddle cells of the level.
     """
     if field.values.ndim != 2:
         raise ValueError("marching squares requires a 2-d field")
@@ -122,13 +120,12 @@ def marching_squares(field: ScalarField, level: float, f=None) -> SegmentSoup:
     plain = edges[~saddle]
     pairs[~saddle, 0] = plain[plain >= 0].reshape(-1, 2)
     if saddle.any():
+        if field.fn is None:
+            raise ValueError(f"level {level} crosses a saddle cell, which only the sampled "
+                             "function can split: build the field with sample_grid")
         si, sj = ci[saddle], cj[saddle]
-        if f is None:
-            centre = (values[si, sj] + values[si + 1, sj]
-                      + values[si + 1, sj + 1] + values[si, sj + 1]) / 4.0
-        else:
-            points = np.column_stack((0.5 * (xs[si] + xs[si + 1]), 0.5 * (ys[sj] + ys[sj + 1])))
-            centre = np.asarray(f(points), dtype=np.float64).reshape(len(si))
+        points = np.column_stack((0.5 * (xs[si] + xs[si + 1]), 0.5 * (ys[sj] + ys[sj + 1])))
+        centre = np.asarray(field.fn(points), dtype=np.float64).reshape(len(si))
         # the corner (i, j) and the centre on one side: split off the corners
         # (i+1, j) and (i, j+1); otherwise split off (i, j) and (i+1, j+1)
         bottom, right, top, left = edges[saddle].T
@@ -237,8 +234,8 @@ def link_components(soup: SegmentSoup) -> list[LevelComponent]:
     return components
 
 
-def extract_components(field: ScalarField, level: float, f=None) -> list[LevelComponent]:
-    return link_components(marching_squares(field, level, f))
+def extract_components(field: ScalarField, level: float) -> list[LevelComponent]:
+    return link_components(marching_squares(field, level))
 
 
 def component_encloses(chain, point) -> bool:

@@ -18,7 +18,7 @@ a level-y contour has one component per band component of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,11 +31,14 @@ class ScalarField:
 
     ``values[i, j]`` is the sample at ``(axes[0][i], axes[1][j])``; 2-d and
     3-d grids are supported (contour extraction is 2-d only, region labeling
-    handles both).
+    handles both).  ``fn`` is the function sampled, which ``sample_grid``
+    keeps so that marching squares can split saddle cells by it; a field
+    built from bare values has none.
     """
 
     window: Window
     values: np.ndarray
+    fn: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=np.float64)  # the caller keeps its own array
@@ -65,7 +68,7 @@ class ScalarField:
 
 
 def sample_grid(f, window: Window, resolution: tuple[int, ...]) -> ScalarField:
-    """Sample ``f`` at the corner lattice of ``window``.
+    """Sample ``f`` at the corner lattice of ``window``; the field keeps ``f`` as ``fn``.
 
     ``f`` takes a (m, dim) array of points and returns (m,) values; use
     ``network_scalar_fn`` to adapt a scalar-valued Network.  A non-finite
@@ -82,7 +85,7 @@ def sample_grid(f, window: Window, resolution: tuple[int, ...]) -> ScalarField:
     if bad.size:
         where = points[bad[0]]
         raise ValueError(f"non-finite sample {raw[bad[0]]!r} at {tuple(where)}")
-    return ScalarField(window, raw.reshape(resolution))
+    return ScalarField(window, raw.reshape(resolution), f)
 
 
 def network_scalar_fn(net: Network):
@@ -115,29 +118,22 @@ class RegionComponents:
     components: tuple[RegionComponent, ...]
 
 
-def _over_corners(nodes: np.ndarray, ufunc) -> np.ndarray:
-    """``ufunc`` reduced over the 2^dim corners of every cell."""
+def _any_corner(nodes: np.ndarray) -> np.ndarray:
+    """The cells with a True node among their 2^dim corners."""
     for axis in range(nodes.ndim):
         lower = [slice(None)] * nodes.ndim
         upper = [slice(None)] * nodes.ndim
         lower[axis] = slice(None, -1)
         upper[axis] = slice(1, None)
-        nodes = ufunc(nodes[tuple(lower)], nodes[tuple(upper)])
+        nodes = nodes[tuple(lower)] | nodes[tuple(upper)]
     return nodes
-
-
-def _cell_min_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Min/max over the 2^dim corners of every cell (the breadth-first
-    reference in ``tests/test_fields.py`` builds its band from these)."""
-    return _over_corners(values, np.minimum), _over_corners(values, np.maximum)
 
 
 def _cells_between(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Cells with a corner value below ``hi`` and one above ``lo``: for
     lo < hi those whose corner-value span meets (lo, hi), for lo == hi those
     that straddle it.  Works on booleans, not on the corner min and max."""
-    return (_over_corners(values < hi, np.logical_or)
-            & _over_corners(values > lo, np.logical_or))
+    return _any_corner(values < hi) & _any_corner(values > lo)
 
 
 def region_components(fld: ScalarField, interval: tuple[float, float]) -> RegionComponents:

@@ -43,13 +43,13 @@ class TestAnalyzeLevel:
         (arc_fn, (Classification.BOUNDARY_TOUCHING,)),
     ], ids=["circle", "line", "arc-leaving-the-frame"])
     def test_classified_on_the_window(self, f, expected):
-        entry = analyze_level(f, 0.0, sample_grid(f, window2(), (101, 101)))
+        entry = analyze_level(0.0, sample_grid(f, window2(), (101, 101)))
         assert entry["final_classifications"] == [c.value for c in expected]
         assert entry["bounded_final"] == expected.count(Classification.BOUNDED)
 
     def test_final_classifications_are_the_components_own(self):
         for f in (circle_fn, line_fn, arc_fn):
-            entry = analyze_level(f, 0.0, sample_grid(f, window2(), (101, 101)))
+            entry = analyze_level(0.0, sample_grid(f, window2(), (101, 101)))
             assert entry["final_classifications"] == [
                 c["classification"] for c in entry["report"]["components"]]
 
@@ -68,7 +68,7 @@ class TestSubCellLoop:
 
     def analyze(self, f):
         window = Window(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-        return analyze_level(f, 0.5, sample_grid(f, window, (20, 20)))
+        return analyze_level(0.5, sample_grid(f, window, (20, 20)))
 
     def test_spike_at_an_even_resolution_stays_bounded(self):
         entry = self.analyze(self.spike)

@@ -1182,8 +1182,8 @@ def nudge_converged_head_bias(report):
     data = spec.dataset(1)
     loss = training.loss_and_grad(net, data.points, data.labels, spec.train.loss)[0]
     assert loss != outcome["final_loss"]
-    f = network_scalar_fn(net)
-    [comp] = extract_components(sample_grid(f, analysis.auto_window(data), (201, 201)), 0.5, f=f)
+    [comp] = extract_components(
+        sample_grid(network_scalar_fn(net), analysis.auto_window(data), (201, 201)), 0.5)
     stored = outcome["levels"][0]["report"]["components"][0]["polylines"][0]
     assert len(stored) == len(comp.chain)
     return [f"outcomes[1].final_loss is {outcome['final_loss']!r}, recomputed {loss!r}"] + [
@@ -1214,10 +1214,10 @@ def move_sweep_level(report):
     """Replace a net's first entry with its entry at level 0.123, which the
     net does not reach on the window, sums and verdicts to match."""
     spec, outcome = report["config"]["spec"], report["outcomes"][0]
-    f = network_scalar_fn(network_from_dict(outcome["network"]))
-    field = sample_grid(f, Window(**spec["window"]), (spec["resolution"],) * 2)
+    field = sample_grid(network_scalar_fn(network_from_dict(outcome["network"])),
+                        Window(**spec["window"]), (spec["resolution"],) * 2)
     stored, touching = outcome["levels"][0], outcome["boundary_final"]
-    outcome["levels"][0] = entry = json.loads(json.dumps(analysis.analyze_level(f, 0.123, field)))
+    outcome["levels"][0] = entry = json.loads(json.dumps(analysis.analyze_level(0.123, field)))
     resum(report, outcome)
     [component] = stored["report"]["components"]
     assert entry["report"]["components"] == []

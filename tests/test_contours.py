@@ -8,7 +8,8 @@ from leveltopo import (SIGMOID, Classification, Window, analyze_level, classify_
                        link_components, marching_squares, network_scalar_fn,
                        region_components, sample_grid)
 from leveltopo.contours import LEVEL_NUDGE, _in_frame_cells, band_oracle_compare, boundary_tol
-from leveltopo.fields import RegionComponent, RegionComponents, sample_noncritical_levels
+from leveltopo.fields import (RegionComponent, RegionComponents, ScalarField,
+                              sample_noncritical_levels)
 
 
 def classify(comp, fld):
@@ -191,18 +192,20 @@ class TestVertexWalk:
         assert sorted(map(sorted, linked)) == sorted(map(sorted, soup.segments.tolist()))
 
     def test_open_chain_starts_at_the_end_its_first_segment_names_first(self):
-        # segments: (5,4) (0,1) (5,1) (6,2) (2,3) (7,6), with vertex 4 at
-        # (-1,0), 5 at (-1/3,0), 1 at (0,-1/3) and 0 at (0,-1): end 4 is
-        # position 1 of segment 0 and end 0 position 0 of segment 1, so the
-        # first chain starts at 4; the second at 3 = (0,1), position 1 of
-        # segment 4, not at 7, position 0 of segment 5
+        # linspace(-1, 1, 4) is not symmetric in float64, so the saddle
+        # cell's centre value is (-5.6e-17)^2 > 0 and it joins the corner
+        # (1, 1).  Segments: (5,4) (0,1) (1,6) (2,5) (2,3) (7,6), with vertex
+        # 4 at (-1,0), 5 at (-1/3,0), 2 at (0,1/3) and 3 at (0,1): end 4 is
+        # position 1 of segment 0 and end 3 position 1 of segment 4, so the
+        # first chain starts at 4; the second at 0 = (0,-1), position 0 of
+        # segment 1, not at 7, position 0 of segment 5
         fld, level = WALK_FIELDS[0]
         first, second = link_components(marching_squares(fld, level))
         third = 1.0 / 3.0
         np.testing.assert_allclose(first.chain,
-                                   [[-1, 0], [-third, 0], [0, -third], [0, -1]], atol=1e-12)
+                                   [[-1, 0], [-third, 0], [0, third], [0, 1]], atol=1e-12)
         np.testing.assert_allclose(second.chain,
-                                   [[0, 1], [0, third], [third, 0], [1, 0]], atol=1e-12)
+                                   [[0, -1], [0, -third], [third, 0], [1, 0]], atol=1e-12)
 
     def test_loop_starts_along_its_lowest_segment(self):
         # x^2 + y^2 = 0.5625 on the 5x5 lattice of [-1,1]^2: the lowest
@@ -246,7 +249,7 @@ class TestRefinementStability:
 class TestTopologyReport:
     def test_counts_and_dict_shape(self):
         fld = two_circle_field()
-        entry = analyze_level(None, 0.0, fld)
+        entry = analyze_level(0.0, fld)
         assert (entry["bounded_final"], entry["boundary_final"]) == (2, 0)
         assert entry["final_classifications"] == ["bounded", "bounded"]
         d = entry["report"]
@@ -331,7 +334,8 @@ class TestOracleIssues:
 
 
 def loop_marching_squares(field, level):
-    """Per-edge and per-cell loops; saddles split by the corner average."""
+    """Per-edge and per-cell loops; each saddle split by the sampled function
+    at its centre, one cell at a time."""
     v = field.values
     lo_val, hi_val = field.value_range()
     nudged = np.where(v == level, level + LEVEL_NUDGE * (hi_val - lo_val), v)
@@ -359,9 +363,8 @@ def loop_marching_squares(field, level):
             segments.append(tuple(crossed))
             cells.append((i, j))
         else:
-            center_inside = (nudged[i, j] + nudged[i + 1, j]
-                             + nudged[i + 1, j + 1] + nudged[i, j + 1]) / 4.0 > level
-            if inside[i, j] == center_inside:
+            center = np.array([[0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])]])
+            if inside[i, j] == (field.fn(center)[0] > level):
                 segments.extend(((vb, vr), (vt, vl)))
             else:
                 segments.extend(((vl, vb), (vr, vt)))
@@ -431,10 +434,26 @@ def radial(x, y):
     return r2 * (r2 - 2.0) * (r2 - 3.5)
 
 
-# polynomial fields only (no libm): saddle cells; lone segments cutting a
-# corner; frame-to-frame chains; nested loops (the quartic at 1.2 and the
-# radial field's rings); a single circle whose segment count is far above
-# 2^k for the rounds before the last one of the pointer jumping; no segments
+def ridge_xy(x, y):
+    # a ridge along y = x rising to the upper right; the diagonal nodes are
+    # joined across each saddle cell by the ridge, which the corner average
+    # of the cell (two ridge nodes, two valley nodes) would read as a dip
+    return -np.abs(x - y) + 0.01 * (x + y)
+
+
+def ridge(p):
+    return ridge_xy(p[:, 0], p[:, 1])
+
+
+RIDGE_LEVEL = 0.01 * 1.2 - 1e-4  # just below the diagonal node (0.6, 0.6)
+
+
+# polynomial fields only (no libm): saddle cells, and the ridge's, which the
+# sampled function and the corner average split differently; lone segments
+# cutting a corner; frame-to-frame chains; nested loops (the quartic at 1.2
+# and the radial field's rings); a single circle whose segment count is far
+# above 2^k for the rounds before the last one of the pointer jumping; no
+# segments
 REFERENCE_CASES = [
     (lambda x, y: x * y - 0.1 * x, 1.5, 0.0),
     (lambda x, y: x * y * (x - 0.3) * (y + 0.2), 1.0, 0.01),
@@ -447,6 +466,7 @@ REFERENCE_CASES = [
     (radial, 2.0, 0.5),
     (lambda x, y: x * x + y * y, 1.0, 0.6),
     (lambda x, y: x * x + y * y, 1.0, 5.0),
+    (ridge_xy, 1.5, RIDGE_LEVEL),
 ]
 
 
@@ -512,54 +532,73 @@ class TestArrayPathMatchesLoopReference:
 # saddle cells decided by the sampled function
 
 
-def ridge(p):
-    # a ridge along y = x rising to the upper right; the diagonal nodes are
-    # joined across each saddle cell by the ridge, which the corner average
-    # of the cell (two ridge nodes, two valley nodes) reads as a dip
-    x, y = p[:, 0], p[:, 1]
-    return -np.abs(x - y) + 0.01 * (x + y)
-
-
 def diagonal_peak(p):
     # a peak at the centre (0.05, 0.05) of one cell of the 21^2 lattice of
     # [-1,1]^2, elongated along y = x: at level -0.02 the two diagonal
-    # corners are above it, the two others below, and so is the corner average
+    # corners are above it and the two others below, so the cell is a saddle
     u = p[:, 0] - p[:, 1]
     w = p[:, 0] + p[:, 1] - 0.1
     return -(4.0 * u * u + w * w)
 
 
 class CountingFn:
+    """A field function that records the points of each call."""
+
     def __init__(self, fn):
         self.fn = fn
         self.calls = []
 
     def __call__(self, points):
-        self.calls.append(points.shape)
+        self.calls.append(points.copy())
         return self.fn(points)
 
 
-class TestSaddleRule:
-    LEVEL = 0.01 * 1.2 - 1e-4  # just below the diagonal node (0.6, 0.6)
+def saddle_centres(fld, level):
+    """The centres of the saddle cells of ``fld`` at ``level``, in cell order."""
+    cells, counts = np.unique(marching_squares(fld, level).segment_cells, axis=0,
+                              return_counts=True)
+    i, j = cells[counts == 2].T
+    xs, ys = fld.axis(0), fld.axis(1)
+    return np.column_stack((0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])))
 
-    def test_average_rule_makes_loops_on_a_ridge(self):
-        fld = sample_grid(ridge, window2(1.5), (31, 31))
-        comps = extract_components(fld, self.LEVEL)
-        assert sum(classify(c, fld) is Classification.BOUNDED for c in comps) >= 5
+
+class TestSaddleRule:
+    LEVEL = RIDGE_LEVEL
 
     def test_function_rule_keeps_the_ridge_one_chain(self):
         fld = sample_grid(ridge, window2(1.5), (31, 31))
-        (comp,) = extract_components(fld, self.LEVEL, f=ridge)
+        (comp,) = extract_components(fld, self.LEVEL)
         assert classify(comp, fld) is Classification.BOUNDARY_TOUCHING
-        entry = analyze_level(ridge, self.LEVEL, fld)
+        entry = analyze_level(self.LEVEL, fld)
         assert entry["bounded_final"] == 0 and entry["boundary_final"] == 1
+
+    def test_band_oracle_splits_saddles_by_the_sampled_function(self):
+        counting = CountingFn(ridge)
+        fld = sample_grid(counting, window2(1.5), (31, 31))
+        counting.calls.clear()
+        result = band_oracle_compare(fld, self.LEVEL, 1e-3)
+        calls = list(counting.calls)  # before ``saddle_centres`` calls it again
+        centres = saddle_centres(fld, self.LEVEL)
+        assert len(centres) == 9 and len(calls) == 1
+        np.testing.assert_array_equal(calls[0], centres)
+        assert result == {"agree": True, "contour_count": 1, "band_count": 1, "issues": []}
+
+    def test_bare_field_cannot_split_a_saddle(self):
+        sampled = sample_grid(ridge, window2(1.5), (31, 31))
+        bare = ScalarField(sampled.window, sampled.values)
+        with pytest.raises(ValueError, match="build the field with sample_grid"):
+            extract_components(bare, self.LEVEL)
+        # at -1 the ridge's level set is two straight chains with no saddle cell
+        soup, expected = marching_squares(bare, -1.0), marching_squares(sampled, -1.0)
+        assert len(soup.segments) == 80 and len(extract_components(bare, -1.0)) == 2
+        np.testing.assert_array_equal(soup.segments, expected.segments)
+        np.testing.assert_array_equal(bits(soup.vertices), bits(expected.vertices))
 
     def test_small_loop_across_a_saddle_cell_stays_bounded(self):
         fld = sample_grid(diagonal_peak, window2(1.0), (21, 21))
         cells = marching_squares(fld, -0.02).segment_cells.tolist()
         assert cells.count([10, 10]) == 2
-        assert len(extract_components(fld, -0.02)) == 2  # the average splits it
-        entry = analyze_level(diagonal_peak, -0.02, fld)
+        entry = analyze_level(-0.02, fld)
         assert entry["final_classifications"] == ["bounded"]
         (loop,) = entry["report"]["components"]
         assert component_encloses(np.asarray(loop["polylines"][0]), (0.05, 0.05))
@@ -567,24 +606,20 @@ class TestSaddleRule:
     def test_small_loop_around_a_node_stays_bounded(self):
         peak = lambda p: -(p[:, 0] ** 2 + p[:, 1] ** 2)
         fld = sample_grid(peak, window2(1.0), (21, 21))
-        entry = analyze_level(peak, -0.005, fld)
+        entry = analyze_level(-0.005, fld)
         assert entry["final_classifications"] == ["bounded"]
         assert len(entry["report"]["components"][0]["polylines"][0]) == 5
         assert entry["bounded_enclosing_origin"] == 1
 
     def test_function_evaluated_once_on_saddle_centres_only(self):
-        fld = sample_grid(ridge, window2(1.5), (31, 31))
         counting = CountingFn(ridge)
-        soup = marching_squares(fld, self.LEVEL, counting)
-        _, counts = np.unique(soup.segment_cells, axis=0, return_counts=True)
-        assert counting.calls == [(int(np.sum(counts == 2)), 2)]
-        circle = circle_field(41)
-        counting = CountingFn(lambda p: p[:, 0] ** 2 + p[:, 1] ** 2 - 1.0)
-        assert len(marching_squares(circle, 0.0, counting).segments) > 0
-        assert counting.calls == []
-
-    def test_bare_field_keeps_the_average(self):
-        fld = sample_grid(ridge, window2(1.5), (31, 31))
+        fld = sample_grid(counting, window2(1.5), (31, 31))
+        counting.calls.clear()
         soup = marching_squares(fld, self.LEVEL)
-        _, segments, _ = loop_marching_squares(fld, self.LEVEL)
-        np.testing.assert_array_equal(soup.segments, segments)
+        _, counts = np.unique(soup.segment_cells, axis=0, return_counts=True)
+        assert [c.shape for c in counting.calls] == [(int(np.sum(counts == 2)), 2)]
+        counting = CountingFn(lambda p: p[:, 0] ** 2 + p[:, 1] ** 2 - 1.0)
+        circle = sample_grid(counting, window2(), (41, 41))
+        counting.calls.clear()
+        assert len(marching_squares(circle, 0.0).segments) > 0
+        assert counting.calls == []

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 from collections import deque
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from leveltopo import (SIGMOID, Window, accuracy, gen_ring_dataset, init_weights,
                        network_scalar_fn, region_components, sample_grid)
-from leveltopo.fields import (RegionComponent, RegionComponents, ScalarField, _cell_min_max,
+from leveltopo.fields import (RegionComponent, RegionComponents, ScalarField,
                               sample_noncritical_levels)
 
 
@@ -74,6 +76,14 @@ class TestScalarField:
         assert fld.values[0, 0] == 0.0
         assert not fld.values.flags.writeable
 
+    def test_sampling_keeps_its_function_out_of_equality_and_repr(self):
+        fld = sample_grid(paraboloid, window2(), (5, 5))
+        bare = ScalarField(fld.window, fld.values)
+        assert fld.fn is paraboloid and bare.fn is None
+        assert repr(fld) == repr(bare)
+        compared = [f.name for f in dataclasses.fields(ScalarField) if f.compare]
+        assert compared == ["window", "values"]
+
 
 class TestRegionComponents:
     def test_annulus_single_component(self):
@@ -131,7 +141,11 @@ def bfs_region_components(fld, interval):
     """Label band cells by a breadth-first fill from each unlabelled band
     cell in ``np.argwhere`` order, one cell at a time."""
     lo, hi = interval
-    cell_lo, cell_hi = _cell_min_max(fld.values)
+    values = fld.values
+    # the 2^dim corner arrays of every cell, by plain slicing
+    corners = [values[tuple(slice(o, n - 1 + o) for o, n in zip(offset, values.shape))]
+               for offset in itertools.product((0, 1), repeat=values.ndim)]
+    cell_lo, cell_hi = np.min(corners, axis=0), np.max(corners, axis=0)
     mask = (cell_lo < hi) & (cell_hi > lo)
     mid = 0.5 * (lo + hi)
     straddle_mask = (cell_lo < mid) & (cell_hi > mid)
