@@ -274,7 +274,8 @@ class NonSingularSweepSpec:
 
     def __post_init__(self):
         if not self.activation.one_to_one:
-            raise ValueError("non-singular sweeps need a one-to-one activation")
+            raise ValueError(f"activation (--activation) must be one-to-one for a non-singular "
+                             f"sweep, got {self.activation.kind.value}")
         if self.count < 0:
             raise ValueError(f"count (--count) must be >= 0, got {self.count}")
         if not self.depths or min(self.depths) < 0:

@@ -27,7 +27,7 @@ from .nonsingular import NonSingularizationError
 from .reports import (FIG_KINDS, KIND_ANALYZE, KIND_REPRODUCE_NARROW, KIND_REPRODUCE_WIDE,
                       KIND_SWEEP, SCHEMA_VERSION, _json, dumps_report, load_report,
                       make_report, report_passed, verdict_lines, write_report)
-from .svgplot import outcome_svg, render_topology_svg
+from .svgplot import outcome_svg
 from .training import (DECISION_CUT, Loss, Optimizer, TrainConfig, TrainingDiverged,
                        accuracy, gen_ring_dataset, init_weights, load_dataset, save_dataset,
                        train)
@@ -181,12 +181,10 @@ def cmd_analyze(args) -> int:
     report = make_report(KIND_ANALYZE, config, [outcome.to_dict()], args.deterministic, 0.0)
     code = _finish(report, args.report)  # written first, so a bad --svg path costs no report
     if args.svg:
-        components = [c for lv in outcome.levels for c in lv["report"]["components"]]
-        svg = render_topology_svg(
-            window, components, args.levels[0], field_fn=base_field.fn,
-            points=data.points if data is not None else None,
-            labels=data.labels if data is not None else None,
-            deterministic=args.deterministic, title=f"analysis of {Path(args.model).name}")
+        svg = outcome_svg(report["outcomes"][0], args.deterministic,
+                          title=f"analysis of {Path(args.model).name}",
+                          points=data.points if data is not None else None,
+                          labels=data.labels if data is not None else None)
         Path(args.svg).write_text(svg)
         print(f"svg -> {args.svg}")
     return code

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, region_components
+from .fields import ScalarField, cell_centres, region_components
 from .network import Window
 
 # corner values exactly at the level are shifted by this fraction of the
@@ -124,7 +124,7 @@ def marching_squares(field: ScalarField, level: float) -> SegmentSoup:
             raise ValueError(f"level {level} crosses a saddle cell, which only the sampled "
                              "function can split: build the field with sample_grid")
         si, sj = ci[saddle], cj[saddle]
-        points = np.column_stack((0.5 * (xs[si] + xs[si + 1]), 0.5 * (ys[sj] + ys[sj + 1])))
+        points = cell_centres(xs, ys, si, sj)
         centre = np.asarray(field.fn(points), dtype=np.float64).reshape(len(si))
         # the corner (i, j) and the centre on one side: split off the corners
         # (i+1, j) and (i, j+1); otherwise split off (i, j) and (i+1, j+1)

@@ -88,6 +88,13 @@ def sample_grid(f, window: Window, resolution: tuple[int, ...]) -> ScalarField:
     return ScalarField(window, raw.reshape(resolution), f)
 
 
+def cell_centres(xs: np.ndarray, ys: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The centres of the cells (i[k], j[k]) of the grid on axes ``xs`` and
+    ``ys``, as (m, 2) points: where marching squares splits a saddle cell and
+    a plot colours its fill."""
+    return np.column_stack((0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])))
+
+
 def network_scalar_fn(net: Network):
     """Adapter: scalar-valued network -> field evaluation callable, (m, n) -> (m,)."""
     if net.output_dim != 1:

@@ -13,7 +13,7 @@ import datetime
 import numpy as np
 
 from .contours import Classification
-from .fields import network_scalar_fn, sample_grid
+from .fields import cell_centres, network_scalar_fn
 from .network import Window, network_from_dict
 
 CANVAS = 640
@@ -31,13 +31,17 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_topology_svg(window: Window, components: list[dict], level: float, field_fn,
-                        points: np.ndarray | None = None, labels: np.ndarray | None = None,
-                        deterministic: bool = False, title: str = "") -> str:
-    """Compose the SVG document.  ``components`` are report component entries
-    (``classification`` and ``polylines``, as ``level_entry`` writes them).
-    ``field_fn`` (points -> values) drives the sign-region fill; the data
-    ``points`` and their ``labels`` are drawn when given."""
+def outcome_svg(outcome: dict, deterministic: bool, title: str | None = None,
+                points: np.ndarray | None = None, labels: np.ndarray | None = None) -> str:
+    """The plot of a report outcome from the outcome alone: the stored chains of
+    every level in the first level's window, over the sign regions of the stored
+    network at the first level, each fill cell coloured by the network at its
+    centre; the data ``points`` and ``labels`` when given; ``title`` or "seed N"."""
+    from html import escape  # imported here, so that a process drawing no plot loads no html
+    entry = outcome["levels"][0]["report"]
+    window, level = Window(**entry["window"]), entry["level"]
+    fn = network_scalar_fn(network_from_dict(outcome["network"]))
+    title = f"seed {outcome['seed']}" if title is None else title
     scale = (CANVAS - 2 * MARGIN) / float(max(window.extent))
 
     def t(x: float, y: float) -> tuple[float, float]:
@@ -55,20 +59,18 @@ def render_topology_svg(window: Window, components: list[dict], level: float, fi
         "<!-- transform: sx = {m} + (x - {x0:g}) * {s:.6g}; "
         "sy = {c} - {m} - (y - {y0:g}) * {s:.6g} -->".format(
             m=MARGIN, c=CANVAS, x0=window.lo[0], y0=window.lo[1], s=scale),
+        f"<title>{escape(title, quote=False)}</title>",
+        f'<rect width="{CANVAS}" height="{CANVAS}" fill="white"/>',
     ]
-    if title:
-        parts.append(f'<title>{title}</title>')
-    parts.append(f'<rect width="{CANVAS}" height="{CANVAS}" fill="white"/>')
 
-    res = FILL_RESOLUTION
-    fld = sample_grid(field_fn, window, (res, res))
-    centers = 0.25 * (fld.values[:-1, :-1] + fld.values[1:, :-1]
-                      + fld.values[:-1, 1:] + fld.values[1:, 1:])
-    xs, ys = fld.axis(0), fld.axis(1)
+    cells = FILL_RESOLUTION - 1
+    xs, ys = (np.linspace(window.lo[d], window.hi[d], cells + 1) for d in (0, 1))
+    ci, cj = np.divmod(np.arange(cells * cells), cells)
+    above = (fn(cell_centres(xs, ys, ci, cj)) >= level).reshape(cells, cells)
     parts.append('<g shape-rendering="crispEdges">')
-    for i in range(res - 1):
-        for j in range(res - 1):
-            color = COLOR_ABOVE if centers[i, j] >= level else COLOR_BELOW
+    for i in range(cells):
+        for j in range(cells):
+            color = COLOR_ABOVE if above[i, j] else COLOR_BELOW
             x0, y0 = t(xs[i], ys[j + 1])
             w = (xs[i + 1] - xs[i]) * scale
             h = (ys[j + 1] - ys[j]) * scale
@@ -87,7 +89,7 @@ def render_topology_svg(window: Window, components: list[dict], level: float, fi
         parts.append("</g>")
 
     parts.append('<g fill="none" stroke-width="2">')
-    for comp in components:
+    for comp in (c for lv in outcome["levels"] for c in lv["report"]["components"]):
         color = (COLOR_BOUNDED if comp["classification"] == Classification.BOUNDED.value
                  else COLOR_TOUCHING)
         for chain in comp["polylines"]:
@@ -104,13 +106,3 @@ def render_topology_svg(window: Window, components: list[dict], level: float, fi
                  f'font-size="13">level={level:g} bounded=red touching=blue</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def outcome_svg(outcome: dict, deterministic: bool) -> str:
-    """The plot of a report outcome's first level, from the report alone: the
-    stored chains over the sign regions of the stored network."""
-    entry = outcome["levels"][0]["report"]
-    return render_topology_svg(
-        Window(**entry["window"]), entry["components"], entry["level"],
-        field_fn=network_scalar_fn(network_from_dict(outcome["network"])),
-        deterministic=deterministic, title=f"seed {outcome['seed']}")

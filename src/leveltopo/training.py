@@ -85,8 +85,8 @@ def gen_ring_dataset(seed: int, n_inner: int, n_ring: int, inner_sigma: float = 
         raise ValueError(f"ring_radius (--ring-radius) must be finite, got {ring_radius}")
     if not ring_radius > 3.0 * inner_sigma:
         raise ValueError(
-            f"classes not separable: need ring_radius > 3*inner_sigma, "
-            f"got {ring_radius} <= {3.0 * inner_sigma}")
+            f"classes not separable: need ring_radius (--ring-radius) > 3*inner_sigma "
+            f"(--inner-sigma), got {ring_radius} <= {3.0 * inner_sigma}")
     rng = np.random.default_rng(seed)
     inner = rng.normal(0.0, inner_sigma, size=(n_inner, 2))
     radii = rng.normal(ring_radius, ring_sigma, size=n_ring)
@@ -175,7 +175,7 @@ def init_weights(arch: list[int], activation: Activation, seed: int,
     """Glorot-style init: weights uniform in [-s, s], s = sqrt(6/(fan_in+fan_out));
     biases start at zero."""
     if len(arch) < 2 or any(w < 1 for w in arch):
-        raise ValueError(f"invalid architecture {arch}")
+        raise ValueError(f"architecture (--arch) must be two or more widths >= 1, got {arch}")
     rng = np.random.default_rng(seed)
     layers = []
     for fan_in, fan_out in zip(arch[:-1], arch[1:]):
@@ -350,7 +350,7 @@ def _stack_loss_and_grad(plan: _Plan, x: np.ndarray, y: np.ndarray, loss: Loss) 
 def _check_loss_fits(net: Network, loss: Loss) -> None:
     if loss is Loss.BCE and not (net.final_activation
                                  and net.activation.kind is ActivationKind.SIGMOID):
-        raise ValueError("BCE requires a network with sigmoid final activation")
+        raise ValueError("loss bce (--loss) needs a sigmoid final activation (--activation)")
 
 
 def loss_and_grad(net: Network, points: np.ndarray, labels: np.ndarray,
@@ -393,7 +393,8 @@ def _check_stack(nets: list[Network], datasets: list[Dataset], cfg: TrainConfig)
         _check_loss_fits(net, cfg.loss)
     for data in datasets:
         if data.dim != first.input_dim:
-            raise ValueError(f"dataset dim {data.dim} != network input dim {first.input_dim}")
+            raise ValueError(f"input width (the first --arch width) must be the dataset dim "
+                             f"{data.dim}, got {first.input_dim}")
         if len(data) != len(datasets[0]):
             raise ValueError(f"stacked datasets must have one size, got {len(data)} "
                              f"and {len(datasets[0])} points")

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from leveltopo.fields import network_scalar_fn, sample_grid
 from leveltopo.network import Window, load_network, network_from_dict, save_network
 from leveltopo.reports import compute_verdicts, dumps_report, level_entry, load_report
 from leveltopo.svgplot import outcome_svg
-from leveltopo import (SIGMOID, Layer, Network, Optimizer, TrainConfig, accuracy,
+from leveltopo import (RELU, SIGMOID, Layer, Network, Optimizer, TrainConfig, accuracy,
                        init_weights, load_dataset, one_to_one_relu, train)
 from test_reports import PINNED_ON
 
@@ -173,7 +174,8 @@ class TestTrain:
         assert main(["analyze", "--model", str(tmp_path / "m0.json"), "--data", str(data),
                      "--levels", "0.5,0.3", "--svg", str(svg), "--deterministic"]) == 0
         assert digest(svg) == (
-            "5d5a693f0143424b8f29782ea944d71ca2042c43cfac2d88e6ade6c9bc4a9f0d"), PINNED_ON
+            "0c6e0e0bc5e813cb9d442877889c67884d5f835a928af1261e7b29518dfff7d3"), PINNED_ON
+        ET.parse(svg)
 
     def test_history_too_large_for_memory_exit_3(self, tmp_path, dataset, monkeypatch,
                                                   capsys):
@@ -249,6 +251,44 @@ class TestAnalyze:
         # the trained wide model closes a loop: drawn in the bounded color
         assert report["outcomes"][0]["bounded_final"] >= 1
         assert "#d62728" in svg
+
+    def test_svg_is_drawn_from_the_report_on_disk(self, tmp_path, dataset, model):
+        rp, svg = tmp_path / "r.json", tmp_path / "p.svg"
+        assert main(["analyze", "--model", str(model), "--data", str(dataset),
+                     "--resolution", "41", "--levels", "0.5,0.3", "--report", str(rp),
+                     "--svg", str(svg), "--deterministic"]) == 0
+        data = load_dataset(dataset)
+        assert outcome_svg(load_report(rp)["outcomes"][0], deterministic=True,
+                           title=f"analysis of {model.name}", points=data.points,
+                           labels=data.labels) == svg.read_text()
+
+    def test_title_is_xml_escaped(self, tmp_path, model):
+        path, svg = tmp_path / "a&b<c>.json", tmp_path / "p.svg"
+        path.write_bytes(model.read_bytes())
+        assert main(["analyze", "--model", str(path), "--window=-4,4,-4,4",
+                     "--resolution", "21", "--svg", str(svg), "--deterministic"]) == 0
+        title = ET.parse(svg).getroot().find("{http://www.w3.org/2000/svg}title")
+        assert title.text == "analysis of a&b<c>.json"
+
+    def test_fill_is_coloured_by_the_network_at_cell_centres(self):
+        # -|x - y| + 0.01 (x + y), exactly: a ridge along the diagonal that the
+        # average of a cell's four corners reads as a dip
+        ridge = Network(2, (Layer(np.array([[1.0, -1.0], [-1.0, 1.0], [0.01, 0.01]]),
+                                  np.array([0.0, 0.0, 100.0])),
+                            Layer(np.array([[-1.0, -1.0, 1.0]]), np.array([-100.0]))),
+                        RELU, final_activation=False)
+        level = 0.0119
+        config = {"model": "ridge.json", "window": {"lo": [-1.5, -1.5], "hi": [1.5, 1.5]},
+                  "resolution": 41, "levels": [level], "deterministic": True}
+        outcome = analysis.analyze_outcome(ridge, config)[0].to_dict()
+        root = ET.fromstring(outcome_svg(outcome, deterministic=True))
+        fill = root.find("{http://www.w3.org/2000/svg}g[@shape-rendering='crispEdges']")
+        colours = [rect.get("fill") for rect in fill]
+        axis = np.linspace(-1.5, 1.5, 65)
+        mid = 0.5 * (axis[:-1] + axis[1:])
+        centres = np.stack(np.meshgrid(mid, mid, indexing="ij"), axis=-1).reshape(-1, 2)
+        values = network_scalar_fn(ridge)(centres)
+        assert colours == ["#fde5cf" if v >= level else "#d6e6f7" for v in values]
 
     def test_accuracy_is_printed_not_stored(self, tmp_path, dataset, model, capsys):
         # the config does not name the data, so the report could not check it
@@ -442,11 +482,12 @@ class TestReproduceCommand:
         for o in outcomes:
             assert outcome_svg(o, deterministic=True) == \
                 (svg_dir / f"seed{o['seed']:03d}.svg").read_text()
+            ET.parse(svg_dir / f"seed{o['seed']:03d}.svg")
         # the sha256 of each SVG, pinned like the report digests in test_reports
         assert [hashlib.sha256((svg_dir / f"seed{s:03d}.svg").read_bytes()).hexdigest()
                 for s in (0, 1)] == [
-            "3bba5c25e348e483355dae83e1ddbe490c342787f2813b1c21442acf03fdf354",
-            "2880f3e4c09ddda9e196912599addeb6be1568e173fcf84094fda1a0dc4ef5dd"], PINNED_ON
+            "dae1bb600d959358daf66a28270514787be4ec14a254a8f22792b0ae7adc20c9",
+            "c845a2e85ee675912729583f49c68baf06ff24dab62e84bb16e28dda07a94c9d"], PINNED_ON
 
     def test_seeds_zero_untested(self, capsys):
         assert main(["reproduce", "--paper-fig", "3b", "--seeds", "0"]) == 0
@@ -519,9 +560,22 @@ class TestOptionChecks:
          "ring_sigma (--ring-sigma) must be finite and >= 0, got nan"),
         (["gen-data", "--ring-radius", "inf", "--out", "d.csv"],
          "ring_radius (--ring-radius) must be finite, got inf"),
+        (["gen-data", "--ring-radius", "1", "--out", "d.csv"], "classes not separable: need "
+         "ring_radius (--ring-radius) > 3*inner_sigma (--inner-sigma), got 1.0 <= 1.5"),
+        (["train", "--data", "{data}", "--arch", "2", "--out", "m.json"],
+         "architecture (--arch) must be two or more widths >= 1, got [2]"),
+        (["train", "--data", "{data}", "--arch", "2,0,1", "--out", "m.json"],
+         "architecture (--arch) must be two or more widths >= 1, got [2, 0, 1]"),
+        (["train", "--data", "{data}", "--arch", "3,3,1", "--out", "m.json"],
+         "input width (the first --arch width) must be the dataset dim 2, got 3"),
+        (["train", "--data", "{data}", "--arch", "2,3,1", "--loss", "bce",
+          "--activation", "tanh", "--out", "m.json"],
+         "loss bce (--loss) needs a sigmoid final activation (--activation)"),
+        (["sweep-nonsingular", "--activation", "relu"],
+         "activation (--activation) must be one-to-one for a non-singular sweep, got relu"),
     ])
-    def test_vacuous_or_negative_count_exit_2(self, capsys, argv, flag):
-        assert main(argv) == 2
+    def test_vacuous_or_negative_count_exit_2(self, capsys, dataset, argv, flag):
+        assert main([arg.format(data=dataset) for arg in argv]) == 2
         assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,message", [
