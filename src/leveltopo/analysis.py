@@ -27,11 +27,12 @@ from functools import partial
 import numpy as np
 
 from .activations import SIGMOID, Activation, activation_from_dict
-from .contours import extract_components
+from .contours import (Classification, boundary_tol, classify_component, component_encloses,
+                       extract_components)
 from .fields import ScalarField, network_scalar_fn, sample_grid
 from .network import Network, Window, _plain, network_to_dict
 from .nonsingular import is_nonsingular, make_nonsingular, pad_to_width, NonSingularityReport
-from .reports import EncodedOutcome, encode_outcome, level_entry
+from .reports import EncodedOutcome, encode_outcome
 from .training import (DECISION_CUT, Dataset, TrainConfig, TrainingDiverged, accuracy,
                        gen_ring_dataset, init_weights, loss_and_grad, train_stack)
 
@@ -80,14 +81,30 @@ def parallel_map(fn, items):
 
 
 def analyze_level(level: float, field: ScalarField) -> dict:
-    """The report entry (``level_entry``) of the level components of
-    ``field``, classified on the window.
-
+    """The report entry of the level components of ``field``: their chains,
+    and the one derivation of each other member, each class from its chain
+    on the window and ``bounded_enclosing_origin`` by the even-odd test.
     Only the centres of saddle cells call ``field.fn``, so callers probing
-    several levels sample the window once.
-    """
-    return level_entry(float(level), field.window, field.resolution,
-                       [c.chain for c in extract_components(field, level)])
+    several levels sample the window once."""
+    level, window = float(level), field.window
+    chains = [c.chain for c in extract_components(field, level)]
+    tol = boundary_tol(window, field.resolution)
+    classes = [classify_component(chain, window, tol).value for chain in chains]
+    loops = [chain for chain, cls in zip(chains, classes) if cls == Classification.BOUNDED.value]
+    return {
+        "level": level,
+        "final_classifications": classes,
+        "bounded_final": len(loops),
+        "boundary_final": len(chains) - len(loops),
+        "bounded_enclosing_origin": sum(component_encloses(loop, (0.0, 0.0)) for loop in loops),
+        "report": {
+            "level": level,
+            "window": _plain(window),
+            "resolution": list(field.resolution),
+            "boundary_tol": tol,
+            "components": [{"polylines": [_plain(chain)]} for chain in chains],
+        },
+    }
 
 
 def analyze_outcome(net: Network, config: dict) -> tuple[SeedOutcome, ScalarField]:

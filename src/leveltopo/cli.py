@@ -149,22 +149,21 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"resolution (--resolution) must be >= 2, got {args.resolution}")
     net = load_network(args.model)
     if net.output_dim != 1:
-        raise ValueError("analysis needs a scalar-valued model")
+        raise ValueError(f"analysis needs a scalar-valued model, got output dim "
+                         f"{net.output_dim} from --model {args.model}")
     if net.input_dim != 2:
         raise ValueError(f"analysis needs a 2-input model, got input dim {net.input_dim} "
                          f"from --model {args.model}")
     data = load_dataset(args.data) if args.data else None
-    if data is not None and data.dim != net.input_dim:
-        raise ValueError(f"model/data mismatch: model input dim {net.input_dim}, "
-                         f"data dim {data.dim}")
+    if data is not None and data.dim != 2:
+        raise ValueError(f"data (--data) must be 2-d, got {data.dim}-d points from {args.data}")
     window = args.window
     if window is None:
         if data is None:
             raise ValueError("--window auto requires --data")
         window = auto_window(data)
-    if window.dim != net.input_dim:
-        raise ValueError(f"model/window mismatch: model input dim {net.input_dim}, "
-                         f"window dim {window.dim}")
+    if window.dim != 2:
+        raise ValueError(f"window (--window) must be 2-d, got a {window.dim}-d window")
 
     config = {"model": args.model, "window": _plain(window),
               "resolution": args.resolution, "levels": list(args.levels),

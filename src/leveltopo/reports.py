@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contours import Classification, boundary_tol, classify_component, component_encloses
-from .network import Window, _plain, errors_named
+from .network import errors_named
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 KIND_REPRODUCE_NARROW = "reproduce-3a"
 KIND_REPRODUCE_WIDE = "reproduce-3b"
@@ -122,10 +121,8 @@ def make_report(kind: str, config: dict, outcomes: list, deterministic: bool,
         "kind": kind,
         "config": config,
         "versions": versions(),
-        "seeds": [o["seed"] for o in outcomes],
         "outcomes": outcomes,
-        "timings": {"wall_seconds": 0.0 if deterministic else wall_seconds,
-                    "deterministic": deterministic},
+        "timings": {"wall_seconds": 0.0 if deterministic else wall_seconds},
     }
     report["verdicts"] = compute_verdicts(report)
     return report
@@ -219,37 +216,6 @@ def _judge(report: dict) -> tuple[dict, list[str]]:
 
 def compute_verdicts(report: dict) -> dict:
     return {report["kind"]: _judge(report)[0]}
-
-
-def level_entry(level: float, window: Window, resolution: tuple[int, ...] | list[int],
-                chains: list) -> dict:
-    """A level's report entry, from the vertex chains of its components:
-    arrays, or the lists a report stores.  Beside the level, window,
-    resolution and chains, each member is derived here, the one derivation
-    of each: ``boundary_tol``, each component's classification from its
-    chain, and the counts; ``bounded_enclosing_origin`` counts the bounded
-    chains around the origin (even-odd test)."""
-    tol = boundary_tol(window, resolution)
-    classes = [classify_component(chain, window, tol).value for chain in chains]
-    loops = [np.asarray(chain, dtype=np.float64) for chain, cls in zip(chains, classes)
-             if cls == Classification.BOUNDED.value]
-    bounded = len(loops)
-    enclosing = sum(component_encloses(loop, (0.0, 0.0)) for loop in loops)
-    return {
-        "level": level,
-        "final_classifications": classes,
-        "bounded_final": bounded,
-        "boundary_final": len(classes) - bounded,
-        "bounded_enclosing_origin": enclosing,
-        "report": {
-            "level": level,
-            "window": _plain(window),
-            "resolution": list(resolution),
-            "boundary_tol": tol,
-            "components": [{"classification": cls, "polylines": [_plain(chain)]}
-                           for cls, chain in zip(classes, chains)],
-        },
-    }
 
 
 def report_passed(report: dict) -> bool:

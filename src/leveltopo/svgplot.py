@@ -34,9 +34,11 @@ def _fmt(v: float) -> str:
 def outcome_svg(outcome: dict, deterministic: bool, title: str | None = None,
                 points: np.ndarray | None = None, labels: np.ndarray | None = None) -> str:
     """The plot of a report outcome from the outcome alone: the stored chains of
-    every level in the first level's window, over the sign regions of the stored
-    network at the first level, each fill cell coloured by the network at its
-    centre; the data ``points`` and ``labels`` when given; ``title`` or "seed N"."""
+    every level in the first level's window, each coloured by its level's
+    ``final_classifications``, over the sign regions of the stored network at
+    the first level only, each fill cell coloured by the network at its centre;
+    the data ``points`` and ``labels`` when given; a legend naming every level;
+    ``title`` or "seed N"."""
     from html import escape  # imported here, so that a process drawing no plot loads no html
     entry = outcome["levels"][0]["report"]
     window, level = Window(**entry["window"]), entry["level"]
@@ -89,20 +91,21 @@ def outcome_svg(outcome: dict, deterministic: bool, title: str | None = None,
         parts.append("</g>")
 
     parts.append('<g fill="none" stroke-width="2">')
-    for comp in (c for lv in outcome["levels"] for c in lv["report"]["components"]):
-        color = (COLOR_BOUNDED if comp["classification"] == Classification.BOUNDED.value
-                 else COLOR_TOUCHING)
-        for chain in comp["polylines"]:
-            pts = " ".join(f"{_fmt(sx)},{_fmt(sy)}"
-                           for sx, sy in (t(float(p[0]), float(p[1])) for p in chain))
-            parts.append(f'<polyline points="{pts}" stroke="{color}"/>')
+    for lv in outcome["levels"]:
+        for cls, comp in zip(lv["final_classifications"], lv["report"]["components"]):
+            color = COLOR_BOUNDED if cls == Classification.BOUNDED.value else COLOR_TOUCHING
+            for chain in comp["polylines"]:
+                pts = " ".join(f"{_fmt(sx)},{_fmt(sy)}"
+                               for sx, sy in (t(float(p[0]), float(p[1])) for p in chain))
+                parts.append(f'<polyline points="{pts}" stroke="{color}"/>')
     parts.append("</g>")
 
     x0, y0 = t(window.lo[0], window.hi[1])
     x1, y1 = t(window.hi[0], window.lo[1])
     parts.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
                  f'height="{_fmt(y1 - y0)}" fill="none" stroke="#444" stroke-width="1"/>')
+    levels = ",".join(f"{lv['level']:g}" for lv in outcome["levels"])
     parts.append(f'<text x="{MARGIN}" y="{MARGIN - 12}" font-family="monospace" '
-                 f'font-size="13">level={level:g} bounded=red touching=blue</text>')
+                 f'font-size="13">level={levels} bounded=red touching=blue</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -204,9 +204,9 @@ def test_fixture_reports_validate(sweep_run, narrow_run, wide_run):
 
 # the sha256 of each fixture report's text without its `versions` member
 FIXTURE_DIGESTS = {
-    KIND_SWEEP: "abb26cb63cba292b8028e53d62e68cb1b3339302063c654793a7064daffe86c3",
-    KIND_REPRODUCE_NARROW: "dde8a0065daf0f94219f8604ed68b8fec96826495a3255ec568b5b1b55e7d73d",
-    KIND_REPRODUCE_WIDE: "c4303d538dc5ecfcfbb7c2960599187033522832f9434c0c38b0dadb18015824",
+    KIND_SWEEP: "6872f0df0ae9d6efa2f91b6edd6de0aa6cee2b37898df5e2bd0d50df0014dcdf",
+    KIND_REPRODUCE_NARROW: "7b1664565479815f4ef41853aab532f53b6703fb95848bf37f4628fe99c711b5",
+    KIND_REPRODUCE_WIDE: "c8c4cebc0c515cfeb6057f65691b9bbb8cbd3bda705ca8c566ca817960046124",
 }
 
 

@@ -8,9 +8,9 @@ import pytest
 
 from leveltopo import (SIGMOID, Classification, CompositionToleranceError,
                        ConstructionError, ExperimentSpec, FunctionLink, NonSingularSweepSpec,
-                       TrainConfig, Window, analyze_level, composition_tolerance_check,
-                       one_to_one_relu, random_nonsingular_sweep, run_experiment,
-                       sample_grid)
+                       TrainConfig, Window, analyze_level, classify_component,
+                       composition_tolerance_check, one_to_one_relu, random_nonsingular_sweep,
+                       run_experiment, sample_grid)
 from leveltopo.analysis import THREADS_ENV, auto_window, reproduction_spec
 from leveltopo import analysis, cli
 from leveltopo.cli import validate_report
@@ -50,8 +50,10 @@ class TestAnalyzeLevel:
     def test_final_classifications_are_the_components_own(self):
         for f in (circle_fn, line_fn, arc_fn):
             entry = analyze_level(0.0, sample_grid(f, window2(), (101, 101)))
+            rep = entry["report"]
             assert entry["final_classifications"] == [
-                c["classification"] for c in entry["report"]["components"]]
+                classify_component(c["polylines"][0], Window(**rep["window"]),
+                                   rep["boundary_tol"]).value for c in rep["components"]]
 
 
 class TestSubCellLoop:

@@ -14,10 +14,11 @@ import pytest
 
 from leveltopo import analysis, cli, training
 from leveltopo.cli import main, parse_activation, parse_levels, parse_window, validate_report
-from leveltopo.contours import extract_components
+from leveltopo.contours import (boundary_tol, classify_component, component_encloses,
+                                extract_components)
 from leveltopo.fields import network_scalar_fn, sample_grid
 from leveltopo.network import Window, load_network, network_from_dict, save_network
-from leveltopo.reports import compute_verdicts, dumps_report, level_entry, load_report
+from leveltopo.reports import SCHEMA_VERSION, compute_verdicts, dumps_report, load_report
 from leveltopo.svgplot import outcome_svg
 from leveltopo import (RELU, SIGMOID, Layer, Network, Optimizer, TrainConfig, accuracy,
                        init_weights, load_dataset, one_to_one_relu, train)
@@ -174,7 +175,7 @@ class TestTrain:
         assert main(["analyze", "--model", str(tmp_path / "m0.json"), "--data", str(data),
                      "--levels", "0.5,0.3", "--svg", str(svg), "--deterministic"]) == 0
         assert digest(svg) == (
-            "0c6e0e0bc5e813cb9d442877889c67884d5f835a928af1261e7b29518dfff7d3"), PINNED_ON
+            "06c365e3744fbb543db685e7b9e8a16d90ec01a7e2d1080aa06d9894b131b5b5"), PINNED_ON
         ET.parse(svg)
 
     def test_history_too_large_for_memory_exit_3(self, tmp_path, dataset, monkeypatch,
@@ -262,6 +263,13 @@ class TestAnalyze:
                            title=f"analysis of {model.name}", points=data.points,
                            labels=data.labels) == svg.read_text()
 
+    def test_legend_names_every_level(self, tmp_path, model):
+        svg = tmp_path / "p.svg"
+        assert main(["analyze", "--model", str(model), "--window=-4,4,-4,4", "--resolution",
+                     "21", "--levels", "0.5,0.3", "--svg", str(svg), "--deterministic"]) == 0
+        legend = ET.parse(svg).getroot().find("{http://www.w3.org/2000/svg}text")
+        assert legend.text == "level=0.5,0.3 bounded=red touching=blue"
+
     def test_title_is_xml_escaped(self, tmp_path, model):
         path, svg = tmp_path / "a&b<c>.json", tmp_path / "p.svg"
         path.write_bytes(model.read_bytes())
@@ -337,20 +345,23 @@ class TestAnalyze:
         assert main(["analyze", "--model", str(model), "--data", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: line 2: {message}\n"
 
-    @pytest.mark.parametrize("net,window,message", [
-        (Network(2, (Layer(np.ones((2, 2)), np.zeros(2)),), SIGMOID), "-1,1,-1,1",
-         "analysis needs a scalar-valued model"),
-        (Network(2, (Layer(np.ones((1, 2)), np.zeros(1)),), SIGMOID), "-1,1,-1,1,-1,1",
-         "model/window mismatch: model input dim 2, window dim 3"),
-        (Network(3, (Layer(np.ones((1, 3)), np.zeros(1)),), SIGMOID), "-1,1,-1,1,-1,1",
+    @pytest.mark.parametrize("net,flags,message", [
+        (Network(2, (Layer(np.ones((2, 2)), np.zeros(2)),), SIGMOID), ["--window=-1,1,-1,1"],
+         "analysis needs a scalar-valued model, got output dim 2 from --model {path}"),
+        (Network(2, (Layer(np.ones((1, 2)), np.zeros(1)),), SIGMOID), ["--window=-1,1,-1,1,-1,1"],
+         "window (--window) must be 2-d, got a 3-d window"),
+        (Network(2, (Layer(np.ones((1, 2)), np.zeros(1)),), SIGMOID), ["--data", "{data}"],
+         "data (--data) must be 2-d, got 3-d points from {data}"),
+        (Network(3, (Layer(np.ones((1, 3)), np.zeros(1)),), SIGMOID), ["--window=-1,1,-1,1,-1,1"],
          "analysis needs a 2-input model, got input dim 3 from --model {path}"),
-    ], ids=["two-outputs", "window-dim", "three-inputs"])
-    def test_model_that_cannot_be_analyzed_exit_2(self, tmp_path, capsys, net, window,
-                                                  message):
-        path = tmp_path / "m.json"
+    ], ids=["two-outputs", "window-dim", "data-dim", "three-inputs"])
+    def test_model_that_cannot_be_analyzed_exit_2(self, tmp_path, capsys, net, flags, message):
+        path, data = tmp_path / "m.json", tmp_path / "d3.csv"
         save_network(net, path)
-        assert main(["analyze", "--model", str(path), f"--window={window}"]) == 2
-        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        data.write_text("0.0,0.0,0.0,0\n1.0,1.0,1.0,1\n")
+        flags = [flag.format(data=data) for flag in flags]
+        assert main(["analyze", "--model", str(path), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path, data=data)}\n"
 
     def test_unwritable_svg_still_writes_the_report_exit_3(self, tmp_path, model, capsys):
         rp, svg = tmp_path / "r.json", tmp_path / "missing" / "x.svg"
@@ -715,17 +726,20 @@ class TestValidateReportCommand:
 
     @pytest.mark.parametrize("content,message", [
         ([1, 2], "a report is a JSON object"),
-        ({"schema_version": 1}, "missing key 'kind'"),
+        ({"schema_version": SCHEMA_VERSION}, "missing key 'kind'"),
         # an analyze report without the outcome that holds its network
-        ({"schema_version": 1, "kind": "analyze", "outcomes": [],
+        ({"schema_version": SCHEMA_VERSION, "kind": "analyze", "outcomes": [],
           "config": {"model": "m.json", "window": {"lo": [-1, -1], "hi": [1, 1]},
                      "resolution": 5, "levels": [0.5], "deterministic": True},
-          "timings": {"wall_seconds": 0.0, "deterministic": True}},
+          "timings": {"wall_seconds": 0.0}},
          "malformed report: list index out of range"),
-        ({"schema_version": 2}, "unsupported schema_version 2"),
-        ({"schema_version": 1, "kind": "bogus", "outcomes": [],
+        ({"schema_version": SCHEMA_VERSION + 1},
+         f"unsupported schema_version {SCHEMA_VERSION + 1}"),
+        ({"schema_version": SCHEMA_VERSION, "kind": "bogus", "outcomes": [],
           "config": {"deterministic": True}, "timings": {"wall_seconds": 0.0}},
          "unknown report kind 'bogus'"),
+        # schema 1 stored members that schema 2 dropped
+        ({"schema_version": 1}, "unsupported schema_version 1"),
         # text that is not JSON: the error names the file
         ("not json\n", "r.json: Expecting value: line 1 column 1 (char 0)"),
     ])
@@ -801,13 +815,11 @@ def wide_report(tmp_path_factory):
 
 
 def relabel_as_touching(report):
-    """Rewrite the bounded loop as boundary-touching in both classification
-    lists, and the level's counts to wrong values, leaving the outcome's
-    sums as they were."""
+    """Rewrite the bounded loop as boundary-touching in the classification
+    list, and the level's counts to wrong values, leaving the outcome's sums
+    as they were."""
     level = report["outcomes"][0]["levels"][0]
     level["final_classifications"] = ["boundary_touching"] * len(level["final_classifications"])
-    for comp in level["report"]["components"]:
-        comp["classification"] = "boundary_touching"
     level["bounded_final"], level["boundary_final"] = 0, 99
 
 
@@ -849,8 +861,6 @@ class TestValidateReportCounts:
         (relabel_as_touching, ["outcomes[0].levels[0].boundary_final is 99, recomputed 0",
                                "outcomes[0].levels[0].bounded_final is 0, recomputed 1",
                                "outcomes[0].levels[0].final_classifications[0] is "
-                               "'boundary_touching', recomputed 'bounded'",
-                               "outcomes[0].levels[0].report.components[0].classification is "
                                "'boundary_touching', recomputed 'bounded'"]),
         (drop_final_classification, ["outcomes[0].levels[0].final_classifications[0] is "
                                      "absent, recomputed 'bounded'"]),
@@ -897,9 +907,9 @@ class TestValidateReportCounts:
         path = tmp_path / "r.json"
         path.write_text(json.dumps(report))
         rebuilt = []
-        level_entry = analysis.level_entry
-        monkeypatch.setattr(analysis, "level_entry",
-                            lambda *args: rebuilt.append(args) or level_entry(*args))
+        analyze_level = analysis.analyze_level
+        monkeypatch.setattr(analysis, "analyze_level",
+                            lambda *args: rebuilt.append(args) or analyze_level(*args))
         assert main(["validate-report", str(path)]) == 1
         assert len(rebuilt) == len(report["outcomes"][0]["levels"]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
@@ -918,9 +928,7 @@ class TestValidateReportCounts:
           "outcomes[0].levels[0].boundary_final is 1, recomputed 0",
           "outcomes[0].levels[0].bounded_final is 0, recomputed 1",
           "outcomes[0].levels[0].final_classifications[0] is 'boundary_touching', "
-          "recomputed 'bounded'",
-          "outcomes[0].levels[0].report.components[0].classification is "
-          "'boundary_touching', recomputed 'bounded'"]),
+          "recomputed 'bounded'"]),
     ], ids=["zeroed-origin-loop", "flipped-loop-and-counts"])
     def test_tampered_data_under_matching_verdicts_exit_1(self, wide_report, tmp_path, capsys,
                                                           tamper, messages):
@@ -973,7 +981,9 @@ def negate_determinant(report):
     dets[0] = -dets[0]
 
 
-def rewrite_seeds(report):
+def plant_seeds(report):
+    """Put back the top-level seed list of schema 1, which repeated each
+    outcome's ``seed``: a stale member."""
     report["seeds"] = [5]
 
 
@@ -982,7 +992,7 @@ def rewrite_spec_seeds(report):
 
 
 def rewrite_both_seed_lists(report):
-    rewrite_seeds(report)
+    plant_seeds(report)
     rewrite_spec_seeds(report)
 
 
@@ -1030,14 +1040,14 @@ class TestValidateReportDerivations:
             assert line.startswith(message)
 
     @pytest.mark.parametrize("report_fixture,tamper,messages", [
-        ("two_seed_wide_report", rewrite_seeds,
-         ["seeds[0] is 5, recomputed 0", "seeds[1] is absent, recomputed 1"]),
+        # a planted top-level seed list is a stale member
+        ("two_seed_wide_report", plant_seeds, ["seeds is [5], recomputed absent"]),
         ("two_seed_wide_report", rewrite_spec_seeds,
          ["config.spec.seeds[0] is 9, recomputed 0", "config.spec.seeds[1] is 8, recomputed 1"]),
         ("two_seed_wide_report", rewrite_both_seed_lists,
          ["config.spec.seeds[0] is 9, recomputed 0", "config.spec.seeds[1] is 8, recomputed 1",
-          "seeds[0] is 5, recomputed 0", "seeds[1] is absent, recomputed 1"]),
-        ("sweep_report", rewrite_seeds, ["seeds[0] is 5, recomputed 0"]),
+          "seeds is [5], recomputed absent"]),
+        ("sweep_report", plant_seeds, ["seeds is [5], recomputed absent"]),
     ], ids=["seeds", "spec-seeds", "both", "sweep-seeds"])
     def test_tampered_seed_lists_exit_1(self, request, tmp_path, capsys, report_fixture,
                                         tamper, messages):
@@ -1145,8 +1155,18 @@ def set_wall_seconds(report):
 
 
 def clear_deterministic_timing(report):
+    """Put back schema 1's ``timings.deterministic``, which repeated
+    ``config.deterministic``: a stale member."""
     report["timings"]["deterministic"] = False
-    return ["timings.deterministic is False, recomputed True"]
+    return ["timings.deterministic is False, recomputed absent"]
+
+
+def plant_component_classification(report):
+    """Put back schema 1's per-component class, which repeated
+    ``final_classifications[k]``: a stale member."""
+    report["outcomes"][0]["levels"][0]["report"]["components"][0]["classification"] = "bounded"
+    return ["outcomes[0].levels[0].report.components[0].classification is 'bounded', "
+            "recomputed absent"]
 
 
 def raise_convergence_loss(report):
@@ -1164,21 +1184,26 @@ def raise_convergence_loss(report):
 
 
 def widen_windows(report):
-    """Rebuild every entry on [-100, 100]^2, with the sums and verdicts to
-    match: seed 1's frame-touching chain becomes bounded."""
+    """Reclassify every entry's chains on [-100, 100]^2, with the counts, sums
+    and verdicts to match: seed 1's frame-touching chain becomes bounded."""
     wide = Window(np.array([-100.0, -100.0]), np.array([100.0, 100.0]))
     lines = []
     for i, o in enumerate(report["outcomes"]):
-        stored = o["levels"][0]["report"]
-        entry = level_entry(o["levels"][0]["level"], wide, stored["resolution"],
-                            [c["polylines"][0] for c in stored["components"]])
-        o["levels"][0] = entry
-        o["bounded_final"], o["boundary_final"] = entry["bounded_final"], entry["boundary_final"]
-        lines.append(f"outcomes[{i}].levels[0].report.boundary_tol is "
-                     f"{entry['report']['boundary_tol']!r}, recomputed {stored['boundary_tol']!r}")
+        entry, stored = o["levels"][0], o["levels"][0]["report"]
+        tol = boundary_tol(wide, stored["resolution"])
+        chains = [np.array(c["polylines"][0]) for c in stored["components"]]
+        classes = [classify_component(chain, wide, tol).value for chain in chains]
+        loops = [chain for chain, cls in zip(chains, classes) if cls == "bounded"]
+        lines.append(f"outcomes[{i}].levels[0].report.boundary_tol is {tol!r}, "
+                     f"recomputed {stored['boundary_tol']!r}")
         lines += [f"outcomes[{i}].levels[0].report.window.{side}[{k}] is {bound!r}, "
                   f"recomputed {stored['window'][side][k]!r}"
                   for side, bound in (("hi", 100.0), ("lo", -100.0)) for k in (0, 1)]
+        stored.update(window={"lo": [-100.0, -100.0], "hi": [100.0, 100.0]}, boundary_tol=tol)
+        entry.update(final_classifications=classes, bounded_final=len(loops),
+                     boundary_final=len(chains) - len(loops), bounded_enclosing_origin=sum(
+                         component_encloses(loop, (0.0, 0.0)) for loop in loops))
+        o["bounded_final"], o["boundary_final"] = entry["bounded_final"], entry["boundary_final"]
     report["verdicts"] = compute_verdicts(report)
     return lines + [
         "outcomes[1].boundary_final is 0, recomputed 1",
@@ -1187,8 +1212,6 @@ def widen_windows(report):
         "outcomes[1].levels[0].bounded_enclosing_origin is 1, recomputed 0",
         "outcomes[1].levels[0].bounded_final is 1, recomputed 0",
         "outcomes[1].levels[0].final_classifications[0] is 'bounded', "
-        "recomputed 'boundary_touching'",
-        "outcomes[1].levels[0].report.components[0].classification is 'bounded', "
         "recomputed 'boundary_touching'",
         "verdicts.reproduce-3a.bounded_components_among_converged is 1, recomputed 0",
         "verdicts.reproduce-3a.status is 'FAIL', recomputed 'PASS'"]
@@ -1323,6 +1346,7 @@ class TestEveryMemberIsRebuilt:
         ("two_seed_wide_report", shorten_training),
         ("two_seed_wide_report", set_wall_seconds),
         ("two_seed_wide_report", clear_deterministic_timing),
+        ("two_seed_wide_report", plant_component_classification),
         ("narrow_report", raise_convergence_loss),
         ("narrow_report", widen_windows),
         ("two_seed_wide_report", move_chain_vertex),

@@ -255,7 +255,7 @@ class TestTopologyReport:
         d = entry["report"]
         assert set(d) == {"level", "window", "resolution", "boundary_tol", "components"}
         assert d["boundary_tol"] == 1.5 * float(np.linalg.norm(fld.spacing))
-        assert [set(c) for c in d["components"]] == [{"classification", "polylines"}] * 2
+        assert [set(c) for c in d["components"]] == [{"polylines"}] * 2
 
 
 class TestOracleEquivalence:

@@ -9,11 +9,12 @@ import dataclasses
 import json
 
 import numpy as np
+import pytest
 
-from leveltopo import Layer, Network, Window, is_nonsingular, one_to_one_relu
-from leveltopo.analysis import NonSingularSweepSpec, SeedOutcome, reproduction_spec
+from leveltopo import Layer, Network, Window, is_nonsingular, one_to_one_relu, sample_grid
+from leveltopo.analysis import (NonSingularSweepSpec, SeedOutcome, analyze_level,
+                                reproduction_spec)
 from leveltopo.network import network_from_dict, network_to_dict
-from leveltopo.reports import level_entry
 
 SIGMOID_FORM = {"kind": "sigmoid", "sharpness": None}
 
@@ -81,32 +82,36 @@ def test_empty_seed_outcome():
         "levels": [], "network": None}
 
 
-# spacing (3, 4) on this window, so the cell diagonal is 5 and the boundary
-# tolerance 1.5 diagonals
+def three_components(p):
+    """At level 5: a circle of radius 5 about the origin, one of radius 2
+    about (15, 15), and the line x = -25, which meets the frame."""
+    return np.minimum.reduce([np.hypot(p[:, 0], p[:, 1]),
+                              np.hypot(p[:, 0] - 15.0, p[:, 1] - 15.0) + 3.0, p[:, 0] + 30.0])
+
+
+# unit spacing on this window, so the boundary tolerance is 1.5 cell diagonals
 ENTRY_WINDOW = Window(np.array([-30.0, -40.0]), np.array([30.0, 40.0]))
-ORIGIN_LOOP = [[-5.0, -5.0], [5.0, -5.0], [5.0, 5.0], [-5.0, 5.0], [-5.0, -5.0]]
-SIDE_LOOP = [[10.0, 10.0], [12.0, 10.0], [12.0, 12.0], [10.0, 10.0]]
-FRAME_CHAIN = [[-30.0, 0.0], [0.0, 10.0]]
 
 LEVEL_ENTRY_FORM = {
-    "level": 0.5,
-    "final_classifications": ["bounded", "bounded", "boundary_touching"],
+    "level": 5.0,
+    "final_classifications": ["boundary_touching", "bounded", "bounded"],
     "bounded_final": 2, "boundary_final": 1, "bounded_enclosing_origin": 1,
     "report": {
-        "level": 0.5, "window": {"lo": [-30.0, -40.0], "hi": [30.0, 40.0]},
-        "resolution": [21, 21], "boundary_tol": 7.5,
-        "components": [{"classification": "bounded", "polylines": [ORIGIN_LOOP]},
-                       {"classification": "bounded", "polylines": [SIDE_LOOP]},
-                       {"classification": "boundary_touching", "polylines": [FRAME_CHAIN]}]},
+        "level": 5.0, "window": {"lo": [-30.0, -40.0], "hi": [30.0, 40.0]},
+        "resolution": [61, 81], "boundary_tol": 1.5 * np.sqrt(2.0)},
 }
 
 
-def test_level_entry():
-    chains = [np.array(c) for c in (ORIGIN_LOOP, SIDE_LOOP, FRAME_CHAIN)]
-    assert level_entry(0.5, ENTRY_WINDOW, (21, 21), chains) == LEVEL_ENTRY_FORM
-    # rebuilt from the stored lists, as validate-report does, it is the same
-    assert level_entry(0.5, ENTRY_WINDOW, [21, 21],
-                       [ORIGIN_LOOP, SIDE_LOOP, FRAME_CHAIN]) == LEVEL_ENTRY_FORM
+def test_analyzed_level():
+    entry = analyze_level(5, sample_grid(three_components, ENTRY_WINDOW, (61, 81)))
+    components = entry["report"].pop("components")
+    assert entry == LEVEL_ENTRY_FORM
+    # a component stores its chain alone: its class is in final_classifications
+    assert [set(c) for c in components] == [{"polylines"}] * 3
+    frame_chain, origin_loop, side_loop = (np.array(c["polylines"][0]) for c in components)
+    assert frame_chain[:, 0] == pytest.approx(-25.0)
+    assert np.hypot(*origin_loop.T) == pytest.approx(5.0, abs=0.05)
+    assert np.hypot(*(side_loop - 15.0).T) == pytest.approx(2.0, abs=0.05)
 
 
 def test_window_round_trip():
